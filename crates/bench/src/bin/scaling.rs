@@ -1,9 +1,11 @@
 //! Measures the wall-clock scaling of the `ppet-exec` consumers —
-//! parallel saturation, fault-parallel simulation, and batch compilation —
-//! across worker counts, and writes the results to `BENCH_scaling.json`.
+//! fault-parallel simulation and batch compilation — across worker
+//! counts, and writes the results to `BENCH_scaling.json`. (A single
+//! compile's saturation is the paper's sequential loop and has nothing to
+//! scale.)
 //!
-//! Every configuration first checks that its result is bit-identical to
-//! the 1-worker run (the determinism contract), then times it. The JSON
+//! Worker-count invariance of both results is pinned by
+//! `tests/determinism.rs`; this bench only times them. The JSON
 //! records the host's available parallelism alongside the numbers: on a
 //! single-core machine every worker count necessarily lands within noise
 //! of sequential, so speedups are only meaningful when
@@ -16,8 +18,7 @@ use std::time::Instant;
 use ppet_bench::build_circuit;
 use ppet_core::{compile_batch, Merced, MercedConfig};
 use ppet_exec::{available_workers, Pool};
-use ppet_flow::{saturate_network_par, FlowParams};
-use ppet_graph::CircuitGraph;
+use ppet_flow::FlowParams;
 use ppet_netlist::data::table9;
 use ppet_prng::{Rng, Xoshiro256PlusPlus};
 use ppet_sim::fsim::FaultSim;
@@ -39,7 +40,6 @@ fn best_ns(mut f: impl FnMut()) -> u64 {
 
 struct Row {
     workers: usize,
-    saturate_ns: u64,
     fsim_ns: u64,
     batch_ns: u64,
 }
@@ -49,14 +49,10 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_scaling.json".to_string());
 
-    // Saturation workload: a mid-size suite circuit, 8 replica streams.
+    // Fault-simulation workload: random pattern blocks over the full
+    // collapsed fault list of a mid-size suite circuit.
     let record = table9::find("s1423").expect("suite circuit");
     let circuit = build_circuit(record);
-    let graph = CircuitGraph::from_circuit(&circuit);
-    let flow = FlowParams::budgeted(graph.num_nodes(), 6).with_replicas(8);
-
-    // Fault-simulation workload: random pattern blocks over the full
-    // collapsed fault list.
     let mut rng = Xoshiro256PlusPlus::seed_from(3);
     let blocks: Vec<(Vec<u64>, Vec<u64>)> = (0..8)
         .map(|_| {
@@ -81,21 +77,9 @@ fn main() {
             .with_flow(batch_flow),
     );
 
-    let baseline_profile = saturate_network_par(&graph, &flow, 7, &Pool::sequential());
     let mut rows = Vec::new();
     for workers in WORKER_COUNTS {
         let pool = Pool::new(workers);
-
-        // Determinism check before timing.
-        assert_eq!(
-            saturate_network_par(&graph, &flow, 7, &pool),
-            baseline_profile,
-            "saturation must be worker-count invariant"
-        );
-
-        let saturate_ns = best_ns(|| {
-            let _ = saturate_network_par(&graph, &flow, 7, &pool);
-        });
         let fsim_ns = best_ns(|| {
             let mut fs = FaultSim::new(&circuit).expect("levelizes");
             for (pis, dffs) in &blocks {
@@ -107,14 +91,12 @@ fn main() {
             assert_eq!(outcome.failed(), 0);
         });
         eprintln!(
-            "workers {workers}: saturate {:.1} ms, fsim {:.1} ms, batch {:.1} ms",
-            saturate_ns as f64 / 1e6,
+            "workers {workers}: fsim {:.1} ms, batch {:.1} ms",
             fsim_ns as f64 / 1e6,
             batch_ns as f64 / 1e6
         );
         rows.push(Row {
             workers,
-            saturate_ns,
             fsim_ns,
             batch_ns,
         });
@@ -136,21 +118,23 @@ fn main() {
     json.push_str("  \"schema\": \"ppet-bench-scaling/v1\",\n");
     json.push_str(&format!("  \"circuit\": \"{}\",\n", record.name));
     json.push_str(&format!("  \"cells\": {},\n", circuit.num_cells()));
-    json.push_str(&format!("  \"replicas\": {},\n", flow.replicas));
     json.push_str(&format!(
         "  \"available_workers\": {},\n",
         available_workers()
     ));
     json.push_str(&format!(
-        "  \"saturate_speedup_4w\": {:.3},\n",
-        speedup(&|r: &Row| r.saturate_ns, 4)
+        "  \"fsim_speedup_4w\": {:.3},\n",
+        speedup(&|r: &Row| r.fsim_ns, 4)
+    ));
+    json.push_str(&format!(
+        "  \"batch_speedup_4w\": {:.3},\n",
+        speedup(&|r: &Row| r.batch_ns, 4)
     ));
     json.push_str("  \"runs\": [\n");
     for (i, row) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workers\": {}, \"saturate_ns\": {}, \"fsim_ns\": {}, \"batch_ns\": {}}}{}\n",
+            "    {{\"workers\": {}, \"fsim_ns\": {}, \"batch_ns\": {}}}{}\n",
             row.workers,
-            row.saturate_ns,
             row.fsim_ns,
             row.batch_ns,
             if i + 1 < rows.len() { "," } else { "" }

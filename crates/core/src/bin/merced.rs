@@ -30,8 +30,6 @@
 //!                      larger of the hottest single block and half the
 //!                      all-blocks-at-once power); an explicit budget
 //!                      below the hottest block is a compile error
-//!   --replicas <N>     saturation replica streams (default 1 = the paper's
-//!                      sequential loop; changes the deterministic result)
 //!   --builtin <name>   compile a built-in circuit instead of a file: s27,
 //!                      alu_slice, counter<N>, shift<N>, johnson<N>, or a
 //!                      Table 9 name (s641, s5378, ...) for its calibrated
@@ -224,7 +222,6 @@ struct Options {
     per_branch: bool,
     max_trees: Option<u64>,
     jobs: Option<usize>,
-    replicas: u32,
     power_budget: Option<u64>,
     pareto: bool,
     pareto_points: Option<usize>,
@@ -267,7 +264,6 @@ fn parse_args() -> Result<Options, String> {
         per_branch: false,
         max_trees: None,
         jobs: None,
-        replicas: 1,
         power_budget: None,
         pareto: false,
         pareto_points: None,
@@ -309,7 +305,6 @@ fn parse_args() -> Result<Options, String> {
                 let jobs = ppet_exec::parse_jobs(&text).map_err(|e| format!("--jobs: {e}"))?;
                 opts.jobs = Some(jobs);
             }
-            "--replicas" => opts.replicas = next_value(&mut args, "--replicas")?,
             "--power-budget" => opts.power_budget = Some(next_value(&mut args, "--power-budget")?),
             "--pareto" => opts.pareto = true,
             "--pareto-points" => {
@@ -536,7 +531,7 @@ fn next_value<T: std::str::FromStr>(
 fn usage() -> String {
     "usage: merced <netlist.bench | --builtin NAME> [--lk N] [--beta N] \
      [--seed N] [--policy scc|solver] [--per-branch] [--max-trees N] \
-     [--jobs N|max] [--replicas N] [--power-budget CDF] [--audit] \
+     [--jobs N|max] [--power-budget CDF] [--audit] \
      [--emit out.bench] [--quiet] [--trace] [--trace-json out.json]\n\
      \x20      merced batch <netlist.bench | --builtin NAME>... [same \
      options; --trace-json names a directory]\n\
@@ -575,7 +570,7 @@ fn load_circuit(source: &str) -> Result<Circuit, CliError> {
 }
 
 fn build_config(opts: &Options, jobs: usize) -> MercedConfig {
-    let mut flow = FlowParams::paper().with_replicas(opts.replicas);
+    let mut flow = FlowParams::paper();
     flow.per_branch = opts.per_branch;
     flow.max_trees = opts.max_trees;
     MercedConfig::default()

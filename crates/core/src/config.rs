@@ -55,10 +55,9 @@ pub struct MercedConfig {
     pub cost_policy: CostPolicy,
     /// I/O latency freedom for the solver policy.
     pub io_latency: IoLatency,
-    /// Worker threads for the parallel pipeline phases (the saturation
-    /// replicas of [`FlowParams::replicas`] and batch compilation). A pure
-    /// resource decision: any value produces bit-identical results — only
-    /// `flow.replicas` (part of the experiment definition) changes them.
+    /// Worker threads for the parallel consumers: batch compilation and
+    /// fault-parallel simulation. A single compile is sequential. A pure
+    /// resource decision: any value produces bit-identical results.
     /// Default 1 (fully sequential).
     pub jobs: usize,
     /// Peak test-power budget for the BIST session schedule, in centi-DFF
@@ -171,7 +170,6 @@ impl MercedConfig {
                 },
             ),
             entry("per_branch", self.flow.per_branch.to_string()),
-            entry("replicas", self.flow.replicas.to_string()),
             entry(
                 "max_trees",
                 self.flow
@@ -209,7 +207,8 @@ impl MercedConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first unparseable value.
+    /// Returns a description of the first unparseable value, or of a
+    /// `replicas` entry other than `1` (the knob was removed).
     pub fn apply_manifest_entries(&mut self, entries: &[(String, String)]) -> Result<(), String> {
         fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
             value
@@ -246,7 +245,16 @@ impl MercedConfig {
                     }
                 }
                 "per_branch" => config.flow.per_branch = num(key, value)?,
-                "replicas" => config.flow.replicas = num(key, value)?,
+                // Removed knob: manifests recorded before its removal carry
+                // `replicas = 1`, which is exactly today's single stream
+                // and falls through to the ignored keys below.
+                "replicas" if value.parse::<u32>() != Ok(1) => {
+                    return Err(format!(
+                        "config entry replicas: {value:?} is not supported; the \
+                         replicas knob was removed and saturation always runs as \
+                         one sequential stream (only \"1\" is accepted)"
+                    ));
+                }
                 "max_trees" => {
                     config.flow.max_trees = if value == "none" {
                         None
@@ -349,7 +357,7 @@ mod tests {
 
     #[test]
     fn manifest_entries_round_trip() {
-        let mut flow = FlowParams::paper().with_replicas(8);
+        let mut flow = FlowParams::paper();
         flow.per_branch = true;
         flow.max_trees = Some(1000);
         let config = MercedConfig::default()
@@ -392,6 +400,18 @@ mod tests {
         assert!(MercedConfig::from_manifest_entries(&bad)
             .unwrap_err()
             .contains("power_budget"));
+
+        // The removed `replicas` knob: manifests recorded before its
+        // removal carry `1` and still replay; anything else is refused.
+        let old = vec![("replicas".to_owned(), "1".to_owned())];
+        assert_eq!(
+            MercedConfig::from_manifest_entries(&old).unwrap(),
+            MercedConfig::default()
+        );
+        let bad = vec![("replicas".to_owned(), "4".to_owned())];
+        assert!(MercedConfig::from_manifest_entries(&bad)
+            .unwrap_err()
+            .contains("replicas knob was removed"));
     }
 
     #[test]

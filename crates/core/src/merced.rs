@@ -4,8 +4,7 @@ use std::time::Instant;
 
 use ppet_cbit::cost::CbitCostModel;
 use ppet_cbit::schedule::{CutSpec, TestSchedule};
-use ppet_exec::Pool;
-use ppet_flow::saturate_network_par_traced;
+use ppet_flow::saturate_network_traced;
 use ppet_graph::{scc::Scc, CircuitGraph};
 use ppet_netlist::{AreaModel, Circuit, CircuitStats};
 use ppet_partition::{assign_cbit_traced, inputs, make_group_traced, MakeGroupParams};
@@ -170,15 +169,12 @@ impl Merced {
             ],
         });
 
-        // STEP 3: Assign_CBIT = saturate + cluster + merge. The saturation
-        // replicas (config.flow.replicas, default 1 = the paper's
-        // sequential loop) run on config.jobs workers; the result is
-        // bit-identical at any worker count.
+        // STEP 3: Assign_CBIT = saturate + cluster + merge. Saturation is
+        // the paper's sequential Table 3 loop.
         let phase_start = Instant::now();
-        let pool = Pool::new(self.config.jobs.max(1));
         let profile = {
             let _span = tracer.span("saturate_network");
-            saturate_network_par_traced(&graph, &self.config.flow, self.config.seed, &pool, tracer)
+            saturate_network_traced(&graph, &self.config.flow, self.config.seed, tracer)
         };
         let search = profile.search_stats();
         let flow_saturated = profile.is_saturated();
@@ -192,7 +188,6 @@ impl Merced {
                 ("flow.heap_pops", search.heap_pops),
                 ("flow.nodes_settled", search.settled),
                 ("flow.relaxations", search.relaxations),
-                ("flow.replicas", u64::from(self.config.flow.replicas)),
                 ("flow.requeue", search.requeued),
                 ("flow.reused", search.reused),
                 ("flow.shortfall_nodes", flow_shortfall_nodes as u64),

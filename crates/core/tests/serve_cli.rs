@@ -1,6 +1,6 @@
 //! Black-box test of the `merced serve` subcommand: spawn the real
 //! binary on an ephemeral port, compile over HTTP, observe the cache in
-//! `/metrics`, and shut down cleanly via `POST /shutdown`.
+//! `/metrics`, and shut down cleanly via `POST /shutdown` or `SIGTERM`.
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
@@ -71,7 +71,7 @@ impl ServerProcess {
             }
             assert!(
                 Instant::now() < deadline,
-                "merced serve did not exit after /shutdown"
+                "merced serve did not exit after being asked to shut down"
             );
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -114,6 +114,46 @@ fn serve_compiles_caches_and_drains() {
     assert_eq!((status, drain.as_str()), (202, "draining\n"));
     let exit = server.wait_for_exit();
     assert!(exit.success(), "drained exit should be clean: {exit:?}");
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_and_exits_cleanly() {
+    let server = ServerProcess::spawn(&["--lk", "4"]);
+    let (status, _) = server.request("GET", "/healthz", "");
+    assert_eq!(status, 200);
+
+    let kill = Command::new("kill")
+        .args(["-TERM", &server.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(kill.success(), "kill -TERM failed: {kill:?}");
+    let exit = server.wait_for_exit();
+    assert!(exit.success(), "SIGTERM exit should be clean: {exit:?}");
+}
+
+#[test]
+fn removed_replicas_knob_is_rejected_except_at_one() {
+    let server = ServerProcess::spawn(&["--lk", "4"]);
+    let replicas_request = |r: u32| {
+        format!(r#"{{"schema":"ppet-serve/v1","builtin":"s27","config":{{"replicas":{r}}}}}"#)
+    };
+
+    let (status, err) = server.request("POST", "/compile", &replicas_request(4));
+    assert_eq!(status, 400, "{err}");
+    assert!(err.contains("\"schema\":\"ppet-error/v1\""), "{err}");
+    assert!(err.contains("replicas knob was removed"), "{err}");
+
+    // `replicas = 1` (what pre-removal manifests recorded) is the same
+    // compile as no entry at all: same cache key, same bytes.
+    let (status, one) = server.request("POST", "/compile", &replicas_request(1));
+    assert_eq!(status, 200, "{one}");
+    let plain = r#"{"schema":"ppet-serve/v1","builtin":"s27"}"#;
+    let (status, none) = server.request("POST", "/compile", plain);
+    assert_eq!(status, 200, "{none}");
+    assert_eq!(one, none);
+    let (_, metrics) = server.request("GET", "/metrics", "");
+    assert!(metrics.contains("serve_cache_hits 1\n"), "{metrics}");
 }
 
 #[test]

@@ -19,11 +19,13 @@
 //! absorb flow from many sources and end up the most congested — exactly
 //! the nets whose removal dissects the circuit (the paper's Fig. 5).
 //!
-//! [`saturate_network_par`] runs the same process with the visit quota
-//! split across [`FlowParams::replicas`] independent PRNG streams on a
-//! `ppet_exec::Pool` — deterministic at any worker count: the result
-//! depends on `replicas` (part of the experiment definition), never on
-//! how many workers executed them.
+//! [`saturate_network`] runs the loop sequentially, exactly as Table 3
+//! states it: every tree routes over the distances all earlier trees left,
+//! so the result is a pure function of `(graph, params, seed)`. Its hot
+//! path is one engine — the fixed-slot bucket-queue Dijkstra with an
+//! incremental tree cache (`ppet_graph::dijkstra`); the pre-rewrite loop
+//! survives only as [`saturate_network_reference`], the specification the
+//! tests and the perf gate compare against.
 //!
 //! # Examples
 //!
@@ -43,12 +45,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod par;
 mod params;
 mod profile;
 mod saturate;
 
-pub use par::{saturate_network_par, saturate_network_par_traced};
 pub use params::FlowParams;
 pub use profile::CongestionProfile;
 pub use saturate::{saturate_network, saturate_network_reference, saturate_network_traced};

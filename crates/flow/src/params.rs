@@ -38,17 +38,6 @@ pub struct FlowParams {
     /// the large-circuit harnesses set a budget of a few trees per node and
     /// record the deviation in `EXPERIMENTS.md`. `None` = unbounded.
     pub max_trees: Option<u64>,
-    /// Number of independent saturation replicas the visit quota is split
-    /// across (see `saturate_network_par`). `1` — the default — is the
-    /// paper's strictly sequential Table 3 loop. With `R > 1`, replica `r`
-    /// runs the same loop over its own non-overlapping PRNG stream with
-    /// `min_visit/R` of the quota (and its share of `max_trees`), and the
-    /// per-net flows are summed in replica order.
-    ///
-    /// The replica count is part of the *experiment definition*: it changes
-    /// the (still deterministic) result. The worker count executing the
-    /// replicas never does.
-    pub replicas: u32,
 }
 
 impl FlowParams {
@@ -59,10 +48,10 @@ impl FlowParams {
     pub const MAX_EXPONENT: f64 = 700.0;
 
     /// Budget (in cached tree nodes, summed over all sources) of the
-    /// per-replica incremental-SSSP cache the saturation loop carries.
+    /// incremental-SSSP cache the saturation loop carries.
     ///
-    /// Each cached node is 16 bytes, so the worst case is ~256 KiB per
-    /// replica; sources past the budget simply run fresh, which cannot
+    /// Each cached node is 16 bytes, so the worst case is ~256 KiB;
+    /// sources past the budget simply run fresh, which cannot
     /// change any result (the cache only ever changes *work counters* —
     /// see `ppet_graph::dijkstra::SsspCache`). Deliberately small: cache
     /// hits only happen when no weight on the cached tree changed between
@@ -83,8 +72,8 @@ impl FlowParams {
     /// raw `exp` overflows to `+inf`, which makes every path through the
     /// net compare as unreachable and silently distorts the trees that
     /// follow. Saturating keeps the distance finite and the ordering of
-    /// all smaller flows intact. Both the sequential loop and the parallel
-    /// merge use this single definition, so determinism parity holds.
+    /// all smaller flows intact. The production loop and the reference
+    /// share this single definition, so they stay bit-identical.
     ///
     /// # Examples
     ///
@@ -110,16 +99,7 @@ impl FlowParams {
             min_visit: 20,
             per_branch: false,
             max_trees: None,
-            replicas: 1,
         }
-    }
-
-    /// This parameter set with the visit quota split across `replicas`
-    /// independent streams (see [`FlowParams::replicas`]).
-    #[must_use]
-    pub fn with_replicas(mut self, replicas: u32) -> Self {
-        self.replicas = replicas;
-        self
     }
 
     /// A fast setting for unit tests and examples on small circuits
@@ -162,16 +142,6 @@ impl FlowParams {
             // exp(α·flow/cap) would overflow long before this; refuse.
             return Some("min_visit·delta/capacity is absurdly large".to_string());
         }
-        if self.replicas == 0 {
-            return Some("replicas must be at least 1".to_string());
-        }
-        if self.replicas > self.min_visit {
-            return Some(format!(
-                "replicas ({}) must not exceed min_visit ({}): every replica needs \
-                 at least one visit of the quota",
-                self.replicas, self.min_visit
-            ));
-        }
         None
     }
 }
@@ -208,18 +178,6 @@ mod tests {
         let mut p = FlowParams::paper();
         p.min_visit = 0;
         assert!(p.validate().unwrap().contains("min_visit"));
-        let mut p = FlowParams::paper();
-        p.replicas = 0;
-        assert!(p.validate().unwrap().contains("replicas"));
-        let p = FlowParams::quick().with_replicas(6); // quick: min_visit = 5
-        assert!(p.validate().unwrap().contains("exceed"));
-    }
-
-    #[test]
-    fn replica_split_within_quota_is_valid() {
-        let p = FlowParams::paper().with_replicas(8);
-        assert!(p.validate().is_none());
-        assert_eq!(p.replicas, 8);
     }
 
     #[test]

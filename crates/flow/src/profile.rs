@@ -64,8 +64,6 @@ impl CongestionProfile {
 
     /// Per-node visit shortfall: how many source visits each node was
     /// short of its quota when the run stopped (all zeros when
-    /// [`CongestionProfile::is_saturated`]). For a replicated run the
-    /// entries are the per-replica shortfalls summed in replica order.
     #[must_use]
     pub fn shortfall(&self) -> &[u32] {
         &self.shortfall
@@ -82,7 +80,7 @@ impl CongestionProfile {
     /// shortfall — ignoring the [`DijkstraStats`] work counters.
     ///
     /// This is the equivalence the saturation rewrite is tested under:
-    /// the reference and the CSR/radix-heap/cached engines must produce
+    /// the reference and the CSR/bucket-queue/cached engine must produce
     /// identical results, but legitimately differ in how much search work
     /// they spent getting there (`PartialEq` compares the counters too
     /// and is the right notion *within* one engine).

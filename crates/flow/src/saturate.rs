@@ -86,64 +86,103 @@ pub fn saturate_network_traced(
         };
     }
 
-    let rng = Xoshiro256PlusPlus::seed_from(seed ^ SATURATE_SALT);
+    let mut rng = Xoshiro256PlusPlus::seed_from(seed ^ SATURATE_SALT);
     let enabled = tracer.enabled(); // hoisted: one check, not one per tree
-    let outcome = run_replica(
-        graph,
-        params,
-        params.min_visit,
-        params.max_trees,
-        rng,
-        enabled,
-    );
+    let quota = params.min_visit;
+    let csr = graph.csr();
+    let mut distance = vec![1.0f64; n];
+    let mut flow = vec![0.0f64; n];
+    let mut visits = vec![0u32; n];
+    let mut trees = 0usize;
+    let mut tree_sizes = Vec::new();
+    let mut scratch = dijkstra::DijkstraScratch::new(n);
+    // The cache only ever changes work counters, never results.
+    let mut cache = dijkstra::SsspCache::new(n, FlowParams::SSSP_CACHE_NODES);
+    let mut table = DistTable::new();
+    // Per-net tree-membership count: `flow[i]` is always `flow_of[hits[i]]`
+    // in per-net mode.
+    let mut hits = vec![0u32; n];
+    // STEP 3: continue until every node has been visited more than
+    // `min_visit` times (the paper's loop condition is
+    // `∃v: visit(v) <= min_visit`).
+    let mut below_count = n; // nodes with visit <= quota
+    while below_count > 0 {
+        if params.max_trees.is_some_and(|cap| trees as u64 >= cap) {
+            break; // tree budget exhausted (see FlowParams::max_trees)
+        }
+        let v = CellId::from_index(rng.gen_index(n));
+        visits[v.index()] += 1;
+        if visits[v.index()] == quota + 1 {
+            below_count -= 1;
+        }
+        cache.run(&mut scratch, csr, v, &distance);
+        trees += 1;
+        if enabled {
+            tree_sizes.push(scratch.visited_order().len() as u64);
+        }
+        if params.per_branch {
+            for (net, count) in scratch.tree_net_counts() {
+                let i = net.index();
+                flow[i] += params.delta * f64::from(count);
+                let nd = params.congestion_distance(flow[i]);
+                if nd.to_bits() != distance[i].to_bits() {
+                    distance[i] = nd;
+                    cache.note_changed(net);
+                }
+            }
+        } else {
+            for (net, _) in scratch.tree_net_counts() {
+                let i = net.index();
+                hits[i] += 1;
+                let k = hits[i] as usize;
+                table.ensure(k, params);
+                flow[i] = table.flow_of[k];
+                let nd = table.dist_of[k];
+                if nd.to_bits() != distance[i].to_bits() {
+                    distance[i] = nd;
+                    cache.note_changed(net);
+                }
+            }
+        }
+    }
+    let search = scratch.stats();
 
     if enabled {
-        for &size in &outcome.tree_sizes {
+        for &size in &tree_sizes {
             tracer.record("flow.tree_nodes", size);
         }
-        tracer.add("flow.csr.nodes", graph.csr().num_nodes() as u64);
-        tracer.add("flow.csr.branches", graph.csr().num_branches() as u64);
-        tracer.add("flow.trees_built", outcome.trees as u64);
-        tracer.add("flow.heap_pops", outcome.search.heap_pops);
-        tracer.add("flow.relaxations", outcome.search.relaxations);
-        tracer.add("flow.nodes_settled", outcome.search.settled);
-        tracer.add("flow.reused", outcome.search.reused);
-        tracer.add("flow.requeue", outcome.search.requeued);
+        tracer.add("flow.csr.nodes", csr.num_nodes() as u64);
+        tracer.add("flow.csr.branches", csr.num_branches() as u64);
+        tracer.add("flow.trees_built", trees as u64);
+        tracer.add("flow.heap_pops", search.heap_pops);
+        tracer.add("flow.relaxations", search.relaxations);
+        tracer.add("flow.nodes_settled", search.settled);
+        tracer.add("flow.reused", search.reused);
+        tracer.add("flow.requeue", search.requeued);
     }
 
-    let saturated = outcome.shortfall.iter().all(|&s| s == 0);
+    // Per-node visit shortfall: how many visits each node was short of
+    // `min_visit + 1` when the loop stopped (non-zero only when the tree
+    // budget ran out first).
+    let shortfall: Vec<u32> = visits
+        .iter()
+        .map(|&v| (quota + 1).saturating_sub(v))
+        .collect();
+    let saturated = shortfall.iter().all(|&s| s == 0);
     CongestionProfile {
-        distance: outcome.distance,
-        flow: outcome.flow,
-        visits: outcome.visits,
-        trees: outcome.trees,
-        search: outcome.search,
+        distance,
+        flow,
+        visits,
+        trees,
+        search,
         saturated,
-        shortfall: outcome.shortfall,
+        shortfall,
     }
 }
 
 /// Seed salt for the saturation PRNG (ASCII "SATURATE"), shared by the
-/// sequential loop and every parallel replica stream.
-pub(crate) const SATURATE_SALT: u64 = 0x5341_5455_5241_5445;
-
-/// Everything one saturation replica produces: the locally evolved
-/// distances, the per-net flow it injected, its visit counts, and its
-/// Dijkstra work counters. `tree_sizes` is filled only when the caller
-/// wants tracing (one entry per tree, in tree order).
-#[derive(Debug, Clone)]
-pub(crate) struct ReplicaOutcome {
-    pub(crate) distance: Vec<f64>,
-    pub(crate) flow: Vec<f64>,
-    pub(crate) visits: Vec<u32>,
-    pub(crate) trees: usize,
-    pub(crate) search: dijkstra::DijkstraStats,
-    pub(crate) tree_sizes: Vec<u64>,
-    /// Per-node visit shortfall against this replica's quota: how many
-    /// visits each node was short of `quota + 1` when the loop stopped
-    /// (non-zero only when the tree budget ran out first).
-    pub(crate) shortfall: Vec<u32>,
-}
+/// production loop and the reference.
+const SATURATE_SALT: u64 = 0x5341_5455_5241_5445;
 
 /// Memoized congestion-distance ladder for per-net flow accounting.
 ///
@@ -175,96 +214,6 @@ impl DistTable {
             self.flow_of.push(f);
             self.dist_of.push(params.congestion_distance(f));
         }
-    }
-}
-
-/// One run of the paper's Table 3 loop: `quota` is this replica's
-/// `min_visit` share, `tree_cap` its share of `FlowParams::max_trees`, and
-/// `rng` its private PRNG stream. The sequential algorithm is exactly one
-/// replica carrying the whole quota.
-///
-/// Determinism: the outcome is a pure function of
-/// `(graph, params, quota, tree_cap, rng)` — no shared mutable state — so
-/// replicas may execute on any worker in any order. The per-replica
-/// [`dijkstra::SsspCache`] preserves this: cache state is private to the
-/// replica and only ever changes *work counters*, never results.
-pub(crate) fn run_replica(
-    graph: &CircuitGraph,
-    params: &FlowParams,
-    quota: u32,
-    tree_cap: Option<u64>,
-    mut rng: Xoshiro256PlusPlus,
-    collect_tree_sizes: bool,
-) -> ReplicaOutcome {
-    let n = graph.num_nodes();
-    let csr = graph.csr();
-    let mut distance = vec![1.0f64; n];
-    let mut flow = vec![0.0f64; n];
-    let mut visits = vec![0u32; n];
-    let mut trees = 0usize;
-    let mut tree_sizes = Vec::new();
-    let mut scratch = dijkstra::DijkstraScratch::new(n);
-    let mut cache = dijkstra::SsspCache::new(n, FlowParams::SSSP_CACHE_NODES);
-    let mut table = DistTable::new();
-    // Per-net tree-membership count: `flow[i]` is always `flow_of[hits[i]]`
-    // in per-net mode.
-    let mut hits = vec![0u32; n];
-    // STEP 3: continue until every node has been visited more than
-    // `quota` times (the paper's loop condition is
-    // `∃v: visit(v) <= min_visit`).
-    let mut below_count = n; // nodes with visit <= quota
-    while below_count > 0 {
-        if tree_cap.is_some_and(|cap| trees as u64 >= cap) {
-            break; // tree budget exhausted (see FlowParams::max_trees)
-        }
-        let v = CellId::from_index(rng.gen_index(n));
-        visits[v.index()] += 1;
-        if visits[v.index()] == quota + 1 {
-            below_count -= 1;
-        }
-        cache.run(&mut scratch, csr, v, &distance);
-        trees += 1;
-        if collect_tree_sizes {
-            tree_sizes.push(scratch.visited_order().len() as u64);
-        }
-        if params.per_branch {
-            for (net, count) in scratch.tree_net_counts() {
-                let i = net.index();
-                flow[i] += params.delta * f64::from(count);
-                let nd = params.congestion_distance(flow[i]);
-                if nd.to_bits() != distance[i].to_bits() {
-                    distance[i] = nd;
-                    cache.note_changed(net);
-                }
-            }
-        } else {
-            for (net, _) in scratch.tree_net_counts() {
-                let i = net.index();
-                hits[i] += 1;
-                let k = hits[i] as usize;
-                table.ensure(k, params);
-                flow[i] = table.flow_of[k];
-                let nd = table.dist_of[k];
-                if nd.to_bits() != distance[i].to_bits() {
-                    distance[i] = nd;
-                    cache.note_changed(net);
-                }
-            }
-        }
-    }
-
-    let shortfall: Vec<u32> = visits
-        .iter()
-        .map(|&v| (quota + 1).saturating_sub(v))
-        .collect();
-    ReplicaOutcome {
-        distance,
-        flow,
-        visits,
-        trees,
-        search: scratch.stats(),
-        tree_sizes,
-        shortfall,
     }
 }
 
@@ -389,7 +338,7 @@ mod tests {
 
     #[test]
     fn matches_the_reference_implementation_bit_for_bit() {
-        // The rewrite contract: CSR + radix heap + SSSP cache + the
+        // The rewrite contract: CSR + bucket queue + SSSP cache + the
         // memoized distance ladder change *work*, never *results*. The
         // distance/flow vectors must agree to the last bit, in both
         // accounting modes, across seeds.

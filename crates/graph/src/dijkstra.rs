@@ -6,28 +6,22 @@
 //! congestion distance `d(e)`. Ties are broken by node id so the tree — and
 //! therefore the whole stochastic flow process — is reproducible.
 //!
-//! Three interchangeable engines compute the tree:
+//! Two interchangeable engines compute the tree:
 //!
 //! * [`DijkstraScratch::run`] — the **reference**: a `BinaryHeap` over the
 //!   pointer-rich [`CircuitGraph`] adjacency. Kept as the executable
 //!   specification the property tests compare against.
-//! * [`DijkstraScratch::run_csr`] — a monotone radix (bucket) heap over
-//!   the packed [`Csr`] adjacency. Distances are quantized onto the
-//!   2⁶⁴-point grid of their IEEE-754 bit patterns — for non-negative
-//!   doubles the bit pattern is a monotone fixed-point encoding, so bucket
-//!   order is *exact* and the results (distances, parents, settle order,
-//!   even the work counters) are bit-identical to the reference. See
-//!   `DESIGN.md` §13.
 //! * [`DijkstraScratch::run_fast`] — the **saturation hot path**: a
-//!   fixed-slot bucket queue (`SlotQueue`) keyed by the top 16 bits of
-//!   the distance bit pattern. The slots cover the entire non-negative
-//!   `f64` range (saturation's clamped-exponential weights span
-//!   `[1, e^700]`, far beyond any bounded calendar), entries never
-//!   migrate between slots, and the drain order reproduces the binary
-//!   heap's `(distance, node)` order exactly — so *everything* observable
-//!   (distances, parents, settle order, work counters) is bit-identical
-//!   to the reference, at a fraction of the per-settle cost of either
-//!   heap.
+//!   fixed-slot bucket queue (`SlotQueue`) over the packed [`Csr`]
+//!   adjacency, keyed by the top 16 bits of the distance bit pattern. For
+//!   non-negative doubles the bit pattern is a monotone fixed-point
+//!   encoding, so the slots cover the entire non-negative `f64` range
+//!   (saturation's clamped-exponential weights span `[1, e^700]`, far
+//!   beyond any bounded calendar), entries never migrate between slots,
+//!   and the drain order reproduces the binary heap's `(distance, node)`
+//!   order exactly — so *everything* observable (distances, parents,
+//!   settle order, work counters) is bit-identical to the reference, at a
+//!   fraction of the per-settle cost. See `DESIGN.md` §13.
 //!
 //! [`SsspCache`] adds an incremental layer for the saturation loop: when
 //! the congestion weights a cached tree depends on did not change between
@@ -40,49 +34,6 @@ use ppet_netlist::{CellId, NetId};
 
 use crate::csr::Csr;
 use crate::graph::CircuitGraph;
-
-/// The result of a shortest-path-tree computation.
-#[derive(Debug, Clone)]
-pub struct ShortestPathTree {
-    /// `dist[v]` — length of the shortest path from the source, `f64::INFINITY`
-    /// when unreachable.
-    pub dist: Vec<f64>,
-    /// `parent_net[v]` — the net whose branch enters `v` on the tree path
-    /// (`None` for the source and unreachable nodes).
-    pub parent_net: Vec<Option<NetId>>,
-    /// The source node.
-    pub source: CellId,
-}
-
-impl ShortestPathTree {
-    /// The distinct nets used by the tree — the paper's `e ∈ T_v` set
-    /// (each net counted once regardless of how many tree branches it
-    /// contributes, see `DESIGN.md` §3 item 5).
-    #[must_use]
-    pub fn tree_nets(&self) -> Vec<NetId> {
-        let mut nets: Vec<NetId> = self.parent_net.iter().flatten().copied().collect();
-        nets.sort_unstable();
-        nets.dedup();
-        nets
-    }
-
-    /// The number of tree branches entering each net's sinks — the
-    /// per-branch accounting variant (`flow_per_branch` in the flow
-    /// parameters).
-    #[must_use]
-    pub fn tree_net_branch_counts(&self) -> Vec<(NetId, usize)> {
-        let mut nets: Vec<NetId> = self.parent_net.iter().flatten().copied().collect();
-        nets.sort_unstable();
-        let mut out: Vec<(NetId, usize)> = Vec::new();
-        for n in nets {
-            match out.last_mut() {
-                Some((last, count)) if *last == n => *count += 1,
-                _ => out.push((n, 1)),
-            }
-        }
-        out
-    }
-}
 
 #[derive(Debug, Clone, PartialEq)]
 struct HeapEntry {
@@ -109,100 +60,18 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// A monotone radix heap over `(f64-bit key, node)` pairs.
-///
-/// Keys are the raw bit patterns of non-negative `f64` distances — a
-/// monotone 64-bit fixed-point quantization, so comparing keys compares
-/// distances exactly. Entries live in 65 buckets indexed by the highest
-/// bit in which the key differs from the last extracted minimum; bucket 0
-/// holds keys *equal* to that minimum and is kept sorted by node id
-/// (descending, so popping from the back yields the smallest node).
-/// Because Dijkstra only inserts keys ≥ the current minimum, every entry
-/// moves to a strictly lower bucket each redistribution, giving amortized
-/// O(64) per operation — and pops leave in exactly the `(distance, node)`
-/// order a tie-broken binary heap produces, which is what makes
-/// [`DijkstraScratch::run_csr`] bit-identical to the reference.
-#[derive(Debug, Clone, Default)]
-struct RadixHeap {
-    buckets: Vec<Vec<(u64, u32)>>,
-    last: u64,
-    len: usize,
-}
-
-impl RadixHeap {
-    fn new() -> Self {
-        Self {
-            buckets: vec![Vec::new(); 65],
-            last: 0,
-            len: 0,
-        }
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.last = 0;
-        self.len = 0;
-    }
-
-    fn bucket_of(last: u64, key: u64) -> usize {
-        if key == last {
-            0
-        } else {
-            64 - (key ^ last).leading_zeros() as usize
-        }
-    }
-
-    fn push(&mut self, key: u64, node: u32) {
-        debug_assert!(key >= self.last, "radix heap requires monotone keys");
-        let i = Self::bucket_of(self.last, key);
-        if i == 0 {
-            // Keep bucket 0 sorted by node id descending: O(1) pops in
-            // ascending node order, the binary heap's tie order.
-            let b = &mut self.buckets[0];
-            let pos = b.partition_point(|&(_, n)| n > node);
-            b.insert(pos, (key, node));
-        } else {
-            self.buckets[i].push((key, node));
-        }
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.buckets[0].is_empty() {
-            let i = (1..=64)
-                .find(|&i| !self.buckets[i].is_empty())
-                .expect("len > 0 but all buckets empty");
-            let min = self.buckets[i].iter().copied().min().expect("nonempty");
-            self.last = min.0;
-            let drained = std::mem::take(&mut self.buckets[i]);
-            for (key, node) in drained {
-                let j = Self::bucket_of(self.last, key);
-                debug_assert!(j < i, "redistribution must strictly descend");
-                self.buckets[j].push((key, node));
-            }
-            self.buckets[0].sort_unstable_by_key(|b| std::cmp::Reverse(b.1));
-        }
-        self.len -= 1;
-        self.buckets[0].pop()
-    }
-}
-
 /// A monotone fixed-slot bucket queue over `(f64-bit key, node)` pairs —
-/// the engine behind [`DijkstraScratch::run_fast`].
+/// the engine behind [`DijkstraScratch::run_fast`] and the seeded
+/// re-search of [`SsspCache`].
 ///
 /// The slot of a key is its top 16 bits (sign, the 11 exponent bits, and
 /// the 4 leading mantissa bits): a monotone index for non-negative
 /// doubles, so [`NUM_SLOTS`] = 2¹⁵ slots cover the entire
 /// non-negative `f64` range — including `+inf` — with an exponentially
 /// scaled grid whose slot width is a fixed ×(1 + 2⁻⁴) distance band.
-/// Unlike a radix heap, entries never migrate: a push lands in its final
-/// slot, and a two-level occupancy bitmap finds the next occupied slot in
-/// a handful of word scans. The slot being drained is sorted descending
+/// Entries never migrate: a push lands in its final slot, and a
+/// two-level occupancy bitmap finds the next occupied slot in a handful
+/// of word scans. The slot being drained is sorted descending
 /// by `(key, node)` once, and same-slot arrivals (Dijkstra pushes keys ≥
 /// the minimum, so they can land in the cursor slot but never before it)
 /// are inserted in order — pops therefore leave in exactly the
@@ -211,7 +80,7 @@ impl RadixHeap {
 #[derive(Debug, Clone, Default)]
 struct SlotQueue {
     /// Lazily sized to [`NUM_SLOTS`] on first use, so scratch
-    /// areas that never call `run_fast` stay small.
+    /// areas that only run the reference stay small.
     slots: Vec<Vec<(u64, u32)>>,
     /// One occupancy bit per slot.
     occ1: Vec<u64>,
@@ -265,7 +134,10 @@ impl SlotQueue {
         self.cur_vec.clear();
     }
 
-    #[inline]
+    // `inline(always)`, not `inline`: with two callers (`run_fast` and
+    // the seeded re-search) LLVM stops inlining these on its own, which
+    // measured ~10 % slower cold compiles end to end.
+    #[inline(always)]
     fn push(&mut self, key: u64, node: u32) {
         self.len += 1;
         let s = (key >> 48) as usize;
@@ -283,7 +155,7 @@ impl SlotQueue {
         sv.push((key, node));
     }
 
-    #[inline]
+    #[inline(always)]
     fn pop(&mut self) -> Option<(u64, u32)> {
         if let Some(e) = self.cur_vec.pop() {
             self.len -= 1;
@@ -334,42 +206,6 @@ impl SlotQueue {
     }
 }
 
-/// Computes the shortest-path tree from `source`, where every branch of net
-/// `e` has length `length[e]`.
-///
-/// # Panics
-///
-/// Panics if `length.len() != graph.num_nodes()` (one length per net slot)
-/// or any length consumed by the search is negative or NaN (validated in
-/// release builds too — see [`DijkstraScratch::run`]).
-///
-/// # Examples
-///
-/// ```
-/// use ppet_graph::{dijkstra, CircuitGraph};
-/// use ppet_netlist::data;
-///
-/// let g = CircuitGraph::from_circuit(&data::s27());
-/// let unit = vec![1.0; g.num_nodes()];
-/// let spt = dijkstra::shortest_path_tree(&g, g.find("G0").unwrap(), &unit);
-/// let g14 = g.find("G14").unwrap(); // NOT(G0): one hop
-/// assert_eq!(spt.dist[g14.index()], 1.0);
-/// ```
-#[must_use]
-pub fn shortest_path_tree(
-    graph: &CircuitGraph,
-    source: CellId,
-    length: &[f64],
-) -> ShortestPathTree {
-    let mut scratch = DijkstraScratch::new(graph.num_nodes());
-    scratch.run_csr(graph.csr(), source, length);
-    ShortestPathTree {
-        dist: scratch.dist.clone(),
-        parent_net: scratch.parent_net.clone(),
-        source,
-    }
-}
-
 /// Reusable work buffers for repeated shortest-path-tree computations.
 ///
 /// `Saturate_Network` runs tens of thousands of Dijkstra trees over the
@@ -389,7 +225,7 @@ pub fn shortest_path_tree(
 /// let g = CircuitGraph::from_circuit(&data::s27());
 /// let unit = vec![1.0; g.num_nodes()];
 /// let mut scratch = DijkstraScratch::new(g.num_nodes());
-/// scratch.run_csr(g.csr(), g.find("G0").unwrap(), &unit);
+/// scratch.run_fast(g.csr(), g.find("G0").unwrap(), &unit);
 /// let visited = scratch.visited_order().len();
 /// assert!(visited >= 2);
 /// ```
@@ -401,7 +237,6 @@ pub struct DijkstraScratch {
     done: Vec<bool>,
     epoch: u32,
     heap: BinaryHeap<HeapEntry>,
-    radix: RadixHeap,
     slot_queue: SlotQueue,
     visited: Vec<CellId>,
     net_stamp: Vec<u32>,
@@ -453,7 +288,6 @@ impl DijkstraScratch {
             done: vec![false; n],
             epoch: 0,
             heap: BinaryHeap::new(),
-            radix: RadixHeap::new(),
             slot_queue: SlotQueue::new(),
             visited: Vec::new(),
             net_stamp: vec![0; n],
@@ -483,7 +317,6 @@ impl DijkstraScratch {
             self.epoch = 1;
         }
         self.heap.clear();
-        self.radix.clear();
         self.slot_queue.reset();
         self.visited.clear();
         self.tree_list.clear();
@@ -523,7 +356,7 @@ impl DijkstraScratch {
     /// readable until the next run via [`DijkstraScratch::distance`],
     /// [`DijkstraScratch::parent`], and [`DijkstraScratch::visited_order`].
     ///
-    /// This is the executable specification [`DijkstraScratch::run_csr`]
+    /// This is the executable specification [`DijkstraScratch::run_fast`]
     /// is property-tested against; the hot saturation loop uses the CSR
     /// variant.
     ///
@@ -581,63 +414,6 @@ impl DijkstraScratch {
                 {
                     // Equal distance: prefer the smaller parent net id so
                     // the tree is unique regardless of heap pop order.
-                    self.parent_net[wi] = Some(net);
-                }
-            }
-        }
-    }
-
-    /// Runs the radix-heap Dijkstra over the packed [`Csr`] adjacency —
-    /// the production engine of `Saturate_Network`.
-    ///
-    /// Bit-identical to [`DijkstraScratch::run`] in every observable:
-    /// distances, parents, settle order, and work counters. The heap keys
-    /// are the distances' IEEE-754 bit patterns (an exact monotone
-    /// quantization for non-negative doubles) and bucket 0 pops in node-id
-    /// order, reproducing the reference's `(distance, node)` tie-break.
-    ///
-    /// # Panics
-    ///
-    /// As [`DijkstraScratch::run`]: length-vector size mismatch, or a
-    /// negative/NaN length consumed by the search.
-    pub fn run_csr(&mut self, csr: &Csr, source: CellId, length: &[f64]) {
-        assert_eq!(
-            length.len(),
-            csr.num_nodes(),
-            "one length per net slot required"
-        );
-        self.begin();
-        let s = source.index();
-        self.fresh(s);
-        self.dist[s] = 0.0;
-        self.radix.push(0, s as u32); // 0.0f64.to_bits() == 0
-        while let Some((key, node)) = self.radix.pop() {
-            self.stats.heap_pops += 1;
-            let v = node as usize;
-            if self.done[v] {
-                continue;
-            }
-            let d = f64::from_bits(key);
-            self.settle(v);
-            let net = CellId::from_index(v);
-            let l = length[v];
-            assert!(
-                l >= 0.0,
-                "net length of node {v} must be non-negative and not NaN, got {l}"
-            );
-            for &w in csr.sinks(net) {
-                let wi = w.index();
-                self.fresh(wi);
-                let nd = d + l;
-                if nd < self.dist[wi] {
-                    self.dist[wi] = nd;
-                    self.parent_net[wi] = Some(net);
-                    self.stats.relaxations += 1;
-                    self.radix.push(nd.to_bits(), wi as u32);
-                } else if nd == self.dist[wi]
-                    && !self.done[wi]
-                    && should_replace(self.parent_net[wi], net)
-                {
                     self.parent_net[wi] = Some(net);
                 }
             }
@@ -762,6 +538,7 @@ impl DijkstraScratch {
         debug_assert_eq!(cached.first().map(|e| e.node), Some(source.index() as u32));
         let _ = source;
         self.begin();
+        self.slot_queue.ensure();
         // 1. Restore the still-valid nodes, preserving their relative
         //    settle order (a parent always precedes its children).
         for (e, &ok) in cached.iter().zip(valid) {
@@ -799,14 +576,16 @@ impl DijkstraScratch {
                     self.dist[wi] = nd;
                     self.parent_net[wi] = Some(u);
                     self.stats.relaxations += 1;
-                    self.radix.push(nd.to_bits(), wi as u32);
+                    self.slot_queue.push(nd.to_bits(), wi as u32);
                 } else if nd == self.dist[wi] && should_replace(self.parent_net[wi], u) {
                     self.parent_net[wi] = Some(u);
                 }
             }
         }
-        // 3. Search the invalidated region, exactly the run_csr main loop.
-        while let Some((key, node)) = self.radix.pop() {
+        // 3. Search the invalidated region, exactly the run_fast main loop
+        //    (every key pushed here is ≥ the one just popped, as the
+        //    slot queue requires; step 2 pushed before any pop).
+        while let Some((key, node)) = self.slot_queue.pop() {
             self.stats.heap_pops += 1;
             let v = node as usize;
             if self.done[v] {
@@ -832,7 +611,7 @@ impl DijkstraScratch {
                     self.dist[wi] = nd;
                     self.parent_net[wi] = Some(net);
                     self.stats.relaxations += 1;
-                    self.radix.push(nd.to_bits(), wi as u32);
+                    self.slot_queue.push(nd.to_bits(), wi as u32);
                 } else if nd == self.dist[wi] && should_replace(self.parent_net[wi], net) {
                     self.parent_net[wi] = Some(net);
                 }
@@ -1123,29 +902,36 @@ mod tests {
         CircuitGraph::from_circuit(&data::s27())
     }
 
+    /// A fresh production-engine tree from `source`.
+    fn fast_tree(g: &CircuitGraph, source: CellId, length: &[f64]) -> DijkstraScratch {
+        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        scratch.run_fast(g.csr(), source, length);
+        scratch
+    }
+
     #[test]
     fn source_distance_zero_and_unreachable_infinite() {
         let g = s27_graph();
         let unit = vec![1.0; g.num_nodes()];
         let src = g.find("G9").unwrap();
-        let spt = shortest_path_tree(&g, src, &unit);
-        assert_eq!(spt.dist[src.index()], 0.0);
+        let spt = fast_tree(&g, src, &unit);
+        assert_eq!(spt.distance(src), 0.0);
         // Primary inputs are unreachable from internal nodes.
-        assert!(spt.dist[g.find("G0").unwrap().index()].is_infinite());
+        assert!(spt.distance(g.find("G0").unwrap()).is_infinite());
     }
 
     #[test]
     fn tree_parent_edges_are_consistent() {
         let g = s27_graph();
         let unit = vec![1.0; g.num_nodes()];
-        let spt = shortest_path_tree(&g, g.find("G0").unwrap(), &unit);
+        let spt = fast_tree(&g, g.find("G0").unwrap(), &unit);
         for v in g.nodes() {
-            if let Some(p) = spt.parent_net[v.index()] {
+            if let Some(p) = spt.parent(v) {
                 // The parent net's branch must land on v and distances must
                 // satisfy the tree equality.
                 assert!(g.net(p).sinks().contains(&v));
-                let d_parent = spt.dist[p.index()];
-                assert!((spt.dist[v.index()] - (d_parent + unit[p.index()])).abs() < 1e-12);
+                let d_parent = spt.distance(p);
+                assert!((spt.distance(v) - (d_parent + unit[p.index()])).abs() < 1e-12);
             }
         }
     }
@@ -1156,7 +942,7 @@ mod tests {
         // Varied lengths: net i has length (i % 5) + 0.5.
         let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 5) as f64 + 0.5).collect();
         for src in g.nodes() {
-            let spt = shortest_path_tree(&g, src, &lengths);
+            let spt = fast_tree(&g, src, &lengths);
             // Reference: Bellman-Ford relaxation.
             let mut dist = vec![f64::INFINITY; g.num_nodes()];
             dist[src.index()] = 0.0;
@@ -1169,7 +955,7 @@ mod tests {
                 }
             }
             for v in g.nodes() {
-                let a = spt.dist[v.index()];
+                let a = spt.distance(v);
                 let b = dist[v.index()];
                 assert!(
                     (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-9,
@@ -1183,44 +969,26 @@ mod tests {
     fn deterministic_tree() {
         let g = s27_graph();
         let unit = vec![1.0; g.num_nodes()];
-        let a = shortest_path_tree(&g, g.find("G1").unwrap(), &unit);
-        let b = shortest_path_tree(&g, g.find("G1").unwrap(), &unit);
-        assert_eq!(a.parent_net, b.parent_net);
+        let a = fast_tree(&g, g.find("G1").unwrap(), &unit);
+        let b = fast_tree(&g, g.find("G1").unwrap(), &unit);
+        for v in g.nodes() {
+            assert_eq!(a.parent(v), b.parent(v));
+        }
     }
 
     #[test]
     fn tree_nets_deduplicate() {
         let g = s27_graph();
         let unit = vec![1.0; g.num_nodes()];
-        let spt = shortest_path_tree(&g, g.find("G0").unwrap(), &unit);
+        let spt = fast_tree(&g, g.find("G0").unwrap(), &unit);
         let nets = spt.tree_nets();
         let mut sorted = nets.clone();
         sorted.dedup();
         assert_eq!(nets, sorted);
         let per_branch = spt.tree_net_branch_counts();
         let total: usize = per_branch.iter().map(|(_, c)| c).sum();
-        let used_branches = spt.parent_net.iter().flatten().count();
+        let used_branches = g.nodes().filter_map(|v| spt.parent(v)).count();
         assert_eq!(total, used_branches);
-    }
-
-    #[test]
-    fn csr_run_matches_reference_exactly() {
-        let g = s27_graph();
-        let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 7) as f64 * 0.5).collect();
-        for src in g.nodes() {
-            let mut a = DijkstraScratch::new(g.num_nodes());
-            a.run(&g, src, &lengths);
-            let mut b = DijkstraScratch::new(g.num_nodes());
-            b.run_csr(g.csr(), src, &lengths);
-            assert_eq!(a.visited_order(), b.visited_order(), "src {src}");
-            assert_eq!(a.stats(), b.stats(), "src {src}");
-            for v in g.nodes() {
-                assert_eq!(a.distance(v).to_bits(), b.distance(v).to_bits());
-                assert_eq!(a.parent(v), b.parent(v));
-            }
-            assert_eq!(a.tree_nets(), b.tree_nets());
-            assert_eq!(a.tree_net_branch_counts(), b.tree_net_branch_counts());
-        }
     }
 
     #[test]
@@ -1228,7 +996,7 @@ mod tests {
         let g = s27_graph();
         let unit = vec![1.0; g.num_nodes()];
         let mut scratch = DijkstraScratch::new(g.num_nodes());
-        scratch.run_csr(g.csr(), g.find("G0").unwrap(), &unit);
+        scratch.run_fast(g.csr(), g.find("G0").unwrap(), &unit);
         let mut from_iter: Vec<(NetId, usize)> = scratch
             .tree_net_counts()
             .map(|(n, c)| (n, c as usize))
@@ -1266,7 +1034,7 @@ mod tests {
         let inc_parents: Vec<Option<NetId>> = g.nodes().map(|v| scratch.parent(v)).collect();
 
         let mut fresh = DijkstraScratch::new(n);
-        fresh.run_csr(g.csr(), src, &lengths);
+        fresh.run_fast(g.csr(), src, &lengths);
         let want: Vec<u64> = g.nodes().map(|v| fresh.distance(v).to_bits()).collect();
         let want_parents: Vec<Option<NetId>> = g.nodes().map(|v| fresh.parent(v)).collect();
         assert_eq!(incremental, want);
@@ -1285,6 +1053,26 @@ mod tests {
         cache.run(&mut scratch, g.csr(), src, &unit);
         assert_eq!(scratch.stats().reused, 0);
         assert_eq!(scratch.stats().requeued, 0);
+    }
+
+    #[test]
+    fn csr_run_matches_reference_exactly() {
+        let g = s27_graph();
+        let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 7) as f64 * 0.5).collect();
+        for src in g.nodes() {
+            let mut a = DijkstraScratch::new(g.num_nodes());
+            a.run(&g, src, &lengths);
+            let mut b = DijkstraScratch::new(g.num_nodes());
+            b.run_fast(g.csr(), src, &lengths);
+            assert_eq!(a.visited_order(), b.visited_order(), "src {src}");
+            assert_eq!(a.stats(), b.stats(), "src {src}");
+            for v in g.nodes() {
+                assert_eq!(a.distance(v).to_bits(), b.distance(v).to_bits());
+                assert_eq!(a.parent(v), b.parent(v));
+            }
+            assert_eq!(a.tree_nets(), b.tree_nets());
+            assert_eq!(a.tree_net_branch_counts(), b.tree_net_branch_counts());
+        }
     }
 
     #[test]
@@ -1338,20 +1126,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
-    fn slot_queue_rejects_negative_lengths() {
-        let g = s27_graph();
-        let src = g.find("G0").unwrap();
-        let mut lengths = vec![1.0; g.num_nodes()];
-        lengths[src.index()] = -0.5; // the source always settles first
-        let mut scratch = DijkstraScratch::new(g.num_nodes());
-        scratch.run_fast(g.csr(), src, &lengths);
-    }
-
-    #[test]
-    fn radix_heap_pops_in_distance_then_node_order() {
-        let mut h = RadixHeap::new();
-        let keys = [5.0f64, 1.25, 5.0, 0.0, 1.25, 9.75];
+    fn slot_queue_pops_in_distance_then_node_order() {
+        let mut h = SlotQueue::new();
+        h.ensure();
+        // 5.0 and 5.125 share a slot (same top 16 bits), so the drain sort
+        // and the same-slot tie order are both exercised.
+        let keys = [5.0f64, 1.25, 5.0, 0.0, 1.25, 9.75, 5.125];
         for (i, k) in keys.iter().enumerate() {
             h.push(k.to_bits(), i as u32);
         }
@@ -1367,6 +1147,7 @@ mod tests {
                 (1.25, 4),
                 (5.0, 0),
                 (5.0, 2),
+                (5.125, 6),
                 (9.75, 5)
             ]
         );
@@ -1396,10 +1177,11 @@ mod tests {
         assert_eq!(scratch.stats(), DijkstraStats::default());
     }
 
-    // The two rejection tests below are regression tests for a release-mode
+    // The `*_rejected*` tests below are regression tests for a release-mode
     // hole: the length check used to be a `debug_assert!`, so `--release`
     // builds accepted NaN (and negative) lengths and silently corrupted the
-    // heap order. CI runs them under the release profile as well.
+    // queue order. CI runs them under the release profile as well, for the
+    // reference and for both production paths (fresh and seeded).
 
     #[test]
     #[should_panic(expected = "non-negative")]
@@ -1425,21 +1207,53 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "non-negative")]
-    fn negative_length_rejected_by_csr_run() {
+    fn slot_queue_rejects_negative_lengths() {
+        let g = s27_graph();
+        let src = g.find("G0").unwrap();
+        let mut lengths = vec![1.0; g.num_nodes()];
+        lengths[src.index()] = -0.5; // the source always settles first
+        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        scratch.run_fast(g.csr(), src, &lengths);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_length_rejected_by_fast_run() {
         let g = s27_graph();
         let src = g.find("G0").unwrap();
         let mut lengths = vec![1.0; g.num_nodes()];
         lengths[src.index()] = -1.0;
-        let _ = shortest_path_tree(&g, src, &lengths);
+        let _ = fast_tree(&g, src, &lengths);
     }
 
     #[test]
     #[should_panic(expected = "not NaN")]
-    fn nan_length_rejected_by_csr_run() {
+    fn nan_length_rejected_by_fast_run() {
         let g = s27_graph();
         let src = g.find("G0").unwrap();
         let mut lengths = vec![1.0; g.num_nodes()];
         lengths[src.index()] = f64::NAN;
-        let _ = shortest_path_tree(&g, src, &lengths);
+        let _ = fast_tree(&g, src, &lengths);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly positive")]
+    fn nan_length_rejected_by_seeded_run() {
+        // The cache's partial re-search checks lengths on its own. Poison
+        // the net entering the last-settled node: most of the tree stays
+        // valid, so the cache takes the seeded path, not a fresh run (whose
+        // panic message would not match).
+        let g = s27_graph();
+        let n = g.num_nodes();
+        let src = g.find("G0").unwrap();
+        let mut lengths = vec![1.0; n];
+        let mut scratch = DijkstraScratch::new(n);
+        let mut cache = SsspCache::new(n, 1 << 16);
+        cache.run(&mut scratch, g.csr(), src, &lengths);
+        let last = *scratch.visited_order().last().unwrap();
+        let changed = scratch.parent(last).unwrap();
+        lengths[changed.index()] = f64::NAN;
+        cache.note_changed(changed);
+        cache.run(&mut scratch, g.csr(), src, &lengths);
     }
 }

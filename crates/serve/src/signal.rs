@@ -21,12 +21,6 @@ pub fn signaled() -> bool {
     SHUTDOWN_SIGNALED.load(Ordering::SeqCst)
 }
 
-/// Sets the shutdown flag as if a signal had arrived (used by tests and
-/// the `POST /shutdown` route's CLI wiring).
-pub fn raise() {
-    SHUTDOWN_SIGNALED.store(true, Ordering::SeqCst);
-}
-
 #[cfg(unix)]
 mod imp {
     use super::SHUTDOWN_SIGNALED;
@@ -64,16 +58,4 @@ mod imp {
 /// Installs the `SIGINT`/`SIGTERM` handlers (no-op off Unix). Idempotent.
 pub fn install() {
     imp::install();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn raise_sets_the_flag() {
-        install();
-        raise();
-        assert!(signaled());
-    }
 }

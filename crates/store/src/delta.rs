@@ -34,7 +34,7 @@
 //! it, so a malicious op stream of repeated max-length copies cannot
 //! balloon memory before a post-hoc length check runs.
 
-use crate::chunk::fnv1a;
+use ppet_dedup::feature::fnv1a;
 
 /// Match window width; also the minimum useful copy length.
 pub const WINDOW: usize = 16;

@@ -13,8 +13,8 @@
 //! * [`segment`] — the append-only segment log: rolling files, fsync
 //!   discipline, and the crash-recovery state machine that truncates torn
 //!   tails and quarantines corrupt frames instead of refusing to open.
-//! * [`chunk`] + [`delta`] — FNV hashing primitives and byte-granular
-//!   delta encoding (varint copy/literal ops, bounded decode), so
+//! * [`delta`] — byte-granular delta encoding (varint copy/literal ops,
+//!   bounded decode, windows indexed by `ppet-dedup`'s FNV-1a), so
 //!   near-duplicate artifacts (manifests of similar netlists) cost a
 //!   fraction of their raw size. Similarity *detection* lives in
 //!   `ppet-dedup`: super-feature sketches clustered incrementally, which
@@ -55,7 +55,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chunk;
 pub mod crc;
 pub mod delta;
 pub mod record;

@@ -4,7 +4,7 @@
 
 use ppet::core::{compile_batch, Merced, MercedConfig, PpetReport};
 use ppet::exec::Pool;
-use ppet::flow::{saturate_network, saturate_network_par, FlowParams};
+use ppet::flow::{saturate_network, FlowParams};
 use ppet::graph::CircuitGraph;
 use ppet::netlist::data::table9;
 use ppet::netlist::synth::{calibrated_spec, iscas89_like};
@@ -57,24 +57,6 @@ fn annealer_is_reproducible() {
 const JOB_COUNTS: [usize; 3] = [1, 2, 8];
 
 #[test]
-fn parallel_saturation_is_worker_count_invariant() {
-    let c = iscas89_like("s510").unwrap();
-    let g = CircuitGraph::from_circuit(&c);
-    let params = FlowParams::paper().with_replicas(8);
-    let baseline = saturate_network_par(&g, &params, 77, &Pool::sequential());
-    for jobs in JOB_COUNTS {
-        let par = saturate_network_par(&g, &params, 77, &Pool::new(jobs));
-        assert_eq!(par, baseline, "jobs = {jobs}");
-    }
-    // And the single-replica parallel path is exactly the sequential loop.
-    let seq = saturate_network(&g, &FlowParams::paper(), 77);
-    assert_eq!(
-        saturate_network_par(&g, &FlowParams::paper(), 77, &Pool::new(8)),
-        seq
-    );
-}
-
-#[test]
 fn parallel_fault_simulation_is_worker_count_invariant() {
     let c = iscas89_like("s510").unwrap();
     let mut rng = Xoshiro256PlusPlus::seed_from(42);
@@ -119,11 +101,7 @@ fn deterministic_view(r: &PpetReport) -> PpetReport {
 #[test]
 fn full_compile_is_worker_count_invariant() {
     let c = iscas89_like("s641").unwrap();
-    let flow = FlowParams::paper().with_replicas(8);
-    let config = MercedConfig::default()
-        .with_cbit_length(16)
-        .with_seed(5)
-        .with_flow(flow);
+    let config = MercedConfig::default().with_cbit_length(16).with_seed(5);
     let baseline = Merced::new(config.clone().with_jobs(1))
         .compile(&c)
         .unwrap();
