@@ -16,8 +16,10 @@
 //!   only the affected arcs.
 //! - [`proxy`] — outbound HTTP/1.1 with cooperative cancellation
 //!   ([`CancelHandle`]), the primitive under hedged reads.
-//! - [`router`] — the [`Router`]: accept loop, router-side in-flight
-//!   coalescing (composing with each shard's per-process coalescing),
+//! - [`router`] — the [`Router`]: a route table on `ppet-serve`'s shared
+//!   front end ([`ppet_serve::front`]), router-side in-flight coalescing
+//!   on the shared [`ppet_serve::Gate`] (composing with each shard's
+//!   per-process coalescing),
 //!   hedging to the next replica after [`ClusterConfig::hedge`],
 //!   failover with down-marking and probe-based recovery, replication
 //!   of fresh results to [`ClusterConfig::replication`] ring replicas
@@ -41,8 +43,10 @@
 //! router, forwarded to the shard — so one ID correlates both tiers'
 //! traces.
 //!
-//! The crate depends on `ppet-serve` for the shared HTTP/contract layer
-//! and the [`CompileBackend`] used for keying, but *not* on `ppet-core`;
+//! The crate depends on `ppet-serve` for the shared HTTP front end,
+//! coalescing gate and error contract, and the [`CompileBackend`] used
+//! for keying (normalized behind the same panic boundary as a shard's),
+//! but *not* on `ppet-core`;
 //! `ppet-core` mounts it as `merced cluster --addr <host:port>
 //! --backend <addr>...`.
 
@@ -55,8 +59,8 @@ pub mod router;
 
 pub use proxy::{CancelHandle, Response};
 pub use ring::{Ring, DEFAULT_VNODES};
-pub use router::{ClusterConfig, Router, RouterHandle};
+pub use router::{ClusterConfig, Router};
 
 // Re-exported so router embedders name the keying contract without
 // depending on `ppet-serve` directly.
-pub use ppet_serve::{CacheKey, CompileBackend, CompileRequest};
+pub use ppet_serve::{CacheKey, CompileBackend, CompileRequest, ServerHandle};

@@ -1,5 +1,6 @@
-//! The router proper: accept loop, routing, hedging, replication,
-//! failure handling, and metric aggregation.
+//! The router proper: routing, hedging, replication, failure handling,
+//! and metric aggregation, behind the listener and connection handler
+//! it shares with `ppet-serve` ([`ppet_serve::front`]).
 //!
 //! One [`Router`] fronts N independent `ppet-serve` backends. Its
 //! `POST /compile` path derives the same content key a backend would
@@ -12,26 +13,23 @@
 //! so no single shard's death forces a recompile.
 
 use std::collections::{HashMap, HashSet};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ppet_serve::http::{self, HttpError, Request};
-use ppet_serve::signal;
-use ppet_serve::{CacheKey, CompileBackend, CompileRequest, RequestIds, REQUEST_ID_HEADER};
+use ppet_serve::front::{error_reply, unrouted, Front, Reply, Routes};
+use ppet_serve::http::{self, Request};
+use ppet_serve::{normalize_body, CacheKey, CompileBackend, Gate, ServerHandle, REQUEST_ID_HEADER};
 use ppet_trace::{expo, Counter, Metrics};
 
 use crate::proxy::{self, CancelHandle, Response};
 use crate::ring::{Ring, DEFAULT_VNODES};
 
-/// How often the accept loop polls the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(15);
-
-/// Read/write timeout on accepted client connections.
-const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long the prober sleeps between shutdown checks.
+const PROBE_SLICE: Duration = Duration::from_millis(15);
 
 /// Timeout for one backend `/metrics` scrape during aggregation.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
@@ -60,8 +58,6 @@ pub struct ClusterConfig {
     /// End-to-end deadline for one proxied compile (also the coalesced
     /// waiter deadline).
     pub timeout: Duration,
-    /// Largest accepted request body in bytes.
-    pub max_body_bytes: usize,
     /// Seed of the deterministic request-ID generator.
     pub id_seed: u64,
 }
@@ -74,7 +70,6 @@ impl Default for ClusterConfig {
             hedge: Duration::from_millis(250),
             probe: Duration::from_millis(500),
             timeout: Duration::from_secs(60),
-            max_body_bytes: 4 << 20,
             id_seed: 0,
         }
     }
@@ -114,45 +109,9 @@ impl Member {
     }
 }
 
-/// A one-shot broadcast cell for router-side coalescing: the owning
-/// request proxies and fills `(status, body)`; coalesced duplicates wait
-/// on it. Mirrors `ppet_serve::Gate`, but carries the proxied HTTP
-/// outcome verbatim so waiters answer byte-identically to the owner.
-#[derive(Debug, Default)]
-struct ReplyGate {
-    slot: Mutex<Option<(u16, Arc<String>)>>,
-    ready: Condvar,
-}
-
-impl ReplyGate {
-    fn fill(&self, status: u16, body: Arc<String>) {
-        let mut slot = self.slot.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some((status, body));
-        }
-        drop(slot);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self, timeout: Duration) -> Option<(u16, Arc<String>)> {
-        let mut slot = self.slot.lock().unwrap();
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return Some(result.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, wait) = self.ready.wait_timeout(slot, deadline - now).unwrap();
-            slot = guard;
-            if wait.timed_out() && slot.is_none() {
-                return None;
-            }
-        }
-    }
-}
+/// A proxied reply as coalesced waiters replay it: status and body,
+/// verbatim, so they answer byte-identically to the owner.
+type ProxiedReply = (u16, Arc<String>);
 
 struct ClusterService<B> {
     /// Used solely to normalize requests for keying — the router never
@@ -162,46 +121,25 @@ struct ClusterService<B> {
     ring: Ring,
     /// In-flight coalescing: key → gate of the owning proxy attempt.
     /// Entries live exactly as long as the owner is proxying.
-    gates: Mutex<HashMap<u128, Arc<ReplyGate>>>,
+    gates: Mutex<HashMap<u128, Arc<Gate<ProxiedReply>>>>,
     /// Keys already pushed to their replicas (bounded dedup, see
     /// [`REPLICATED_KEYS_BOUND`]).
     replicated: Mutex<HashSet<u128>>,
     metrics: Metrics,
-    ids: RequestIds,
     config: ClusterConfig,
-    shutdown: AtomicBool,
-}
-
-/// A clonable handle that can stop a running router from another thread.
-#[derive(Clone)]
-pub struct RouterHandle {
-    shutdown: Arc<dyn Fn() + Send + Sync>,
-}
-
-impl std::fmt::Debug for RouterHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RouterHandle").finish_non_exhaustive()
-    }
-}
-
-impl RouterHandle {
-    /// Requests shutdown; [`Router::run`] drains and returns.
-    pub fn shutdown(&self) {
-        (self.shutdown)();
-    }
+    handle: ServerHandle,
 }
 
 /// The shard router bound to a socket.
 pub struct Router<B: CompileBackend> {
-    listener: TcpListener,
-    addr: SocketAddr,
+    front: Front,
     service: Arc<ClusterService<B>>,
 }
 
 impl<B: CompileBackend> std::fmt::Debug for Router<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
-            .field("addr", &self.addr)
+            .field("addr", &self.front.local_addr())
             .finish_non_exhaustive()
     }
 }
@@ -224,9 +162,7 @@ impl<B: CompileBackend> Router<B> {
                 "cluster needs at least one --backend",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        let front = Front::bind(addr, config.id_seed)?;
         let metrics = Metrics::new();
         let members: Vec<Member> = backends
             .into_iter()
@@ -240,30 +176,22 @@ impl<B: CompileBackend> Router<B> {
             gates: Mutex::new(HashMap::new()),
             replicated: Mutex::new(HashSet::new()),
             metrics,
-            ids: RequestIds::new(config.id_seed),
             config,
-            shutdown: AtomicBool::new(false),
+            handle: front.handle(),
         });
-        Ok(Self {
-            listener,
-            addr,
-            service,
-        })
+        Ok(Self { front, service })
     }
 
     /// The actually-bound address (resolves ephemeral ports).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// A handle that can stop [`Router::run`] from another thread.
     #[must_use]
-    pub fn handle(&self) -> RouterHandle {
-        let service = Arc::clone(&self.service);
-        RouterHandle {
-            shutdown: Arc::new(move || service.shutdown.store(true, Ordering::SeqCst)),
-        }
+    pub fn handle(&self) -> ServerHandle {
+        self.front.handle()
     }
 
     /// The router's aggregated `/metrics` exposition (handy in tests).
@@ -280,37 +208,30 @@ impl<B: CompileBackend> Router<B> {
             let service = Arc::clone(&self.service);
             thread::spawn(move || service.probe_loop())
         };
-        let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.service.shutting_down() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let service = Arc::clone(&self.service);
-                    handlers.push(thread::spawn(move || service.handle_connection(stream)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => thread::sleep(ACCEPT_POLL),
-            }
-            if handlers.len() >= 32 {
-                handlers.retain(|h| !h.is_finished());
-            }
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
+        self.front.run(&self.service);
         let _ = prober.join();
     }
 }
 
-impl<B: CompileBackend> ClusterService<B> {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::signaled()
+impl<B: CompileBackend> Routes for ClusterService<B> {
+    fn route(&self, request: &Request, request_id: Option<&str>) -> Reply {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/healthz") => self.healthz(),
+            ("GET", "/metrics") => (200, "text/plain", self.render_metrics()),
+            ("POST", "/shutdown") => {
+                self.handle.shutdown();
+                (202, "text/plain", "draining\n".to_owned())
+            }
+            ("POST", "/compile") => self.compile(&request.body, request_id.unwrap_or_default()),
+            (_, path) => unrouted(
+                request,
+                matches!(path, "/healthz" | "/metrics" | "/shutdown" | "/compile"),
+            ),
+        }
     }
+}
 
+impl<B: CompileBackend> ClusterService<B> {
     fn up_count(&self) -> usize {
         self.members.iter().filter(|m| m.is_up()).count()
     }
@@ -319,7 +240,7 @@ impl<B: CompileBackend> ClusterService<B> {
     /// answer `/healthz` again. Only their own ring arcs come back —
     /// everything else kept routing around them the whole time.
     fn probe_loop(&self) {
-        while !self.shutting_down() {
+        while !self.handle.shutting_down() {
             for member in &self.members {
                 if !member.is_up()
                     && proxy::request(
@@ -340,8 +261,8 @@ impl<B: CompileBackend> ClusterService<B> {
             }
             // Sleep in short slices so shutdown stays prompt.
             let deadline = Instant::now() + self.config.probe;
-            while Instant::now() < deadline && !self.shutting_down() {
-                thread::sleep(ACCEPT_POLL.min(self.config.probe));
+            while Instant::now() < deadline && !self.handle.shutting_down() {
+                thread::sleep(PROBE_SLICE.min(self.config.probe));
             }
         }
     }
@@ -354,82 +275,22 @@ impl<B: CompileBackend> ClusterService<B> {
         }
     }
 
-    fn handle_connection(&self, stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(STREAM_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
-        let request = match http::read_request(&stream, self.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(HttpError::BodyTooLarge { declared, limit }) => {
-                let body = http::error_body(
-                    "payload",
-                    &format!("body of {declared} bytes exceeds limit of {limit}"),
-                );
-                let _ = http::write_response(&stream, 413, "application/json", &body);
-                return;
-            }
-            Err(e) => {
-                let body = http::error_body("parse", &e.to_string());
-                let _ = http::write_response(&stream, 400, "application/json", &body);
-                return;
-            }
-        };
-        // Same ID discipline as the backends: mint or sanitize on
-        // compile requests, echo in the response, forward downstream so
-        // one ID correlates router and shard traces.
-        let request_id = (request.method == "POST" && request.path == "/compile")
-            .then(|| self.ids.resolve(request.request_id.as_deref()));
-        let (status, content_type, body) = self.route(&request, request_id.as_deref());
-        let mut headers: Vec<(&str, &str)> = Vec::new();
-        if let Some(id) = &request_id {
-            headers.push((REQUEST_ID_HEADER, id));
-        }
-        let _ = http::write_response_with(&stream, status, content_type, &headers, &body);
-    }
-
-    fn route(&self, request: &Request, request_id: Option<&str>) -> (u16, &'static str, String) {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => self.healthz(),
-            ("GET", "/metrics") => (200, "text/plain", self.render_metrics()),
-            ("POST", "/shutdown") => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                (202, "text/plain", "draining\n".to_owned())
-            }
-            ("POST", "/compile") => self.compile(&request.body, request_id.unwrap_or_default()),
-            (_, "/healthz" | "/metrics" | "/shutdown" | "/compile") => (
-                405,
-                "application/json",
-                http::error_body("usage", &format!("{} not allowed here", request.method)),
-            ),
-            (_, path) => (
-                404,
-                "application/json",
-                http::error_body("usage", &format!("no route {path}")),
-            ),
-        }
-    }
-
     /// `/healthz` reflects quorum: a strict majority of backends must be
     /// up for the router to call itself healthy.
-    fn healthz(&self) -> (u16, &'static str, String) {
+    fn healthz(&self) -> Reply {
         let up = self.up_count();
         let total = self.members.len();
         if up * 2 > total {
             (200, "text/plain", "ok\n".to_owned())
         } else {
-            (
-                503,
-                "application/json",
-                http::error_body(
-                    "unavailable",
-                    &format!("quorum lost: {up}/{total} backends up"),
-                ),
-            )
+            let message = format!("quorum lost: {up}/{total} backends up");
+            error_reply(503, "unavailable", &message)
         }
     }
 
     /// `POST /compile`: wraps the routing state machine with per-outcome
     /// latency accounting.
-    fn compile(&self, body: &str, request_id: &str) -> (u16, &'static str, String) {
+    fn compile(&self, body: &str, request_id: &str) -> Reply {
         self.metrics.counter("cluster.requests").inc();
         let started = Instant::now();
         let (status, outcome, response) = self.compile_inner(body, request_id);
@@ -446,8 +307,8 @@ impl<B: CompileBackend> ClusterService<B> {
         (status, "application/json", response)
     }
 
-    fn compile_inner(&self, body: &str, request_id: &str) -> (u16, &'static str, String) {
-        if self.shutting_down() {
+    fn compile_inner(&self, body: &str, request_id: &str) -> Reply {
+        if self.handle.shutting_down() {
             return (
                 503,
                 "shed",
@@ -457,15 +318,12 @@ impl<B: CompileBackend> ClusterService<B> {
         // Key derivation mirrors the backends exactly (same parser, same
         // normalize, same FNV-1a-128 frames), so router-side coalescing
         // and ring placement agree with every shard's own cache keys —
-        // and malformed requests are rejected here with the same bytes a
-        // backend would send, without burning a proxy attempt.
-        let request = match CompileRequest::from_json(body) {
-            Ok(request) => request,
-            Err(e) => return (400, "error", http::error_body("parse", &e)),
-        };
-        let normalized = match self.backend.normalize(&request) {
+        // and malformed requests (or a panicking backend) are answered
+        // here with the same bytes a backend would send, without burning
+        // a proxy attempt.
+        let normalized = match normalize_body(self.backend.as_ref(), body) {
             Ok(normalized) => normalized,
-            Err(e) => return (400, "error", http::error_body(e.kind, &e.message)),
+            Err((status, body)) => return (status, "error", body),
         };
         let key = CacheKey::of(&normalized);
 
@@ -481,7 +339,7 @@ impl<B: CompileBackend> ClusterService<B> {
                     Err(Arc::clone(gate))
                 }
                 None => {
-                    let gate = Arc::new(ReplyGate::default());
+                    let gate = Arc::new(Gate::new());
                     gates.insert(key.0, Arc::clone(&gate));
                     Ok(gate)
                 }
@@ -510,7 +368,7 @@ impl<B: CompileBackend> ClusterService<B> {
                 // instead of coalescing onto a settled gate.
                 self.gates.lock().unwrap().remove(&key.0);
                 let shared = Arc::new(response);
-                gate.fill(status, Arc::clone(&shared));
+                gate.fill((status, Arc::clone(&shared)));
                 if status == 200 {
                     if let Some(winner) = winner {
                         self.replicate(key, &shared, winner);
@@ -553,7 +411,8 @@ impl<B: CompileBackend> ClusterService<B> {
                 None,
             );
         }
-        let deadline = Instant::now() + self.config.timeout;
+        // `None` (an unrepresentable deadline) waits indefinitely.
+        let deadline = Instant::now().checked_add(self.config.timeout);
         let body: Arc<str> = Arc::from(body);
         let request_id: Arc<str> = Arc::from(request_id);
         let (tx, rx) = channel::<(usize, std::io::Result<Response>)>();
@@ -592,16 +451,18 @@ impl<B: CompileBackend> ClusterService<B> {
         launch(&mut next, &mut in_flight, &mut attempts, &tx);
 
         loop {
-            let now = Instant::now();
-            if now >= deadline {
+            let remaining = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            if remaining.is_zero() {
                 break;
             }
             // While unlaunched candidates remain, wake at the hedge
             // threshold; afterwards just wait out the deadline.
             let wait = if next < candidates.len() {
-                self.config.hedge.min(deadline - now)
+                self.config.hedge.min(remaining)
             } else {
-                deadline - now
+                remaining
             };
             match rx.recv_timeout(wait) {
                 Ok((index, Ok(response))) => {

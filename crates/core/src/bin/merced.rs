@@ -689,7 +689,6 @@ fn run_serve(opts: &Options, jobs: usize) -> Result<ExitCode, CliError> {
         // Request IDs come from the same deterministic substrate as the
         // flow seed, so two servers started alike mint the same IDs.
         id_seed: opts.seed,
-        ..ServeConfig::default()
     };
     let server = Server::bind(addr, backend, config)
         .map_err(|e| CliError::new("io", format!("cannot bind {addr}: {e}")))?;
@@ -720,7 +719,6 @@ fn run_cluster(opts: &Options, jobs: usize) -> Result<ExitCode, CliError> {
         probe: std::time::Duration::from_millis(opts.probe_ms.max(1)),
         timeout: std::time::Duration::from_millis(opts.timeout_ms.max(1)),
         id_seed: opts.seed,
-        ..ppet_cluster::ClusterConfig::default()
     };
     let router = ppet_cluster::Router::bind(addr, backend, opts.backends.clone(), config)
         .map_err(|e| CliError::new("io", format!("cannot bind {addr}: {e}")))?;

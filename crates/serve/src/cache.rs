@@ -74,11 +74,13 @@ impl std::fmt::Display for CacheKey {
 /// The outcome a waiter observes for one compile.
 pub type CompileResult = Result<Arc<String>, BackendError>;
 
-/// A one-shot broadcast cell: the compiling thread fills it once, any
-/// number of coalesced waiters block on it (with a deadline).
-#[derive(Debug, Default)]
-pub struct Gate {
-    slot: Mutex<Option<CompileResult>>,
+/// A one-shot broadcast cell: the owning thread fills it once, any
+/// number of coalesced waiters block on it (with a deadline). The
+/// payload defaults to a compile outcome; the cluster router coalesces
+/// proxied replies through the same cell.
+#[derive(Debug)]
+pub struct Gate<T = CompileResult> {
+    slot: Mutex<Option<T>>,
     ready: Condvar,
     /// The compile's span tree, published by the compiling thread before
     /// it fills the gate so every coalesced waiter can graft the *same*
@@ -86,10 +88,26 @@ pub struct Gate {
     trace: Mutex<Option<Arc<Vec<SpanData>>>>,
 }
 
-impl Gate {
+impl Default for Gate {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Clone> Gate<T> {
+    /// An empty gate.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            slot: Mutex::new(None),
+            ready: Condvar::new(),
+            trace: Mutex::new(None),
+        }
+    }
+
     /// Fills the gate and wakes all waiters. Later fills are ignored —
     /// the first result wins, matching "the first requester compiles".
-    pub fn fill(&self, result: CompileResult) {
+    pub fn fill(&self, result: T) {
         let mut slot = lock_unpoisoned(&self.slot);
         if slot.is_none() {
             *slot = Some(result);
@@ -119,7 +137,7 @@ impl Gate {
     /// (the overflow-safe reading of an astronomical timeout) instead of
     /// panicking.
     #[must_use]
-    pub fn wait(&self, timeout: Duration) -> Option<CompileResult> {
+    pub fn wait(&self, timeout: Duration) -> Option<T> {
         self.wait_deadline(Instant::now().checked_add(timeout))
     }
 
@@ -133,7 +151,7 @@ impl Gate {
     /// condvar spin, and a fill that lands later is picked up from the
     /// cache by the client's retry.
     #[must_use]
-    pub fn wait_deadline(&self, deadline: Option<Instant>) -> Option<CompileResult> {
+    pub fn wait_deadline(&self, deadline: Option<Instant>) -> Option<T> {
         let mut slot = lock_unpoisoned(&self.slot);
         loop {
             if let Some(result) = slot.as_ref() {

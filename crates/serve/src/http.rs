@@ -2,11 +2,17 @@
 //! compile service's four routes, hand-rolled over `std::io` so the
 //! workspace stays dependency-free.
 //!
-//! Supported: request line + headers, `Content-Length` bodies (bounded),
+//! Supported: request line + headers (64 KiB together),
+//! `Content-Length` bodies (bounded by the caller),
 //! `Connection: close` semantics (one request per connection). Not
 //! supported, by design: chunked transfer, keep-alive, TLS, HTTP/2.
 
 use std::io::{BufRead, BufReader, Read, Write};
+
+/// Largest accepted request head (request line plus headers) in bytes.
+/// A client that keeps sending head bytes past it gets a `Malformed`
+/// error instead of an ever-growing line buffer.
+const MAX_HEAD_BYTES: usize = 64 << 10;
 
 /// A parsed request: method, path, body, and the client-supplied
 /// request ID, if any.
@@ -53,19 +59,35 @@ impl std::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-/// Reads one HTTP/1.x request from `stream`, bounding the body at
-/// `max_body_bytes`.
+/// Reads one line of the request head, charging it to the head budget
+/// `left`; reading stops once the budget is spent.
+fn read_head_line<S: Read>(reader: &mut BufReader<S>, left: &mut u64) -> Result<String, HttpError> {
+    let mut line = String::new();
+    let n = reader
+        .by_ref()
+        .take(*left)
+        .read_line(&mut line)
+        .map_err(|e| HttpError::Io(e.to_string()))?;
+    *left -= n as u64;
+    if *left == 0 && !line.ends_with('\n') {
+        return Err(HttpError::Malformed(format!(
+            "request head exceeds {MAX_HEAD_BYTES} bytes"
+        )));
+    }
+    Ok(line)
+}
+
+/// Reads one HTTP/1.x request from `stream`, bounding the head (request
+/// line plus headers) at 64 KiB and the body at `max_body_bytes`.
 ///
 /// # Errors
 ///
-/// [`HttpError`] on connection loss, malformed framing, or an oversized
-/// declared body.
+/// [`HttpError`] on connection loss, malformed framing, an oversized
+/// head, or an oversized declared body.
 pub fn read_request<S: Read>(stream: S, max_body_bytes: usize) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| HttpError::Io(e.to_string()))?;
+    let mut head_left = MAX_HEAD_BYTES as u64;
+    let line = read_head_line(&mut reader, &mut head_left)?;
     if line.is_empty() {
         return Err(HttpError::Io("connection closed before request".into()));
     }
@@ -90,10 +112,7 @@ pub fn read_request<S: Read>(stream: S, max_body_bytes: usize) -> Result<Request
     let mut content_length = 0usize;
     let mut request_id = None;
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| HttpError::Io(e.to_string()))?;
+        let header = read_head_line(&mut reader, &mut head_left)?;
         let header = header.trim_end_matches(['\r', '\n']);
         if header.is_empty() {
             break;
@@ -249,6 +268,39 @@ mod tests {
             read_request("".as_bytes(), 16),
             Err(HttpError::Io(_))
         ));
+    }
+
+    /// Feeds `stream` to [`read_request`]; returns the error and how many
+    /// bytes it consumed.
+    fn read_failure(mut stream: impl Read) -> (HttpError, usize) {
+        struct Counting<'a, R>(&'a mut R, usize);
+        impl<R: Read> Read for Counting<'_, R> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.0.read(buf)?;
+                self.1 += n;
+                Ok(n)
+            }
+        }
+        let mut counting = Counting(&mut stream, 0);
+        let err = read_request(&mut counting, 1024).unwrap_err();
+        (err, counting.1)
+    }
+
+    /// A client streaming head bytes with no newline must be cut off at
+    /// the head bound, not buffered for as long as it keeps sending.
+    #[test]
+    fn an_endless_request_head_is_cut_off_at_the_bound() {
+        let endless = || std::io::repeat(b'a').take(16 << 20);
+        let line = read_failure(endless());
+        let header = read_failure("GET / HTTP/1.1\r\nX-Junk: ".as_bytes().chain(endless()));
+        for (err, consumed) in [line, header] {
+            assert!(matches!(err, HttpError::Malformed(_)), "{err:?}");
+            // One `BufReader` buffer (8 KiB) may be read past the bound.
+            assert!(
+                consumed <= MAX_HEAD_BYTES + (8 << 10),
+                "consumed {consumed} bytes"
+            );
+        }
     }
 
     #[test]

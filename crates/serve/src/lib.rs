@@ -18,6 +18,11 @@
 //! `ppet-core` mounts the whole thing as `merced serve --addr
 //! <host:port>`.
 //!
+//! The HTTP front end ([`front`]: listener, accept loop, connection
+//! handler, request IDs, [`ServerHandle`]) is shared with
+//! `ppet-cluster`'s router, which also coalesces on [`Gate`];
+//! [`server`] supplies the compile service's routes and drain.
+//!
 //! # Endpoints
 //!
 //! | Route | Meaning |
@@ -46,7 +51,9 @@
 //! `429 backpressure` when the bounded queue is full, `408 timeout` when
 //! a compile exceeds the per-request deadline (the compile keeps running
 //! and still populates the cache), `400` for malformed or unresolvable
-//! requests, `503 shutdown` while draining.
+//! requests (or a request head over 64 KiB), `413` for a body over 4 MiB,
+//! `500` when the backend fails or panics, `503 shutdown` while
+//! draining.
 //!
 //! # Persistence
 //!
@@ -62,6 +69,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod front;
 pub mod http;
 pub mod obs;
 mod request;
@@ -69,8 +77,9 @@ pub mod server;
 pub mod signal;
 
 pub use cache::{CacheKey, Claim, CompileResult, Gate, ResultCache, DEFAULT_CACHE_CAPACITY};
+pub use front::ServerHandle;
 pub use obs::{PhaseRecorder, RequestIds, RequestTrace, TraceRing, REQUEST_ID_HEADER};
 pub use request::{
-    BackendError, CompileBackend, CompileRequest, NormalizedRequest, REQUEST_SCHEMA,
+    normalize_body, BackendError, CompileBackend, CompileRequest, NormalizedRequest, REQUEST_SCHEMA,
 };
-pub use server::{ServeConfig, Server, ServerHandle, DEFAULT_TRACE_RING};
+pub use server::{ServeConfig, Server, DEFAULT_TRACE_RING};

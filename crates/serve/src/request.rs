@@ -9,9 +9,13 @@
 //! config entries, and the effective seed, and those three (hashed over
 //! the circuit's canonical bytes) form the content-addressed cache key.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use ppet_netlist::Circuit;
 use ppet_trace::json::{self, Value};
 use ppet_trace::Tracer;
+
+use crate::http::error_body;
 
 /// The request schema identifier.
 pub const REQUEST_SCHEMA: &str = "ppet-serve/v1";
@@ -254,6 +258,32 @@ pub trait CompileBackend: Send + Sync + 'static {
     /// [`BackendError`] when the stored body fails verification.
     fn verify_stored(&self, _stored: &str) -> Result<(), BackendError> {
         Ok(())
+    }
+}
+
+/// Parses a `POST /compile` body and normalizes it through `backend`
+/// behind a panic boundary, so a panicking backend answers a structured
+/// error instead of dropping the connection.
+///
+/// # Errors
+///
+/// The status and `ppet-error/v1` body to answer with: 400 for a
+/// malformed or unresolvable request, 500 for a panicking backend.
+pub fn normalize_body<B: CompileBackend>(
+    backend: &B,
+    body: &str,
+) -> Result<NormalizedRequest, (u16, String)> {
+    let request = CompileRequest::from_json(body).map_err(|e| (400, error_body("parse", &e)))?;
+    match catch_unwind(AssertUnwindSafe(|| backend.normalize(&request))) {
+        Ok(Ok(normalized)) => Ok(normalized),
+        Ok(Err(e)) => Err((400, error_body(e.kind, &e.message))),
+        Err(_) => Err((
+            500,
+            error_body(
+                "compile",
+                "request normalization panicked; nothing was cached",
+            ),
+        )),
     }
 }
 

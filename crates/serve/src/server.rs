@@ -1,6 +1,6 @@
-//! The server proper: TCP accept loop, routing, scheduling, shutdown.
+//! The compile service: routing, scheduling, caching, drain.
 //!
-//! One [`Server`] owns a nonblocking `TcpListener`, a bounded
+//! One [`Server`] owns a [`Front`] (the shared listener), a bounded
 //! [`WorkQueue`] of compile workers, the [`ResultCache`], and a
 //! [`Metrics`] registry. Each accepted connection is handled on its own
 //! thread (one request per connection); compile work itself runs on the
@@ -12,12 +12,10 @@
 //! accept loop stops taking connections, in-flight requests finish,
 //! queued compiles drain, and [`Server::run`] returns.
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use ppet_exec::WorkQueue;
@@ -25,17 +23,10 @@ use ppet_store::{Store, StoreConfig};
 use ppet_trace::{Metrics, SpanData, Tracer};
 
 use crate::cache::{CacheKey, Claim, Gate, ResultCache, DEFAULT_CACHE_CAPACITY};
-use crate::http::{self, HttpError, Request};
-use crate::obs::{PhaseRecorder, RequestIds, RequestTrace, TraceRing, REQUEST_ID_HEADER};
-use crate::request::{CompileBackend, CompileRequest};
-use crate::signal;
-
-/// How often the accept loop polls the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(15);
-
-/// Read/write timeout on accepted connections, so a stalled client
-/// cannot pin a handler thread forever.
-const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
+use crate::front::{error_reply, unrouted, Front, Reply, Routes, ServerHandle};
+use crate::http::{self, Request};
+use crate::obs::{PhaseRecorder, RequestTrace, TraceRing};
+use crate::request::{normalize_body, CompileBackend};
 
 /// Tunable service limits.
 #[derive(Debug, Clone)]
@@ -48,8 +39,6 @@ pub struct ServeConfig {
     /// with a structured `timeout` error (the compile itself keeps
     /// running and still populates the cache).
     pub timeout: Duration,
-    /// Largest accepted request body in bytes.
-    pub max_body_bytes: usize,
     /// Maximum completed entries the in-memory result cache keeps
     /// (least-recently-used eviction beyond it).
     pub cache_capacity: usize,
@@ -85,7 +74,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 64,
             timeout: Duration::from_secs(60),
-            max_body_bytes: 4 << 20,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             store_dir: None,
             store_budget: None,
@@ -101,65 +89,44 @@ struct Service<B> {
     backend: Arc<B>,
     cache: Arc<ResultCache>,
     store: Option<Arc<Store>>,
-    queue: WorkQueue,
+    queue: Arc<WorkQueue>,
     metrics: Metrics,
     config: ServeConfig,
-    ids: RequestIds,
     ring: TraceRing,
-    shutdown: AtomicBool,
-}
-
-/// A clonable handle that can stop a running server from another thread.
-#[derive(Clone)]
-pub struct ServerHandle {
-    shutdown: Arc<dyn Fn() + Send + Sync>,
-}
-
-impl std::fmt::Debug for ServerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerHandle").finish_non_exhaustive()
-    }
-}
-
-impl ServerHandle {
-    /// Requests shutdown; [`Server::run`] drains and returns.
-    pub fn shutdown(&self) {
-        (self.shutdown)();
-    }
+    handle: ServerHandle,
 }
 
 /// The compile service bound to a socket.
 pub struct Server<B: CompileBackend> {
-    listener: TcpListener,
-    addr: SocketAddr,
+    front: Front,
     service: Arc<Service<B>>,
 }
 
 impl<B: CompileBackend> std::fmt::Debug for Server<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("addr", &self.addr)
+            .field("addr", &self.front.local_addr())
             .finish_non_exhaustive()
     }
 }
 
 impl<B: CompileBackend> Server<B> {
     /// Binds to `addr` (use port 0 for an ephemeral port) and starts the
-    /// worker pool. The listener runs nonblocking so the accept loop can
-    /// poll for shutdown.
+    /// worker pool.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from bind/configure.
+    /// Propagates socket errors from bind/configure and store errors.
     pub fn bind(
         addr: impl ToSocketAddrs,
         backend: B,
         config: ServeConfig,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let queue = WorkQueue::new(config.workers.max(1), config.queue_capacity.max(1));
+        let front = Front::bind(addr, config.id_seed)?;
+        let queue = Arc::new(WorkQueue::new(
+            config.workers.max(1),
+            config.queue_capacity.max(1),
+        ));
         let metrics = Metrics::new();
         let store = match &config.store_dir {
             Some(dir) => {
@@ -182,31 +149,26 @@ impl<B: CompileBackend> Server<B> {
             store,
             queue,
             metrics,
-            ids: RequestIds::new(config.id_seed),
             ring: TraceRing::new(config.trace_ring, config.slow_ms),
             config,
-            shutdown: AtomicBool::new(false),
+            handle: front.handle(),
         });
-        Ok(Self {
-            listener,
-            addr,
-            service,
-        })
+        Ok(Self { front, service })
     }
 
     /// The actually-bound address (resolves ephemeral ports).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
-    /// A handle that can stop [`Server::run`] from another thread.
+    /// A handle that can stop [`Server::run`] from another thread. It
+    /// shares the compile worker pool: `run` drains the queue, and the
+    /// idle workers are joined once the server and all such handles are
+    /// gone.
     #[must_use]
     pub fn handle(&self) -> ServerHandle {
-        let service = Arc::clone(&self.service);
-        ServerHandle {
-            shutdown: Arc::new(move || service.shutdown.store(true, Ordering::SeqCst)),
-        }
+        self.front.handle().sharing(Arc::clone(&self.service.queue))
     }
 
     /// The server's metric values, rendered as the `/metrics` endpoint
@@ -220,55 +182,53 @@ impl<B: CompileBackend> Server<B> {
     /// a Unix termination signal), then drains: no new connections, all
     /// accepted requests answered, all queued compiles completed.
     pub fn run(self) {
-        let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.service.shutting_down() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let service = Arc::clone(&self.service);
-                    handlers.push(thread::spawn(move || service.handle_connection(stream)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => thread::sleep(ACCEPT_POLL),
-            }
-            // Reap finished handler threads so the vec stays small on
-            // long runs.
-            if handlers.len() >= 32 {
-                handlers.retain(|h| !h.is_finished());
-            }
+        self.front.run(&self.service);
+        // Every handler thread has answered: finish whatever compiles the
+        // queue still holds, then flush the store so a clean shutdown is
+        // an fsync point. The idle workers are joined when the last owner
+        // of the pool (the service here, or a handle) is dropped.
+        self.service.queue.drain();
+        if let Some(store) = &self.service.store {
+            let _ = store.flush();
         }
-        for h in handlers {
-            let _ = h.join();
-        }
-        // All handler threads have answered; finish whatever compiles the
-        // queue still holds, then stop the workers. The store is flushed
-        // last so a clean shutdown is an fsync point.
-        match Arc::try_unwrap(self.service) {
-            Ok(service) => {
-                service.queue.shutdown();
-                if let Some(store) = &service.store {
-                    let _ = store.flush();
+    }
+}
+
+impl<B: CompileBackend> Routes for Service<B> {
+    fn route(&self, request: &Request, request_id: Option<&str>) -> Reply {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/healthz") => (200, "text/plain", "ok\n".to_owned()),
+            ("GET", "/metrics") => (200, "text/plain", self.render_metrics()),
+            ("GET", "/debug/requests") => (200, "application/json", self.ring.summary_json()),
+            ("GET", path) if path.strip_prefix("/debug/trace/").is_some() => {
+                let id = path.strip_prefix("/debug/trace/").unwrap_or_default();
+                match self.ring.find(id) {
+                    Some(trace) => (200, "application/json", trace.to_json()),
+                    None => error_reply(404, "usage", &format!("no trace for request id {id:?}")),
                 }
             }
-            Err(service) => {
-                service.queue.drain();
-                if let Some(store) = &service.store {
-                    let _ = store.flush();
-                }
+            ("POST", "/shutdown") => {
+                self.handle.shutdown();
+                (202, "text/plain", "draining\n".to_owned())
+            }
+            ("POST", "/compile") => self.compile(&request.body, request_id.unwrap_or_default()),
+            ("PUT", path) if path.starts_with("/cache/") => {
+                let hex = path.strip_prefix("/cache/").unwrap_or_default();
+                self.cache_put(hex, &request.body)
+            }
+            (_, path) => {
+                let known = matches!(
+                    path,
+                    "/healthz" | "/metrics" | "/shutdown" | "/compile" | "/debug/requests"
+                ) || path.starts_with("/cache/")
+                    || path.starts_with("/debug/trace/");
+                unrouted(request, known)
             }
         }
     }
 }
 
 impl<B: CompileBackend> Service<B> {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst) || signal::signaled()
-    }
-
     fn render_metrics(&self) -> String {
         self.metrics
             .gauge("serve.queue_depth")
@@ -285,89 +245,9 @@ impl<B: CompileBackend> Service<B> {
         self.metrics.render_prometheus()
     }
 
-    fn handle_connection(&self, stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(STREAM_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
-        let request = match http::read_request(&stream, self.config.max_body_bytes) {
-            Ok(request) => request,
-            Err(HttpError::BodyTooLarge { declared, limit }) => {
-                let body = http::error_body(
-                    "payload",
-                    &format!("body of {declared} bytes exceeds limit of {limit}"),
-                );
-                let _ = http::write_response(&stream, 413, "application/json", &body);
-                return;
-            }
-            Err(e) => {
-                let body = http::error_body("parse", &e.to_string());
-                let _ = http::write_response(&stream, 400, "application/json", &body);
-                return;
-            }
-        };
-        // Compile requests carry a request ID: the sanitized client one
-        // or a generated one, echoed back in the response header either
-        // way.
-        let request_id = (request.method == "POST" && request.path == "/compile")
-            .then(|| self.ids.resolve(request.request_id.as_deref()));
-        let (status, content_type, body) = self.route(&request, request_id.as_deref());
-        let mut headers: Vec<(&str, &str)> = Vec::new();
-        if let Some(id) = &request_id {
-            headers.push((REQUEST_ID_HEADER, id));
-        }
-        let _ = http::write_response_with(&stream, status, content_type, &headers, &body);
-    }
-
-    fn route(&self, request: &Request, request_id: Option<&str>) -> (u16, &'static str, String) {
-        match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => (200, "text/plain", "ok\n".to_owned()),
-            ("GET", "/metrics") => (200, "text/plain", self.render_metrics()),
-            ("GET", "/debug/requests") => (200, "application/json", self.ring.summary_json()),
-            ("GET", path) if path.strip_prefix("/debug/trace/").is_some() => {
-                let id = path.strip_prefix("/debug/trace/").unwrap_or_default();
-                match self.ring.find(id) {
-                    Some(trace) => (200, "application/json", trace.to_json()),
-                    None => (
-                        404,
-                        "application/json",
-                        http::error_body("usage", &format!("no trace for request id {id:?}")),
-                    ),
-                }
-            }
-            ("POST", "/shutdown") => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                (202, "text/plain", "draining\n".to_owned())
-            }
-            ("POST", "/compile") => self.compile(&request.body, request_id.unwrap_or_default()),
-            ("PUT", path) if path.starts_with("/cache/") => {
-                let hex = path.strip_prefix("/cache/").unwrap_or_default();
-                self.cache_put(hex, &request.body)
-            }
-            (_, path) if path.starts_with("/cache/") => (
-                405,
-                "application/json",
-                http::error_body("usage", &format!("{} not allowed here", request.method)),
-            ),
-            (_, "/healthz" | "/metrics" | "/shutdown" | "/compile" | "/debug/requests") => (
-                405,
-                "application/json",
-                http::error_body("usage", &format!("{} not allowed here", request.method)),
-            ),
-            (_, path) if path.starts_with("/debug/trace/") => (
-                405,
-                "application/json",
-                http::error_body("usage", &format!("{} not allowed here", request.method)),
-            ),
-            (_, path) => (
-                404,
-                "application/json",
-                http::error_body("usage", &format!("no route {path}")),
-            ),
-        }
-    }
-
     /// The `POST /compile` entry point: wraps [`Service::compile_inner`]
     /// with per-outcome latency accounting and trace-ring recording.
-    fn compile(&self, body: &str, request_id: &str) -> (u16, &'static str, String) {
+    fn compile(&self, body: &str, request_id: &str) -> Reply {
         self.metrics.counter("serve.requests").inc();
         let started = Instant::now();
         let mut recorder = PhaseRecorder::new(self.ring.enabled());
@@ -409,7 +289,7 @@ impl<B: CompileBackend> Service<B> {
         recorder: &mut PhaseRecorder,
         ctx: &mut RequestContext,
     ) -> (u16, &'static str, String) {
-        if self.shutting_down() {
+        if self.handle.shutting_down() {
             return (
                 503,
                 "shed",
@@ -422,26 +302,9 @@ impl<B: CompileBackend> Service<B> {
         // timeout. `None` (unrepresentable deadline) waits indefinitely.
         let deadline = Instant::now().checked_add(self.config.timeout);
         recorder.begin("normalize");
-        let request = match CompileRequest::from_json(body) {
-            Ok(request) => request,
-            Err(e) => return (400, "error", http::error_body("parse", &e)),
-        };
-        // Normalization runs user-supplied backend code on the handler
-        // thread; a panic must become a structured error, not a dropped
-        // connection.
-        let normalized = match catch_unwind(AssertUnwindSafe(|| self.backend.normalize(&request))) {
-            Ok(Ok(normalized)) => normalized,
-            Ok(Err(e)) => return (400, "error", http::error_body(e.kind, &e.message)),
-            Err(_) => {
-                return (
-                    500,
-                    "error",
-                    http::error_body(
-                        "compile",
-                        "request normalization panicked; nothing was cached",
-                    ),
-                )
-            }
+        let normalized = match normalize_body(self.backend.as_ref(), body) {
+            Ok(normalized) => normalized,
+            Err((status, body)) => return (status, "error", body),
         };
         ctx.circuit = normalized.circuit.name().to_owned();
         ctx.seed = normalized.seed;
@@ -578,33 +441,19 @@ impl<B: CompileBackend> Service<B> {
     /// The body is verified exactly like a stored manifest before being
     /// trusted; the key↔body binding is the pusher's responsibility —
     /// the router derives the key the same way this server would.
-    fn cache_put(&self, hex: &str, body: &str) -> (u16, &'static str, String) {
-        if self.shutting_down() {
-            return (
-                503,
-                "application/json",
-                http::error_body("shutdown", "server is draining"),
-            );
+    fn cache_put(&self, hex: &str, body: &str) -> Reply {
+        if self.handle.shutting_down() {
+            return error_reply(503, "shutdown", "server is draining");
         }
         let key = (hex.len() == 32)
             .then(|| u128::from_str_radix(hex, 16).ok())
             .flatten();
         let Some(key) = key else {
-            return (
-                400,
-                "application/json",
-                http::error_body(
-                    "usage",
-                    &format!("cache key must be 32 hex digits, got {hex:?}"),
-                ),
-            );
+            let message = format!("cache key must be 32 hex digits, got {hex:?}");
+            return error_reply(400, "usage", &message);
         };
         if let Err(e) = self.verify_stored_guarded(body) {
-            return (
-                400,
-                "application/json",
-                http::error_body(e.kind, &e.message),
-            );
+            return error_reply(400, e.kind, &e.message);
         }
         let key = CacheKey(key);
         let manifest = Arc::new(body.to_owned());
@@ -716,9 +565,11 @@ impl Drop for PanicGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{BackendError, NormalizedRequest};
+    use crate::request::{BackendError, CompileRequest, NormalizedRequest};
     use std::io::{Read as _, Write as _};
-    use std::sync::atomic::AtomicU64;
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::thread;
 
     /// A backend that "compiles" by echoing a deterministic line, with a
     /// configurable delay so tests can exercise timeouts and coalescing.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ppet::cluster::{ClusterConfig, Router, RouterHandle};
+use ppet::cluster::{ClusterConfig, Router};
 use ppet::core::{MercedBackend, MercedConfig};
 use ppet::serve::{
     BackendError, CompileBackend, CompileRequest, NormalizedRequest, ServeConfig, Server,
@@ -33,7 +33,7 @@ fn start_router<B: CompileBackend>(
     backend: B,
     backends: Vec<String>,
     config: ClusterConfig,
-) -> (SocketAddr, RouterHandle, thread::JoinHandle<()>) {
+) -> (SocketAddr, ServerHandle, thread::JoinHandle<()>) {
     let router = Router::bind("127.0.0.1:0", backend, backends, config).unwrap();
     let addr = router.local_addr();
     let handle = router.handle();
@@ -343,4 +343,74 @@ fn losing_every_backend_degrades_to_structured_errors_and_quorum_loss() {
 
     router_handle.shutdown();
     router_join.join().unwrap();
+}
+
+/// Regression: a backend whose `normalize` panics gets the same
+/// structured 500 from the router that `merced serve` sends, not a
+/// dropped connection, and the router stays healthy.
+#[test]
+fn panicking_normalize_answers_a_structured_error_at_the_router() {
+    struct Tantrum;
+    impl CompileBackend for Tantrum {
+        fn normalize(&self, _request: &CompileRequest) -> Result<NormalizedRequest, BackendError> {
+            panic!("normalize kaboom");
+        }
+        fn compile(&self, _normalized: &NormalizedRequest) -> Result<String, BackendError> {
+            unreachable!("normalize never succeeds");
+        }
+    }
+
+    let (backend, compiles) = counting(Duration::ZERO);
+    let (shard, shard_handle, shard_join) = start_backend(backend);
+    let (router, router_handle, router_join) =
+        start_router(Tantrum, vec![shard.to_string()], ClusterConfig::default());
+    let req = CompileRequest::builtin("s27").to_json();
+    let (status, body) = roundtrip(router, "POST", "/compile", &req);
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("\"schema\":\"ppet-error/v1\""), "{body}");
+    assert!(body.contains("\"kind\":\"compile\""), "{body}");
+    assert!(body.contains("normalization panicked"), "{body}");
+    assert_eq!(compiles.load(Ordering::SeqCst), 0, "nothing was proxied");
+    let (status, _) = roundtrip(router, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+
+    router_handle.shutdown();
+    router_join.join().unwrap();
+    shard_handle.shutdown();
+    shard_join.join().unwrap();
+}
+
+/// Regression: a timeout too large to represent as a deadline waits
+/// indefinitely, on the proxying owner and on a coalesced duplicate,
+/// instead of panicking the handler thread and dropping the connection.
+#[test]
+fn an_unrepresentable_router_timeout_waits_instead_of_panicking() {
+    let (backend, compiles) = counting(Duration::from_millis(150));
+    let (shard, shard_handle, shard_join) = start_backend(backend.clone());
+    let config = ClusterConfig {
+        timeout: Duration::MAX,
+        hedge: Duration::from_secs(5),
+        ..ClusterConfig::default()
+    };
+    let (router, router_handle, router_join) =
+        start_router(backend, vec![shard.to_string()], config);
+
+    let req = CompileRequest::builtin("s27").with_seed(19).to_json();
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let req = req.clone();
+            thread::spawn(move || roundtrip(router, "POST", "/compile", &req))
+        })
+        .collect();
+    let replies: Vec<(u16, String)> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    assert_eq!(replies[0].0, 200, "{}", replies[0].1);
+    assert_eq!(replies[0], replies[1], "the duplicate gets identical bytes");
+    assert_eq!(compiles.load(Ordering::SeqCst), 1, "one physical compile");
+    let (_, metrics) = roundtrip(router, "GET", "/metrics", "");
+    assert_eq!(metric(&metrics, "cluster_coalesced "), 1, "{metrics}");
+
+    router_handle.shutdown();
+    router_join.join().unwrap();
+    shard_handle.shutdown();
+    shard_join.join().unwrap();
 }
