@@ -724,6 +724,26 @@ mod tests {
     }
 
     #[test]
+    fn large_bodies_are_rejected_in_linear_time() {
+        let (addr, handle, join) = start(Duration::ZERO, ServeConfig::default());
+        let body = format!(
+            "{{\"schema\":\"nope\",\"pad\":\"{}\"}}",
+            "x".repeat(2 << 20)
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = thread::spawn(move || tx.send(roundtrip(addr, "POST", "/compile", &body)));
+        let (status, body) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a 2 MiB body must be answered well within 10 s");
+        client.join().unwrap().unwrap();
+        assert_eq!(status, 400);
+        assert!(body.contains("\"schema\":\"ppet-error/v1\""), "{body}");
+        assert!(body.contains("unsupported schema"), "{body}");
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    #[test]
     fn slow_compiles_time_out_with_a_structured_error() {
         let config = ServeConfig {
             timeout: Duration::from_millis(30),

@@ -297,17 +297,30 @@ impl Parser<'_> {
         }
     }
 
+    /// One linear pass: each run of plain bytes up to the next `"` or `\`
+    /// is validated and copied whole. Both delimiters are ASCII, so a run
+    /// of a `&str` input is always valid UTF-8 on its own.
     fn string(&mut self) -> Result<String, ParseError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            let text = std::str::from_utf8(&self.bytes[start..start + run])
+                .map_err(|_| self.error("invalid utf-8"))?;
+            out.push_str(text);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -320,39 +333,42 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             self.pos += 1;
-                            let unit = self.hex4()?;
-                            // Surrogate pair: expect a following \uXXXX.
-                            let c = if (0xD800..0xDC00).contains(&unit) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.eat(b'u')?;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((u32::from(unit) - 0xD800) << 10)
-                                        + (u32::from(low) - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
+                            let unit = u32::from(self.hex4()?);
+                            // A high surrogate combines only with a
+                            // following low-surrogate escape; a lone one
+                            // decodes to U+FFFD and the next escape, if
+                            // any, decodes on its own.
+                            let code = if (0xD800..0xDC00).contains(&unit) {
+                                self.low_surrogate()
+                                    .map(|low| 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00))
                             } else {
-                                char::from_u32(u32::from(unit))
+                                Some(unit)
                             };
-                            out.push(c.unwrap_or('\u{fffd}'));
+                            out.push(code.and_then(char::from_u32).unwrap_or('\u{fffd}'));
                             continue;
                         }
                         _ => return Err(self.error("bad escape")),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Multi-byte UTF-8 is passed through unchanged; find
-                    // the char at this byte offset via the str view.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            }
+        }
+    }
+
+    /// Consumes a `\uXXXX` escape if it encodes a low surrogate
+    /// (DC00–DFFF) and returns its unit; otherwise leaves the cursor where
+    /// it was.
+    fn low_surrogate(&mut self) -> Option<u32> {
+        let start = self.pos;
+        if self.bytes.get(start..start + 2) != Some(b"\\u".as_slice()) {
+            return None;
+        }
+        self.pos += 2;
+        match self.hex4() {
+            Ok(low) if (0xDC00..0xE000).contains(&low) => Some(u32::from(low)),
+            _ => {
+                self.pos = start;
+                None
             }
         }
     }
@@ -464,6 +480,43 @@ mod tests {
         assert_eq!(v.as_str(), Some("😀"));
         let v = parse("\"\\u00e9\"").unwrap();
         assert_eq!(v.as_str(), Some("é"));
+    }
+
+    #[test]
+    fn high_surrogate_before_a_non_low_escape_decodes_both() {
+        // 0x0041 is no low surrogate: combining it would underflow
+        // `low - 0xDC00` (a panic in debug, a bogus U+2441 in release).
+        let v = parse(r#""\uD800\u0041""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{fffd}A"));
+    }
+
+    #[test]
+    fn high_surrogate_before_another_pair_keeps_the_pair() {
+        // A second high surrogate is not a low half; the pair it opens
+        // must still decode.
+        let v = parse(r#""\uD800\uD83D\uDE00""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{fffd}😀"));
+    }
+
+    #[test]
+    fn high_surrogate_before_a_short_escape_is_well_formed() {
+        let v = parse(r#""\uD800\n""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{fffd}\n"));
+        assert!(parse(r#""\uD800\uZZZZ""#).is_err());
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        let unit = "plain ascii run, é ü 中文 😀 \"quoted\" back\\slash\n\t\u{1} ";
+        let source = unit.repeat((1 << 20) / unit.len() + 1);
+        let doc = escaped(&source);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || tx.send(parse(&doc)));
+        let decoded = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a 1 MiB string must decode well within 10 s");
+        worker.join().unwrap().unwrap();
+        assert_eq!(decoded.unwrap(), Value::Str(source));
     }
 
     #[test]

@@ -39,6 +39,11 @@ echo "==> release-profile input validation (Dijkstra NaN/negative rejection)"
 # a debug_assert!, so only a release-profile run proves it is always on.
 cargo test -q --release -p ppet-graph --lib rejected
 
+echo "==> release-profile JSON decoder (surrogate escapes, linear-time strings)"
+# A high surrogate before a non-low escape wrapped silently in release
+# (it panicked only in debug), so only a release-profile run proves the fix.
+cargo test -q --release -p ppet-trace --lib json
+
 echo "==> manifest parity: PPET_JOBS=1 vs PPET_JOBS=max"
 scripts/parity.sh
 
