@@ -40,13 +40,7 @@ const CYCLE_SAMPLES: usize = 16;
 
 pub(crate) fn check(ctx: &Ctx<'_>, report: &mut AuditReport) -> Option<CutRealization> {
     let subject = ctx.subject;
-    let rg = match RetimeGraph::from_graph(&ctx.graph) {
-        Ok(rg) => rg,
-        Err(e) => {
-            report.fail(AuditCode::RetimeWitness, format!("no retime graph: {e}"));
-            return None;
-        }
-    };
+    let rg = RetimeGraph::from_graph(&ctx.graph);
     let io = match subject.policy {
         RetimingPolicy::PaperScc => IoLatency::Flexible,
         RetimingPolicy::Solver(io) => io,
@@ -187,13 +181,7 @@ fn verify_lags(
 pub fn verify_recorded_witness(circuit: &Circuit, witness: &str) -> AuditReport {
     let mut report = AuditReport::default();
     let graph = CircuitGraph::from_circuit(circuit);
-    let rg = match RetimeGraph::from_graph(&graph) {
-        Ok(rg) => rg,
-        Err(e) => {
-            report.fail(AuditCode::RetimeWitness, format!("no retime graph: {e}"));
-            return report;
-        }
-    };
+    let rg = RetimeGraph::from_graph(&graph);
     let (lags, covered) = match parse_witness(witness, rg.num_nodes(), circuit.num_cells()) {
         Ok(pair) => pair,
         Err(problem) => {
@@ -334,7 +322,7 @@ mod tests {
     fn witness_round_trips_through_serialization() {
         let c = data::s27();
         let graph = CircuitGraph::from_circuit(&c);
-        let rg = RetimeGraph::from_graph(&graph).unwrap();
+        let rg = RetimeGraph::from_graph(&graph);
         let cut = c.find("G10").unwrap(); // already feeds DFF G5
         let real = CutRealizer::new(&rg).realize(&[cut]);
         let witness = serialize_witness(&real.retiming, &real.covered);
@@ -353,7 +341,7 @@ mod tests {
     fn corrupted_lag_fails_legality_or_coverage() {
         let c = data::s27();
         let graph = CircuitGraph::from_circuit(&c);
-        let rg = RetimeGraph::from_graph(&graph).unwrap();
+        let rg = RetimeGraph::from_graph(&graph);
         let cut = c.find("G10").unwrap();
         let real = CutRealizer::new(&rg).realize(&[cut]);
         // Perturb one lag: pushing a node by 3 must break an adjacent
@@ -381,7 +369,7 @@ mod tests {
     fn sampled_cycles_are_real_cycles() {
         let c = data::s27();
         let graph = CircuitGraph::from_circuit(&c);
-        let rg = RetimeGraph::from_graph(&graph).unwrap();
+        let rg = RetimeGraph::from_graph(&graph);
         let cycles = sample_cycles(&rg, 16);
         assert!(!cycles.is_empty(), "s27 has feedback loops");
         for cycle in &cycles {

@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
         let record = table9::find(name).expect("known circuit");
         let circuit = ppet_bench::build_circuit(record);
         let graph = CircuitGraph::from_circuit(&circuit);
-        let rg = RetimeGraph::from_graph(&graph).expect("no register rings");
+        let rg = RetimeGraph::from_graph(&graph);
         // A ~5% random cut set.
         let mut rng = Xoshiro256PlusPlus::seed_from(11);
         let cuts: Vec<NetId> = graph

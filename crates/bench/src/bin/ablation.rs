@@ -245,7 +245,7 @@ fn min_area_retiming() {
         let profile = saturate_network(&graph, &FlowParams::paper(), 1996);
         let grouped = make_group(&graph, &scc, &profile, &MakeGroupParams::new(LK));
         let assigned = assign_cbit(&graph, grouped.clustering, LK);
-        let rg = RetimeGraph::from_graph(&graph).expect("no register rings");
+        let rg = RetimeGraph::from_graph(&graph);
         let real = CutRealizer::new(&rg).realize(&assigned.cut_nets);
         let demands: Vec<i64> = rg
             .edges()

@@ -8,6 +8,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
+
 use ppet_core::{Merced, MercedConfig, PpetReport};
 use ppet_flow::FlowParams;
 use ppet_netlist::data::table9::{BenchmarkRecord, TABLE9};

@@ -124,18 +124,10 @@ pub fn with_retiming_scc(graph: &CircuitGraph, scc: &Scc, cuts: &[NetId]) -> Are
 /// Slower than [`with_retiming_scc`] but exact per cycle (the per-SCC rule
 /// is an aggregate approximation).
 #[must_use]
-pub fn with_retiming_solver(
-    circuit: &Circuit,
-    cuts: &[NetId],
-    io: IoLatency,
-) -> Option<AreaBreakdown> {
-    let graph = CircuitGraph::from_circuit(circuit);
-    let rg = RetimeGraph::from_graph(&graph).ok()?;
+pub fn with_retiming_solver(graph: &CircuitGraph, cuts: &[NetId], io: IoLatency) -> AreaBreakdown {
+    let rg = RetimeGraph::from_graph(graph);
     let real = CutRealizer::new(&rg).io_latency(io).realize(cuts);
-    Some(AreaBreakdown::from_counts(
-        real.covered.len(),
-        real.excess.len(),
-    ))
+    AreaBreakdown::from_counts(real.covered.len(), real.excess.len())
 }
 
 /// Fully realized with-retiming accounting: like
@@ -155,7 +147,7 @@ pub fn realized_with_retiming(
     io: IoLatency,
 ) -> Option<RealizedRetimingCost> {
     let graph = CircuitGraph::from_circuit(circuit);
-    let rg = RetimeGraph::from_graph(&graph).ok()?;
+    let rg = RetimeGraph::from_graph(&graph);
     let real = CutRealizer::new(&rg).io_latency(io).realize(cuts);
     let demands: Vec<i64> = rg
         .edges()
@@ -295,7 +287,7 @@ mod tests {
         let (c, g, scc) = setup();
         let cuts = [c.find("G10").unwrap()]; // register already there
         let paper = with_retiming_scc(&g, &scc, &cuts);
-        let solver = with_retiming_solver(&c, &cuts, IoLatency::Flexible).unwrap();
+        let solver = with_retiming_solver(&g, &cuts, IoLatency::Flexible);
         assert_eq!(paper, solver);
     }
 

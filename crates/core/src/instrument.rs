@@ -89,8 +89,7 @@ pub struct Instrumented {
 ///
 /// # Errors
 ///
-/// Returns [`MercedError::CombinationalCycle`] for non-synchronous input
-/// and [`MercedError::EmptyCircuit`] for circuits with register-only rings.
+/// Returns [`MercedError::CombinationalCycle`] for non-synchronous input.
 ///
 /// # Examples
 ///
@@ -148,7 +147,7 @@ pub fn insert_test_hardware_traced(
         return Err(MercedError::CombinationalCycle { cell });
     }
     let graph = CircuitGraph::from_circuit(circuit);
-    let rg = RetimeGraph::from_graph(&graph).map_err(|_| MercedError::EmptyCircuit)?;
+    let rg = RetimeGraph::from_graph(&graph);
     let all_cuts: Vec<NetId> = cut_groups.iter().flatten().copied().collect();
     let realization = CutRealizer::new(&rg)
         .io_latency(IoLatency::Flexible)

@@ -270,10 +270,7 @@ impl Merced {
         // Area comparison (Table 12).
         let with_retiming = match self.config.cost_policy {
             CostPolicy::PaperScc => cost::with_retiming_scc(&graph, &scc, &cuts),
-            CostPolicy::Solver => {
-                cost::with_retiming_solver(circuit, &cuts, self.config.io_latency)
-                    .unwrap_or_else(|| cost::with_retiming_scc(&graph, &scc, &cuts))
-            }
+            CostPolicy::Solver => cost::with_retiming_solver(&graph, &cuts, self.config.io_latency),
         };
         let without_retiming = cost::without_retiming(&graph, &cuts);
         let circuit_area = cost::circuit_area_units(circuit);

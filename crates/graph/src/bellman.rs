@@ -11,9 +11,18 @@
 //! (`r(u) − r(v) ≤ w(e) − 1`) in this form. When the system is infeasible,
 //! [`DifferenceConstraints::solve`] returns the constraints on one negative
 //! cycle, letting the caller drop the cheapest requirement (that cut then
-//! pays for multiplexed test hardware instead, paper §2.3).
+//! pays for multiplexed test hardware instead, paper §2.3), loosen the
+//! bounds it implied with [`DifferenceConstraints::raise_bound`], and
+//! solve again.
+//!
+//! The solver is in-place Bellman–Ford, change-driven: it keeps the round
+//! structure and constraint order of the textbook pass but re-examines a
+//! constraint only when its source's distance dropped since the constraint
+//! was last examined. Every skipped check is one that could not have
+//! relaxed, so it relaxes exactly what the full pass relaxes, in the same
+//! order, and ends in the same state (DESIGN.md §16).
 
-use std::collections::VecDeque;
+use std::cell::OnceCell;
 
 /// One constraint `x_u − x_v ≤ w`, with a caller-supplied tag for
 /// identifying it in negative-cycle reports.
@@ -60,6 +69,44 @@ pub enum Solution<T> {
 pub struct DifferenceConstraints<T> {
     n: usize,
     constraints: Vec<Constraint<T>>,
+    /// The out-lists of the constraint graph, built by the first solve
+    /// after the last [`add`](Self::add) and kept across bound changes.
+    out: OnceCell<OutLists>,
+}
+
+/// CSR out-lists: for each variable `v`, the indices (ascending) of the
+/// constraints whose source is `v` — the ones a drop of `x_v` may relax.
+#[derive(Debug, Clone)]
+struct OutLists {
+    start: Vec<usize>,
+    list: Vec<usize>,
+}
+
+impl OutLists {
+    fn of<T>(n: usize, constraints: &[Constraint<T>]) -> Self {
+        let mut start = vec![0usize; n + 1];
+        for c in constraints {
+            start[c.v + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        let mut list = vec![0usize; constraints.len()];
+        for (ci, c) in constraints.iter().enumerate() {
+            list[fill[c.v]] = ci;
+            fill[c.v] += 1;
+        }
+        Self { start, list }
+    }
+
+    fn of_node(&self, v: usize) -> &[usize] {
+        &self.list[self.start[v]..self.start[v + 1]]
+    }
+}
+
+fn mark(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
 }
 
 impl<T: Clone> DifferenceConstraints<T> {
@@ -69,6 +116,7 @@ impl<T: Clone> DifferenceConstraints<T> {
         Self {
             n,
             constraints: Vec::new(),
+            out: OnceCell::new(),
         }
     }
 
@@ -80,6 +128,18 @@ impl<T: Clone> DifferenceConstraints<T> {
     pub fn add(&mut self, u: usize, v: usize, w: i64, tag: T) {
         assert!(u < self.n && v < self.n, "variable index out of range");
         self.constraints.push(Constraint { u, v, w, tag });
+        self.out.take();
+    }
+
+    /// Raises the bound of the `index`-th added constraint by `by`, keeping
+    /// its position in the constraint order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn raise_bound(&mut self, index: usize, by: i64) {
+        let c = &mut self.constraints[index];
+        c.w = c.w.saturating_add(by);
     }
 
     /// Number of constraints added so far.
@@ -94,82 +154,90 @@ impl<T: Clone> DifferenceConstraints<T> {
         self.constraints.is_empty()
     }
 
-    /// Solves the system with SPFA (queue-based Bellman–Ford).
+    /// Solves the system with change-driven in-place Bellman–Ford.
     ///
-    /// Runs in `O(V · E)` worst case but typically far less. A node
-    /// enqueued more than `V` times signals a negative cycle; the cycle is
-    /// then extracted by a full Bellman–Ford pass whose predecessor graph
-    /// provably contains one (the SPFA trigger alone does not say *where*).
+    /// All distances start at 0 (the virtual source's zero-weight edges).
+    /// Each round walks the constraints in the order they were added, but
+    /// examines only those whose source's distance dropped since they were
+    /// last examined, tracked in two bitsets: a relaxation at constraint
+    /// `i` lowering `x_u` marks `u`'s out-constraints `j > i` for this
+    /// round and `j ≤ i` for the next. The first round examines only the
+    /// negative bounds, since nothing else can relax from all-zero
+    /// distances.
+    ///
+    /// A round that relaxes nothing proves the system feasible; the
+    /// distances are then the unique shortest distances from the virtual
+    /// source. If the `n`-th round still relaxes, the system is infeasible
+    /// and the predecessor graph — the same one the full `n`-round pass
+    /// builds — contains a negative cycle, found by a colored walk in
+    /// `O(n)`. The worst case remains `O(n · m)` checks; the change-driven
+    /// rounds skip the checks that cannot relax.
     #[must_use]
     pub fn solve(&self) -> Solution<T> {
-        // Constraint x_u - x_v <= w  ==>  edge v -> u with weight w.
-        // Virtual source connects to every variable with weight 0; it is
-        // modeled by starting with all distances 0 and everything enqueued.
         let n = self.n;
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n]; // indices into constraints, keyed by v
-        for (ci, c) in self.constraints.iter().enumerate() {
-            adj[c.v].push(ci);
-        }
+        let out = self.out.get_or_init(|| OutLists::of(n, &self.constraints));
+        let words = self.constraints.len().div_ceil(64);
         let mut dist = vec![0i64; n];
-        let mut in_queue = vec![true; n];
-        let mut enqueues = vec![1usize; n];
-        let mut queue: VecDeque<usize> = (0..n).collect();
-
-        while let Some(v) = queue.pop_front() {
-            in_queue[v] = false;
-            for &ci in &adj[v] {
-                let c = &self.constraints[ci];
-                let nd = dist[v].saturating_add(c.w);
-                if nd < dist[c.u] {
-                    dist[c.u] = nd;
-                    if !in_queue[c.u] {
-                        enqueues[c.u] += 1;
-                        if enqueues[c.u] > n {
-                            let cycle = self
-                                .find_negative_cycle()
-                                .expect("SPFA over-enqueue implies a negative cycle");
-                            return Solution::NegativeCycle(cycle);
+        let mut pred: Vec<Option<usize>> = vec![None; n];
+        let mut now = vec![0u64; words];
+        let mut next = vec![0u64; words];
+        for (ci, c) in self.constraints.iter().enumerate() {
+            if c.w < 0 {
+                mark(&mut now, ci);
+            }
+        }
+        let mut relaxed = false;
+        for _ in 0..n {
+            relaxed = false;
+            for word in 0..words {
+                // The word's pending bits live in a register; a relaxation
+                // adds later bits of this word there, and of later words to
+                // `now` itself.
+                let mut bits = std::mem::take(&mut now[word]);
+                while bits != 0 {
+                    let ci = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let Constraint { u, v, w, .. } = self.constraints[ci];
+                    let nd = dist[v].saturating_add(w);
+                    if nd < dist[u] {
+                        dist[u] = nd;
+                        pred[u] = Some(ci);
+                        relaxed = true;
+                        for &cj in out.of_node(u) {
+                            if cj <= ci {
+                                mark(&mut next, cj);
+                            } else if cj / 64 == word {
+                                bits |= 1 << (cj % 64);
+                            } else {
+                                mark(&mut now, cj);
+                            }
                         }
-                        in_queue[c.u] = true;
-                        queue.push_back(c.u);
                     }
                 }
             }
+            if !relaxed {
+                break;
+            }
+            std::mem::swap(&mut now, &mut next);
         }
-        Solution::Feasible(dist)
+        if !relaxed {
+            return Solution::Feasible(dist);
+        }
+        Solution::NegativeCycle(
+            self.cycle_in(&pred)
+                .expect("a relaxation in round n implies a negative cycle"),
+        )
     }
 
-    /// Full Bellman–Ford negative-cycle extraction: `n` relaxation rounds
-    /// with predecessor tracking; if the final round still relaxes, the
-    /// predecessor graph contains a cycle (were it a forest, all distances
-    /// would be simple-path weights and stable by round `n − 1`), which a
-    /// colored walk over every chain finds in `O(V)`.
-    fn find_negative_cycle(&self) -> Option<Vec<Constraint<T>>> {
-        let n = self.n;
-        let mut dist = vec![0i64; n];
-        let mut pred: Vec<Option<usize>> = vec![None; n];
-        let mut relaxed_in_last_round = false;
-        for _ in 0..n {
-            relaxed_in_last_round = false;
-            for (ci, c) in self.constraints.iter().enumerate() {
-                let nd = dist[c.v].saturating_add(c.w);
-                if nd < dist[c.u] {
-                    dist[c.u] = nd;
-                    pred[c.u] = Some(ci);
-                    relaxed_in_last_round = true;
-                }
-            }
-            if !relaxed_in_last_round {
-                return None;
-            }
-        }
-        if !relaxed_in_last_round {
-            return None;
-        }
+    /// Finds a cycle in the predecessor graph left by `n` relaxation rounds
+    /// that still relaxed in the last one: were it a forest, all distances
+    /// would be simple-path weights and stable by round `n − 1`. A colored
+    /// walk over every chain finds it in `O(V)`.
+    fn cycle_in(&self, pred: &[Option<usize>]) -> Option<Vec<Constraint<T>>> {
         // Colored predecessor walk: 0 = unvisited, 1 = on current walk,
         // 2 = finished.
-        let mut color = vec![0u8; n];
-        for start in 0..n {
+        let mut color = vec![0u8; self.n];
+        for start in 0..self.n {
             if color[start] != 0 {
                 continue;
             }
@@ -204,11 +272,41 @@ impl<T: Clone> DifferenceConstraints<T> {
         }
         None
     }
+
+    /// The plain pass [`solve`](Self::solve) must reproduce: `n` full
+    /// in-place rounds over every constraint, stopping early at a round
+    /// that relaxes nothing.
+    #[cfg(test)]
+    fn solve_reference(&self) -> Solution<T> {
+        let n = self.n;
+        let mut dist = vec![0i64; n];
+        let mut pred: Vec<Option<usize>> = vec![None; n];
+        let mut relaxed = false;
+        for _ in 0..n {
+            relaxed = false;
+            for (ci, c) in self.constraints.iter().enumerate() {
+                let nd = dist[c.v].saturating_add(c.w);
+                if nd < dist[c.u] {
+                    dist[c.u] = nd;
+                    pred[c.u] = Some(ci);
+                    relaxed = true;
+                }
+            }
+            if !relaxed {
+                break;
+            }
+        }
+        if !relaxed {
+            return Solution::Feasible(dist);
+        }
+        Solution::NegativeCycle(self.cycle_in(&pred).expect("negative cycle"))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn trivial_system_is_feasible() {
@@ -309,5 +407,57 @@ mod tests {
     fn out_of_range_variable_rejected() {
         let mut sys = DifferenceConstraints::new(2);
         sys.add(0, 5, 1, ());
+    }
+
+    #[test]
+    fn raised_bounds_are_seen_by_the_next_solve() {
+        let mut sys = DifferenceConstraints::new(2);
+        sys.add(0, 1, 1, "a");
+        sys.add(1, 0, -2, "b");
+        assert!(matches!(sys.solve(), Solution::NegativeCycle(_)));
+        sys.raise_bound(1, 1); // x1 - x0 <= -1: the cycle now sums to 0
+        assert_eq!(sys.solve(), Solution::Feasible(vec![0, -1]));
+        sys.add(0, 0, -1, "self");
+        assert!(matches!(sys.solve(), Solution::NegativeCycle(c) if c.len() == 1));
+    }
+
+    /// A random system of `n` variables from a flat list of
+    /// `(u, v, w)` picks: self-loops, duplicates, zero and negative bounds
+    /// all occur, and so do negative cycles.
+    fn system(n: usize, picks: &[(usize, usize, i64)]) -> DifferenceConstraints<usize> {
+        let mut sys = DifferenceConstraints::new(n);
+        for (k, &(u, v, w)) in picks.iter().enumerate() {
+            sys.add(u % n, v % n, w, k);
+        }
+        sys
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The change-driven pass answers exactly what the full `n`-round
+        /// pass answers: the same distance vector when feasible, the same
+        /// cycle (constraints, tags and order) when not. A prefix of the
+        /// picks is added twice, so duplicates always occur; systems of
+        /// more than 64 constraints span several bitset words.
+        #[test]
+        fn solve_matches_the_full_pass(
+            n in 1usize..40,
+            picks in proptest::collection::vec((0usize..40, 0usize..40, -3i64..6), 0..160),
+            duplicated in 0usize..40,
+            loosen in proptest::collection::vec((0usize..200, 0i64..3), 0..6),
+        ) {
+            let mut picks = picks;
+            picks.extend_from_within(..duplicated.min(picks.len()));
+            let mut sys = system(n, &picks);
+            prop_assert_eq!(sys.solve(), sys.solve_reference());
+            // Re-solving after raised bounds reuses the out-lists.
+            for &(k, by) in &loosen {
+                if k < sys.len() {
+                    sys.raise_bound(k, by);
+                    prop_assert_eq!(sys.solve(), sys.solve_reference());
+                }
+            }
+        }
     }
 }

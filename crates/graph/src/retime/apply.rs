@@ -47,7 +47,8 @@ impl fmt::Display for ApplyRetimingError {
 impl Error for ApplyRetimingError {}
 
 /// Number of registers the circuit will contain after applying `r`, with
-/// fan-out sharing.
+/// fan-out sharing. The registers of register-only rings never move and
+/// count once each.
 ///
 /// # Examples
 ///
@@ -56,7 +57,7 @@ impl Error for ApplyRetimingError {}
 /// use ppet_netlist::data;
 ///
 /// let g = CircuitGraph::from_circuit(&data::s27());
-/// let rg = RetimeGraph::from_graph(&g).unwrap();
+/// let rg = RetimeGraph::from_graph(&g);
 /// let identity = vec![0i64; rg.num_nodes()];
 /// assert_eq!(shared_register_count(&rg, &identity), 3);
 /// ```
@@ -72,15 +73,18 @@ pub fn shared_register_count(rg: &RetimeGraph, r: &Retiming) -> usize {
             .max()
             .unwrap_or(0);
         total += max_w.max(0);
+        if matches!(rg.nodes()[node], RNodeKind::Ring(_)) {
+            total += 1;
+        }
     }
     usize::try_from(total).unwrap_or(0)
 }
 
 /// Applies a legal retiming to `circuit`, producing the retimed circuit.
 ///
-/// Combinational cells keep their names; registers are re-created with
-/// `<driver>__rt<k>` names. Primary outputs are reattached at their retimed
-/// depths.
+/// Combinational cells and the registers of register-only rings keep
+/// their names; other registers are re-created with `<driver>__rt<k>`
+/// names. Primary outputs are reattached at their retimed depths.
 ///
 /// # Errors
 ///
@@ -96,7 +100,7 @@ pub fn shared_register_count(rg: &RetimeGraph, r: &Retiming) -> usize {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let circuit = data::s27();
 /// let g = CircuitGraph::from_circuit(&circuit);
-/// let rg = RetimeGraph::from_graph(&g)?;
+/// let rg = RetimeGraph::from_graph(&g);
 /// let identity = vec![0i64; rg.num_nodes()];
 /// let same = apply(&circuit, &rg, &identity)?;
 /// assert_eq!(same.num_flip_flops(), 3);
@@ -123,7 +127,7 @@ pub fn apply(
     let mut new_id: Vec<Option<CellId>> = vec![None; circuit.num_cells()];
     for (id, cell) in circuit.iter() {
         match cell.kind() {
-            CellKind::Dff => {}
+            CellKind::Dff if rg.rnode_of(id).is_none() => {}
             CellKind::Input => {
                 let nid = out.add_input(cell.name()).expect("unique names");
                 new_id[id.index()] = Some(nid);
@@ -143,10 +147,10 @@ pub fn apply(
     for (ni, kind) in rg.nodes().iter().enumerate() {
         let node = crate::retime::weights::RNodeId(ni as u32);
         let cell = match kind {
-            RNodeKind::Input(c) | RNodeKind::Comb(c) => *c,
+            RNodeKind::Input(c) | RNodeKind::Comb(c) | RNodeKind::Ring(c) => *c,
             RNodeKind::Output(_) => continue,
         };
-        let base = new_id[cell.index()].expect("comb/PI created");
+        let base = new_id[cell.index()].expect("node cells are created");
         let max_w = rg
             .out_edges(node)
             .iter()
@@ -170,7 +174,7 @@ pub fn apply(
     //    by cell p is the chain of p's origin at the retimed depth.
     let signal_at = |driver: CellId, consumer_rnode: crate::retime::weights::RNodeId| -> CellId {
         let (origin, _depth) = rg.chain_of(driver);
-        let origin_rnode = rg.rnode_of(origin).expect("origin is comb/PI");
+        let origin_rnode = rg.rnode_of(origin).expect("chain origins are nodes");
         // Retimed depth of this connection = w(e) + r(to) − r(from) for the
         // edge origin→consumer; equivalently depth + r(to) − r(origin) works
         // for every edge of the same (origin, consumer, weight) class.
@@ -182,11 +186,15 @@ pub fn apply(
     };
 
     for (id, cell) in circuit.iter() {
-        if !cell.kind().is_combinational() {
+        let fanin: Vec<CellId> = if cell.kind().is_combinational() {
+            let rnode = rg.rnode_of(id).expect("comb cell has rnode");
+            cell.fanin().iter().map(|&p| signal_at(p, rnode)).collect()
+        } else if cell.kind() == CellKind::Dff && rg.rnode_of(id).is_some() {
+            // A ring register keeps its ring predecessor as its D input.
+            vec![new_id[cell.fanin()[0].index()].expect("ring register created")]
+        } else {
             continue;
-        }
-        let rnode = rg.rnode_of(id).expect("comb cell has rnode");
-        let fanin: Vec<CellId> = cell.fanin().iter().map(|&p| signal_at(p, rnode)).collect();
+        };
         out.set_fanin(new_id[id.index()].expect("created"), fanin)
             .expect("drivers exist and arity is preserved");
     }
@@ -224,8 +232,26 @@ mod tests {
 
     fn setup(c: &Circuit) -> (CircuitGraph, RetimeGraph) {
         let g = CircuitGraph::from_circuit(c);
-        let rg = RetimeGraph::from_graph(&g).unwrap();
+        let rg = RetimeGraph::from_graph(&g);
         (g, rg)
+    }
+
+    #[test]
+    fn register_only_ring_survives_retiming_in_place() {
+        let c = bench_format::parse(
+            "ring",
+            "INPUT(a)\nOUTPUT(y)\nq1 = DFF(q2)\nq2 = DFF(q1)\nq3 = DFF(q1)\n\
+             g1 = AND(a, q3)\ny = NOT(g1)\n",
+        )
+        .unwrap();
+        let (_, rg) = setup(&c);
+        let identity = vec![0i64; rg.num_nodes()];
+        assert_eq!(shared_register_count(&rg, &identity), 3);
+        let out = apply(&c, &rg, &identity).unwrap();
+        assert_eq!(out.num_flip_flops(), 3);
+        let [q1, q2] = ["q1", "q2"].map(|n| out.find(n).expect("ring register keeps its name"));
+        assert_eq!(out.cell(q1).fanin(), &[q2]);
+        assert_eq!(out.cell(q2).fanin(), &[q1]);
     }
 
     #[test]
@@ -283,7 +309,7 @@ mod tests {
         );
 
         let g_after = CircuitGraph::from_circuit(&out);
-        let rg_after = RetimeGraph::from_graph(&g_after).unwrap();
+        let rg_after = RetimeGraph::from_graph(&g_after);
         for (id, cell) in c.iter() {
             if !cell.kind().is_combinational() {
                 continue;

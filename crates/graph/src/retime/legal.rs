@@ -19,7 +19,7 @@ pub type Retiming = Vec<i64>;
 /// use ppet_netlist::data;
 ///
 /// let g = CircuitGraph::from_circuit(&data::s27());
-/// let rg = RetimeGraph::from_graph(&g).unwrap();
+/// let rg = RetimeGraph::from_graph(&g);
 /// let identity = vec![0i64; rg.num_nodes()];
 /// for (i, e) in rg.edges().iter().enumerate() {
 ///     let id = ppet_graph::retime::EdgeId::from_index(i);
@@ -92,7 +92,7 @@ mod tests {
 
     fn rg() -> RetimeGraph {
         let g = CircuitGraph::from_circuit(&data::s27());
-        RetimeGraph::from_graph(&g).unwrap()
+        RetimeGraph::from_graph(&g)
     }
 
     #[test]

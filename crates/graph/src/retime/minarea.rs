@@ -64,7 +64,7 @@ pub struct MinAreaResult {
 /// // the boundary.
 /// let c = data::shift_register(4);
 /// let g = CircuitGraph::from_circuit(&c);
-/// let rg = RetimeGraph::from_graph(&g).unwrap();
+/// let rg = RetimeGraph::from_graph(&g);
 /// let result = minimize_registers(&rg, &[]).expect("legality is satisfiable");
 /// let original: i64 = rg.edges().iter().map(|e| i64::from(e.weight)).sum();
 /// assert!(result.total_registers <= original);
@@ -136,7 +136,7 @@ pub fn minimize_registers(rg: &RetimeGraph, demands: &[i64]) -> Option<MinAreaRe
 /// use ppet_netlist::data;
 ///
 /// let g = CircuitGraph::from_circuit(&data::s27());
-/// let rg = RetimeGraph::from_graph(&g).unwrap();
+/// let rg = RetimeGraph::from_graph(&g);
 /// let result = minimize_shared_registers(&rg, &[]).expect("satisfiable");
 /// assert!(result.total_registers <= 3); // s27 has 3 registers to begin with
 /// ```
@@ -262,7 +262,7 @@ mod tests {
 
     fn rg_of(c: &Circuit) -> RetimeGraph {
         let g = CircuitGraph::from_circuit(c);
-        RetimeGraph::from_graph(&g).unwrap()
+        RetimeGraph::from_graph(&g)
     }
 
     fn edge_sum(rg: &RetimeGraph, r: &Retiming) -> i64 {

@@ -8,7 +8,8 @@
 //! The module is organized around three pieces:
 //!
 //! * [`RetimeGraph`] — the register-weighted graph `G_r`: nodes are
-//!   combinational cells plus primary inputs and virtual output sinks;
+//!   combinational cells plus primary inputs, virtual output sinks, and
+//!   the registers of register-only rings as fixed sources;
 //!   each edge is a register chain between two of them, annotated with the
 //!   original nets it passes through so partition cut nets can be mapped
 //!   onto it;
@@ -35,4 +36,4 @@ pub use apply::{apply, shared_register_count, ApplyRetimingError};
 pub use legal::{is_legal, path_weight, retimed_path_weight, retimed_weight, Retiming};
 pub use minarea::{minimize_registers, minimize_shared_registers, MinAreaResult};
 pub use solver::{CutRealization, CutRealizer, IoLatency};
-pub use weights::{BuildRetimeGraphError, EdgeId, REdge, RNodeId, RNodeKind, RetimeGraph};
+pub use weights::{EdgeId, REdge, RNodeId, RNodeKind, RetimeGraph};

@@ -64,7 +64,7 @@ pub struct CutRealization {
 ///
 /// let circuit = data::s27();
 /// let g = CircuitGraph::from_circuit(&circuit);
-/// let rg = RetimeGraph::from_graph(&g).unwrap();
+/// let rg = RetimeGraph::from_graph(&g);
 /// // Ask for a register on G10's output (it already has one: DFF G5).
 /// let cut = circuit.find("G10").unwrap();
 /// let result = CutRealizer::new(&rg).realize(&[cut]);
@@ -107,40 +107,42 @@ impl<'g> CutRealizer<'g> {
         let mut excess: Vec<NetId> = Vec::new();
         let mut iterations = 0;
 
+        // One constraint per edge, in edge order: legality less one
+        // register per active cut the chain crosses. Dropping a cut later
+        // raises only the bounds of the edges through it.
+        let mut demand = vec![0i64; rg.edges().len()];
+        for &net in &active {
+            for &e in rg.edges_on_net(net) {
+                demand[e.index()] += 1;
+            }
+        }
+        let mut sys: DifferenceConstraints<Option<EdgeId>> =
+            DifferenceConstraints::new(rg.num_nodes());
+        for (i, e) in rg.edges().iter().enumerate() {
+            sys.add(
+                e.from.index(),
+                e.to.index(),
+                i64::from(e.weight) - demand[i],
+                Some(EdgeId::from_index(i)),
+            );
+        }
+        // Optional I/O tie: chain all IO nodes with 0/0 constraints.
+        if self.io == IoLatency::Fixed {
+            let ios: Vec<usize> = rg
+                .nodes()
+                .iter()
+                .enumerate()
+                .filter(|(_, k)| matches!(k, RNodeKind::Input(_) | RNodeKind::Output(_)))
+                .map(|(i, _)| i)
+                .collect();
+            for pair in ios.windows(2) {
+                sys.add(pair[0], pair[1], 0, None);
+                sys.add(pair[1], pair[0], 0, None);
+            }
+        }
+
         loop {
             iterations += 1;
-            let mut sys: DifferenceConstraints<Option<EdgeId>> =
-                DifferenceConstraints::new(rg.num_nodes());
-            // Legality constraints.
-            for (i, e) in rg.edges().iter().enumerate() {
-                let demand = e.nets.iter().filter(|n| active.contains(n)).count() as i64;
-                let tag = if demand > 0 {
-                    Some(EdgeId::from_index(i))
-                } else {
-                    None
-                };
-                sys.add(
-                    e.from.index(),
-                    e.to.index(),
-                    i64::from(e.weight) - demand,
-                    tag,
-                );
-            }
-            // Optional I/O tie: chain all IO nodes with 0/0 constraints.
-            if self.io == IoLatency::Fixed {
-                let ios: Vec<usize> = rg
-                    .nodes()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, k)| matches!(k, RNodeKind::Input(_) | RNodeKind::Output(_)))
-                    .map(|(i, _)| i)
-                    .collect();
-                for pair in ios.windows(2) {
-                    sys.add(pair[0], pair[1], 0, None);
-                    sys.add(pair[1], pair[0], 0, None);
-                }
-            }
-
             match sys.solve() {
                 Solution::Feasible(r) => {
                     excess.sort_unstable();
@@ -155,8 +157,8 @@ impl<'g> CutRealizer<'g> {
                 }
                 Solution::NegativeCycle(cycle) => {
                     // Count how often each active cut appears on the cycle's
-                    // demanding edges; drop the most frequent (ties: larger
-                    // net id, deterministic).
+                    // edges; drop the most frequent (ties: larger net id,
+                    // deterministic).
                     let mut counts: Vec<(NetId, usize)> = Vec::new();
                     for c in &cycle {
                         let Some(edge) = c.tag else { continue };
@@ -176,6 +178,9 @@ impl<'g> CutRealizer<'g> {
                         .expect("negative cycle must involve a cut constraint");
                     active.remove(&victim);
                     excess.push(victim);
+                    for &e in rg.edges_on_net(victim) {
+                        sys.raise_bound(e.index(), 1);
+                    }
                 }
             }
         }
@@ -191,7 +196,7 @@ mod tests {
 
     fn setup(c: &Circuit) -> (CircuitGraph, RetimeGraph) {
         let g = CircuitGraph::from_circuit(c);
-        let rg = RetimeGraph::from_graph(&g).unwrap();
+        let rg = RetimeGraph::from_graph(&g);
         (g, rg)
     }
 

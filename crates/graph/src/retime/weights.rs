@@ -1,8 +1,5 @@
 //! The register-weighted retiming graph.
 
-use std::error::Error;
-use std::fmt;
-
 use ppet_netlist::{CellId, NetId};
 
 use crate::graph::CircuitGraph;
@@ -41,10 +38,16 @@ pub enum RNodeKind {
     /// A virtual sink for one primary output; the payload is the net that
     /// feeds the output.
     Output(NetId),
+    /// A register on a register-only ring, modeled as a fixed source. The
+    /// ring has no gate to lag and, by Corollary 2, keeps its register
+    /// count, so its registers stay where they are: the ring's internal
+    /// connections are not edges, and each ring register's output net
+    /// starts register chains the way a primary input's does.
+    Ring(CellId),
 }
 
 /// One edge of the retiming graph: a pure register chain (possibly empty)
-/// from one combinational node to another.
+/// from one node to another.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct REdge {
     /// Tail node (the driver).
@@ -61,31 +64,6 @@ pub struct REdge {
     pub nets: Vec<NetId>,
 }
 
-/// Error raised when a circuit cannot be converted to a retiming graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum BuildRetimeGraphError {
-    /// The circuit contains a register-only cycle (a ring of flip-flops
-    /// with no combinational cell). Such rings carry no logic and cannot
-    /// host cut constraints; they do not occur in the benchmarks.
-    RegisterRing {
-        /// A register on the ring.
-        register: CellId,
-    },
-}
-
-impl fmt::Display for BuildRetimeGraphError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::RegisterRing { register } => {
-                write!(f, "register-only cycle through {register} is not retimable")
-            }
-        }
-    }
-}
-
-impl Error for BuildRetimeGraphError {}
-
 /// The Leiserson–Saxe register-weighted view of a circuit.
 ///
 /// # Examples
@@ -95,7 +73,7 @@ impl Error for BuildRetimeGraphError {}
 /// use ppet_netlist::data;
 ///
 /// let g = CircuitGraph::from_circuit(&data::s27());
-/// let rg = RetimeGraph::from_graph(&g).expect("no register rings in s27");
+/// let rg = RetimeGraph::from_graph(&g);
 /// // Total edge weight equals... at least the number of registers.
 /// let total: u32 = rg.edges().iter().map(|e| e.weight).sum();
 /// assert!(total >= 3);
@@ -118,37 +96,16 @@ pub struct RetimeGraph {
 
 impl RetimeGraph {
     /// Builds the retiming graph of `graph`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildRetimeGraphError::RegisterRing`] if the circuit
-    /// contains a cycle made only of registers.
-    pub fn from_graph(graph: &CircuitGraph) -> Result<Self, BuildRetimeGraphError> {
+    #[must_use]
+    pub fn from_graph(graph: &CircuitGraph) -> Self {
         let n = graph.num_nodes();
-        let mut nodes = Vec::new();
-        let mut rnode_of_cell = vec![None; n];
-        for v in graph.nodes() {
-            if graph.is_register(v) {
-                continue;
-            }
-            let id = RNodeId(nodes.len() as u32);
-            if graph.is_input(v) {
-                nodes.push(RNodeKind::Input(v));
-            } else {
-                nodes.push(RNodeKind::Comb(v));
-            }
-            rnode_of_cell[v.index()] = Some(id);
-        }
-        // Virtual sink per primary output.
-        let mut po_node_of_net: Vec<(NetId, RNodeId)> = Vec::new();
-        for &po in graph.outputs() {
-            let id = RNodeId(nodes.len() as u32);
-            nodes.push(RNodeKind::Output(po));
-            po_node_of_net.push((po, id));
-        }
 
-        // Chain origin/depth for every cell; detects register rings.
+        // Chain origin/depth for every cell. Walking up a register chain
+        // either reaches a comb/PI cell or closes a register-only ring,
+        // whose registers each become their own origin (a fixed source,
+        // see `RNodeKind::Ring`).
         let mut chain: Vec<Option<(CellId, u32)>> = vec![None; n];
+        let mut on_ring = vec![false; n];
         for v in graph.nodes() {
             if !graph.is_register(v) {
                 chain[v.index()] = Some((v, 0));
@@ -161,20 +118,24 @@ impl RetimeGraph {
             // Walk up the single-driver chain of registers.
             let mut path = vec![v];
             let mut cur = v;
-            let (origin, base) = loop {
+            let ((origin, base), resolved) = loop {
                 let driver = graph.fanin(cur)[0];
                 if let Some(oc) = chain[driver.index()] {
-                    break oc;
+                    break (oc, path.len());
                 }
-                if path.contains(&driver) {
-                    return Err(BuildRetimeGraphError::RegisterRing { register: driver });
+                if let Some(pos) = path.iter().position(|&r| r == driver) {
+                    for &reg in &path[pos..] {
+                        chain[reg.index()] = Some((reg, 0));
+                        on_ring[reg.index()] = true;
+                    }
+                    break ((driver, 0), pos);
                 }
                 path.push(driver);
                 cur = driver;
             };
-            // `path` runs v, parent, ..., last-unresolved; assign depths from
-            // the resolved end backwards.
-            for (i, &reg) in path.iter().rev().enumerate() {
+            // `path[..resolved]` runs v, parent, ..., last-unresolved; assign
+            // depths from the resolved end backwards.
+            for (i, &reg) in path[..resolved].iter().rev().enumerate() {
                 chain[reg.index()] = Some((origin, base + 1 + i as u32));
             }
         }
@@ -183,7 +144,30 @@ impl RetimeGraph {
             .map(|c| c.expect("all chains resolved"))
             .collect();
 
-        // Trace edges from every comb/PI node.
+        let mut nodes = Vec::new();
+        let mut rnode_of_cell = vec![None; n];
+        for v in graph.nodes() {
+            let kind = if on_ring[v.index()] {
+                RNodeKind::Ring(v)
+            } else if graph.is_register(v) {
+                continue;
+            } else if graph.is_input(v) {
+                RNodeKind::Input(v)
+            } else {
+                RNodeKind::Comb(v)
+            };
+            rnode_of_cell[v.index()] = Some(RNodeId(nodes.len() as u32));
+            nodes.push(kind);
+        }
+        // Virtual sink per primary output.
+        let mut po_node_of_net: Vec<(NetId, RNodeId)> = Vec::new();
+        for &po in graph.outputs() {
+            let id = RNodeId(nodes.len() as u32);
+            nodes.push(RNodeKind::Output(po));
+            po_node_of_net.push((po, id));
+        }
+
+        // Trace edges from every comb/PI/ring node.
         let mut edges: Vec<REdge> = Vec::new();
         let mut edges_on_net: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
         for u in graph.nodes() {
@@ -195,6 +179,10 @@ impl RetimeGraph {
             let mut stack: Vec<(NetId, u32, Vec<CellId>)> = vec![(u, 0, Vec::new())];
             while let Some((net, w, via)) = stack.pop() {
                 for &sink in graph.net(net).sinks() {
+                    if on_ring[sink.index()] {
+                        // A ring's own D-pin connection: fixed, not an edge.
+                        continue;
+                    }
                     if graph.is_register(sink) {
                         let mut via2 = via.clone();
                         via2.push(sink);
@@ -220,7 +208,7 @@ impl RetimeGraph {
             in_edges[e.to.index()].push(EdgeId(i as u32));
         }
 
-        Ok(Self {
+        Self {
             nodes,
             edges,
             out_edges,
@@ -228,7 +216,7 @@ impl RetimeGraph {
             rnode_of_cell,
             chain,
             edges_on_net,
-        })
+        }
     }
 
     /// The nodes of the graph.
@@ -267,7 +255,7 @@ impl RetimeGraph {
         &self.in_edges[node.index()]
     }
 
-    /// The retime-graph node of a combinational or input cell.
+    /// The retime-graph node of a combinational, input, or ring cell.
     #[must_use]
     pub fn rnode_of(&self, cell: CellId) -> Option<RNodeId> {
         self.rnode_of_cell.get(cell.index()).copied().flatten()
@@ -281,10 +269,13 @@ impl RetimeGraph {
     }
 
     /// The edges whose register chain passes through `net` — a partition
-    /// cut on `net` requires one register on each of these edges.
+    /// cut on `net` requires one register on each of these edges. Empty
+    /// for a net outside the graph.
     #[must_use]
     pub fn edges_on_net(&self, net: NetId) -> &[EdgeId] {
-        &self.edges_on_net[net.index()]
+        self.edges_on_net
+            .get(net.index())
+            .map_or(&[], Vec::as_slice)
     }
 }
 
@@ -320,7 +311,7 @@ mod tests {
 
     fn s27_rg() -> (CircuitGraph, RetimeGraph) {
         let g = CircuitGraph::from_circuit(&data::s27());
-        let rg = RetimeGraph::from_graph(&g).unwrap();
+        let rg = RetimeGraph::from_graph(&g);
         (g, rg)
     }
 
@@ -416,12 +407,35 @@ mod tests {
     }
 
     #[test]
-    fn register_ring_rejected() {
-        let c = bench_format::parse("ring", "OUTPUT(q1)\nq1 = DFF(q2)\nq2 = DFF(q1)\n").unwrap();
+    fn register_ring_is_a_fixed_source() {
+        let c = bench_format::parse(
+            "ring",
+            "INPUT(a)\nOUTPUT(y)\nq1 = DFF(q2)\nq2 = DFF(q1)\nq3 = DFF(q1)\n\
+             g1 = AND(a, q3)\ny = NOT(g1)\n",
+        )
+        .unwrap();
         let g = CircuitGraph::from_circuit(&c);
-        let err = RetimeGraph::from_graph(&g).unwrap_err();
-        assert!(matches!(err, BuildRetimeGraphError::RegisterRing { .. }));
-        assert!(err.to_string().contains("not retimable"));
+        let rg = RetimeGraph::from_graph(&g);
+        let [q1, q2, q3, g1] = ["q1", "q2", "q3", "g1"].map(|n| g.find(n).unwrap());
+        // Each ring register is a source node; q3 hangs off the ring and
+        // is a chain register like any other.
+        for q in [q1, q2] {
+            let node = rg.rnode_of(q).unwrap();
+            assert_eq!(rg.nodes()[node.index()], RNodeKind::Ring(q));
+            assert!(rg.in_edges(node).is_empty(), "ring wiring is not an edge");
+            assert_eq!(rg.chain_of(q), (q, 0));
+        }
+        assert_eq!(rg.rnode_of(q3), None);
+        assert_eq!(rg.chain_of(q3), (q1, 1));
+        let to_g1 = rg.rnode_of(g1).unwrap();
+        let e = rg
+            .out_edges(rg.rnode_of(q1).unwrap())
+            .iter()
+            .map(|&id| rg.edge(id))
+            .find(|e| e.to == to_g1)
+            .unwrap();
+        assert_eq!((e.weight, e.nets.clone()), (1, vec![q1, q3]));
+        assert!(rg.out_edges(rg.rnode_of(q2).unwrap()).is_empty());
     }
 
     #[test]
@@ -432,7 +446,7 @@ mod tests {
         )
         .unwrap();
         let g = CircuitGraph::from_circuit(&c);
-        let rg = RetimeGraph::from_graph(&g).unwrap();
+        let rg = RetimeGraph::from_graph(&g);
         let a = rg.rnode_of(g.find("a").unwrap()).unwrap();
         let y = rg.rnode_of(g.find("y").unwrap()).unwrap();
         let e = rg

@@ -373,13 +373,19 @@ impl Parser<'_> {
         }
     }
 
+    /// Exactly four ASCII hex digits (`from_str_radix` alone would also
+    /// take a sign, decoding `\u+041` as `A`).
     fn hex4(&mut self) -> Result<u16, ParseError> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.error("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.error("bad \\u escape"))?;
-        let unit = u16::from_str_radix(hex, 16).map_err(|_| self.error("bad \\u escape"))?;
+        let mut unit = 0u16;
+        for &b in &self.bytes[self.pos..self.pos + 4] {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.error("bad \\u escape"))?;
+            unit = unit << 4 | digit as u16;
+        }
         self.pos += 4;
         Ok(unit)
     }
@@ -526,5 +532,16 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#).unwrap(), Value::Str("A".into()));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
+        // A sign after a high surrogate is not a low-surrogate escape
+        // either: the surrogate decodes alone and the escape is rejected.
+        assert!(parse(r#""\ud83d\u+de0""#).is_err());
     }
 }

@@ -53,7 +53,7 @@ scripts/golden.sh --check
 echo "==> sched: golden schedules rebuild deterministically, pareto monotone"
 scripts/sched_check.sh
 
-echo "==> perf gate: saturation hot path vs recorded floor"
+echo "==> perf gate: saturation and cut-realizer kernels vs recorded floors"
 scripts/perf_gate.sh
 
 echo "==> serve smoke: compile service round-trip, cache hit, drain"

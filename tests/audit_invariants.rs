@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use ppet::audit::{verify_recorded_witness, AuditCode};
 use ppet::core::{CostPolicy, Merced, MercedConfig};
-use ppet::netlist::{data, Circuit, SynthSpec, Synthesizer};
+use ppet::netlist::{bench_format, data, Circuit, SynthSpec, Synthesizer};
 
 /// Strategy: a small random circuit specification.
 fn arb_spec() -> impl Strategy<Value = SynthSpec> {
@@ -81,6 +81,32 @@ proptest! {
         let witness = audit.witness.expect("audit records a witness");
         let replay = verify_recorded_witness(&circuit, &witness);
         prop_assert!(replay.pass(), "{replay}");
+    }
+}
+
+/// A register-only ring (`q1 ⇄ q2`) feeding logic is a fixed source of the
+/// retiming graph: both policies compile it, pass their own audit, and
+/// record a witness that re-verifies against the netlist.
+#[test]
+fn register_only_ring_passes_the_audit_under_both_policies() {
+    let circuit = bench_format::parse(
+        "ring",
+        "INPUT(a)\nOUTPUT(y)\nq1 = DFF(q2)\nq2 = DFF(q1)\ng1 = AND(a, q1)\ny = NOT(g1)\n",
+    )
+    .expect("ring parses");
+    for policy in [CostPolicy::PaperScc, CostPolicy::Solver] {
+        let compilation = Merced::new(
+            MercedConfig::default()
+                .with_cbit_length(4)
+                .with_cost_policy(policy),
+        )
+        .compile_detailed(&circuit)
+        .expect("ring compiles");
+        let audit = compilation.audit(&circuit);
+        assert!(audit.pass(), "{policy:?}: {audit}");
+        let witness = audit.witness.expect("audit records a witness");
+        let replay = verify_recorded_witness(&circuit, &witness);
+        assert!(replay.pass(), "{policy:?}: {replay}");
     }
 }
 

@@ -30,7 +30,7 @@ fn normal_mode_is_sequentially_equivalent_to_the_retimed_circuit() {
 
     // Reference: the same retiming the instrumenter applies.
     let graph = CircuitGraph::from_circuit(&circuit);
-    let rg = RetimeGraph::from_graph(&graph).unwrap();
+    let rg = RetimeGraph::from_graph(&graph);
     let real = CutRealizer::new(&rg)
         .io_latency(IoLatency::Flexible)
         .realize(&cuts);

@@ -36,7 +36,7 @@ proptest! {
     fn solver_output_is_legal_and_covers_claimed_cuts((spec, aux) in arb_circuit()) {
         let circuit = Synthesizer::new(spec).build();
         let graph = CircuitGraph::from_circuit(&circuit);
-        let rg = RetimeGraph::from_graph(&graph).expect("generator avoids register rings");
+        let rg = RetimeGraph::from_graph(&graph);
         // Random cut set over nets with sinks.
         let mut rng = Xoshiro256PlusPlus::seed_from(aux);
         let cuts: Vec<_> = graph
@@ -67,7 +67,7 @@ proptest! {
     fn apply_preserves_combinational_skeleton((spec, aux) in arb_circuit()) {
         let circuit = Synthesizer::new(spec).build();
         let graph = CircuitGraph::from_circuit(&circuit);
-        let rg = RetimeGraph::from_graph(&graph).expect("no register rings");
+        let rg = RetimeGraph::from_graph(&graph);
         let mut rng = Xoshiro256PlusPlus::seed_from(aux ^ 0xABCD);
         let cuts: Vec<_> = graph
             .nets()
@@ -100,7 +100,7 @@ proptest! {
     fn cycle_weights_invariant_under_solver_retiming((spec, aux) in arb_circuit()) {
         let circuit = Synthesizer::new(spec).build();
         let graph = CircuitGraph::from_circuit(&circuit);
-        let rg = RetimeGraph::from_graph(&graph).expect("no register rings");
+        let rg = RetimeGraph::from_graph(&graph);
         let mut rng = Xoshiro256PlusPlus::seed_from(aux ^ 0x77);
         let cuts: Vec<_> = graph
             .nets()
@@ -137,5 +137,48 @@ proptest! {
         }
         // Not every random circuit yields sampled cycles; that is fine.
         let _ = checked;
+    }
+}
+
+/// The realizer's answer on the golden-config cut sets (`l_k = 16`, seed
+/// 1996) is pinned to the values the SPFA-based solver produced: how many
+/// cuts are covered, which are dropped, and how many solves it took.
+#[test]
+fn realizer_is_pinned_on_golden_cut_sets() {
+    use ppet::core::{resolve_builtin, Merced, MercedConfig};
+
+    let pinned: [(&str, usize, &[usize], usize); 2] = [
+        (
+            "s641",
+            56,
+            &[
+                113, 156, 165, 168, 169, 172, 218, 227, 255, 257, 266, 287, 315, 319, 326, 335,
+            ],
+            17,
+        ),
+        (
+            "s713",
+            20,
+            &[
+                112, 113, 114, 117, 121, 130, 140, 149, 166, 170, 174, 179, 180, 185, 195, 196,
+                203, 207, 235, 236, 239, 240, 249, 252, 254, 262, 281, 333, 339, 347,
+            ],
+            31,
+        ),
+    ];
+    for (name, covered, excess, iterations) in pinned {
+        let circuit = resolve_builtin(name).expect("Table-9 builtin");
+        let cuts = Merced::new(MercedConfig::default().with_cbit_length(16))
+            .compile_detailed(&circuit)
+            .expect("compiles")
+            .assignment
+            .cut_nets;
+        let graph = CircuitGraph::from_circuit(&circuit);
+        let rg = RetimeGraph::from_graph(&graph);
+        let real = CutRealizer::new(&rg).realize(&cuts);
+        let dropped: Vec<usize> = real.excess.iter().map(|n| n.index()).collect();
+        assert_eq!(real.covered.len(), covered, "{name}: covered");
+        assert_eq!(dropped, excess, "{name}: excess");
+        assert_eq!(real.iterations, iterations, "{name}: iterations");
     }
 }

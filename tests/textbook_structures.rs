@@ -32,7 +32,7 @@ fn shift_register_has_no_cycles_and_all_cuts_retimable() {
     assert_eq!(scc.registers_on_cyclic(), 0);
     // Every buffer output can take a register via retiming: the pipeline
     // has 10 registers to slide anywhere.
-    let rg = RetimeGraph::from_graph(&g).unwrap();
+    let rg = RetimeGraph::from_graph(&g);
     let cuts: Vec<_> = (0..10).map(|i| c.find(&format!("b{i}")).unwrap()).collect();
     let real = CutRealizer::new(&rg).realize(&cuts);
     assert_eq!(real.covered.len(), 10);
@@ -55,7 +55,7 @@ fn johnson_counter_is_one_scc_with_tight_budget() {
 
     // The ring holds n registers: cutting every ring net is exactly
     // coverable, one cut per register.
-    let rg = RetimeGraph::from_graph(&g).unwrap();
+    let rg = RetimeGraph::from_graph(&g);
     let ring_cuts: Vec<_> = (0..n).map(|i| c.find(&format!("q{i}")).unwrap()).collect();
     let real = CutRealizer::new(&rg).realize(&ring_cuts);
     assert_eq!(real.covered.len(), n);
