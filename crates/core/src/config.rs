@@ -55,8 +55,8 @@ pub struct MercedConfig {
     pub cost_policy: CostPolicy,
     /// I/O latency freedom for the solver policy.
     pub io_latency: IoLatency,
-    /// Worker threads for the parallel consumers: batch compilation and
-    /// fault-parallel simulation. A single compile is sequential. A pure
+    /// Worker threads for batch compilation. A single compile and fault
+    /// simulation are sequential. A pure
     /// resource decision: any value produces bit-identical results.
     /// Default 1 (fully sequential).
     pub jobs: usize,

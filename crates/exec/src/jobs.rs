@@ -49,10 +49,11 @@ pub fn available_workers() -> usize {
 ///
 /// [`JobsError::Zero`] for `0`, [`JobsError::Unparsable`] otherwise.
 pub fn parse_jobs(text: &str) -> Result<usize, JobsError> {
-    if text.eq_ignore_ascii_case("max") {
+    let trimmed = text.trim();
+    if trimmed.eq_ignore_ascii_case("max") {
         return Ok(available_workers());
     }
-    match text.trim().parse::<usize>() {
+    match trimmed.parse::<usize>() {
         Ok(0) => Err(JobsError::Zero),
         Ok(n) => Ok(n),
         Err(_) => Err(JobsError::Unparsable {
@@ -97,6 +98,7 @@ mod tests {
         assert_eq!(parse_jobs(" 8 "), Ok(8));
         assert_eq!(parse_jobs("max"), Ok(available_workers()));
         assert_eq!(parse_jobs("MAX"), Ok(available_workers()));
+        assert_eq!(parse_jobs(" max "), Ok(available_workers()));
     }
 
     #[test]

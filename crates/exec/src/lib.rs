@@ -1,30 +1,24 @@
 //! `ppet-exec`: the deterministic parallel execution engine of the `ppet`
 //! workspace.
 //!
-//! The Merced pipeline's dominant costs — `Saturate_Network`'s repeated
-//! randomized Dijkstra trees and pseudo-exhaustive fault simulation — are
+//! A batch of compiles (`merced batch`, a Table-9 sweep) is
 //! embarrassingly parallel, but the workspace's reason for existing is
 //! *reproducible* experiments: a given seed must produce the exact same
 //! report on every machine, at every `--jobs` setting. This crate
-//! reconciles the two with a scoped thread pool whose primitives are
-//! **bit-identical to sequential execution at any worker count**:
-//!
-//! - [`Pool::par_map`] — dynamic scheduling, results reassembled in item
-//!   order;
-//! - [`Pool::par_chunks`] — chunk boundaries depend only on the chunk
-//!   size, never on the worker count;
-//! - [`Pool::par_reduce`] — parallel map, then a fixed-order left fold,
-//!   so even floating-point accumulation is stable.
+//! reconciles the two with a scoped thread pool whose one primitive,
+//! [`Pool::par_map`], is **bit-identical to sequential execution at any
+//! worker count**: scheduling is dynamic, but results are reassembled in
+//! item order, so a fold over them is as stable as a sequential loop.
 //!
 //! For long-running services the crate adds [`WorkQueue`]: a bounded,
 //! persistent worker pool with backpressure ([`WorkQueue::try_submit`] /
-//! [`QueueFull`]), graceful drain, and a cancellation hook for jobs that
-//! have not started — the scheduling substrate of `merced serve`.
+//! [`QueueFull`]) and graceful drain — the scheduling substrate of
+//! `merced serve`.
 //!
 //! The other half of the contract lives with callers: tasks must be pure
-//! functions of `(index, item)`. Stochastic tasks get there by deriving
-//! per-task PRNG streams (`ppet_prng::Xoshiro256PlusPlus::stream`, jump
-//! based and non-overlapping) instead of sharing one mutable generator.
+//! functions of `(index, item)`. Stochastic tasks get there by forking one
+//! generator per task up front (`ppet_prng::Rng::fork`) instead of sharing
+//! one mutable generator.
 //!
 //! Worker counts resolve through [`resolve_jobs`]: explicit request, then
 //! the [`JOBS_ENV`] (`PPET_JOBS`) environment variable (`N` or `max`),

@@ -4,8 +4,6 @@ use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-use crate::jobs::{resolve_jobs, JobsError};
-
 /// A deterministic parallel executor over borrowed data.
 ///
 /// `Pool` carries only a worker count; every call runs on
@@ -15,11 +13,11 @@ use crate::jobs::{resolve_jobs, JobsError};
 ///
 /// # Determinism contract
 ///
-/// Every primitive returns results **in item order**, regardless of which
+/// [`Pool::par_map`] returns results **in item order**, regardless of which
 /// worker computed which item and in what order tasks finished. As long
 /// as the task function is a pure function of `(index, item)` — in
 /// particular, stochastic tasks must derive their randomness from a
-/// per-task PRNG stream (see `ppet_prng::Xoshiro256PlusPlus::stream`)
+/// per-task generator forked up front (see `ppet_prng::Rng::fork`)
 /// rather than a shared generator — the output is bit-identical to
 /// sequential execution at *any* worker count.
 ///
@@ -51,21 +49,11 @@ impl Pool {
         Self { workers }
     }
 
-    /// The single-worker pool: primitives run inline on the calling
+    /// The single-worker pool: [`Pool::par_map`] runs inline on the calling
     /// thread, with zero thread overhead.
     #[must_use]
     pub fn sequential() -> Self {
         Self { workers: 1 }
-    }
-
-    /// A pool sized by [`crate::resolve_jobs`]`(None)`: the `PPET_JOBS`
-    /// environment variable when set (`N` or `max`), else one worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`JobsError`] when `PPET_JOBS` is set but invalid.
-    pub fn from_env() -> Result<Self, JobsError> {
-        resolve_jobs(None).map(Self::new)
     }
 
     /// The worker count.
@@ -128,44 +116,6 @@ impl Pool {
             .map(|slot| slot.expect("every index is claimed exactly once"))
             .collect()
     }
-
-    /// Applies `f(chunk_index, chunk)` to fixed-size chunks of `items` and
-    /// returns the results in chunk order.
-    ///
-    /// Chunk boundaries depend only on `chunk_size` (the last chunk may be
-    /// short), never on the worker count — the property that keeps
-    /// chunked reductions worker-count independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`.
-    pub fn par_chunks<T, U, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &[T]) -> U + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-        self.par_map(&chunks, |i, chunk| f(i, chunk))
-    }
-
-    /// Maps every item in parallel, then folds the mapped values **in item
-    /// order** on the calling thread.
-    ///
-    /// Because the combine order is fixed, non-commutative and
-    /// non-associative accumulations (floating-point sums, congestion
-    /// merges) produce bit-identical results at any worker count: the
-    /// reduction is exactly `items.map(map).fold(init, combine)`.
-    pub fn par_reduce<T, U, A, M, C>(&self, items: &[T], map: M, init: A, combine: C) -> A
-    where
-        T: Sync,
-        U: Send,
-        M: Fn(usize, &T) -> U + Sync,
-        C: FnMut(A, U) -> A,
-    {
-        self.par_map(items, map).into_iter().fold(init, combine)
-    }
 }
 
 #[cfg(test)]
@@ -200,10 +150,10 @@ mod tests {
 
     #[test]
     fn stochastic_tasks_are_worker_count_invariant() {
-        // Each task draws from its own PRNG stream; the aggregate must be
-        // identical no matter how many workers race over the tasks.
-        let base = Xoshiro256PlusPlus::seed_from(42);
-        let streams = base.streams(16);
+        // Each task draws from its own forked generator; the aggregate
+        // must be identical no matter how many workers race over the tasks.
+        let mut base = Xoshiro256PlusPlus::seed_from(42);
+        let streams: Vec<_> = (0..16).map(|_| base.fork()).collect();
         let run = |workers: usize| -> Vec<u64> {
             Pool::new(workers).par_map(&streams, |_, stream| {
                 let mut rng = stream.clone();
@@ -217,46 +167,19 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_boundaries_are_fixed() {
-        let items: Vec<u32> = (0..10).collect();
-        for workers in [1, 2, 8] {
-            let lens = Pool::new(workers).par_chunks(&items, 4, |i, chunk| (i, chunk.len()));
-            assert_eq!(lens, vec![(0, 4), (1, 4), (2, 2)]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn zero_chunk_size_rejected() {
-        let _ = Pool::sequential().par_chunks(&[1], 0, |_, c| c.len());
-    }
-
-    #[test]
-    fn par_reduce_folds_in_item_order() {
-        // Subtraction is non-commutative and non-associative: any deviation
-        // from left-fold item order changes the result.
-        let items: Vec<i64> = (1..=50).collect();
-        let expected = items.iter().fold(0i64, |acc, &x| acc * 2 - x);
-        for workers in [1, 2, 7, 32] {
-            let got = Pool::new(workers).par_reduce(&items, |_, &x| x, 0i64, |acc, x| acc * 2 - x);
-            assert_eq!(got, expected, "workers = {workers}");
-        }
-    }
-
-    #[test]
     fn float_sums_are_bit_identical_across_worker_counts() {
-        let base = Xoshiro256PlusPlus::seed_from(7);
-        let streams = base.streams(24);
+        // Results come back in item order, so a left fold over them adds
+        // the floats in the same order at every worker count.
+        let mut base = Xoshiro256PlusPlus::seed_from(7);
+        let streams: Vec<_> = (0..24).map(|_| base.fork()).collect();
         let sum = |workers: usize| -> f64 {
-            Pool::new(workers).par_reduce(
-                &streams,
-                |_, stream| {
+            Pool::new(workers)
+                .par_map(&streams, |_, stream| {
                     let mut rng = stream.clone();
                     (0..100).map(|_| rng.gen_f64()).sum::<f64>()
-                },
-                0.0f64,
-                |acc, x| acc + x,
-            )
+                })
+                .into_iter()
+                .fold(0.0f64, |acc, x| acc + x)
         };
         let bits = sum(1).to_bits();
         for workers in [2, 3, 8] {

@@ -8,16 +8,13 @@
 //! caller can push back on its own clients instead of buffering without
 //! limit.
 //!
-//! Shutdown comes in two flavors matching a service's lifecycle:
-//! [`WorkQueue::shutdown`] drains — queued and running jobs complete —
-//! while [`WorkQueue::cancel_pending`] is the cancellation hook that drops
-//! jobs that have not started yet (running jobs are never interrupted;
-//! compiles are not preemptible).
+//! [`WorkQueue::shutdown`] drains: queued and running jobs complete
+//! (compiles are not preemptible), then the workers are joined.
 //!
 //! Determinism note: the queue schedules *whole jobs*; it makes no
 //! ordering promises between jobs and offers no result collection. Jobs
 //! communicate through their own channels/latches. The bit-identical
-//! guarantees of this crate live in [`Pool`](crate::Pool)'s primitives,
+//! guarantee of this crate lives in [`Pool::par_map`](crate::Pool::par_map),
 //! which a job is free to use internally.
 
 use std::collections::VecDeque;
@@ -51,8 +48,6 @@ struct State {
     active: usize,
     /// `false` once shutdown begins: no further submissions.
     open: bool,
-    /// Total jobs dropped by [`WorkQueue::cancel_pending`].
-    cancelled: u64,
 }
 
 struct Shared {
@@ -170,26 +165,6 @@ impl WorkQueue {
         state.queue.len() + state.active
     }
 
-    /// The cancellation hook: drops every job that has not started yet and
-    /// returns how many were dropped. Running jobs are unaffected —
-    /// a compile in progress cannot be preempted — so pair this with
-    /// [`WorkQueue::drain`] when the goal is "stop as soon as possible".
-    pub fn cancel_pending(&self) -> usize {
-        let mut state = self.shared.state.lock().unwrap();
-        let dropped = state.queue.len();
-        state.queue.clear();
-        state.cancelled += dropped as u64;
-        drop(state);
-        self.shared.idle.notify_all();
-        dropped
-    }
-
-    /// Total jobs ever dropped by [`WorkQueue::cancel_pending`].
-    #[must_use]
-    pub fn cancelled(&self) -> u64 {
-        self.shared.state.lock().unwrap().cancelled
-    }
-
     /// Blocks until no job is queued or running. New submissions remain
     /// possible; for a final drain use [`WorkQueue::shutdown`].
     pub fn drain(&self) {
@@ -203,15 +178,6 @@ impl WorkQueue {
     /// accepted job to completion, then joins the workers.
     pub fn shutdown(mut self) {
         self.close_and_join();
-    }
-
-    /// Fast shutdown: drops all not-yet-started jobs, lets running jobs
-    /// finish (they cannot be interrupted), then joins the workers.
-    /// Returns how many queued jobs were dropped.
-    pub fn shutdown_now(mut self) -> usize {
-        let dropped = self.cancel_pending();
-        self.close_and_join();
-        dropped
     }
 
     fn close_and_join(&mut self) {
@@ -324,37 +290,6 @@ mod tests {
         }
         q.shutdown(); // must not drop any accepted job
         assert_eq!(done.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn cancel_pending_drops_only_unstarted_jobs() {
-        let q = WorkQueue::new(1, 16);
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        let done = Arc::new(AtomicU64::new(0));
-        {
-            let done = Arc::clone(&done);
-            q.try_submit(move || {
-                started_tx.send(()).unwrap();
-                release_rx.recv().unwrap();
-                done.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        }
-        started_rx.recv().unwrap();
-        for _ in 0..3 {
-            let done = Arc::clone(&done);
-            q.try_submit(move || {
-                done.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-        }
-        assert_eq!(q.cancel_pending(), 3);
-        assert_eq!(q.cancelled(), 3);
-        release_tx.send(()).unwrap();
-        q.shutdown();
-        // The running job completed; the cancelled three never ran.
-        assert_eq!(done.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -44,7 +44,6 @@ mod graph;
 pub mod mincost;
 pub mod retime;
 pub mod scc;
-pub mod topo;
 
 pub use csr::Csr;
 pub use graph::{Branch, CircuitGraph, Net};

@@ -55,96 +55,6 @@ impl Xoshiro256PlusPlus {
     pub fn state(&self) -> [u64; 4] {
         self.s
     }
-
-    /// The `jump` function: advances the stream by `2^128` steps, producing a
-    /// non-overlapping subsequence. Useful for carving independent streams
-    /// from one seed when forking with reseeding is undesirable.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        self.apply_jump_poly(&JUMP);
-    }
-
-    /// The `long_jump` function: advances the stream by `2^192` steps. One
-    /// long-jump yields room for `2^64` plain [`Xoshiro256PlusPlus::jump`]
-    /// streams, so a coordinator can long-jump per run and jump per worker
-    /// without any stream ever overlapping.
-    pub fn long_jump(&mut self) {
-        const LONG_JUMP: [u64; 4] = [
-            0x76E1_5D3E_FEFD_CBBF,
-            0xC500_4E44_1C52_2FB3,
-            0x7771_0069_854E_E241,
-            0x3910_9BB0_2ACB_E635,
-        ];
-        self.apply_jump_poly(&LONG_JUMP);
-    }
-
-    /// Multiplies the state by the characteristic-polynomial power encoded
-    /// in `poly` (the shared core of `jump` / `long_jump`).
-    fn apply_jump_poly(&mut self, poly: &[u64; 4]) {
-        let mut s0 = 0u64;
-        let mut s1 = 0u64;
-        let mut s2 = 0u64;
-        let mut s3 = 0u64;
-        for &j in poly {
-            for b in 0..64 {
-                if (j >> b) & 1 == 1 {
-                    s0 ^= self.s[0];
-                    s1 ^= self.s[1];
-                    s2 ^= self.s[2];
-                    s3 ^= self.s[3];
-                }
-                let _ = self.next_u64();
-            }
-        }
-        self.s = [s0, s1, s2, s3];
-    }
-
-    /// Returns stream `n`: this generator advanced by `n · 2^128` steps.
-    ///
-    /// Streams are pairwise non-overlapping for at least `2^128` draws, so
-    /// `base.stream(0), base.stream(1), …` are independent per-task
-    /// generators for deterministic parallel execution: which *worker* runs
-    /// a task no longer matters, only the task's stream index does.
-    ///
-    /// `stream(0)` is the unmodified generator; prefer handing out streams
-    /// exclusively (and not drawing from `self` afterwards) so no consumer
-    /// shares a subsequence.
-    #[must_use]
-    pub fn stream(&self, n: u64) -> Self {
-        let mut s = self.clone();
-        for _ in 0..n {
-            s.jump();
-        }
-        s
-    }
-
-    /// Splits this generator into `n` pairwise non-overlapping streams
-    /// (`stream(0)` through `stream(n - 1)`), in stream order.
-    ///
-    /// Cost is `n − 1` jumps total (each stream is derived from the
-    /// previous one), not quadratic.
-    #[must_use]
-    pub fn streams(&self, n: usize) -> Vec<Self> {
-        let mut out = Vec::with_capacity(n);
-        let mut cur = self.clone();
-        for i in 0..n {
-            if i + 1 < n {
-                let mut next = cur.clone();
-                next.jump();
-                out.push(cur);
-                cur = next;
-            } else {
-                out.push(cur);
-                break;
-            }
-        }
-        out
-    }
 }
 
 impl Rng for Xoshiro256PlusPlus {
@@ -202,64 +112,12 @@ mod tests {
     }
 
     #[test]
-    fn jump_produces_disjoint_prefix() {
-        let mut a = Xoshiro256PlusPlus::seed_from(5);
-        let mut b = a.clone();
-        b.jump();
-        let xs: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
-        assert!(xs.iter().all(|x| !ys.contains(x)));
-    }
-
-    #[test]
-    fn long_jump_differs_from_jump_and_base() {
-        let base = Xoshiro256PlusPlus::seed_from(5);
-        let mut jumped = base.clone();
-        jumped.jump();
-        let mut long_jumped = base.clone();
-        long_jumped.long_jump();
-        assert_ne!(long_jumped.state(), base.state());
-        assert_ne!(long_jumped.state(), jumped.state());
-        // long_jump = 2^192 steps = 2^64 jumps: applying jump to the
-        // long-jumped state must not fall back onto an early jump stream.
-        let mut x = long_jumped.clone();
-        x.jump();
-        assert_ne!(x.state(), jumped.state());
-    }
-
-    #[test]
-    fn stream_is_reproducible_and_matches_jumps() {
-        let base = Xoshiro256PlusPlus::seed_from(1234);
-        // stream(n) is exactly n applications of jump().
-        let mut by_hand = base.clone();
-        by_hand.jump();
-        by_hand.jump();
-        by_hand.jump();
-        assert_eq!(base.stream(3).state(), by_hand.state());
-        assert_eq!(base.stream(0).state(), base.state());
-        // And calling it twice gives the same stream (pure function).
-        assert_eq!(base.stream(7).state(), base.stream(7).state());
-    }
-
-    #[test]
-    fn streams_equal_individual_streams() {
-        let base = Xoshiro256PlusPlus::seed_from(99);
-        let all = base.streams(5);
-        assert_eq!(all.len(), 5);
-        for (i, s) in all.iter().enumerate() {
-            assert_eq!(s.state(), base.stream(i as u64).state(), "stream {i}");
-        }
-        assert!(base.streams(0).is_empty());
-        assert_eq!(base.streams(1)[0].state(), base.state());
-    }
-
-    #[test]
     fn streams_are_pairwise_decorrelated() {
-        // Non-overlap is a theorem of the jump polynomial; as an empirical
-        // proxy, check that prefixes of sibling streams share no values and
-        // are uncorrelated bitwise (≈ half the bits differ pairwise).
-        let base = Xoshiro256PlusPlus::seed_from(2024);
-        let mut streams = base.streams(4);
+        // Sibling generators forked from one base (the per-task streams
+        // of a parallel map) must look independent: their prefixes share
+        // no values and are uncorrelated bitwise (≈ half the bits differ).
+        let mut base = Xoshiro256PlusPlus::seed_from(2024);
+        let mut streams: Vec<_> = (0..4).map(|_| base.fork()).collect();
         let prefixes: Vec<Vec<u64>> = streams
             .iter_mut()
             .map(|s| (0..256).map(|_| s.next_u64()).collect())

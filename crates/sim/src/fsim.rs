@@ -1,18 +1,11 @@
 //! Bit-parallel stuck-at fault simulation.
 
-use ppet_exec::Pool;
 use ppet_netlist::{CellId, Circuit};
 
 use crate::collapse::collapse;
 use crate::fault::{Fault, FaultSite};
 use crate::levelize::LevelizeError;
 use crate::logic::{eval_gate, Simulator};
-
-/// Fixed size of the fault chunks handed to pool workers by
-/// [`FaultSim::apply_block_par_counted`]. A constant — never derived from
-/// the worker count — so the chunk boundaries, and with them the merged
-/// detection flags, are identical no matter how many workers execute them.
-const FAULT_CHUNK: usize = 64;
 
 /// Coverage bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,11 +31,6 @@ impl CoverageReport {
 }
 
 /// Work counters accumulated by a [`FaultSim`] across all applied blocks.
-///
-/// Both the sequential and the parallel block paths account identically
-/// (the evaluated-fault set of a block is decided by the detection flags
-/// at block entry in either path), so these counters are deterministic at
-/// any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FsimStats {
     /// Pattern blocks applied.
@@ -171,8 +159,15 @@ impl<'c> FaultSim<'c> {
         valid: u32,
     ) -> usize {
         let good = self.sim.eval(pi_words, dff_words);
-        let valid_mask = Self::valid_mask(valid);
-        self.account_block(valid);
+        let valid_mask = if valid >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << valid) - 1
+        };
+        // Every fault still undetected at block entry is simulated once.
+        self.patterns += u64::from(valid.min(64));
+        self.stats.blocks += 1;
+        self.stats.fault_evals += self.detected.iter().filter(|&&d| !d).count() as u64;
 
         let mut newly = 0;
         let mut scratch = FaultScratch::for_block(&good);
@@ -188,92 +183,13 @@ impl<'c> FaultSim<'c> {
         newly
     }
 
-    /// Like [`FaultSim::apply_block`] but simulates the still-undetected
-    /// faults in fixed-size chunks on `pool`'s workers.
-    ///
-    /// Bit-identical to the sequential block application at any worker
-    /// count: each fault's detection for a given pattern block depends
-    /// only on the good-machine values and that fault — never on the
-    /// other faults in the block — chunk boundaries are a fixed constant,
-    /// and the per-chunk detection sets are merged in chunk order.
-    /// Returns the number of newly detected faults.
-    pub fn apply_block_par(&mut self, pi_words: &[u64], dff_words: &[u64], pool: &Pool) -> usize {
-        self.apply_block_par_counted(pi_words, dff_words, 64, pool)
-    }
-
-    /// [`FaultSim::apply_block_par`] with an explicit valid-pattern count,
-    /// the parallel counterpart of [`FaultSim::apply_block_counted`].
-    pub fn apply_block_par_counted(
-        &mut self,
-        pi_words: &[u64],
-        dff_words: &[u64],
-        valid: u32,
-        pool: &Pool,
-    ) -> usize {
-        let good = self.sim.eval(pi_words, dff_words);
-        let valid_mask = Self::valid_mask(valid);
-        self.account_block(valid);
-
-        let chunks: Vec<(usize, usize)> = (0..self.faults.len())
-            .step_by(FAULT_CHUNK)
-            .map(|start| (start, (start + FAULT_CHUNK).min(self.faults.len())))
-            .collect();
-        let newly_per_chunk: Vec<Vec<usize>> = {
-            let this: &Self = self;
-            let good = &good;
-            pool.par_map(&chunks, |_, &(start, end)| {
-                let mut scratch = FaultScratch::for_block(good);
-                let mut newly = Vec::new();
-                for fi in start..end {
-                    if this.detected[fi] {
-                        continue;
-                    }
-                    if this.fault_detected(this.faults[fi], good, valid_mask, &mut scratch) {
-                        newly.push(fi);
-                    }
-                }
-                newly
-            })
-        };
-
-        // Merge in chunk order. Chunks are disjoint, so no fault is
-        // reported twice, and marking a fault here cannot influence any
-        // other fault's verdict for this block.
-        let mut newly = 0;
-        for fi in newly_per_chunk.into_iter().flatten() {
-            self.detected[fi] = true;
-            newly += 1;
-        }
-        newly
-    }
-
-    /// Lane mask selecting the first `valid` of the 64 block patterns.
-    fn valid_mask(valid: u32) -> u64 {
-        if valid >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << valid) - 1
-        }
-    }
-
-    /// Per-block bookkeeping shared by the sequential and parallel paths:
-    /// counts the applied patterns, the block, and one faulty-machine
-    /// evaluation per fault that is still undetected at block entry (the
-    /// set both paths will simulate).
-    fn account_block(&mut self, valid: u32) {
-        self.patterns += u64::from(valid.min(64));
-        self.stats.blocks += 1;
-        self.stats.fault_evals += self.detected.iter().filter(|&&d| !d).count() as u64;
-    }
-
     /// Decides whether one block of patterns detects `fault`: injects it,
     /// propagates the difference through the fault's forward cone, and
     /// compares the observation points against the good machine.
     ///
     /// Pure with respect to the simulator (`&self`): all mutation happens
     /// in `scratch`, which is restored to its block-entry state (`faulty`
-    /// equal to `good`, `dirty` all-false) before returning — so disjoint
-    /// faults can be decided concurrently with per-worker scratch.
+    /// equal to `good`, `dirty` all-false) before returning.
     fn fault_detected(
         &self,
         fault: Fault,
@@ -347,7 +263,7 @@ impl<'c> FaultSim<'c> {
     }
 }
 
-/// Per-worker mutable state for deciding faults within one pattern block:
+/// Mutable state for deciding faults within one pattern block:
 /// the faulty-machine value vector (equal to the good machine between
 /// faults) and the dirty flags of the forward-cone walk.
 struct FaultScratch {
@@ -451,43 +367,6 @@ mod tests {
             }
         }
         w
-    }
-
-    #[test]
-    fn parallel_apply_matches_sequential_at_any_worker_count() {
-        // The determinism contract: the same pattern blocks through
-        // apply_block_par_counted produce the same detection flags, the
-        // same newly-detected counts, and the same work counters as the
-        // sequential path, for every worker count.
-        let c = data::s27();
-        let faults = all_faults(&c);
-        let mut rng = Xoshiro256PlusPlus::seed_from(17);
-        let blocks: Vec<(Vec<u64>, Vec<u64>, u32)> = (0..5)
-            .map(|b| {
-                let pis: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
-                let dffs: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
-                (pis, dffs, if b == 4 { 13 } else { 64 })
-            })
-            .collect();
-
-        let mut seq = FaultSim::with_faults(&c, faults.clone()).unwrap();
-        let seq_newly: Vec<usize> = blocks
-            .iter()
-            .map(|(p, d, v)| seq.apply_block_counted(p, d, *v))
-            .collect();
-
-        for workers in [1, 2, 8] {
-            let pool = Pool::new(workers);
-            let mut par = FaultSim::with_faults(&c, faults.clone()).unwrap();
-            let par_newly: Vec<usize> = blocks
-                .iter()
-                .map(|(p, d, v)| par.apply_block_par_counted(p, d, *v, &pool))
-                .collect();
-            assert_eq!(par_newly, seq_newly, "workers = {workers}");
-            assert_eq!(par.detected(), seq.detected(), "workers = {workers}");
-            assert_eq!(par.report(), seq.report(), "workers = {workers}");
-            assert_eq!(par.stats(), seq.stats(), "workers = {workers}");
-        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use std::error::Error;
 use std::fmt;
 
-use ppet_exec::Pool;
 use ppet_netlist::{CellId, CellKind, Circuit};
 use ppet_prng::{Rng, Xoshiro256PlusPlus};
 use ppet_trace::Tracer;
@@ -201,46 +200,18 @@ pub fn counting_word(i: usize, block: u64) -> u64 {
 /// * [`PetError::TooManyInputs`] beyond [`MAX_EXHAUSTIVE_INPUTS`];
 /// * [`PetError::Levelize`] for cyclic netlists.
 pub fn exhaustive_coverage(circuit: &Circuit) -> Result<CoverageReport, PetError> {
-    exhaustive_coverage_par_traced(circuit, &Pool::sequential(), &Tracer::noop())
+    exhaustive_coverage_traced(circuit, &Tracer::noop())
 }
 
-/// [`exhaustive_coverage`] with observability: records the simulation work
-/// as `fsim.*` counters (see [`exhaustive_coverage_par_traced`]).
+/// [`exhaustive_coverage`] with observability: reports `fsim.blocks`,
+/// `fsim.fault_evals`, `fsim.patterns`, `fsim.detected`, and
+/// `fsim.faults` counters to `tracer` after the sweep.
 ///
 /// # Errors
 ///
 /// As [`exhaustive_coverage`].
 pub fn exhaustive_coverage_traced(
     circuit: &Circuit,
-    tracer: &Tracer,
-) -> Result<CoverageReport, PetError> {
-    exhaustive_coverage_par_traced(circuit, &Pool::sequential(), tracer)
-}
-
-/// [`exhaustive_coverage`] with the undetected faults of each pattern
-/// block decided in parallel on `pool` (see
-/// [`FaultSim::apply_block_par`]). Bit-identical to the sequential sweep
-/// at any worker count.
-///
-/// # Errors
-///
-/// As [`exhaustive_coverage`].
-pub fn exhaustive_coverage_par(circuit: &Circuit, pool: &Pool) -> Result<CoverageReport, PetError> {
-    exhaustive_coverage_par_traced(circuit, pool, &Tracer::noop())
-}
-
-/// The fully general exhaustive sweep: fault-parallel on `pool`, reporting
-/// `fsim.blocks`, `fsim.fault_evals`, `fsim.patterns`, `fsim.detected`,
-/// and `fsim.faults` counters to `tracer`. All counters are accumulated by
-/// the calling thread after the sweep, so traced output is as
-/// worker-count independent as the coverage itself.
-///
-/// # Errors
-///
-/// As [`exhaustive_coverage`].
-pub fn exhaustive_coverage_par_traced(
-    circuit: &Circuit,
-    pool: &Pool,
     tracer: &Tracer,
 ) -> Result<CoverageReport, PetError> {
     let k = circuit.num_inputs();
@@ -258,7 +229,7 @@ pub fn exhaustive_coverage_par_traced(
         let block = pattern / 64;
         let valid = (total - pattern).min(64) as u32;
         let pis: Vec<u64> = (0..k).map(|i| counting_word(i, block)).collect();
-        fs.apply_block_par_counted(&pis, &dffs, valid, pool);
+        fs.apply_block_counted(&pis, &dffs, valid);
         pattern += u64::from(valid);
         if fs.report().detected == fs.report().total {
             break; // everything detectable found already
@@ -356,25 +327,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_coverage_is_worker_count_invariant() {
-        let c = data::s27();
-        let members: Vec<_> = c.ids().collect();
-        let seg = extract_segment(&c, &members);
-        let seq = exhaustive_coverage(&seg.circuit).unwrap();
-        for workers in [1, 2, 8] {
-            let par = exhaustive_coverage_par(&seg.circuit, &Pool::new(workers)).unwrap();
-            assert_eq!(par, seq, "workers = {workers}");
-        }
-    }
-
-    #[test]
     fn traced_coverage_reports_consistent_counters() {
         let c = data::s27();
         let members: Vec<_> = c.ids().collect();
         let seg = extract_segment(&c, &members);
         let plain = exhaustive_coverage(&seg.circuit).unwrap();
         let (tracer, sink) = Tracer::collecting();
-        let traced = exhaustive_coverage_par_traced(&seg.circuit, &Pool::new(4), &tracer).unwrap();
+        let traced = exhaustive_coverage_traced(&seg.circuit, &tracer).unwrap();
         assert_eq!(plain, traced);
 
         let report = sink.report();
@@ -388,21 +347,6 @@ mod tests {
                 <= traced.total as u64 * traced.patterns.div_ceil(64)
         );
         assert!(report.counters["fsim.fault_evals"] >= traced.total as u64);
-    }
-
-    #[test]
-    fn traced_counters_are_worker_count_invariant() {
-        let c = data::s27();
-        let members: Vec<_> = c.ids().collect();
-        let seg = extract_segment(&c, &members);
-        let counters = |workers: usize| {
-            let (tracer, sink) = Tracer::collecting();
-            let _ =
-                exhaustive_coverage_par_traced(&seg.circuit, &Pool::new(workers), &tracer).unwrap();
-            sink.report().counters
-        };
-        let baseline = counters(1);
-        assert_eq!(counters(8), baseline);
     }
 
     #[test]

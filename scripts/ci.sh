@@ -56,6 +56,11 @@ scripts/sched_check.sh
 echo "==> perf gate: saturation and cut-realizer kernels vs recorded floors"
 scripts/perf_gate.sh
 
+echo "==> ppet-bench unit tests (perf-gate floor round-trip)"
+# ppet-bench is outside the default members, so `cargo test` above
+# never runs its library tests.
+cargo test -q -p ppet-bench --lib
+
 echo "==> serve smoke: compile service round-trip, cache hit, drain"
 scripts/serve_smoke.sh
 

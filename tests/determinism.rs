@@ -10,8 +10,6 @@ use ppet::netlist::data::table9;
 use ppet::netlist::synth::{calibrated_spec, iscas89_like};
 use ppet::netlist::{Circuit, Synthesizer};
 use ppet::partition::sa::{anneal, SaParams};
-use ppet::prng::{Rng, Xoshiro256PlusPlus};
-use ppet::sim::fsim::FaultSim;
 
 #[test]
 fn generator_is_reproducible() {
@@ -55,34 +53,6 @@ fn annealer_is_reproducible() {
 
 /// The worker counts every parallel entry point must be invariant under.
 const JOB_COUNTS: [usize; 3] = [1, 2, 8];
-
-#[test]
-fn parallel_fault_simulation_is_worker_count_invariant() {
-    let c = iscas89_like("s510").unwrap();
-    let mut rng = Xoshiro256PlusPlus::seed_from(42);
-    let blocks: Vec<(Vec<u64>, Vec<u64>)> = (0..4)
-        .map(|_| {
-            let pis = (0..c.num_inputs()).map(|_| rng.next_u64()).collect();
-            let dffs = (0..c.num_flip_flops()).map(|_| rng.next_u64()).collect();
-            (pis, dffs)
-        })
-        .collect();
-
-    let mut seq = FaultSim::new(&c).unwrap();
-    for (pis, dffs) in &blocks {
-        seq.apply_block(pis, dffs);
-    }
-    for jobs in JOB_COUNTS {
-        let pool = Pool::new(jobs);
-        let mut par = FaultSim::new(&c).unwrap();
-        for (pis, dffs) in &blocks {
-            par.apply_block_par(pis, dffs, &pool);
-        }
-        assert_eq!(par.detected(), seq.detected(), "jobs = {jobs}");
-        assert_eq!(par.report(), seq.report(), "jobs = {jobs}");
-        assert_eq!(par.stats(), seq.stats(), "jobs = {jobs}");
-    }
-}
 
 /// Everything in a report except the wall-clock fields and the worker
 /// count (a pure resource decision, echoed in both `jobs` and the
