@@ -12,8 +12,17 @@ use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use ppet_serve::front::MAX_BODY_BYTES;
+use ppet_serve::http::MAX_HEAD_BYTES;
+
 /// Bound on TCP connect; unreachable backends fail fast into failover.
 pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Largest accepted response: the head and body limits the serve front
+/// end applies to requests. A shard cannot ingest a larger result
+/// through `PUT /cache` anyway, and a peer that keeps sending past it
+/// fails the request instead of growing memory without bound.
+const RESPONSE_LIMIT: u64 = (MAX_HEAD_BYTES + MAX_BODY_BYTES) as u64;
 
 /// A parsed upstream response: status code plus body. Headers are not
 /// surfaced — the router mints its own `X-Ppet-Request-Id` and forwards
@@ -86,7 +95,8 @@ fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
 /// # Errors
 ///
 /// Any transport failure: resolve, connect, write, read, cancellation,
-/// or an unparseable status line. Protocol-level failures (4xx/5xx) are
+/// a response over the serve front end's head-plus-body limit, or an
+/// unparseable status line. Protocol-level failures (4xx/5xx) are
 /// *not* errors — they come back as a [`Response`] for the caller to
 /// interpret.
 pub fn request(
@@ -118,7 +128,13 @@ pub fn request(
     stream.flush()?;
 
     let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
+    stream.take(RESPONSE_LIMIT + 1).read_to_string(&mut raw)?;
+    if raw.len() as u64 > RESPONSE_LIMIT {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("upstream response exceeds {RESPONSE_LIMIT} bytes"),
+        ));
+    }
     parse_response(&raw)
 }
 
@@ -197,6 +213,35 @@ mod tests {
         assert!(got.starts_with("POST /ping HTTP/1.1\r\n"), "{got}");
         assert!(got.contains("X-Ppet-Request-Id: rid-1\r\n"), "{got}");
         assert!(got.ends_with("\r\n\r\nping"), "{got}");
+    }
+
+    #[test]
+    fn oversized_responses_are_refused() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // Drain the request first: closing on unread bytes would
+            // reset the connection before the client sees the flood.
+            let mut got = Vec::new();
+            let mut buf = [0u8; 4096];
+            while !got.ends_with(b"\r\n\r\n") {
+                let n = stream.read(&mut buf).unwrap();
+                assert!(n > 0, "client closed early");
+                got.extend_from_slice(&buf[..n]);
+            }
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n");
+            let chunk = vec![b'x'; 64 << 10];
+            let mut sent = 0u64;
+            // The client hangs up once past its limit; stop writing then.
+            while sent <= RESPONSE_LIMIT && stream.write_all(&chunk).is_ok() {
+                sent += chunk.len() as u64;
+            }
+        });
+        let err = request(&addr, "GET", "/big", &[], "", Duration::from_secs(5), None)
+            .expect_err("a response past the limit must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        server.join().unwrap();
     }
 
     #[test]

@@ -194,12 +194,6 @@ impl<B: CompileBackend> Router<B> {
         self.front.handle()
     }
 
-    /// The router's aggregated `/metrics` exposition (handy in tests).
-    #[must_use]
-    pub fn metrics_text(&self) -> String {
-        self.service.render_metrics()
-    }
-
     /// Serves until shutdown (handle, `POST /shutdown`, or a Unix
     /// termination signal), then drains: no new connections, all
     /// accepted requests answered, the prober joined.
@@ -612,7 +606,7 @@ impl<B: CompileBackend> ClusterService<B> {
         self.metrics
             .gauge("cluster.backends")
             .set(self.members.len() as f64);
-        let mut all = expo::parse(&self.metrics.render_prometheus()).unwrap_or_default();
+        let mut all = self.metrics.exposition();
         all.merge(&labelled);
         all.merge(&rollup);
         all.render_prometheus()

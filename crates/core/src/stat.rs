@@ -14,35 +14,39 @@
 //! Parsing the exposition text back into [`HistogramSnapshot`]s (rather
 //! than adding a private side channel) keeps the subcommand honest: it
 //! sees exactly what any Prometheus scraper would see, so a rendering
-//! bug in the server surfaces here first. The parser itself lives in
-//! [`ppet_trace::expo`], shared with the cluster router's metric
-//! aggregation; this module keeps the stat-specific model on top.
+//! bug in the server surfaces here first. The exposition model, its
+//! parser, and its merge are [`ppet_trace::expo`]'s, shared with the
+//! cluster router's metric aggregation; the HTTP client is
+//! [`ppet_cluster::proxy::request`], the router's own. This module keeps
+//! only the stat-specific request rows and rendering on top.
+//!
+//! A `merced cluster` router answers `/metrics` with its aggregated
+//! exposition but has no `/debug/requests`; its 404 there reads as "no
+//! request rows", so `merced stat <router>` works too.
 //!
 //! With several addresses, one sample is scraped per server and
 //! [`StatSample::merge`] folds them into a cluster-wide rollup:
 //! counters and gauges sum, latency histograms merge bucket-wise, and
 //! recent requests concatenate.
 
-use std::collections::BTreeMap;
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
 use std::time::Duration;
 
+use ppet_trace::expo::{self, Exposition};
 use ppet_trace::json::{self, Value};
 use ppet_trace::HistogramSnapshot;
+
+/// Per-read bound on a scrape; a stalled server fails the scrape.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Everything one `merced stat` sample needs, scraped from a server.
 #[derive(Debug, Default)]
 pub struct StatSample {
-    /// Counter samples keyed by exposition name + label block
+    /// The scraped exposition, keyed by exposition name + label block
     /// (`serve_requests`, `serve_latency_us{outcome="hit"}` …).
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge samples, keyed like counters.
-    pub gauges: BTreeMap<String, f64>,
-    /// Latency histograms reconstructed per series key.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    pub metrics: Exposition,
     /// Recent request summaries from `GET /debug/requests`, newest
-    /// first (empty when the trace ring is disabled).
+    /// first (empty when the trace ring is disabled or the server has
+    /// no such route).
     pub requests: Vec<RequestSummary>,
 }
 
@@ -68,63 +72,33 @@ pub struct RequestSummary {
     pub pinned: bool,
 }
 
-/// Issues a minimal `GET` and returns the response body.
-///
-/// # Errors
-///
-/// A description of the first connection, I/O, or HTTP-status problem.
-pub fn http_get(addr: &str, path: &str) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(|e| format!("cannot set timeout: {e}"))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: stat\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("cannot send request: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("cannot read response: {e}"))?;
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .ok_or_else(|| format!("malformed response from {addr}"))?;
-    if status != "200" {
-        return Err(format!("GET {path}: HTTP {status}"));
+/// `GET path` from `addr`: the body on 200, `None` on 404, an error
+/// otherwise.
+fn get(addr: &str, path: &str) -> Result<Option<String>, String> {
+    let response = ppet_cluster::proxy::request(addr, "GET", path, &[], "", SCRAPE_TIMEOUT, None)
+        .map_err(|e| format!("GET {path} from {addr}: {e}"))?;
+    match response.status {
+        200 => Ok(Some(response.body)),
+        404 => Ok(None),
+        status => Err(format!("GET {path}: HTTP {status}")),
     }
-    response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body.to_owned())
-        .ok_or_else(|| format!("no body in response to GET {path}"))
 }
 
-/// Scrapes one sample from a running server.
+/// Scrapes one sample from a running server or router. A 404 from
+/// `/debug/requests` (a router has no trace ring) leaves the request
+/// rows empty.
 ///
 /// # Errors
 ///
 /// The first scrape or parse failure, as prose.
 pub fn scrape(addr: &str) -> Result<StatSample, String> {
-    let mut sample = parse_prometheus(&http_get(addr, "/metrics")?)?;
-    sample.requests = parse_requests(&http_get(addr, "/debug/requests")?)?;
-    Ok(sample)
-}
-
-/// Parses a Prometheus text exposition back into counters, gauges, and
-/// reconstructed histogram snapshots (via [`ppet_trace::expo::parse`]).
-///
-/// # Errors
-///
-/// Malformed sample lines or non-monotone bucket series.
-pub fn parse_prometheus(text: &str) -> Result<StatSample, String> {
-    let expo = ppet_trace::expo::parse(text)?;
-    Ok(StatSample {
-        counters: expo.counters,
-        gauges: expo.gauges,
-        histograms: expo.histograms,
-        requests: Vec::new(),
-    })
+    let text = get(addr, "/metrics")?.ok_or("GET /metrics: HTTP 404")?;
+    let metrics = expo::parse(&text)?;
+    let requests = match get(addr, "/debug/requests")? {
+        Some(body) => parse_requests(&body)?,
+        None => Vec::new(),
+    };
+    Ok(StatSample { metrics, requests })
 }
 
 /// Parses the `GET /debug/requests` body.
@@ -170,19 +144,7 @@ impl StatSample {
     /// sum, histograms merge bucket-wise, and request rows concatenate
     /// (each scrape's rows stay newest-first within their run).
     pub fn merge(&mut self, other: &StatSample) {
-        for (name, value) in &other.counters {
-            let slot = self.counters.entry(name.clone()).or_insert(0);
-            *slot = slot.saturating_add(*value);
-        }
-        for (name, value) in &other.gauges {
-            *self.gauges.entry(name.clone()).or_insert(0.0) += value;
-        }
-        for (name, snapshot) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge(snapshot);
-        }
+        self.metrics.merge(&other.metrics);
         self.requests.extend(other.requests.iter().cloned());
     }
 
@@ -190,14 +152,20 @@ impl StatSample {
     /// it yet).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or_default()
+        self.metrics.counters.get(name).copied().unwrap_or_default()
+    }
+
+    /// A gauge by exposition name (0 when the server has not set it).
+    fn gauge(&self, name: &str) -> f64 {
+        self.metrics.gauges.get(name).copied().unwrap_or_default()
     }
 
     /// The latency histogram for one outcome class, if any requests of
     /// that class completed.
     #[must_use]
     pub fn latency(&self, outcome: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
+        self.metrics
+            .histograms
             .get(&format!("serve_latency_us{{outcome=\"{outcome}\"}}"))
     }
 
@@ -221,14 +189,8 @@ impl StatSample {
             "timeouts {}   shed {}   queue depth {}   trace ring {}",
             self.counter("serve_timeouts"),
             self.counter("serve_shed"),
-            self.gauges
-                .get("serve_queue_depth")
-                .copied()
-                .unwrap_or_default(),
-            self.gauges
-                .get("serve_trace_ring_entries")
-                .copied()
-                .unwrap_or_default(),
+            self.gauge("serve_queue_depth"),
+            self.gauge("serve_trace_ring_entries"),
         );
         let _ = writeln!(out);
         let _ = writeln!(
@@ -283,14 +245,14 @@ impl StatSample {
         let mut out = String::from("{");
         let _ = write!(out, "\"addr\":{}", json::escaped(addr));
         out.push_str(",\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
+        for (i, (name, value)) in self.metrics.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(out, "{}:{value}", json::escaped(name));
         }
         out.push_str("},\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
+        for (i, (name, value)) in self.metrics.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -344,15 +306,24 @@ impl StatSample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read as _, Write as _};
+    use std::net::TcpListener;
+
+    fn sample(text: &str) -> StatSample {
+        StatSample {
+            metrics: expo::parse(text).unwrap(),
+            requests: Vec::new(),
+        }
+    }
 
     const EXPOSITION: &str = "\
-# HELP serve_requests ppet counter `serve.requests`
+# HELP serve_requests ppet counter
 # TYPE serve_requests counter
 serve_requests 5
-# HELP serve_queue_depth ppet gauge `serve.queue_depth`
+# HELP serve_queue_depth ppet gauge
 # TYPE serve_queue_depth gauge
 serve_queue_depth 2
-# HELP serve_latency_us ppet histogram `serve.latency_us`
+# HELP serve_latency_us ppet histogram
 # TYPE serve_latency_us histogram
 serve_latency_us_bucket{outcome=\"hit\",le=\"127\"} 3
 serve_latency_us_bucket{outcome=\"hit\",le=\"255\"} 4
@@ -363,9 +334,9 @@ serve_latency_us_count{outcome=\"hit\"} 4
 
     #[test]
     fn parses_counters_gauges_and_histograms() {
-        let sample = parse_prometheus(EXPOSITION).unwrap();
+        let sample = sample(EXPOSITION);
         assert_eq!(sample.counter("serve_requests"), 5);
-        assert_eq!(sample.gauges["serve_queue_depth"], 2.0);
+        assert_eq!(sample.metrics.gauges["serve_queue_depth"], 2.0);
         let hist = sample.latency("hit").expect("hit histogram");
         assert_eq!(hist.count, 4);
         assert_eq!(hist.sum, 500);
@@ -384,7 +355,7 @@ h_bucket{le=\"255\"} 3
 h_count 5
 h_sum 9
 ";
-        let err = parse_prometheus(bad).unwrap_err();
+        let err = expo::parse(bad).unwrap_err();
         assert!(err.contains("non-monotone"), "{err}");
     }
 
@@ -398,7 +369,7 @@ h_sum 9
         for value in [0, 1, 3, 200, 999, 70_000] {
             hist.record(value);
         }
-        let sample = parse_prometheus(&metrics.render_prometheus()).unwrap();
+        let sample = sample(&metrics.exposition().render_prometheus());
         assert_eq!(sample.counter("serve_requests"), 7);
         let back = sample.latency("miss").expect("miss histogram");
         assert_eq!(*back, hist.snapshot());
@@ -406,11 +377,11 @@ h_sum 9
 
     #[test]
     fn merge_sums_counters_and_histograms() {
-        let mut merged = parse_prometheus(EXPOSITION).unwrap();
-        let other = parse_prometheus(EXPOSITION).unwrap();
+        let mut merged = sample(EXPOSITION);
+        let other = sample(EXPOSITION);
         merged.merge(&other);
         assert_eq!(merged.counter("serve_requests"), 10);
-        assert_eq!(merged.gauges["serve_queue_depth"], 4.0);
+        assert_eq!(merged.metrics.gauges["serve_queue_depth"], 4.0);
         let hist = merged.latency("hit").expect("hit histogram");
         assert_eq!(hist.count, 8);
         assert_eq!(hist.sum, 1000);
@@ -438,7 +409,7 @@ h_sum 9
 
     #[test]
     fn renders_text_and_json() {
-        let mut sample = parse_prometheus(EXPOSITION).unwrap();
+        let mut sample = sample(EXPOSITION);
         sample.requests = parse_requests(
             "{\"requests\":[{\"id\":\"r1\",\"outcome\":\"hit\",\"status\":200,\
              \"circuit\":\"s27\",\"seed\":1,\"wall_us\":88,\"coalesced\":true,\
@@ -464,5 +435,36 @@ h_sum 9
                 .map(<[_]>::len),
             Some(1)
         );
+    }
+
+    #[test]
+    fn scrapes_a_router_without_debug_requests() {
+        // A router serves /metrics but answers 404 on /debug/requests.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut got = Vec::new();
+                let mut buf = [0u8; 1024];
+                while !got.ends_with(b"\r\n\r\n") {
+                    let n = stream.read(&mut buf).unwrap();
+                    assert!(n > 0, "client closed early");
+                    got.extend_from_slice(&buf[..n]);
+                }
+                let (status, body) = if got.starts_with(b"GET /metrics ") {
+                    ("200 OK", EXPOSITION)
+                } else {
+                    ("404 Not Found", "{}")
+                };
+                let reply = format!("HTTP/1.1 {status}\r\nConnection: close\r\n\r\n{body}");
+                stream.write_all(reply.as_bytes()).unwrap();
+            }
+        });
+        let scraped = scrape(&addr).unwrap();
+        server.join().unwrap();
+        assert_eq!(scraped.counter("serve_requests"), 5);
+        assert_eq!(scraped.latency("hit").map(|h| h.count), Some(4));
+        assert!(scraped.requests.is_empty());
     }
 }

@@ -2,10 +2,11 @@
 //! binary on an ephemeral port, compile over HTTP, observe the cache in
 //! `/metrics`, and shut down cleanly via `POST /shutdown` or `SIGTERM`.
 
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
-use std::net::TcpStream;
+use std::io::{BufRead as _, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use ppet_cluster::proxy;
 
 struct ServerProcess {
     child: Child,
@@ -41,26 +42,10 @@ impl ServerProcess {
     }
 
     fn request(&self, method: &str, path: &str, body: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(&self.addr).expect("connect");
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        let status: u16 = response
-            .split_whitespace()
-            .nth(1)
-            .expect("status line")
-            .parse()
-            .unwrap();
-        let body = response
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_owned())
-            .unwrap_or_default();
-        (status, body)
+        let timeout = Duration::from_secs(60);
+        let response = proxy::request(&self.addr, method, path, &[], body, timeout, None);
+        let response = response.unwrap();
+        (response.status, response.body)
     }
 
     fn wait_for_exit(mut self) -> std::process::ExitStatus {

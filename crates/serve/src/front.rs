@@ -29,7 +29,7 @@ const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Largest accepted request body in bytes; a larger declared
 /// `Content-Length` answers 413 without the body being read.
-const MAX_BODY_BYTES: usize = 4 << 20;
+pub const MAX_BODY_BYTES: usize = 4 << 20;
 
 /// One response: status, content type, body.
 pub type Reply = (u16, &'static str, String);

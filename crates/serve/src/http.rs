@@ -12,7 +12,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 /// Largest accepted request head (request line plus headers) in bytes.
 /// A client that keeps sending head bytes past it gets a `Malformed`
 /// error instead of an ever-growing line buffer.
-const MAX_HEAD_BYTES: usize = 64 << 10;
+pub const MAX_HEAD_BYTES: usize = 64 << 10;
 
 /// A parsed request: method, path, body, and the client-supplied
 /// request ID, if any.

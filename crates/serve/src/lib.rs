@@ -30,7 +30,7 @@
 //! | `POST /compile` | compile a [`CompileRequest`]; returns the run manifest |
 //! | `PUT /cache/<32-hex-key>` | replication ingest: seed the cache with an already-compiled, verified manifest |
 //! | `GET /healthz` | liveness probe |
-//! | `GET /metrics` | Prometheus text exposition 0.0.4 ([`ppet_trace::Metrics::render_prometheus`]) |
+//! | `GET /metrics` | Prometheus text exposition 0.0.4 ([`ppet_trace::expo::Exposition::render_prometheus`]) |
 //! | `GET /debug/requests` | summary of recent request traces, newest first |
 //! | `GET /debug/trace/<id>` | full span tree of one request (`ppet-trace/v1`-compatible) |
 //! | `POST /shutdown` | begin graceful drain |

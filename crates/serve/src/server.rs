@@ -171,13 +171,6 @@ impl<B: CompileBackend> Server<B> {
         self.front.handle().sharing(Arc::clone(&self.service.queue))
     }
 
-    /// The server's metric values, rendered as the `/metrics` endpoint
-    /// would (handy for in-process tests).
-    #[must_use]
-    pub fn metrics_text(&self) -> String {
-        self.service.render_metrics()
-    }
-
     /// Serves until shutdown is requested (handle, `POST /shutdown`, or
     /// a Unix termination signal), then drains: no new connections, all
     /// accepted requests answered, all queued compiles completed.
@@ -242,7 +235,7 @@ impl<B: CompileBackend> Service<B> {
         self.metrics
             .gauge("serve.trace_ring_entries")
             .set(self.ring.len() as f64);
-        self.metrics.render_prometheus()
+        self.metrics.exposition().render_prometheus()
     }
 
     /// The `POST /compile` entry point: wraps [`Service::compile_inner`]

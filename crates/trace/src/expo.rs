@@ -1,18 +1,18 @@
-//! Prometheus text-exposition parsing, relabeling, merging, and
-//! re-rendering — the aggregation substrate behind `merced stat` and the
-//! `ppet-cluster` router's aggregated `/metrics`.
+//! The Prometheus text exposition (format 0.0.4): the one model and the
+//! one renderer behind every `/metrics` endpoint, plus the parsing,
+//! relabeling, and merging that `merced stat` and the `ppet-cluster`
+//! router's aggregated `/metrics` build on.
 //!
-//! [`Metrics::render_prometheus`](crate::Metrics::render_prometheus)
-//! turns a live registry into exposition text; this module goes the
-//! other way and back again: [`parse`] reconstructs counters, gauges,
-//! and [`HistogramSnapshot`]s from exposition text, [`Exposition::relabel`]
-//! stamps a label (e.g. `backend="host:port"`) onto every series,
-//! [`Exposition::merge`] folds several scrapes into one rollup, and
-//! [`Exposition::render_prometheus`] emits a valid exposition again
-//! (one `# HELP`/`# TYPE` header per family, cumulative monotone
-//! `_bucket` series, `+Inf` equal to `_count`).
+//! [`Metrics::exposition`](crate::Metrics::exposition) snapshots a live
+//! registry into an [`Exposition`]; [`parse`] reconstructs one —
+//! counters, gauges, and [`HistogramSnapshot`]s — from scraped text;
+//! [`Exposition::relabel`] stamps a label (e.g. `backend="host:port"`)
+//! onto every series; [`Exposition::merge`] folds several into one
+//! rollup; and [`Exposition::render_prometheus`] emits the text (one
+//! `# HELP`/`# TYPE` header per family, cumulative monotone `_bucket`
+//! series, `+Inf` equal to `_count`).
 //!
-//! Round-tripping through the public exposition format — rather than a
+//! Aggregating through the public exposition format — rather than a
 //! private side channel — keeps every aggregator honest: a rendering bug
 //! in any server surfaces in its aggregators immediately.
 
@@ -157,8 +157,10 @@ fn bucket_lower(le: u64) -> u64 {
 }
 
 /// The inclusive integer `le` label of the log bucket whose lower bound
-/// is `lower` — mirrors the [`crate::Metrics::render_prometheus`]
-/// rendering so round trips are exact.
+/// is `lower`: the bucket holding bit-length `i` values
+/// (`[2^(i-1), 2^i)`) becomes `2^i - 1`, the zero bucket `0`, and the
+/// top bucket `u64::MAX` — exact integers, so [`bucket_lower`] inverts
+/// it.
 fn bucket_le(lower: u64) -> String {
     if lower == 0 {
         "0".to_owned()
@@ -337,11 +339,13 @@ impl Exposition {
         }
     }
 
-    /// Renders the exposition back into Prometheus text format 0.0.4:
-    /// one `# HELP`/`# TYPE` header per family (all series sharing a
-    /// base name, however labelled), histogram series expanded into
+    /// Renders the exposition as Prometheus text format 0.0.4: one
+    /// `# HELP`/`# TYPE` header per family (all series sharing a base
+    /// name, however labelled), histogram series expanded into
     /// cumulative `_bucket{le=…}` plus `_sum`/`_count`, and the
-    /// mandatory `+Inf` bucket equal to `_count`.
+    /// mandatory `+Inf` bucket equal to `_count`. Empty buckets are
+    /// elided; cumulative counts saturate at `u64::MAX`, so a merged
+    /// series near the top of the range stays monotone.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
@@ -369,7 +373,7 @@ impl Exposition {
             for (labels, snap) in series {
                 let mut cumulative = 0u64;
                 for &(lower, count) in &snap.buckets {
-                    cumulative += count;
+                    cumulative = cumulative.saturating_add(count);
                     let le = bucket_le(lower);
                     let _ = writeln!(
                         out,
@@ -404,10 +408,10 @@ fn group<V>(series: &BTreeMap<String, V>) -> BTreeMap<&str, Vec<(&str, &V)>> {
     families
 }
 
-/// Writes the `# HELP`/`# TYPE` header for one aggregated family.
+/// Writes the `# HELP`/`# TYPE` header for one family.
 fn header(out: &mut String, base: &str, kind: &str) {
     use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {base} ppet {kind} `{base}` (aggregated)");
+    let _ = writeln!(out, "# HELP {base} ppet {kind}");
     let _ = writeln!(out, "# TYPE {base} {kind}");
 }
 
@@ -440,7 +444,7 @@ mod tests {
     #[test]
     fn parse_round_trips_the_registry_renderer() {
         let metrics = sample_metrics();
-        let expo = parse(&metrics.render_prometheus()).unwrap();
+        let expo = parse(&metrics.exposition().render_prometheus()).unwrap();
         assert_eq!(expo.counters["serve_requests"], 5);
         assert_eq!(expo.gauges["serve_queue_depth"], 2.0);
         let hist = &expo.histograms["serve_latency_us{outcome=\"hit\"}"];
@@ -450,11 +454,12 @@ mod tests {
                 .histogram("serve.latency_us{outcome=\"hit\"}")
                 .snapshot()
         );
+        assert_eq!(expo, metrics.exposition(), "parse inverts the render");
     }
 
     #[test]
     fn render_round_trips_a_parsed_exposition() {
-        let text = sample_metrics().render_prometheus();
+        let text = sample_metrics().exposition().render_prometheus();
         let expo = parse(&text).unwrap();
         let again = parse(&expo.render_prometheus()).unwrap();
         assert_eq!(expo, again, "render ∘ parse is the identity");
@@ -462,7 +467,7 @@ mod tests {
 
     #[test]
     fn relabel_stamps_every_series() {
-        let expo = parse(&sample_metrics().render_prometheus()).unwrap();
+        let expo = parse(&sample_metrics().exposition().render_prometheus()).unwrap();
         let tagged = expo.relabel("backend", "127.0.0.1:9");
         assert_eq!(
             tagged.counters["serve_requests{backend=\"127.0.0.1:9\"}"],
@@ -478,7 +483,7 @@ mod tests {
 
     #[test]
     fn merge_sums_counters_and_merges_histograms() {
-        let a = parse(&sample_metrics().render_prometheus()).unwrap();
+        let a = parse(&sample_metrics().exposition().render_prometheus()).unwrap();
         let mut rollup = a.clone();
         rollup.merge(&a);
         assert_eq!(rollup.counters["serve_requests"], 10);
@@ -493,7 +498,7 @@ mod tests {
 
     #[test]
     fn merged_rollup_renders_a_lintable_exposition() {
-        let a = parse(&sample_metrics().render_prometheus()).unwrap();
+        let a = parse(&sample_metrics().exposition().render_prometheus()).unwrap();
         let mut all = a.relabel("backend", "a");
         all.merge(&a.relabel("backend", "b"));
         let mut rollup = a.clone();
@@ -518,7 +523,7 @@ mod tests {
         // Commas, an embedded quote, a backslash, a newline, and an `=`
         // — each of which a quote-blind splitter mangles.
         let value = "a,b=\"c\"\\\nd";
-        let expo = parse(&sample_metrics().render_prometheus()).unwrap();
+        let expo = parse(&sample_metrics().exposition().render_prometheus()).unwrap();
         let tagged = expo.relabel("src", value);
         // The escaped form is what lands in the series keys…
         assert!(
@@ -547,6 +552,41 @@ mod tests {
             strip_label(series, "le"),
             "m{a=\"x,y\",b=\"q\\\"u\\\\o\\nte\"}"
         );
+    }
+
+    #[test]
+    fn merged_buckets_near_u64_max_render_monotone() {
+        // One backend reports a bucket at u64::MAX, another reports a
+        // lower bucket: the merged cumulative series must saturate, not
+        // overflow or wrap.
+        let a = parse(
+            "# TYPE h histogram\n\
+             h_bucket{le=\"3\"} 18446744073709551615\n\
+             h_bucket{le=\"+Inf\"} 18446744073709551615\n\
+             h_sum 0\n\
+             h_count 18446744073709551615\n",
+        )
+        .unwrap();
+        let b = parse(
+            "# TYPE h histogram\n\
+             h_bucket{le=\"1\"} 1\n\
+             h_bucket{le=\"+Inf\"} 1\n\
+             h_sum 1\n\
+             h_count 1\n",
+        )
+        .unwrap();
+        let mut merged = a;
+        merged.merge(&b);
+        let text = merged.render_prometheus();
+        let cumulative: Vec<u64> = text
+            .lines()
+            .filter(|l| l.starts_with("h_bucket"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(cumulative, [1, u64::MAX, u64::MAX], "{text}");
+        assert!(parse(&text).is_ok(), "{text}");
+        let top = merged.histograms["h"].quantile(1.0);
+        assert!((2.0..=4.0).contains(&top), "{top}");
     }
 
     #[test]

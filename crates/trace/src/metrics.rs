@@ -10,6 +10,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::expo::Exposition;
+
 /// A named monotonic counter handle.
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
@@ -218,7 +220,7 @@ impl HistogramSnapshot {
         let target = q * self.count as f64;
         let mut below = 0u64;
         for &(lower, count) in &self.buckets {
-            let through = below + count;
+            let through = below.saturating_add(count);
             if through as f64 >= target {
                 if lower == 0 {
                     return 0.0;
@@ -316,65 +318,16 @@ impl Metrics {
             .collect()
     }
 
-    /// Renders a plain-text exposition of every metric, one `name value`
-    /// line per counter and gauge plus `name.count` / `name.sum` lines per
-    /// histogram, all sorted by name — the `/metrics` endpoint format of
-    /// the compile service.
+    /// A point-in-time snapshot of every metric as an [`Exposition`],
+    /// keyed like [`crate::expo::parse`] keys a scrape: the base name
+    /// mapped onto the Prometheus name charset `[a-zA-Z0-9_:]` (`.` and
+    /// any other character become `_`), the label block kept verbatim.
+    /// A site that wants labels embeds them in its name literal using
+    /// the normal Prometheus syntax, e.g. `serve.latency_us{outcome="hit"}`
+    /// becomes the series `serve_latency_us{outcome="hit"}`.
     ///
-    /// The format is deliberately trivial: line-oriented, space-separated,
-    /// stable ordering, so a shell test can `grep '^serve.cache_hits '`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let m = ppet_trace::Metrics::new();
-    /// m.counter("requests").add(2);
-    /// m.gauge("queue_depth").set(1.0);
-    /// let text = m.render_text();
-    /// assert!(text.contains("requests 2\n"));
-    /// assert!(text.contains("queue_depth 1\n"));
-    /// ```
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (name, value) in self.counters_snapshot() {
-            let _ = writeln!(out, "{name} {value}");
-        }
-        for (name, value) in self.gauges_snapshot() {
-            // Gauges are f64; render integral values without a trailing
-            // ".0" so grep-style assertions stay simple.
-            if value.fract() == 0.0 && value.abs() < 1e15 {
-                let _ = writeln!(out, "{name} {}", value as i64);
-            } else {
-                let _ = writeln!(out, "{name} {value}");
-            }
-        }
-        for (name, snap) in self.histograms_snapshot() {
-            let _ = writeln!(out, "{name}.count {}", snap.count);
-            let _ = writeln!(out, "{name}.sum {}", snap.sum);
-        }
-        out
-    }
-
-    /// Renders every metric in Prometheus text exposition format 0.0.4:
-    /// one `# HELP` / `# TYPE` header per family followed by its sample
-    /// lines, with histograms expanded into cumulative `_bucket{le=...}`
-    /// series plus `_sum` and `_count`.
-    ///
-    /// Metric names stay `&'static str` literals at the recording site; a
-    /// site that wants labels embeds them in the literal using the normal
-    /// Prometheus syntax, e.g. `serve.latency_us{outcome="hit"}`. The
-    /// renderer splits the label block off, mangles the base name to the
-    /// Prometheus charset (`.` and other invalid characters become `_`),
-    /// and groups every labelled series under one family header.
-    ///
-    /// Log-bucket histograms expose exact integer `le` bounds: the bucket
-    /// holding bit-length `i` values (`[2^(i-1), 2^i)`) becomes
-    /// `le="2^i - 1"`, the zero bucket `le="0"`, and the top bucket
-    /// `le="18446744073709551615"`. Empty buckets are elided — cumulative
-    /// counts stay monotone without them — and the mandatory `+Inf` bucket
-    /// always equals `_count`.
+    /// [`Exposition::render_prometheus`] turns the snapshot into the
+    /// `/metrics` text.
     ///
     /// # Examples
     ///
@@ -382,148 +335,35 @@ impl Metrics {
     /// let m = ppet_trace::Metrics::new();
     /// m.counter("serve.requests").add(2);
     /// m.histogram("serve.latency_us{outcome=\"hit\"}").record(100);
-    /// let text = m.render_prometheus();
+    /// let text = m.exposition().render_prometheus();
     /// assert!(text.contains("# TYPE serve_requests counter\n"));
     /// assert!(text.contains("serve_latency_us_bucket{outcome=\"hit\",le=\"127\"} 1\n"));
     /// ```
     #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-
-        let counters = group_families(self.counters_snapshot());
-        for (base, family) in &counters {
-            family_header(&mut out, base, &family.source, "counter");
-            for (labels, value) in &family.series {
-                let _ = writeln!(out, "{base}{} {value}", label_block(labels, None));
-            }
+    pub fn exposition(&self) -> Exposition {
+        fn keyed<V, T>(series: &BTreeMap<&str, V>, value: fn(&V) -> T) -> BTreeMap<String, T> {
+            series
+                .iter()
+                .map(|(n, v)| (series_key(n), value(v)))
+                .collect()
         }
-
-        let gauges = group_families(self.gauges_snapshot());
-        for (base, family) in &gauges {
-            family_header(&mut out, base, &family.source, "gauge");
-            for (labels, value) in &family.series {
-                let _ = write!(out, "{base}{} ", label_block(labels, None));
-                if value.fract() == 0.0 && value.abs() < 1e15 {
-                    let _ = writeln!(out, "{}", *value as i64);
-                } else {
-                    let _ = writeln!(out, "{value}");
-                }
-            }
+        let reg = self.registry.lock().unwrap();
+        Exposition {
+            counters: keyed(&reg.counters, Counter::get),
+            gauges: keyed(&reg.gauges, Gauge::get),
+            histograms: keyed(&reg.histograms, Histogram::snapshot),
         }
-
-        let histograms = group_families(self.histograms_snapshot());
-        for (base, family) in &histograms {
-            family_header(&mut out, base, &family.source, "histogram");
-            for (labels, snap) in &family.series {
-                let mut cumulative = 0u64;
-                for &(lower, count) in &snap.buckets {
-                    cumulative += count;
-                    let le = bucket_le(lower);
-                    let _ = writeln!(
-                        out,
-                        "{base}_bucket{} {cumulative}",
-                        label_block(labels, Some(&le))
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "{base}_bucket{} {}",
-                    label_block(labels, Some("+Inf")),
-                    snap.count
-                );
-                let _ = writeln!(out, "{base}_sum{} {}", label_block(labels, None), snap.sum);
-                let _ = writeln!(
-                    out,
-                    "{base}_count{} {}",
-                    label_block(labels, None),
-                    snap.count
-                );
-            }
-        }
-        out
     }
 }
 
-/// One exposition family: every series sharing a mangled base name.
-struct Family<V> {
-    /// The original (dotted) base name of the first series seen, for HELP.
-    source: String,
-    /// `(label-pairs, value)` in registry order.
-    series: Vec<(String, V)>,
-}
-
-/// Splits `serve.latency_us{outcome="hit"}` into the base name and the
-/// raw label pairs (empty when the name carries no labels).
-fn split_labels(name: &str) -> (&str, &str) {
-    match name.split_once('{') {
-        Some((base, rest)) => (base, rest.strip_suffix('}').unwrap_or(rest)),
-        None => (name, ""),
-    }
-}
-
-/// Maps a dotted metric name onto the Prometheus name charset
-/// `[a-zA-Z0-9_:]` (anything else becomes `_`).
-fn mangle(base: &str) -> String {
+/// The exposition key of a registry name (see [`Metrics::exposition`]).
+fn series_key(name: &str) -> String {
+    let (base, labels) = name.split_at(name.find('{').unwrap_or(name.len()));
+    let valid = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
     base.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
+        .map(|c| if valid(c) { c } else { '_' })
+        .chain(labels.chars())
         .collect()
-}
-
-/// Groups snapshot entries into families keyed by mangled base name.
-/// Grouping by map (rather than relying on sort order) keeps a family
-/// contiguous even when label blocks interleave lexically with other
-/// metric names.
-fn group_families<V>(snapshot: BTreeMap<String, V>) -> BTreeMap<String, Family<V>> {
-    let mut families: BTreeMap<String, Family<V>> = BTreeMap::new();
-    for (name, value) in snapshot {
-        let (base, labels) = split_labels(&name);
-        families
-            .entry(mangle(base))
-            .or_insert_with(|| Family {
-                source: base.to_owned(),
-                series: Vec::new(),
-            })
-            .series
-            .push((labels.to_owned(), value));
-    }
-    families
-}
-
-/// Writes the `# HELP` / `# TYPE` header for one family.
-fn family_header(out: &mut String, base: &str, source: &str, kind: &str) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {base} ppet {kind} `{source}`");
-    let _ = writeln!(out, "# TYPE {base} {kind}");
-}
-
-/// Renders a label block from stored pairs plus an optional `le` label;
-/// empty when there are no labels at all.
-fn label_block(labels: &str, le: Option<&str>) -> String {
-    match (labels.is_empty(), le) {
-        (true, None) => String::new(),
-        (true, Some(le)) => format!("{{le=\"{le}\"}}"),
-        (false, None) => format!("{{{labels}}}"),
-        (false, Some(le)) => format!("{{{labels},le=\"{le}\"}}"),
-    }
-}
-
-/// The inclusive integer upper bound of the log bucket whose lower bound
-/// is `lower`, as a decimal string for the `le` label.
-fn bucket_le(lower: u64) -> String {
-    if lower == 0 {
-        "0".to_owned()
-    } else if lower >= 1 << 63 {
-        u64::MAX.to_string()
-    } else {
-        (2 * lower - 1).to_string()
-    }
 }
 
 #[cfg(test)]
@@ -556,27 +396,6 @@ mod tests {
         assert_eq!(metrics.gauge("g").get(), -2.5);
         metrics.gauge("g").set(7.0);
         assert_eq!(metrics.gauges_snapshot()["g"], 7.0);
-    }
-
-    #[test]
-    fn render_text_lists_everything_sorted() {
-        let m = Metrics::new();
-        m.counter("serve.requests").add(3);
-        m.counter("serve.cache_hits").inc();
-        m.gauge("serve.queue_depth").set(2.0);
-        m.histogram("serve.latency_us").record(150);
-        let text = m.render_text();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines,
-            vec![
-                "serve.cache_hits 1",
-                "serve.requests 3",
-                "serve.queue_depth 2",
-                "serve.latency_us.count 1",
-                "serve.latency_us.sum 150",
-            ]
-        );
     }
 
     #[test]
@@ -702,7 +521,7 @@ mod tests {
         m.gauge("serve.queue_depth").set(2.0);
         m.histogram("serve.latency_us{outcome=\"hit\"}").record(100);
         m.histogram("serve.latency_us{outcome=\"miss\"}").record(3);
-        let text = m.render_prometheus();
+        let text = m.exposition().render_prometheus();
 
         assert!(text.contains("# HELP serve_requests "), "{text}");
         assert!(text.contains("# TYPE serve_requests counter\n"), "{text}");
@@ -745,7 +564,7 @@ mod tests {
         for v in [0, 1, 5, 5, 900, u64::MAX] {
             h.record(v);
         }
-        let text = m.render_prometheus();
+        let text = m.exposition().render_prometheus();
         let buckets: Vec<u64> = text
             .lines()
             .filter(|l| l.starts_with("lat_bucket"))
@@ -760,5 +579,49 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("lat_count 6\n"), "{text}");
+    }
+
+    #[test]
+    fn registry_exposition_bytes_are_pinned() {
+        let m = Metrics::new();
+        m.counter("serve.requests").add(7);
+        m.counter("store.hits").add(2);
+        m.gauge("serve.queue_depth").set(3.0);
+        m.gauge("store.delta_ratio").set(0.25);
+        // An empty bucket between samples, a zero sample, a top bucket.
+        let hit = m.histogram("serve.latency_us{outcome=\"hit\"}");
+        for v in [0, 5, 6, 100] {
+            hit.record(v);
+        }
+        m.histogram("serve.latency_us{outcome=\"miss\"}")
+            .record(u64::MAX);
+        let text = m.exposition().render_prometheus();
+        let samples: Vec<&str> = text.lines().filter(|l| !l.starts_with("# HELP ")).collect();
+        assert_eq!(
+            samples,
+            [
+                "# TYPE serve_requests counter",
+                "serve_requests 7",
+                "# TYPE store_hits counter",
+                "store_hits 2",
+                "# TYPE serve_queue_depth gauge",
+                "serve_queue_depth 3",
+                "# TYPE store_delta_ratio gauge",
+                "store_delta_ratio 0.25",
+                "# TYPE serve_latency_us histogram",
+                "serve_latency_us_bucket{outcome=\"hit\",le=\"0\"} 1",
+                "serve_latency_us_bucket{outcome=\"hit\",le=\"7\"} 3",
+                "serve_latency_us_bucket{outcome=\"hit\",le=\"127\"} 4",
+                "serve_latency_us_bucket{outcome=\"hit\",le=\"+Inf\"} 4",
+                "serve_latency_us_sum{outcome=\"hit\"} 111",
+                "serve_latency_us_count{outcome=\"hit\"} 4",
+                "serve_latency_us_bucket{outcome=\"miss\",le=\"18446744073709551615\"} 1",
+                "serve_latency_us_bucket{outcome=\"miss\",le=\"+Inf\"} 1",
+                "serve_latency_us_sum{outcome=\"miss\"} 18446744073709551615",
+                "serve_latency_us_count{outcome=\"miss\"} 1",
+            ]
+        );
+        // Every family still carries exactly one HELP line.
+        assert_eq!(text.matches("# HELP ").count(), 5, "{text}");
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests for the exposition round trip: `parse` must invert
-//! `render_prometheus` on label values drawn from an alphabet that
-//! includes every character the format has to escape or quote (`"`,
-//! `\`, newline, comma, `=`, braces), and on families with no
-//! observations at all.
+//! `Exposition::render_prometheus` on label values drawn from an
+//! alphabet that includes every character the format has to escape or
+//! quote (`"`, `\`, newline, comma, `=`, braces), and on families with
+//! no observations at all.
 
 use ppet_trace::expo::parse;
 use ppet_trace::Metrics;
@@ -49,7 +49,7 @@ proptest! {
         samples in collection::vec(0u64..100_000, 0..12),
     ) {
         let metrics = registry(counter, gauge_tenths, &samples);
-        let expo = parse(&metrics.render_prometheus())
+        let expo = parse(&metrics.exposition().render_prometheus())
             .map_err(TestCaseError::fail)?;
         let tagged = expo.relabel("src", &value);
         let back = parse(&tagged.render_prometheus())
@@ -73,7 +73,7 @@ proptest! {
         samples in collection::vec(0u64..1_000_000_000, 0..20),
     ) {
         let metrics = registry(counter, gauge_tenths, &samples);
-        let expo = parse(&metrics.render_prometheus())
+        let expo = parse(&metrics.exposition().render_prometheus())
             .map_err(TestCaseError::fail)?;
         let back = parse(&expo.render_prometheus())
             .map_err(TestCaseError::fail)?;

@@ -5,7 +5,8 @@
 # in flight, and assert zero failed client requests and zero recompiles
 # of already-stored keys (via the per-backend serve_cache_misses series
 # in the router's aggregated /metrics). Structured errors must keep the
-# ppet-error/v1 shape throughout. Shared by scripts/ci.sh and the
+# ppet-error/v1 shape throughout, and `merced stat <router>` must succeed
+# against the aggregated exposition. Shared by scripts/ci.sh and the
 # workflow so the two entry points cannot drift.
 set -eu
 
@@ -57,7 +58,7 @@ pids="$pids $router_pid"
 addr="$(await_addr "$out/router" cluster)"
 
 python3 - "$addr" "$b1" "$b2" "$b3" "$pid1" <<'EOF'
-import json, os, signal, socket, sys, threading, time
+import json, os, signal, socket, subprocess, sys, threading, time
 
 router, b1, b2, b3, victim_pid = sys.argv[1:6]
 victim_pid = int(victim_pid)
@@ -153,6 +154,13 @@ assert metric(after, "cluster_backends_up") == 2, after
 # Quorum holds at 2 of 3.
 status, health = request(router, "GET", "/healthz")
 assert (status, health) == (200, "ok\n"), (status, health)
+
+# `merced stat` reads the router's aggregated exposition; the router has
+# no /debug/requests, which must not fail the scrape.
+stat = subprocess.run(["target/release/merced", "stat", router],
+                      capture_output=True, text=True)
+assert stat.returncode == 0, stat.stderr
+assert stat.stdout.startswith(f"merced stat {router}\n"), stat.stdout
 
 for target in (router, b2, b3):
     status, drain = request(target, "POST", "/shutdown")

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Smoke test of `merced serve`: start the release binary on an ephemeral
 # port, compile a builtin twice, assert the repeat was served from the
-# content-addressed cache (via /metrics), then drain with POST /shutdown
-# and require a clean exit. Shared by scripts/ci.sh and the workflow so
-# the two entry points cannot drift.
+# content-addressed cache (via /metrics and `merced stat --json`), then
+# drain with POST /shutdown and require a clean exit. Shared by
+# scripts/ci.sh and the workflow so the two entry points cannot drift.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,7 +36,7 @@ if [ -z "$addr" ]; then
 fi
 
 python3 - "$addr" <<'EOF'
-import json, socket, sys
+import json, socket, subprocess, sys
 
 host, port = sys.argv[1].rsplit(":", 1)
 
@@ -74,6 +74,11 @@ values = dict(line.rsplit(" ", 1)
 assert values["serve_cache_hits"] == "1", metrics
 assert values["serve_cache_misses"] == "1", metrics
 assert values["serve_requests"] == "2", metrics
+
+stat = subprocess.run(["target/release/merced", "stat", sys.argv[1], "--json"],
+                      capture_output=True, text=True, check=True)
+summary = json.loads(stat.stdout)
+assert summary["counters"]["serve_requests"] == 2, stat.stdout
 
 status, err = request("POST", "/compile", '{"schema":"ppet-serve/v1"}')
 assert status == 400 and '"ppet-error/v1"' in err, (status, err)

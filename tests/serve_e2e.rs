@@ -8,6 +8,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
 
+use ppet::cluster::proxy;
 use ppet::core::{Merced, MercedBackend, MercedConfig};
 use ppet::serve::{
     BackendError, CompileBackend, CompileRequest, NormalizedRequest, ServeConfig, Server,
@@ -35,26 +36,10 @@ fn start_with<B: CompileBackend>(
 }
 
 fn roundtrip(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .unwrap();
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    (status, body)
+    let timeout = Duration::from_secs(60);
+    let response = proxy::request(&addr.to_string(), method, path, &[], body, timeout, None);
+    let response = response.unwrap();
+    (response.status, response.body)
 }
 
 /// A roundtrip that keeps the raw response (status line + headers +

@@ -5,11 +5,12 @@
 //! fails the audit cross-check must be quarantined and recompiled rather
 //! than served.
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::thread;
+use std::time::Duration;
 
+use ppet::cluster::proxy;
 use ppet::core::{MercedBackend, MercedConfig};
 use ppet::serve::{CompileRequest, ServeConfig, Server, ServerHandle};
 use ppet::store::{Store, StoreConfig};
@@ -28,26 +29,10 @@ fn start(store_dir: PathBuf) -> (SocketAddr, ServerHandle, thread::JoinHandle<()
 }
 
 fn roundtrip(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .unwrap();
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    (status, body)
+    let timeout = Duration::from_secs(60);
+    let response = proxy::request(&addr.to_string(), method, path, &[], body, timeout, None);
+    let response = response.unwrap();
+    (response.status, response.body)
 }
 
 fn metric(metrics: &str, name: &str) -> u64 {
