@@ -1,22 +1,23 @@
-//! Stress corpus for the similarity-clustered delta engine: 1000
-//! artifact variants across 40 families pushed straight through
+//! Stress corpus for the similarity-based delta engine: 1000 artifact
+//! variants across 40 families pushed straight through
 //! [`ppet_store::Store`], measuring how much of the logical volume the
-//! super-feature clusterer + delta encoder absorb and how the bounded
-//! delta chains distribute. Writes the results to `BENCH_dedup.json`.
+//! super-feature index + delta encoder absorb and how the bounded delta
+//! chains distribute. Writes the results to `BENCH_dedup.json`.
 //!
 //! Each family is a distinct 16 KiB pseudo-random body; each variant
 //! overwrites one 256-byte window at a variant-specific offset and
 //! appends a short tail — near-duplicates *within* a family, unrelated
-//! *across* families. A store that clusters correctly deltas every
-//! variant against its family and never across families.
+//! *across* families. A store that finds similarity correctly deltas
+//! every variant against its family and never across families.
 //!
 //! Usage: `dedup_bench [out.json] [--gate]`
 //!
-//! `--gate` additionally replays the corpus twice — once by reopening
-//! the same directory (log replay), once into a fresh mirror directory
-//! (identical put sequence) — and fails loudly unless base choice,
-//! cluster assignment, and the chain-depth histogram are byte-for-byte
-//! deterministic, and the delta ratio stays under 0.1.
+//! `--gate` checks that no delta's base lies outside the variant's own
+//! family, then replays the corpus twice — once by reopening the same
+//! directory (log replay), once into a fresh mirror directory (identical
+//! put sequence) — and fails loudly unless base choice, the
+//! super-feature table size, the chain-depth histogram and live bytes
+//! are byte-for-byte deterministic, and the delta ratio stays under 0.1.
 
 use std::path::Path;
 use std::time::Instant;
@@ -87,11 +88,10 @@ fn run_corpus(dir: &Path) -> (Store, Vec<Shape>, Vec<u64>) {
 
 /// The deterministic fingerprint of a store's dedup state: everything
 /// replay and mirror runs must reproduce exactly.
-fn fingerprint(stats: &StoreStats) -> (usize, usize, usize, usize, Vec<u64>, u64) {
+fn fingerprint(stats: &StoreStats) -> (usize, usize, usize, Vec<u64>, u64) {
     (
         stats.entries,
         stats.delta_entries,
-        stats.clusters,
         stats.sf_table,
         stats.chain_depths.clone(),
         stats.live_bytes,
@@ -99,8 +99,22 @@ fn fingerprint(stats: &StoreStats) -> (usize, usize, usize, usize, Vec<u64>, u64
 }
 
 fn gate(dir: &Path, live: &StoreStats, shapes: &[Shape]) {
-    // Replay: reopen the same directory. Base links and cluster
-    // assignment are rebuilt from the log and must match the live store.
+    // Families: every delta's base is a variant of the same family.
+    // `run_corpus` puts family-major, so shape `i` belongs to family
+    // `i / VARIANTS_PER_FAMILY`.
+    for (i, shape) in shapes.iter().enumerate() {
+        if let Shape::Delta(base) = *shape {
+            let family = i as u64 / VARIANTS_PER_FAMILY;
+            assert_eq!(
+                base / 1000,
+                u128::from(family),
+                "variant {i} of family {family} deltas against {base}, across families"
+            );
+        }
+    }
+
+    // Replay: reopen the same directory. Base links and the candidate
+    // index are rebuilt from the log and must match the live store.
     let replayed = Store::open(dir, StoreConfig::default()).expect("replay open");
     let replay_stats = replayed.stats();
     assert_eq!(
@@ -133,7 +147,7 @@ fn gate(dir: &Path, live: &StoreStats, shapes: &[Shape]) {
         live.delta_ratio
     );
     eprintln!(
-        "gate: replay + mirror deterministic, delta_ratio {:.3} < 0.1",
+        "gate: bases within family, replay + mirror deterministic, delta_ratio {:.3} < 0.1",
         live.delta_ratio
     );
 }
@@ -164,15 +178,14 @@ fn main() {
     let put_mean = put_ns.iter().sum::<u64>() / put_ns.len().max(1) as u64;
     let depths: Vec<String> = stats.chain_depths.iter().map(u64::to_string).collect();
     let json = format!(
-        "{{\n  \"schema\": \"ppet-bench-dedup/v1\",\n  \"families\": {FAMILIES},\n  \
+        "{{\n  \"schema\": \"ppet-bench-dedup/v2\",\n  \"families\": {FAMILIES},\n  \
          \"variants\": {total},\n  \"put_ns_mean\": {put_mean},\n  \
          \"entries\": {},\n  \"delta_entries\": {},\n  \"delta_ratio\": {:.3},\n  \
-         \"clusters\": {},\n  \"sf_table\": {},\n  \"chain_depths\": [{}],\n  \
+         \"sf_table\": {},\n  \"chain_depths\": [{}],\n  \
          \"live_bytes\": {},\n  \"logical_bytes\": {},\n  \"dedup_factor\": {:.1}\n}}\n",
         stats.entries,
         stats.delta_entries,
         stats.delta_ratio,
-        stats.clusters,
         stats.sf_table,
         depths.join(", "),
         stats.live_bytes,

@@ -72,9 +72,9 @@
 //!                      served again
 //!   --store-budget <B> byte budget for the store's LRU eviction
 //!                      (default unbounded; pinned entries never evicted)
-//!   --delta-depth <N>  maximum delta chain depth in the store: 0 stores
-//!                      everything raw, 1 forbids delta-of-delta chains
-//!                      (default 2)
+//!   --delta-depth <N>  maximum delta chain depth in the store, 0..=16: 0
+//!                      stores everything raw, 1 forbids delta-of-delta
+//!                      chains (default 2)
 //!   --cache-cap <N>    max completed entries in the in-memory hot cache
 //!                      (default 1024, LRU beyond it)
 //!   --trace-ring <N>   completed request traces kept for GET
@@ -173,32 +173,14 @@ impl CliError {
     }
 
     fn emit(&self) -> ExitCode {
-        eprintln!(
-            "{{\"schema\":\"ppet-error/v1\",\"kind\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(self.kind),
-            json_escape(&self.message)
-        );
+        eprintln!("{}", ppet_serve::http::error_body(self.kind, &self.message));
         ExitCode::FAILURE
     }
 }
 
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Deepest delta chain the store reads back (its base-link walk ceiling);
+/// `--delta-depth` above it is a usage error.
+const MAX_DELTA_DEPTH: u8 = 16;
 
 #[derive(PartialEq)]
 enum Mode {
@@ -1079,6 +1061,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Some(depth) = opts.delta_depth.filter(|&d| d > MAX_DELTA_DEPTH) {
+        return CliError::new(
+            "usage",
+            format!("--delta-depth: {depth} exceeds the maximum chain depth {MAX_DELTA_DEPTH}"),
+        )
+        .emit();
+    }
     // --jobs wins; otherwise PPET_JOBS; otherwise 1. Capped at the
     // available cores — results are identical at any worker count.
     let jobs = match ppet_exec::resolve_jobs(opts.jobs) {

@@ -119,3 +119,36 @@ fn unknown_builtin_is_a_structured_usage_error() {
     assert!(err.contains(r#""schema":"ppet-error/v1""#), "stderr: {err}");
     assert!(err.contains(r#""kind":"usage""#), "stderr: {err}");
 }
+
+#[test]
+fn error_line_is_escaped_json_byte_for_byte() {
+    let out = merced(&["--builtin", "a\"b\\c\td", "--quiet"]);
+    assert!(!out.status.success());
+    assert_eq!(
+        stderr_of(&out),
+        "{\"schema\":\"ppet-error/v1\",\"kind\":\"usage\",\
+         \"message\":\"unknown builtin circuit `a\\\"b\\\\c\\td`\"}\n"
+    );
+}
+
+/// The store reads back chains of at most 16 delta hops, so a deeper
+/// `--delta-depth` is refused before the store is opened.
+#[test]
+fn delta_depth_beyond_the_read_ceiling_is_a_usage_error() {
+    let dir = tmp_path("deep-store");
+    let dir_arg = dir.to_str().unwrap();
+    let out = merced(&["store", dir_arg, "stats", "--delta-depth", "17"]);
+    let opened = dir.exists();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!out.status.success());
+    assert_eq!(
+        stderr_of(&out),
+        "{\"schema\":\"ppet-error/v1\",\"kind\":\"usage\",\
+         \"message\":\"--delta-depth: 17 exceeds the maximum chain depth 16\"}\n"
+    );
+    assert!(!opened, "the store must not be opened");
+
+    let out = merced(&["store", dir_arg, "stats", "--delta-depth", "16"]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+}

@@ -1,11 +1,10 @@
-//! `ppet-dedup` — the similarity engine behind the artifact store's
+//! `ppet-dedup` — the similarity sketch behind the artifact store's
 //! delta layer.
 //!
 //! `ppet-store` used to pick delta bases with a global inverted index of
 //! fixed 64-byte chunk hashes: exact but purely local, first-fit, and
-//! blind to artifact *families*. This crate replaces that with the
-//! SBC-style stack — resemblance sketches plus graph clustering — in two
-//! std-only layers:
+//! blind to artifact *families*. This crate replaces that with
+//! SBC-style resemblance sketches, std-only:
 //!
 //! * [`feature`] — super-feature extraction: a rolling Gear hash samples
 //!   content-defined features, [`feature::GROUPS`] min-hash transforms
@@ -13,23 +12,17 @@
 //!   [`feature::SUPER_FEATURES`] super-features per artifact. Two
 //!   artifacts sharing a super-feature are near-duplicates with high
 //!   probability.
-//! * [`cluster`] — the incremental [`cluster::Clusterer`]: artifacts
-//!   sharing ≥ 1 super-feature join one cluster (transitively), each
-//!   cluster elects a deterministic centrality-maximizing
-//!   representative, and elections re-run on every removal. All answers
-//!   are pure functions of the member set, so an index rebuilt from a
-//!   log replay reproduces every decision bit-for-bit.
 //!
-//! The store's put path sketches the incoming artifact, asks the
-//! clusterer for candidates, and encodes against the best-ranked one;
-//! see `ppet-store` for the chain-depth and decode-budget gates layered
-//! on top.
+//! The store's put path sketches the incoming artifact, looks up the
+//! live artifacts sharing a super-feature in its own inverted index, and
+//! encodes against the one sharing the most (smaller key on ties); see
+//! `ppet-store` for the chain-depth and decode-budget gates layered on
+//! top. Sketches are pure functions of the bytes, so an index rebuilt
+//! from a log replay reproduces every decision bit-for-bit.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod feature;
 
-pub use cluster::Clusterer;
 pub use feature::{super_features, SUPER_FEATURES};

@@ -17,11 +17,12 @@
 //!   bounded decode, windows indexed by `ppet-dedup`'s FNV-1a), so
 //!   near-duplicate artifacts (manifests of similar netlists) cost a
 //!   fraction of their raw size. Similarity *detection* lives in
-//!   `ppet-dedup`: super-feature sketches clustered incrementally, which
-//!   the store delegates delta-base selection to.
+//!   `ppet-dedup`: super-feature sketches, which the store indexes to
+//!   find delta-base candidates.
 //! * [`store`] — the [`Store`] itself: the recovered index, the
-//!   delta-vs-raw decision rule with bounded-depth chains and a
-//!   decode-cost budget, byte-budget LRU eviction with pinning and
+//!   super-feature candidate index and its rank rule (most shared
+//!   super-features, then smaller key), the delta-vs-raw decision rule
+//!   with bounded-depth chains and a decode-cost budget, byte-budget LRU eviction with pinning and
 //!   delta-chain awareness, compaction, and `store.*` metrics.
 //!
 //! # Durability contract

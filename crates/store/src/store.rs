@@ -2,23 +2,23 @@
 //!
 //! One [`Store`] owns a [`SegmentLog`] plus
 //! the in-memory state recovery rebuilds from it: the key index, the
-//! similarity clusterer ([`ppet_dedup::Clusterer`]) for delta-base
-//! selection, delta base reference counts, LRU ticks, and byte
-//! accounting. All mutation happens under one mutex — the store is
-//! shared behind an `Arc` by the compile service and its workers.
+//! super-feature candidate index for delta-base selection, delta base
+//! reference counts, LRU ticks, and byte accounting. All mutation
+//! happens under one mutex — the store is shared behind an `Arc` by the
+//! compile service and its workers.
 //!
 //! # Decision rule: delta vs raw
 //!
 //! An incoming artifact is sketched into super-features
-//! ([`ppet_dedup::feature`]); the clusterer's candidates — live
-//! artifacts sharing ≥ 1 super-feature — are ranked by shared-feature
-//! count, then cluster-representative status, then smaller key, and the
-//! best *eligible* one is the delta-base candidate. Eligible means the
-//! resulting chain respects both gates:
+//! ([`ppet_dedup::feature`]); the candidate index — super-feature →
+//! live keys carrying it — yields every live artifact sharing ≥ 1
+//! super-feature. Candidates are ranked by shared-feature count, then
+//! smaller key, and the best *eligible* one is the delta-base
+//! candidate. Eligible means the resulting chain respects both gates:
 //!
 //! * **depth** — at most [`StoreConfig::max_chain_depth`] delta hops
 //!   before a raw record (depth 0 = raw, depth 1 = classic single
-//!   delta);
+//!   delta), and never more than the 16 hops a read will follow;
 //! * **decode cost** — the total bytes materialized to decode the new
 //!   artifact (raw base + every intermediate + the artifact itself) may
 //!   not exceed [`StoreConfig::decode_budget_factor`] × the artifact's
@@ -30,10 +30,9 @@
 //! raw. Because eligible bases may themselves be deltas, chains of up
 //! to `max_chain_depth` frames arise naturally.
 //!
-//! Every clusterer answer is a pure function of the live member set —
+//! The ranking is a pure function of the live key set and its content —
 //! never of insertion order — so an index rebuilt by log replay
-//! reproduces the same clusters, the same representatives, and hence
-//! the same base choices.
+//! reproduces the same base choices.
 //!
 //! # Eviction and pinning
 //!
@@ -52,7 +51,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use ppet_dedup::{super_features, Clusterer, SUPER_FEATURES};
+use ppet_dedup::{super_features, SUPER_FEATURES};
 use ppet_trace::{Counter, Gauge, Metrics};
 
 use crate::delta;
@@ -61,20 +60,22 @@ use crate::segment::{Location, SegmentLog};
 
 /// Hard ceiling on base-link walks: any chain longer than this is
 /// treated as corrupt (a cycle or an impossible depth), never followed
-/// further. Far above any configurable `max_chain_depth`.
+/// further. The write-side depth gate caps `max_chain_depth` here too,
+/// so the store never writes a chain it would refuse to read.
 const MAX_CHAIN_STEPS: u32 = 16;
+
+/// Segment roll threshold.
+const SEGMENT_BYTES: u64 = 4 << 20;
 
 /// Tunables for one store.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Live-byte budget; `None` disables eviction.
     pub budget: Option<u64>,
-    /// Segment roll threshold.
-    pub segment_bytes: u64,
     /// Maximum delta hops between an artifact and its raw ancestor.
     /// `0` disables delta storage entirely; `1` restores the classic
     /// "deltas never chain" rule; the default `2` lets a delta base
-    /// itself be a delta.
+    /// itself be a delta. Depths above 16 act as 16.
     pub max_chain_depth: u8,
     /// Read-amplification ceiling: decoding an artifact may materialize
     /// at most this many times the artifact's own length across its
@@ -86,7 +87,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         Self {
             budget: None,
-            segment_bytes: 4 << 20,
             max_chain_depth: 2,
             decode_budget_factor: 8,
         }
@@ -98,13 +98,6 @@ impl StoreConfig {
     #[must_use]
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Sets the segment roll threshold.
-    #[must_use]
-    pub fn with_segment_bytes(mut self, bytes: u64) -> Self {
-        self.segment_bytes = bytes.max(1);
         self
     }
 
@@ -161,9 +154,7 @@ pub struct StoreStats {
     pub file_bytes: u64,
     /// Configured budget.
     pub budget: Option<u64>,
-    /// Similarity clusters over the live artifacts (singletons count).
-    pub clusters: usize,
-    /// Distinct super-feature values in the clusterer's table.
+    /// Distinct super-feature values in the candidate index.
     pub sf_table: usize,
     /// Live entries per chain depth: `chain_depths[d]` artifacts sit
     /// `d` delta hops from their raw ancestor. Empty when the store is.
@@ -198,11 +189,7 @@ impl std::fmt::Display for StoreStats {
             Some(b) => writeln!(f, "budget         {b}")?,
             None => writeln!(f, "budget         unlimited")?,
         }
-        writeln!(
-            f,
-            "clusters       {} (sf table {})",
-            self.clusters, self.sf_table
-        )?;
+        writeln!(f, "sf table       {}", self.sf_table)?;
         write!(f, "chain_depth   ")?;
         if self.chain_depths.is_empty() {
             write!(f, " -")?;
@@ -264,10 +251,9 @@ struct Entry {
 struct Inner {
     log: SegmentLog,
     index: HashMap<u128, Entry>,
-    /// Similarity clusters over every live artifact; answers the
-    /// delta-base candidate query. Rebuilt from decoded content at open,
-    /// kept incrementally in sync afterwards.
-    clusterer: Clusterer,
+    /// Answers the delta-base candidate query. Rebuilt from decoded
+    /// content at open, kept in sync afterwards.
+    candidates: SketchIndex,
     /// Live delta count per base key.
     refs: HashMap<u128, u32>,
     live_bytes: u64,
@@ -318,12 +304,12 @@ impl Store {
         metrics: &Metrics,
     ) -> std::io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
-        let (log, records, recovery) = SegmentLog::open(&dir, config.segment_bytes)?;
+        let (log, records, recovery) = SegmentLog::open(&dir, SEGMENT_BYTES)?;
 
         let mut inner = Inner {
             log,
             index: HashMap::new(),
-            clusterer: Clusterer::new(),
+            candidates: SketchIndex::default(),
             refs: HashMap::new(),
             live_bytes: 0,
             file_bytes: 0,
@@ -357,9 +343,9 @@ impl Store {
                 replay_quarantined += 1;
             }
         }
-        // Rebuild the similarity index from decoded content. Key order
-        // is irrelevant — the clusterer is insertion-order independent —
-        // but iterate sorted so failures quarantine deterministically.
+        // Rebuild the candidate index from decoded content. Key order is
+        // irrelevant to the index, but iterate sorted so failures
+        // quarantine deterministically.
         let mut keys: Vec<u128> = inner.index.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
@@ -367,7 +353,7 @@ impl Store {
                 continue; // removed as a dependent of an earlier failure
             }
             match inner.read_artifact(key, config.decode_budget_factor) {
-                Ok(data) => inner.clusterer.insert(key, super_features(&data)),
+                Ok(data) => inner.candidates.insert(key, &super_features(&data)),
                 Err(_) => {
                     replay_quarantined += inner.remove_transitive(key).len() as u64;
                 }
@@ -440,7 +426,7 @@ impl Store {
             return Ok(PutOutcome::AlreadyPresent);
         }
 
-        // Similarity: the clusterer's best eligible candidate.
+        // Similarity: the best eligible candidate.
         let sketch = super_features(data);
         let candidate = self.best_base(&inner, key, &sketch, data.len());
         let mut outcome = None;
@@ -500,9 +486,9 @@ impl Store {
                 stored_bytes: loc.frame_len(),
             });
         }
-        // Raw or delta, the artifact joins the similarity index so it
+        // Raw or delta, the artifact joins the candidate index so it
         // can serve as a base for what arrives next.
-        inner.clusterer.insert(key, sketch);
+        inner.candidates.insert(key, &sketch);
         if pin {
             inner.append(&Record::Pin { key })?;
         }
@@ -512,13 +498,12 @@ impl Store {
         Ok(outcome.expect("outcome set above"))
     }
 
-    /// Ranks the clusterer's candidates and returns the best one that
-    /// passes the chain-depth and decode-budget gates.
+    /// Ranks the candidates and returns the best one that passes the
+    /// chain-depth and decode-budget gates.
     ///
-    /// Rank order: most shared super-features, then cluster
-    /// representatives (the member future variants most resemble), then
-    /// the smaller key — every criterion is a pure function of the live
-    /// member set, so replay reproduces the choice exactly.
+    /// Rank order: most shared super-features, then the smaller key —
+    /// both pure functions of the live key set, so replay reproduces the
+    /// choice exactly.
     fn best_base(
         &self,
         inner: &Inner,
@@ -529,12 +514,12 @@ impl Store {
         if self.config.max_chain_depth == 0 {
             return None;
         }
-        let max_depth = u32::from(self.config.max_chain_depth);
+        let max_depth = u32::from(self.config.max_chain_depth).min(MAX_CHAIN_STEPS);
         let budget =
             u64::from(self.config.decode_budget_factor).saturating_mul(data_len.max(1) as u64);
         inner
-            .clusterer
-            .candidates(sketch)
+            .candidates
+            .of(sketch)
             .into_iter()
             .filter(|&(k, _)| k != key)
             // Depth gate: chaining on this base stays within max_depth.
@@ -544,13 +529,7 @@ impl Store {
             .filter(|&(k, _)| {
                 inner.chain_total_logical(k).saturating_add(data_len as u64) <= budget
             })
-            .max_by_key(|&(k, shared)| {
-                (
-                    shared,
-                    inner.clusterer.is_representative(k),
-                    std::cmp::Reverse(k),
-                )
-            })
+            .max_by_key(|&(k, shared)| (shared, std::cmp::Reverse(k)))
             .map(|(k, _)| k)
     }
 
@@ -740,8 +719,7 @@ impl Store {
             logical_bytes: logical,
             file_bytes: inner.file_bytes,
             budget: self.config.budget,
-            clusters: inner.clusterer.cluster_count(),
-            sf_table: inner.clusterer.sf_table_len(),
+            sf_table: inner.candidates.by_feature.len(),
             chain_depths: inner.chain_depth_histogram(),
             hits: self.hits.get(),
             misses: self.misses.get(),
@@ -828,8 +806,8 @@ impl Store {
             let e = inner.index.get_mut(&key).expect("dependent is live");
             e.loc = loc;
             e.base = None;
-            // The clusterer keeps its sketch: decoded content is
-            // unchanged, only the storage form moved.
+            // The sketch stays indexed: decoded content is unchanged,
+            // only the storage form moved.
         }
         inner.refs.remove(&base);
         Ok(())
@@ -839,7 +817,7 @@ impl Store {
     /// plus one segment (so small stores never churn).
     fn maybe_compact(&self, inner: &mut Inner) -> std::io::Result<()> {
         let dead = inner.file_bytes.saturating_sub(inner.live_bytes);
-        if dead > inner.live_bytes + self.config.segment_bytes {
+        if dead > inner.live_bytes + SEGMENT_BYTES {
             self.gc_locked(inner)?;
         }
         Ok(())
@@ -1096,9 +1074,97 @@ impl Inner {
                 }
             }
         }
-        // Tolerates untracked keys: during replay the clusterer is
+        // Tolerates unindexed keys: during replay the candidate index is
         // still empty (it is rebuilt from decoded content afterwards).
-        self.clusterer.remove(key);
+        self.candidates.remove(key);
         true
+    }
+}
+
+/// The delta-base candidate index: super-feature value → live keys
+/// carrying it (ascending), plus each key's distinct values so removal
+/// can unindex it.
+#[derive(Debug, Default)]
+struct SketchIndex {
+    by_feature: HashMap<u64, Vec<u128>>,
+    sketches: HashMap<u128, Vec<u64>>,
+}
+
+impl SketchIndex {
+    /// Indexes `key` under each distinct value of `sketch`.
+    fn insert(&mut self, key: u128, sketch: &[u64; SUPER_FEATURES]) {
+        let values = distinct(sketch);
+        for &sf in &values {
+            let keys = self.by_feature.entry(sf).or_default();
+            if let Err(at) = keys.binary_search(&key) {
+                keys.insert(at, key);
+            }
+        }
+        self.sketches.insert(key, values);
+    }
+
+    /// Drops `key` from the index (no-op when unindexed).
+    fn remove(&mut self, key: u128) {
+        for sf in self.sketches.remove(&key).unwrap_or_default() {
+            if let Some(keys) = self.by_feature.get_mut(&sf) {
+                if let Ok(at) = keys.binary_search(&key) {
+                    keys.remove(at);
+                }
+                if keys.is_empty() {
+                    self.by_feature.remove(&sf);
+                }
+            }
+        }
+    }
+
+    /// Every indexed key sharing at least one value with `sketch`, with
+    /// its count of shared distinct values — the delta-base candidates.
+    fn of(&self, sketch: &[u64; SUPER_FEATURES]) -> HashMap<u128, usize> {
+        let mut tally = HashMap::new();
+        for sf in distinct(sketch) {
+            for &key in self.by_feature.get(&sf).into_iter().flatten() {
+                *tally.entry(key).or_insert(0) += 1;
+            }
+        }
+        tally
+    }
+}
+
+/// The distinct values of a sketch, ascending.
+fn distinct(sketch: &[u64; SUPER_FEATURES]) -> Vec<u64> {
+    let mut values = sketch.to_vec();
+    values.sort_unstable();
+    values.dedup();
+    values
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn candidates_report_share_counts() {
+        let mut index = SketchIndex::default();
+        index.insert(1, &[10, 11, 12]);
+        index.insert(2, &[10, 11, 99]);
+        index.insert(3, &[40, 41, 42]);
+        let expected: HashMap<u128, usize> = [(1, 3), (2, 2)].into();
+        assert_eq!(index.of(&[10, 11, 12]), expected);
+        // Repeated values in the probe count once.
+        assert_eq!(index.of(&[10, 10, 10]), [(1, 1), (2, 1)].into());
+    }
+
+    #[test]
+    fn sf_table_len_tracks_distinct_values() {
+        let mut index = SketchIndex::default();
+        index.insert(1, &[10, 10, 12]);
+        index.insert(2, &[12, 13, 14]);
+        assert_eq!(index.by_feature.len(), 4);
+        index.remove(1);
+        assert_eq!(index.by_feature.len(), 3);
+        assert_eq!(index.of(&[10, 12, 99]), [(2, 1)].into());
+        index.remove(2);
+        index.remove(2);
+        assert!(index.by_feature.is_empty() && index.sketches.is_empty());
     }
 }

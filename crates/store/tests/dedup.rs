@@ -1,7 +1,7 @@
-//! The similarity-clustered delta engine end to end: family variants
-//! delta against cluster candidates, chains form and respect the
-//! configured depth and decode budget, base choice is reproduced
-//! exactly by log replay, and quarantine cascades through chains.
+//! The similarity-based delta engine end to end: family variants delta
+//! against their own family, chains form and respect the configured
+//! depth and decode budget, base choice is reproduced exactly by log
+//! replay, and quarantine cascades through chains.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,7 +70,7 @@ fn family_variants_delta_against_their_cluster() {
             "family variant {i} should delta, got {outcome:?}"
         );
     }
-    // An unrelated family opens its own cluster.
+    // An unrelated family shares no super-feature: it stores raw.
     assert!(matches!(
         store.put(0x20, &variant(2, 0)).expect("put unrelated"),
         PutOutcome::InsertedRaw { .. }
@@ -86,7 +86,6 @@ fn family_variants_delta_against_their_cluster() {
     let stats = store.stats();
     assert_eq!(stats.entries, 7);
     assert_eq!(stats.delta_entries, 5);
-    assert_eq!(stats.clusters, 2, "two families, two clusters");
     assert!(stats.sf_table > 0);
     assert!(
         stats.delta_ratio < 0.1,
@@ -134,8 +133,8 @@ fn base_choice_is_reproduced_by_replay() {
     let sa = store_a.stats();
     let sb = store_b.stats();
     assert_eq!(
-        (sa.entries, sa.delta_entries, sa.clusters, sa.sf_table),
-        (sb.entries, sb.delta_entries, sb.clusters, sb.sf_table),
+        (sa.entries, sa.delta_entries, sa.sf_table),
+        (sb.entries, sb.delta_entries, sb.sf_table),
         "replayed similarity index must match the live one"
     );
     assert_eq!(sa.chain_depths, sb.chain_depths);
@@ -231,8 +230,8 @@ fn decode_budget_gates_delta_eligibility() {
 }
 
 /// Quarantining a chain's root takes the whole chain with it — nothing
-/// downstream can decode — and the cluster forgets the members, so the
-/// next arrival starts fresh as a raw artifact.
+/// downstream can decode — and the candidate index forgets the members,
+/// so the next arrival starts fresh as a raw artifact.
 #[test]
 fn quarantine_cascades_through_the_chain() {
     let (f0, f1, f2) = chain_family();
@@ -249,7 +248,7 @@ fn quarantine_cascades_through_the_chain() {
     }
     let stats = store.stats();
     assert_eq!(stats.quarantined, 3);
-    assert_eq!(stats.clusters, 0, "cluster membership must be dropped");
+    assert_eq!(stats.sf_table, 0, "the candidate index must be emptied");
 
     // With the family gone there is nothing to delta against.
     assert!(matches!(
@@ -257,5 +256,39 @@ fn quarantine_cascades_through_the_chain() {
         PutOutcome::InsertedRaw { .. }
     ));
     assert_eq!(store.get(4), Some(f2));
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A configured depth above the 16 hops a read follows acts as 16: the
+/// store never writes a chain it would refuse to read back.
+#[test]
+fn chain_depth_above_the_read_ceiling_is_capped() {
+    let dir = fresh_dir("deep");
+    let config = StoreConfig::default()
+        .with_chain_depth(40)
+        .with_decode_budget_factor(1000);
+    let store = Store::open(&dir, config.clone()).expect("open");
+    // Each version appends a tail to the last; descending keys make the
+    // newest the smaller-key tie-break, so the versions chain linearly.
+    let mut data = body(21, 512);
+    let mut versions = Vec::new();
+    for i in 0..24u128 {
+        data.extend_from_slice(format!(" tail edit {i}").as_bytes());
+        store.put(1000 - i, &data).expect("put");
+        versions.push((1000 - i, data.clone()));
+    }
+    let depths = store.stats().chain_depths;
+    assert_eq!(depths.len(), 17, "chains stop at depth 16, got {depths:?}");
+    for (key, data) in &versions {
+        assert!(store.get(*key).as_ref() == Some(data), "key {key} decodes");
+    }
+    assert_eq!(store.stats().quarantined, 0);
+
+    // The same holds for the store rebuilt from its log.
+    store.flush().expect("flush");
+    drop(store);
+    let store = Store::open(&dir, config).expect("reopen");
+    assert_eq!(store.stats().quarantined, 0);
+    assert_eq!(store.stats().chain_depths, depths);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

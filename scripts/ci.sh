@@ -77,7 +77,7 @@ echo "==> store: crash recovery + eviction + dedup-ranking invariants"
 cargo test -q -p ppet-store --test recovery --test eviction --test dedup
 scripts/store_smoke.sh
 
-echo "==> dedup: delta-ratio gate + cluster determinism across replays"
+echo "==> dedup: delta-ratio gate + family and replay determinism"
 scripts/dedup_check.sh
 
 echo "==> ci: all green"

@@ -3,13 +3,15 @@
 #
 #  1. The 20-variant inverter-chain manifest bench (real compile output
 #     through `merced serve`) must dedup to a delta ratio under 0.1 —
-#     the similarity clusterer has to *find* the near-duplicates and the
+#     the super-feature index has to *find* the near-duplicates and the
 #     varint delta encoder has to make them cheap.
-#  2. The 1000-variant synthetic stress corpus must be deterministic:
-#     `dedup_bench --gate` replays the log and re-runs the identical put
-#     sequence into a mirror directory, failing unless base choice,
-#     cluster assignment and the chain-depth histogram reproduce exactly
-#     (and its own delta ratio also clears 0.1).
+#  2. The 1000-variant synthetic stress corpus must stay within families
+#     and be deterministic: `dedup_bench --gate` fails if any delta's
+#     base belongs to another family, then replays the log and re-runs
+#     the identical put sequence into a mirror directory, failing unless
+#     base choice, the super-feature table size, the chain-depth
+#     histogram and live bytes reproduce exactly (and its own delta
+#     ratio also clears 0.1).
 #
 # Run from the repository root. Shared by scripts/ci.sh and the workflow.
 set -eu
@@ -37,7 +39,7 @@ if ! awk -v r="$ratio" 'BEGIN { exit !(r < 0.1) }'; then
 fi
 echo "dedup_check: manifest delta_ratio $ratio < 0.1 ($deltas deltas) OK"
 
-echo "dedup_check: 1000-variant determinism gate"
+echo "dedup_check: 1000-variant family + determinism gate"
 target/release/dedup_bench "$out/dedup.json" --gate >/dev/null
 
 echo "dedup_check: all green"

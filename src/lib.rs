@@ -25,11 +25,10 @@
 //!   JSON run manifest (`merced --trace-json`);
 //! * [`audit`] — independent verification: re-derives every paper
 //!   invariant from the netlist and partition alone (`merced audit`);
-//! * [`dedup`] — similarity detection: Gear-hash super-feature sketches
-//!   and the replay-deterministic incremental clusterer the store's
-//!   delta-base selection runs on;
+//! * [`dedup`] — similarity detection: the Gear-hash super-feature
+//!   sketches the store's delta-base selection runs on;
 //! * [`store`] — persistent content-addressed artifact store: append-only
-//!   segment log, similarity-clustered delta encoding with bounded-depth
+//!   segment log, similarity-based delta encoding with bounded-depth
 //!   chains, byte-budget LRU eviction with pinning, crash-safe recovery
 //!   (`merced store`);
 //! * [`serve`] — the long-running compile service: HTTP front end,
