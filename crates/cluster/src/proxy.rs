@@ -1,22 +1,48 @@
-//! Outbound HTTP/1.1 client plumbing: one request per connection,
-//! `Connection: close` framing, and cooperative cancellation.
+//! Outbound HTTP/1.1 client plumbing: one-shot requests, a small pool
+//! of kept-alive connections per upstream, and cooperative
+//! cancellation.
+//!
+//! [`request`] opens a connection, sends `Connection: close` and reads
+//! one response. A [`Pool`] sends `Connection: keep-alive` and keeps up
+//! to [`POOL_IDLE`] idle connections to its upstream, so the router's
+//! hop to a shard skips the TCP handshake, the shard's accept poll and
+//! its handler-thread spawn. Both read a response by its
+//! `Content-Length`, or to the close when it declares none, within the
+//! serve front end's head and body limits. Sockets run with
+//! `TCP_NODELAY` and each request leaves in one write.
+//!
+//! A connection goes back to its pool only when its response was
+//! `Content-Length`-framed, the upstream answered `Connection:
+//! keep-alive`, no bytes followed the body, and its attempt was not
+//! cancelled. A reused connection that fails before the first response
+//! byte (the upstream closed it while it sat idle) is retried once on a
+//! fresh connection, and the failure is not the upstream's: the routes
+//! the router pools (`POST /compile`, `PUT /cache/<key>`) are
+//! idempotent.
 //!
 //! Cancellation is the primitive hedged reads are built on: every
 //! attempt registers its socket in a [`CancelHandle`] before reading,
 //! and the losing attempt's socket is shut down the moment a winner
 //! responds, so the loser's thread fails out of its blocking read
-//! immediately instead of draining a response nobody wants.
+//! immediately instead of draining a response nobody wants. An attempt
+//! takes its socket back out of the handle before pooling it, so a
+//! stale handle can never shut down a pooled connection.
 
-use std::io::{Read as _, Write as _};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ppet_serve::front::MAX_BODY_BYTES;
-use ppet_serve::http::MAX_HEAD_BYTES;
+use ppet_serve::http::{self, HttpError, MAX_HEAD_BYTES};
+use ppet_trace::Counter;
 
 /// Bound on TCP connect; unreachable backends fail fast into failover.
 pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Most idle connections a [`Pool`] keeps; a connection finishing while
+/// the pool is full is closed.
+pub const POOL_IDLE: usize = 4;
 
 /// Largest accepted response: the head and body limits the serve front
 /// end applies to requests. A shard cannot ingest a larger result
@@ -31,7 +57,7 @@ const RESPONSE_LIMIT: u64 = (MAX_HEAD_BYTES + MAX_BODY_BYTES) as u64;
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
-    /// Response body (close-delimited).
+    /// Response body.
     pub body: String,
 }
 
@@ -76,6 +102,92 @@ impl CancelHandle {
         state.stream = Some(clone);
         Ok(())
     }
+
+    /// Takes the attempt's socket back out, so a later cancel leaves it
+    /// alone; false when the attempt was already cancelled.
+    fn release(&self) -> bool {
+        let mut state = self.0.lock().unwrap();
+        state.stream = None;
+        !state.cancelled
+    }
+}
+
+/// Idle kept-alive connections to one upstream, at most [`POOL_IDLE`].
+#[derive(Debug)]
+pub struct Pool {
+    addr: String,
+    idle: Mutex<Vec<TcpStream>>,
+    connects: Counter,
+}
+
+impl Pool {
+    /// An empty pool for the upstream at `addr`; `connects` counts the
+    /// connections it opens.
+    #[must_use]
+    pub fn new(addr: String, connects: Counter) -> Self {
+        Self {
+            addr,
+            idle: Mutex::new(Vec::new()),
+            connects,
+        }
+    }
+
+    /// The upstream's address.
+    #[must_use]
+    pub fn addr(&self) -> &str {
+        &self.addr
+    }
+
+    /// Closes every idle connection.
+    pub fn clear(&self) {
+        self.idle.lock().unwrap().clear();
+    }
+
+    /// [`request`] on an idle connection when the pool holds one, else
+    /// on a fresh one, which the pool keeps afterwards when it may carry
+    /// another request. A reused connection that fails before the first
+    /// response byte is retried once on a fresh connection.
+    ///
+    /// # Errors
+    ///
+    /// As [`request`].
+    pub fn request(
+        &self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &str,
+        timeout: Duration,
+        cancel: Option<&CancelHandle>,
+    ) -> std::io::Result<Response> {
+        let message = encode(&self.addr, method, path, headers, body, true);
+        let reused = self.idle.lock().unwrap().pop();
+        if let Some(stream) = reused {
+            match exchange(stream, &message, timeout, cancel) {
+                Exchange::Silent(_) if !cancel.is_some_and(CancelHandle::is_cancelled) => {}
+                done => return self.settle(done),
+            }
+        }
+        let stream = connect(&self.addr)?;
+        self.connects.inc();
+        self.settle(exchange(stream, &message, timeout, cancel))
+    }
+
+    /// The exchange's result, pooling its connection when it may carry
+    /// another request.
+    fn settle(&self, done: Exchange) -> std::io::Result<Response> {
+        match done {
+            Exchange::Answered(response, Some(stream)) => {
+                let mut idle = self.idle.lock().unwrap();
+                if idle.len() < POOL_IDLE {
+                    idle.push(stream);
+                }
+                Ok(response)
+            }
+            Exchange::Answered(response, None) => Ok(response),
+            Exchange::Silent(e) | Exchange::Failed(e) => Err(e),
+        }
+    }
 }
 
 fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
@@ -87,7 +199,14 @@ fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
     })
 }
 
-/// Sends one request and reads the close-delimited response.
+fn connect(addr: &str) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&resolve(addr)?, CONNECT_TIMEOUT)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Sends one request on a fresh connection with `Connection: close` and
+/// reads the response.
 ///
 /// `timeout` bounds each blocking read/write; `cancel`, when given,
 /// allows another thread to abort the attempt mid-read.
@@ -96,8 +215,8 @@ fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
 ///
 /// Any transport failure: resolve, connect, write, read, cancellation,
 /// a response over the serve front end's head-plus-body limit, or an
-/// unparseable status line. Protocol-level failures (4xx/5xx) are
-/// *not* errors — they come back as a [`Response`] for the caller to
+/// unparseable head. Protocol-level failures (4xx/5xx) are *not*
+/// errors — they come back as a [`Response`] for the caller to
 /// interpret.
 pub fn request(
     addr: &str,
@@ -108,54 +227,139 @@ pub fn request(
     timeout: Duration,
     cancel: Option<&CancelHandle>,
 ) -> std::io::Result<Response> {
-    let stream = TcpStream::connect_timeout(&resolve(addr)?, CONNECT_TIMEOUT)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    if let Some(cancel) = cancel {
-        cancel.register(&stream)?;
+    let message = encode(addr, method, path, headers, body, false);
+    match exchange(connect(addr)?, &message, timeout, cancel) {
+        Exchange::Answered(response, _) => Ok(response),
+        Exchange::Silent(e) | Exchange::Failed(e) => Err(e),
     }
-    let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\n");
-    for (name, value) in headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
-    let mut stream = stream;
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-
-    let mut raw = String::new();
-    stream.take(RESPONSE_LIMIT + 1).read_to_string(&mut raw)?;
-    if raw.len() as u64 > RESPONSE_LIMIT {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("upstream response exceeds {RESPONSE_LIMIT} bytes"),
-        ));
-    }
-    parse_response(&raw)
 }
 
-/// Splits a raw close-delimited HTTP/1.x response into status and body.
-fn parse_response(raw: &str) -> std::io::Result<Response> {
-    let bad = |what: &str| {
+/// One request's bytes: head and body, for a single write.
+fn encode(
+    addr: &str,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &str,
+    keep_alive: bool,
+) -> Vec<u8> {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut message =
+        format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: {connection}\r\n");
+    for (name, value) in headers {
+        message.push_str(name);
+        message.push_str(": ");
+        message.push_str(value);
+        message.push_str("\r\n");
+    }
+    message.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+    message.push_str(body);
+    message.into_bytes()
+}
+
+/// How one request on one connection ended.
+enum Exchange {
+    /// A response, with its connection when that may carry another
+    /// request.
+    Answered(Response, Option<TcpStream>),
+    /// The connection was closed or reset before the first response
+    /// byte.
+    Silent(std::io::Error),
+    /// Any other failure.
+    Failed(std::io::Error),
+}
+
+/// Writes `message` on `stream` and reads the response.
+fn exchange(
+    stream: TcpStream,
+    message: &[u8],
+    timeout: Duration,
+    cancel: Option<&CancelHandle>,
+) -> Exchange {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
+    let lost = |e: std::io::Error| match e.kind() {
+        BrokenPipe | ConnectionAborted | ConnectionReset | UnexpectedEof => Exchange::Silent(e),
+        _ => Exchange::Failed(e),
+    };
+    let ready = stream
+        .set_read_timeout(Some(timeout))
+        .and_then(|()| stream.set_write_timeout(Some(timeout)))
+        .and_then(|()| cancel.map_or(Ok(()), |c| c.register(&stream)));
+    if let Err(e) = ready {
+        return Exchange::Failed(e);
+    }
+    if let Err(e) = (&stream).write_all(message) {
+        return lost(e);
+    }
+    let mut reader = BufReader::new(&stream);
+    match reader.fill_buf() {
+        Ok([]) => {
+            return lost(std::io::Error::new(
+                UnexpectedEof,
+                "connection closed before the response",
+            ))
+        }
+        Ok(_) => {}
+        Err(e) => return lost(e),
+    }
+    let read = read_response(&mut reader);
+    let drained = reader.buffer().is_empty();
+    // Always take the socket back out of the handle; only an attempt
+    // nobody cancelled may pool it.
+    let released = cancel.map_or(true, CancelHandle::release);
+    match read {
+        Ok((response, framed)) => {
+            let reusable = framed && drained && released;
+            Exchange::Answered(response, reusable.then_some(stream))
+        }
+        Err(e) => Exchange::Failed(e),
+    }
+}
+
+/// Reads one HTTP/1.x response of at most [`RESPONSE_LIMIT`] bytes;
+/// also says whether it was `Content-Length`-framed with `Connection:
+/// keep-alive`, the framing that lets its connection carry another.
+fn read_response<R: std::io::BufRead>(reader: R) -> std::io::Result<(Response, bool)> {
+    let bad = |what: String| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("malformed upstream response: {what}"),
         )
     };
-    let status = raw
+    let too_large = || {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("upstream response exceeds {RESPONSE_LIMIT} bytes"),
+        )
+    };
+    let mut limited = reader.take(RESPONSE_LIMIT + 1);
+    let head = http::read_head(&mut limited).map_err(|e| match e {
+        HttpError::Io(e) => std::io::Error::other(e),
+        e => bad(e.to_string()),
+    })?;
+    let status = head
+        .start_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| bad("no status line"))?;
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .ok_or_else(|| bad("no header/body separator"))?;
-    Ok(Response { status, body })
+        .ok_or_else(|| bad("no status line".into()))?;
+    let mut body = Vec::new();
+    match head.content_length {
+        Some(length) if length > MAX_BODY_BYTES => return Err(too_large()),
+        Some(length) => {
+            body.resize(length, 0);
+            limited.read_exact(&mut body)?;
+        }
+        None => {
+            limited.read_to_end(&mut body)?;
+            if limited.limit() == 0 {
+                return Err(too_large());
+            }
+        }
+    }
+    let body = String::from_utf8(body).map_err(|_| bad("body is not valid UTF-8".into()))?;
+    let framed = head.content_length.is_some() && head.keep_alive;
+    Ok((Response { status, body }, framed))
 }
 
 #[cfg(test)]
@@ -165,11 +369,12 @@ mod tests {
 
     #[test]
     fn parses_status_and_body() {
-        let resp =
-            parse_response("HTTP/1.1 429 Too Many Requests\r\nX: y\r\n\r\n{\"a\":1}").unwrap();
+        let raw = "HTTP/1.1 429 Too Many Requests\r\nX: y\r\n\r\n{\"a\":1}";
+        let (resp, framed) = read_response(raw.as_bytes()).unwrap();
         assert_eq!(resp.status, 429);
         assert_eq!(resp.body, "{\"a\":1}");
-        assert!(parse_response("garbage").is_err());
+        assert!(!framed, "close-delimited");
+        assert!(read_response("garbage".as_bytes()).is_err());
     }
 
     #[test]
@@ -294,5 +499,149 @@ mod tests {
             Some(&cancel),
         );
         assert!(result.is_err());
+    }
+
+    /// A raw upstream: for each connection in `script`, accepts it and
+    /// answers that many requests with `reply`, then closes it. Returns
+    /// the address and the connections' request counts.
+    fn scripted(
+        script: Vec<usize>,
+        reply: &'static str,
+    ) -> (String, std::thread::JoinHandle<Vec<usize>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            script
+                .into_iter()
+                .map(|answers| {
+                    let (stream, _) = listener.accept().unwrap();
+                    let mut conn = BufReader::new(stream);
+                    let mut served = 0;
+                    while served < answers {
+                        let Ok(request) = http::read_request(&mut conn, 1 << 10) else {
+                            break;
+                        };
+                        assert!(request.keep_alive, "a pool asks for keep-alive");
+                        if conn.get_mut().write_all(reply.as_bytes()).is_err() {
+                            break;
+                        }
+                        served += 1;
+                    }
+                    served
+                })
+                .collect()
+        });
+        (addr, server)
+    }
+
+    const KEPT: &str = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\nok";
+
+    fn pooled(pool: &Pool) -> std::io::Result<Response> {
+        pool.request("GET", "/x", &[], "", Duration::from_secs(5), None)
+    }
+
+    #[test]
+    fn a_pool_reuses_its_connection() {
+        let (addr, server) = scripted(vec![3], KEPT);
+        let connects = Counter::default();
+        let pool = Pool::new(addr, connects.clone());
+        for _ in 0..3 {
+            assert_eq!(pooled(&pool).unwrap().body, "ok");
+        }
+        assert_eq!(connects.get(), 1, "one connection for three requests");
+        assert_eq!(pool.idle.lock().unwrap().len(), 1);
+        pool.clear();
+        assert_eq!(server.join().unwrap(), vec![3]);
+    }
+
+    /// An upstream that closed an idle pooled connection costs one retry
+    /// on a fresh connection, not a failed request.
+    #[test]
+    fn a_connection_closed_while_idle_is_retried_on_a_fresh_one() {
+        let (addr, server) = scripted(vec![1, 1], KEPT);
+        let connects = Counter::default();
+        let pool = Pool::new(addr, connects.clone());
+        assert_eq!(pooled(&pool).unwrap().body, "ok");
+        // Let the upstream's close land before the connection is reused.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(pooled(&pool).unwrap().body, "ok");
+        assert_eq!(connects.get(), 2);
+        pool.clear();
+        assert_eq!(server.join().unwrap(), vec![1, 1]);
+    }
+
+    #[test]
+    fn close_delimited_and_close_answered_responses_are_not_pooled() {
+        let replies = [
+            "HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n\r\nok",
+            "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok",
+            "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+        ];
+        for reply in replies {
+            let (addr, server) = scripted(vec![1], reply);
+            let pool = Pool::new(addr, Counter::default());
+            assert_eq!(pooled(&pool).unwrap().body, "ok", "{reply}");
+            assert_eq!(pool.idle.lock().unwrap().len(), 0, "{reply}");
+            server.join().unwrap();
+        }
+    }
+
+    /// A hedge loser is cancelled mid-read: its connection is closed, and
+    /// the pool's next request opens a fresh one.
+    #[test]
+    fn a_cancelled_attempt_never_pools_its_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            // The first connection's answer comes too late to matter.
+            let (slow, _) = listener.accept().unwrap();
+            let mut slow = BufReader::new(slow);
+            http::read_request(&mut slow, 1 << 10).unwrap();
+            std::thread::sleep(Duration::from_millis(150));
+            let _ = slow.get_mut().write_all(KEPT.as_bytes());
+            let (fresh, _) = listener.accept().unwrap();
+            let mut fresh = BufReader::new(fresh);
+            http::read_request(&mut fresh, 1 << 10).unwrap();
+            fresh.get_mut().write_all(KEPT.as_bytes()).unwrap();
+        });
+        let connects = Counter::default();
+        let pool = Pool::new(addr, connects.clone());
+        let cancel = CancelHandle::default();
+        let canceller = {
+            let cancel = cancel.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                cancel.cancel();
+            })
+        };
+        let lost = pool.request("GET", "/x", &[], "", Duration::from_secs(5), Some(&cancel));
+        assert!(lost.is_err(), "a cancelled attempt must not succeed");
+        canceller.join().unwrap();
+        assert_eq!(
+            pool.idle.lock().unwrap().len(),
+            0,
+            "the loser's socket is not pooled"
+        );
+        assert_eq!(pooled(&pool).unwrap().body, "ok");
+        assert_eq!(connects.get(), 2, "the next request connected afresh");
+        server.join().unwrap();
+    }
+
+    /// The router cancels every attempt of a request once it is settled,
+    /// the winner's included: a handle that outlived its attempt must not
+    /// shut down the connection the attempt pooled.
+    #[test]
+    fn a_stale_cancel_handle_leaves_a_pooled_connection_alone() {
+        let (addr, server) = scripted(vec![2], KEPT);
+        let connects = Counter::default();
+        let pool = Pool::new(addr, connects.clone());
+        let cancel = CancelHandle::default();
+        let won = pool.request("GET", "/x", &[], "", Duration::from_secs(5), Some(&cancel));
+        assert_eq!(won.unwrap().body, "ok");
+        cancel.cancel();
+        assert_eq!(pooled(&pool).unwrap().body, "ok");
+        assert_eq!(connects.get(), 1, "the pooled connection survived");
+        pool.clear();
+        assert_eq!(server.join().unwrap(), vec![2]);
     }
 }

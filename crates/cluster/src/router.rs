@@ -11,6 +11,11 @@
 //! errors (marking the backend down), and replicates fresh results to
 //! [`ClusterConfig::replication`] ring replicas via `PUT /cache/<key>`
 //! so no single shard's death forces a recompile.
+//!
+//! Compiles and replication pushes travel over each backend's
+//! [`Pool`] of kept-alive connections, counted per backend by
+//! `cluster.upstream_connects`; probes and `/metrics` scrapes stay
+//! one-shot. Marking a backend down closes its idle connections.
 
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -25,7 +30,7 @@ use ppet_serve::http::{self, Request};
 use ppet_serve::{normalize_body, CacheKey, CompileBackend, Gate, ServerHandle, REQUEST_ID_HEADER};
 use ppet_trace::{expo, Counter, Metrics};
 
-use crate::proxy::{self, CancelHandle, Response};
+use crate::proxy::{self, CancelHandle, Pool, Response};
 use crate::ring::{Ring, DEFAULT_VNODES};
 
 /// How long the prober sleeps between shutdown checks.
@@ -75,9 +80,10 @@ impl Default for ClusterConfig {
     }
 }
 
-/// One member backend: address, liveness, per-backend counters.
+/// One member backend: its connection pool (and address), liveness,
+/// per-backend counters.
 struct Member {
-    addr: String,
+    pool: Arc<Pool>,
     up: AtomicBool,
     /// Requests answered by this backend (as hedge/failover winner).
     proxied: Counter,
@@ -96,12 +102,19 @@ impl Member {
         let errors = metrics.counter(leaked(format!(
             "cluster.backend_errors{{backend=\"{addr}\"}}"
         )));
+        let connects = metrics.counter(leaked(format!(
+            "cluster.upstream_connects{{backend=\"{addr}\"}}"
+        )));
         Self {
-            addr,
+            pool: Arc::new(Pool::new(addr, connects)),
             up: AtomicBool::new(true),
             proxied,
             errors,
         }
+    }
+
+    fn addr(&self) -> &str {
+        self.pool.addr()
     }
 
     fn is_up(&self) -> bool {
@@ -238,7 +251,7 @@ impl<B: CompileBackend> ClusterService<B> {
             for member in &self.members {
                 if !member.is_up()
                     && proxy::request(
-                        &member.addr,
+                        member.addr(),
                         "GET",
                         "/healthz",
                         &[],
@@ -264,6 +277,7 @@ impl<B: CompileBackend> ClusterService<B> {
     fn mark_down(&self, index: usize) {
         let member = &self.members[index];
         member.errors.inc();
+        member.pool.clear();
         if member.up.swap(false, Ordering::SeqCst) {
             self.metrics.counter("cluster.backend_down").inc();
         }
@@ -379,7 +393,9 @@ impl<B: CompileBackend> ClusterService<B> {
     /// hedging and failover. Returns `(status, body, winning backend)`.
     ///
     /// - A transport error marks the backend down and advances to the
-    ///   next candidate immediately.
+    ///   next candidate immediately. (A pooled connection the backend
+    ///   closed while idle is not one: the pool retries it on a fresh
+    ///   connection first.)
     /// - Silence past [`ClusterConfig::hedge`] *hedges*: the next
     ///   candidate is raced without giving up on the slow one. First
     ///   response wins; every other in-flight attempt is cancelled.
@@ -422,14 +438,13 @@ impl<B: CompileBackend> ClusterService<B> {
             *in_flight += 1;
             let cancel = CancelHandle::default();
             attempts.push((index, cancel.clone()));
-            let addr = self.members[index].addr.clone();
+            let pool = Arc::clone(&self.members[index].pool);
             let body = Arc::clone(&body);
             let request_id = Arc::clone(&request_id);
             let timeout = self.config.timeout;
             let tx = tx.clone();
             thread::spawn(move || {
-                let result = proxy::request(
-                    &addr,
+                let result = pool.request(
                     "POST",
                     "/compile",
                     &[(REQUEST_ID_HEADER, &request_id)],
@@ -481,7 +496,7 @@ impl<B: CompileBackend> ClusterService<B> {
                                 &format!(
                                     "all {} candidate backends failed; last: {}: {e}",
                                     candidates.len(),
-                                    self.members[index].addr
+                                    self.members[index].addr()
                                 ),
                             ),
                             None,
@@ -541,13 +556,13 @@ impl<B: CompileBackend> ClusterService<B> {
         let failed = self.metrics.counter("cluster.replication_errors");
         let timeout = self.config.timeout;
         for index in targets {
-            let addr = self.members[index].addr.clone();
+            let pool = Arc::clone(&self.members[index].pool);
             let manifest = Arc::clone(manifest);
             let path = path.clone();
             let replicated = replicated.clone();
             let failed = failed.clone();
             thread::spawn(move || {
-                match proxy::request(&addr, "PUT", &path, &[], &manifest, timeout, None) {
+                match pool.request("PUT", &path, &[], &manifest, timeout, None) {
                     Ok(response) if response.status == 200 => replicated.inc(),
                     _ => failed.inc(),
                 }
@@ -569,7 +584,7 @@ impl<B: CompileBackend> ClusterService<B> {
                 .map(|m| {
                     scope.spawn(|| {
                         let text = proxy::request(
-                            &m.addr,
+                            m.addr(),
                             "GET",
                             "/metrics",
                             &[],
@@ -580,7 +595,7 @@ impl<B: CompileBackend> ClusterService<B> {
                         .ok()
                         .filter(|r| r.status == 200)
                         .map(|r| r.body);
-                        (m.addr.clone(), text)
+                        (m.addr().to_owned(), text)
                     })
                 })
                 .collect();

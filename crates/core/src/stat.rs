@@ -17,7 +17,8 @@
 //! bug in the server surfaces here first. The exposition model, its
 //! parser, and its merge are [`ppet_trace::expo`]'s, shared with the
 //! cluster router's metric aggregation; the HTTP client is
-//! [`ppet_cluster::proxy::request`], the router's own. This module keeps
+//! [`ppet_cluster::proxy::request`], the router's own one-shot client
+//! (it sends `Connection: close`). This module keeps
 //! only the stat-specific request rows and rendering on top.
 //!
 //! A `merced cluster` router answers `/metrics` with its aggregated

@@ -3,14 +3,27 @@
 //! A [`Front`] owns everything between the socket and a binary's route
 //! table: the nonblocking listener, the accept loop (polling the
 //! shutdown flag every 15 ms and reaping finished handler threads),
-//! per-connection read/write timeouts, request parsing with the 413/400
-//! error mapping, request-ID minting and echo, and the [`ServerHandle`]
-//! that stops it all. Each binary supplies only its [`Routes`] and the
-//! drain tail it runs after [`Front::run`] returns.
+//! per-connection read/write timeouts and `TCP_NODELAY`, request parsing
+//! with the 413/400 error mapping, request-ID minting and echo, and the
+//! [`ServerHandle`] that stops it all. Each binary supplies only its
+//! [`Routes`] and the drain tail it runs after [`Front::run`] returns.
+//!
+//! A connection carries one request unless the client sends
+//! `Connection: keep-alive`; then its handler answers with a
+//! `Content-Length` body and waits on the same connection for the next
+//! request, up to the 10 s stream timeout. The router keeps such connections
+//! to its shards, so a routed request skips the shard's accept poll.
+//! `TCP_NODELAY` matters there: without it a reused connection's small
+//! request waits on Nagle's algorithm and the peer's delayed ACK. When
+//! the accept loop stops, the handlers waiting on an idle kept-alive
+//! connection are woken and close it; a handler that is answering a
+//! request finishes it with `Connection: close`.
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::HashMap;
+use std::io::BufReader;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -24,7 +37,8 @@ use crate::signal;
 const ACCEPT_POLL: Duration = Duration::from_millis(15);
 
 /// Read/write timeout on accepted connections, so a stalled client
-/// cannot pin a handler thread forever.
+/// cannot pin a handler thread forever. It also bounds how long a
+/// kept-alive connection may sit idle.
 const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Largest accepted request body in bytes; a larger declared
@@ -99,13 +113,57 @@ impl ServerHandle {
     }
 }
 
-/// A bound listener and the request-ID generator of its connections.
+/// A bound listener and the state its connection handlers share.
 #[derive(Debug)]
 pub struct Front {
     listener: TcpListener,
     addr: SocketAddr,
-    ids: Arc<RequestIds>,
+    conns: Arc<Conns>,
+}
+
+/// What every connection handler of one [`Front`] shares.
+#[derive(Debug)]
+struct Conns {
+    ids: RequestIds,
     handle: ServerHandle,
+    /// Kept-alive connections waiting for their next request, by
+    /// connection number. `None` once the accept loop has stopped.
+    idle: Mutex<Option<HashMap<u64, TcpStream>>>,
+}
+
+impl Conns {
+    /// Registers connection `id` as waiting for its next request; false
+    /// once the front has stopped, when the handler should close it.
+    fn wait(&self, id: u64, stream: &TcpStream) -> bool {
+        let Ok(clone) = stream.try_clone() else {
+            return false;
+        };
+        match self.idle.lock().unwrap().as_mut() {
+            Some(idle) => {
+                idle.insert(id, clone);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Connection `id` has stopped waiting.
+    fn woke(&self, id: u64) {
+        if let Some(idle) = self.idle.lock().unwrap().as_mut() {
+            idle.remove(&id);
+        }
+    }
+
+    /// Stops registrations and ends the read of every waiting handler.
+    /// Only the read side is shut, so a request already received is
+    /// still read and answered.
+    fn close_idle(&self) {
+        if let Some(idle) = self.idle.lock().unwrap().take() {
+            for stream in idle.values() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+    }
 }
 
 impl Front {
@@ -123,8 +181,11 @@ impl Front {
         Ok(Self {
             listener,
             addr,
-            ids: Arc::new(RequestIds::new(id_seed)),
-            handle: ServerHandle::default(),
+            conns: Arc::new(Conns {
+                ids: RequestIds::new(id_seed),
+                handle: ServerHandle::default(),
+                idle: Mutex::new(Some(HashMap::new())),
+            }),
         })
     }
 
@@ -137,21 +198,25 @@ impl Front {
     /// A handle that stops [`Front::run`].
     #[must_use]
     pub fn handle(&self) -> ServerHandle {
-        self.handle.clone()
+        self.conns.handle.clone()
     }
 
     /// Accepts until shutdown, answering each connection on its own
-    /// thread through `routes`, then joins every handler thread: when
-    /// this returns, all accepted requests have been answered.
+    /// thread through `routes`, then wakes the handlers idle on a
+    /// kept-alive connection and joins every handler thread: when this
+    /// returns, all accepted requests have been answered.
     pub fn run<R: Routes>(self, routes: &Arc<R>) {
         let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-        while !self.handle.shutting_down() {
+        let mut accepted = 0u64;
+        while !self.conns.handle.shutting_down() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     let routes = Arc::clone(routes);
-                    let ids = Arc::clone(&self.ids);
+                    let conns = Arc::clone(&self.conns);
+                    let id = accepted;
+                    accepted += 1;
                     handlers.push(thread::spawn(move || {
-                        handle_connection(stream, &ids, routes.as_ref());
+                        handle_connection(stream, id, &conns, routes.as_ref());
                     }));
                 }
                 Err(_) => thread::sleep(ACCEPT_POLL),
@@ -162,37 +227,164 @@ impl Front {
                 handlers.retain(|h| !h.is_finished());
             }
         }
+        self.conns.close_idle();
         for h in handlers {
             let _ = h.join();
         }
     }
 }
 
-fn handle_connection<R: Routes>(stream: TcpStream, ids: &RequestIds, routes: &R) {
+/// Answers the requests of one connection: one, or while the client
+/// asks for keep-alive and the front is not stopping, the next as well.
+fn handle_connection<R: Routes>(stream: TcpStream, id: u64, conns: &Conns, routes: &R) {
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(STREAM_TIMEOUT));
     let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
-    let request = match http::read_request(&stream, MAX_BODY_BYTES) {
-        Ok(request) => request,
-        Err(e) => {
-            let (status, kind) = match e {
-                HttpError::BodyTooLarge { .. } => (413, "payload"),
-                _ => (400, "parse"),
-            };
-            let body = http::error_body(kind, &e.to_string());
-            let _ = http::write_response(&stream, status, "application/json", &body);
+    // One reader for the connection's life: it may hold bytes of the
+    // next request already.
+    let mut reader = BufReader::new(&stream);
+    for served in 0u64.. {
+        let read = if served == 0 {
+            http::read_request(&mut reader, MAX_BODY_BYTES)
+        } else {
+            if !conns.wait(id, &stream) {
+                return;
+            }
+            let read = http::read_request(&mut reader, MAX_BODY_BYTES);
+            conns.woke(id);
+            read
+        };
+        let request = match read {
+            Ok(request) => request,
+            // A kept-alive connection closed, went idle past its
+            // timeout, or was ended by shutdown: nothing to answer.
+            Err(HttpError::Io(_)) if served > 0 => return,
+            Err(e) => {
+                let (status, kind) = match e {
+                    HttpError::BodyTooLarge { .. } => (413, "payload"),
+                    _ => (400, "parse"),
+                };
+                let body = http::error_body(kind, &e.to_string());
+                let _ = http::write_response(&stream, status, "application/json", &body);
+                return;
+            }
+        };
+        // Compile requests carry a request ID: the sanitized client one or
+        // a generated one, echoed back in the response header either way
+        // (and forwarded downstream by the router, so one ID correlates
+        // both tiers' traces).
+        let request_id = (request.method == "POST" && request.path == "/compile")
+            .then(|| conns.ids.resolve(request.request_id.as_deref()));
+        let (status, content_type, body) = routes.route(&request, request_id.as_deref());
+        let mut headers: Vec<(&str, &str)> = Vec::new();
+        if let Some(id) = &request_id {
+            headers.push((REQUEST_ID_HEADER, id));
+        }
+        let keep_alive = request.keep_alive && !conns.handle.shutting_down();
+        let written =
+            http::write_response_with(&stream, status, content_type, &headers, &body, keep_alive);
+        if !keep_alive || written.is_err() {
             return;
         }
-    };
-    // Compile requests carry a request ID: the sanitized client one or a
-    // generated one, echoed back in the response header either way (and
-    // forwarded downstream by the router, so one ID correlates both
-    // tiers' traces).
-    let request_id = (request.method == "POST" && request.path == "/compile")
-        .then(|| ids.resolve(request.request_id.as_deref()));
-    let (status, content_type, body) = routes.route(&request, request_id.as_deref());
-    let mut headers: Vec<(&str, &str)> = Vec::new();
-    if let Some(id) = &request_id {
-        headers.push((REQUEST_ID_HEADER, id));
     }
-    let _ = http::write_response_with(&stream, status, content_type, &headers, &body);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read as _, Write as _};
+    use std::time::Instant;
+
+    /// Answers every request with its method and path; `/slow` takes
+    /// 200 ms.
+    struct Echo;
+
+    impl Routes for Echo {
+        fn route(&self, request: &Request, _request_id: Option<&str>) -> Reply {
+            if request.path == "/slow" {
+                thread::sleep(Duration::from_millis(200));
+            }
+            (
+                200,
+                "text/plain",
+                format!("{} {}", request.method, request.path),
+            )
+        }
+    }
+
+    fn start() -> (SocketAddr, ServerHandle, thread::JoinHandle<()>) {
+        let front = Front::bind("127.0.0.1:0", 0).unwrap();
+        let (addr, handle) = (front.local_addr(), front.handle());
+        (
+            addr,
+            handle,
+            thread::spawn(move || front.run(&Arc::new(Echo))),
+        )
+    }
+
+    fn send(conn: &mut BufReader<TcpStream>, path: &str, connection: &str) {
+        let request = format!("GET {path} HTTP/1.1\r\nConnection: {connection}\r\n\r\n");
+        conn.get_mut().write_all(request.as_bytes()).unwrap();
+    }
+
+    /// Reads one `Content-Length` response: (kept alive, body).
+    fn receive(conn: &mut BufReader<TcpStream>) -> (bool, String) {
+        let head = http::read_head(&mut *conn).unwrap();
+        let mut body = vec![0; head.content_length.unwrap()];
+        conn.read_exact(&mut body).unwrap();
+        (head.keep_alive, String::from_utf8(body).unwrap())
+    }
+
+    fn exchange(conn: &mut BufReader<TcpStream>, path: &str, connection: &str) -> (bool, String) {
+        send(conn, path, connection);
+        receive(conn)
+    }
+
+    fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+        BufReader::new(TcpStream::connect(addr).unwrap())
+    }
+
+    #[test]
+    fn a_kept_alive_connection_carries_requests_until_one_closes_it() {
+        let (addr, handle, join) = start();
+        let mut conn = connect(addr);
+        assert_eq!(
+            exchange(&mut conn, "/a", "keep-alive"),
+            (true, "GET /a".into())
+        );
+        assert_eq!(
+            exchange(&mut conn, "/b", "keep-alive"),
+            (true, "GET /b".into())
+        );
+        assert_eq!(exchange(&mut conn, "/c", "close"), (false, "GET /c".into()));
+        let mut rest = Vec::new();
+        assert_eq!(conn.read_to_end(&mut rest).unwrap(), 0, "closed after /c");
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    /// Stopping must not wait out `STREAM_TIMEOUT` on a connection idle
+    /// between requests, and must still answer a request in progress.
+    #[test]
+    fn stopping_ends_idle_kept_alive_connections_and_answers_busy_ones() {
+        let (addr, handle, join) = start();
+        let mut idle = connect(addr);
+        exchange(&mut idle, "/a", "keep-alive");
+        let mut busy = connect(addr);
+        exchange(&mut busy, "/a", "keep-alive");
+        send(&mut busy, "/slow", "keep-alive");
+        thread::sleep(Duration::from_millis(50));
+
+        let started = Instant::now();
+        handle.shutdown();
+        join.join().unwrap();
+        assert!(
+            started.elapsed() < STREAM_TIMEOUT / 4,
+            "stop took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(receive(&mut busy), (false, "GET /slow".into()));
+        let mut rest = Vec::new();
+        assert_eq!(idle.read_to_end(&mut rest).unwrap(), 0, "idle one closed");
+    }
 }

@@ -1,21 +1,27 @@
 //! A minimal HTTP/1.1 reader/writer — just enough protocol for the
-//! compile service's four routes, hand-rolled over `std::io` so the
-//! workspace stays dependency-free.
+//! compile service's routes and the router's hop to its shards,
+//! hand-rolled over `std::io` so the workspace stays dependency-free.
 //!
 //! Supported: request line + headers (64 KiB together),
-//! `Content-Length` bodies (bounded by the caller),
-//! `Connection: close` semantics (one request per connection). Not
-//! supported, by design: chunked transfer, keep-alive, TLS, HTTP/2.
+//! `Content-Length` bodies (bounded by the caller), and opt-in
+//! keep-alive. A request that sends `Connection: keep-alive` is answered
+//! with `Connection: keep-alive` and may be followed by another request
+//! on the same connection; any other request is the connection's last
+//! and is answered with `Connection: close`. Keep-alive needs exact
+//! framing, so a head with a `Transfer-Encoding` header (whose unread
+//! chunked body would be parsed as the next request) or with conflicting
+//! `Content-Length` headers is malformed. Not supported: chunked
+//! transfer, TLS, HTTP/2.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Largest accepted request head (request line plus headers) in bytes.
 /// A client that keeps sending head bytes past it gets a `Malformed`
 /// error instead of an ever-growing line buffer.
 pub const MAX_HEAD_BYTES: usize = 64 << 10;
 
-/// A parsed request: method, path, body, and the client-supplied
-/// request ID, if any.
+/// A parsed request: method, path, body, the client-supplied request
+/// ID, if any, and whether the client asked to keep the connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Request method (`GET`, `POST`, …), uppercased by the client.
@@ -24,6 +30,23 @@ pub struct Request {
     pub path: String,
     /// Request body (empty when no `Content-Length` was sent).
     pub body: String,
+    /// Raw `X-Ppet-Request-Id` header value, unsanitized.
+    pub request_id: Option<String>,
+    /// Whether the request sent `Connection: keep-alive`.
+    pub keep_alive: bool,
+}
+
+/// The framing of one message head: its first line and the headers
+/// this module acts on. Requests and responses share it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Head {
+    /// The request line or status line, line ending stripped.
+    pub start_line: String,
+    /// The declared `Content-Length`, if any.
+    pub content_length: Option<usize>,
+    /// Whether a `Connection` header named `keep-alive` and none named
+    /// `close`.
+    pub keep_alive: bool,
     /// Raw `X-Ppet-Request-Id` header value, unsanitized.
     pub request_id: Option<String>,
 }
@@ -59,9 +82,9 @@ impl std::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-/// Reads one line of the request head, charging it to the head budget
+/// Reads one line of the message head, charging it to the head budget
 /// `left`; reading stops once the budget is spent.
-fn read_head_line<S: Read>(reader: &mut BufReader<S>, left: &mut u64) -> Result<String, HttpError> {
+fn read_head_line<R: BufRead>(reader: &mut R, left: &mut u64) -> Result<String, HttpError> {
     let mut line = String::new();
     let n = reader
         .by_ref()
@@ -77,29 +100,88 @@ fn read_head_line<S: Read>(reader: &mut BufReader<S>, left: &mut u64) -> Result<
     Ok(line)
 }
 
-/// Reads one HTTP/1.x request from `stream`, bounding the head (request
-/// line plus headers) at 64 KiB and the body at `max_body_bytes`.
+/// Reads one message head (start line plus headers, 64 KiB together)
+/// and leaves `reader` at the first body byte.
+///
+/// # Errors
+///
+/// [`HttpError::Io`] when the connection closes before the first byte
+/// or mid-head; [`HttpError::Malformed`] on an oversized head, a header
+/// line without a colon, an unparseable or conflicting
+/// `Content-Length`, or any `Transfer-Encoding`.
+pub fn read_head<R: BufRead>(mut reader: R) -> Result<Head, HttpError> {
+    let mut left = MAX_HEAD_BYTES as u64;
+    let line = read_head_line(&mut reader, &mut left)?;
+    if line.is_empty() {
+        return Err(HttpError::Io("connection closed before request".into()));
+    }
+    let mut head = Head {
+        start_line: line.trim_end_matches(['\r', '\n']).to_owned(),
+        ..Head::default()
+    };
+    let mut close = false;
+    loop {
+        let header = read_head_line(&mut reader, &mut left)?;
+        if header.is_empty() {
+            return Err(HttpError::Io("connection closed mid-head".into()));
+        }
+        let header = header.trim_end_matches(['\r', '\n']);
+        if header.is_empty() {
+            break;
+        }
+        let Some((name, value)) = header.split_once(':') else {
+            return Err(HttpError::Malformed(format!("header {header:?}")));
+        };
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            let length = value
+                .parse()
+                .map_err(|_| HttpError::Malformed(format!("content-length {value:?}")))?;
+            if head.content_length.is_some_and(|seen| seen != length) {
+                return Err(HttpError::Malformed(
+                    "conflicting content-length headers".into(),
+                ));
+            }
+            head.content_length = Some(length);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(HttpError::Malformed(format!(
+                "transfer-encoding {value:?} is not supported; send a content-length body"
+            )));
+        } else if name.eq_ignore_ascii_case("connection") {
+            for token in value.split(',').map(str::trim) {
+                close |= token.eq_ignore_ascii_case("close");
+                head.keep_alive |= token.eq_ignore_ascii_case("keep-alive");
+            }
+        } else if name.eq_ignore_ascii_case("x-ppet-request-id") {
+            head.request_id = Some(value.to_owned());
+        }
+    }
+    head.keep_alive &= !close;
+    Ok(head)
+}
+
+/// Reads one HTTP/1.x request from `reader`, bounding the head (request
+/// line plus headers) at 64 KiB and the body at `max_body_bytes`. The
+/// reader is left just past the body, so a kept-alive connection reads
+/// its next request from the same reader.
 ///
 /// # Errors
 ///
 /// [`HttpError`] on connection loss, malformed framing, an oversized
 /// head, or an oversized declared body.
-pub fn read_request<S: Read>(stream: S, max_body_bytes: usize) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let mut head_left = MAX_HEAD_BYTES as u64;
-    let line = read_head_line(&mut reader, &mut head_left)?;
-    if line.is_empty() {
-        return Err(HttpError::Io("connection closed before request".into()));
-    }
-    let mut parts = line.split_whitespace();
+pub fn read_request<R: BufRead>(
+    mut reader: R,
+    max_body_bytes: usize,
+) -> Result<Request, HttpError> {
+    let head = read_head(&mut reader)?;
+    let mut parts = head.start_line.split_whitespace();
     let method = parts
         .next()
         .ok_or_else(|| HttpError::Malformed("empty request line".into()))?
         .to_owned();
     let path = parts
         .next()
-        .ok_or_else(|| HttpError::Malformed("request line has no path".into()))?
-        .to_owned();
+        .ok_or_else(|| HttpError::Malformed("request line has no path".into()))?;
     let version = parts
         .next()
         .ok_or_else(|| HttpError::Malformed("request line has no version".into()))?;
@@ -109,28 +191,7 @@ pub fn read_request<S: Read>(stream: S, max_body_bytes: usize) -> Result<Request
         )));
     }
 
-    let mut content_length = 0usize;
-    let mut request_id = None;
-    loop {
-        let header = read_head_line(&mut reader, &mut head_left)?;
-        let header = header.trim_end_matches(['\r', '\n']);
-        if header.is_empty() {
-            break;
-        }
-        let Some((name, value)) = header.split_once(':') else {
-            return Err(HttpError::Malformed(format!("header {header:?}")));
-        };
-        let name = name.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
-                .parse()
-                .map_err(|_| HttpError::Malformed(format!("content-length {value:?}")))?;
-        } else if name.eq_ignore_ascii_case("x-ppet-request-id") {
-            request_id = Some(value.trim().to_owned());
-        }
-    }
-
+    let content_length = head.content_length.unwrap_or(0);
     if content_length > max_body_bytes {
         return Err(HttpError::BodyTooLarge {
             declared: content_length,
@@ -145,17 +206,18 @@ pub fn read_request<S: Read>(stream: S, max_body_bytes: usize) -> Result<Request
         .map_err(|_| HttpError::Malformed("body is not valid UTF-8".into()))?;
 
     // Strip any query string: the service routes on the bare path.
-    let path = path.split('?').next().unwrap_or(&path).to_owned();
+    let path = path.split('?').next().unwrap_or(path).to_owned();
     Ok(Request {
         method,
         path,
         body,
-        request_id,
+        request_id: head.request_id,
+        keep_alive: head.keep_alive,
     })
 }
 
-/// Writes one response and flushes. `Connection: close` is always sent —
-/// the service speaks one request per connection.
+/// Writes one response and flushes, with `Connection: close`: the
+/// connection carries no further request.
 ///
 /// # Errors
 ///
@@ -166,13 +228,18 @@ pub fn write_response<S: Write>(
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    write_response_with(stream, status, content_type, &[], body)
+    write_response_with(stream, status, content_type, &[], body, false)
 }
 
 /// [`write_response`] with extra response headers (name, value) — the
-/// compile routes use it to echo `X-Ppet-Request-Id`. Header values must
-/// already be header-safe (no CR/LF); the request-ID sanitizer
-/// guarantees that for IDs.
+/// compile routes use it to echo `X-Ppet-Request-Id` — and the
+/// connection's fate: `keep_alive` answers `Connection: keep-alive`,
+/// otherwise `Connection: close`. Header values must already be
+/// header-safe (no CR/LF); the request-ID sanitizer guarantees that for
+/// IDs.
+///
+/// The whole response goes out in one `write_all`: on a socket with
+/// `TCP_NODELAY` every write is its own segment.
 ///
 /// # Errors
 ///
@@ -183,6 +250,7 @@ pub fn write_response_with<S: Write>(
     content_type: &str,
     extra_headers: &[(&str, &str)],
     body: &str,
+    keep_alive: bool,
 ) -> std::io::Result<()> {
     let reason = match status {
         200 => "OK",
@@ -198,17 +266,20 @@ pub fn write_response_with<S: Write>(
         503 => "Service Unavailable",
         _ => "Unknown",
     };
-    let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut out = format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         body.len(),
     );
     for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        out.push_str(name);
+        out.push_str(": ");
+        out.push_str(value);
+        out.push_str("\r\n");
     }
-    write!(stream, "{head}\r\n{body}")?;
+    out.push_str("\r\n");
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
@@ -282,7 +353,7 @@ mod tests {
             }
         }
         let mut counting = Counting(&mut stream, 0);
-        let err = read_request(&mut counting, 1024).unwrap_err();
+        let err = read_request(std::io::BufReader::new(&mut counting), 1024).unwrap_err();
         (err, counting.1)
     }
 
@@ -326,6 +397,7 @@ mod tests {
             "application/json",
             &[("X-Ppet-Request-Id", "deadbeef")],
             "{}",
+            false,
         )
         .unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -342,6 +414,101 @@ mod tests {
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    #[test]
+    fn keep_alive_is_opt_in() {
+        let parse = |connection: &str| {
+            let raw = format!("GET /healthz HTTP/1.1\r\n{connection}\r\n");
+            read_request(raw.as_bytes(), 16).unwrap().keep_alive
+        };
+        assert!(!parse(""));
+        assert!(parse("Connection: keep-alive\r\n"));
+        assert!(parse("connection: Upgrade, Keep-Alive\r\n"));
+        assert!(!parse("Connection: close\r\n"));
+        assert!(!parse("Connection: keep-alive, close\r\n"));
+        assert!(!parse("Connection: keep-alive\r\nConnection: close\r\n"));
+    }
+
+    #[test]
+    fn consecutive_requests_parse_from_one_reader() {
+        let raw = "POST /a HTTP/1.1\r\nConnection: keep-alive\r\nContent-Length: 3\r\n\r\none\
+                   GET /b HTTP/1.1\r\n\r\n";
+        let mut reader = raw.as_bytes();
+        let first = read_request(&mut reader, 16).unwrap();
+        assert_eq!((first.path.as_str(), first.body.as_str()), ("/a", "one"));
+        assert!(first.keep_alive);
+        let second = read_request(&mut reader, 16).unwrap();
+        assert_eq!((second.path.as_str(), second.keep_alive), ("/b", false));
+        assert!(matches!(
+            read_request(&mut reader, 16),
+            Err(HttpError::Io(_))
+        ));
+    }
+
+    /// A chunked body left unread would be parsed as the next request on
+    /// a kept-alive connection, so any `Transfer-Encoding` is refused.
+    #[test]
+    fn transfer_encoding_is_refused() {
+        let raw = "POST /compile HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                   4\r\nbody\r\n0\r\n\r\n";
+        let err = read_request(raw.as_bytes(), 1024).unwrap_err();
+        assert!(
+            matches!(&err, HttpError::Malformed(m) if m.contains("transfer-encoding")),
+            "{err}"
+        );
+        let raw = "POST /compile HTTP/1.1\r\nContent-Length: 4\r\ntransfer-encoding: identity\r\n\r\nbody";
+        assert!(matches!(
+            read_request(raw.as_bytes(), 1024),
+            Err(HttpError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_refused() {
+        let raw = "POST /compile HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 2\r\n\r\nbody";
+        let err = read_request(raw.as_bytes(), 1024).unwrap_err();
+        assert!(
+            matches!(&err, HttpError::Malformed(m) if m.contains("conflicting")),
+            "{err}"
+        );
+        // A repeated identical length is the same framing.
+        let raw = "POST /compile HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nbody";
+        assert_eq!(read_request(raw.as_bytes(), 1024).unwrap().body, "body");
+    }
+
+    #[test]
+    fn a_head_cut_off_before_its_blank_line_is_an_io_error() {
+        let raw = "GET /metrics HTTP/1.1\r\nHost: x\r\n";
+        assert!(matches!(
+            read_request(raw.as_bytes(), 16),
+            Err(HttpError::Io(_))
+        ));
+    }
+
+    /// With `TCP_NODELAY` each write is its own segment: a response must
+    /// leave in one.
+    #[test]
+    fn a_response_is_one_write() {
+        struct Writes(Vec<u8>, usize);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.1 += 1;
+                self.0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Writes(Vec::new(), 0);
+        let headers = [("X-Ppet-Request-Id", "rid")];
+        write_response_with(&mut out, 200, "application/json", &headers, "{}", true).unwrap();
+        assert_eq!(out.1, 1, "one write per response");
+        let text = String::from_utf8(out.0).unwrap();
+        assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
+        assert!(!text.contains("close"), "{text}");
+        assert!(text.ends_with("X-Ppet-Request-Id: rid\r\n\r\n{}"), "{text}");
     }
 
     #[test]

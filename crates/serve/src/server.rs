@@ -3,7 +3,8 @@
 //! One [`Server`] owns a [`Front`] (the shared listener), a bounded
 //! [`WorkQueue`] of compile workers, the [`ResultCache`], and a
 //! [`Metrics`] registry. Each accepted connection is handled on its own
-//! thread (one request per connection); compile work itself runs on the
+//! thread (one request, or a keep-alive sequence of them, per
+//! connection); compile work itself runs on the
 //! queue, so slow compiles exert backpressure through the bounded queue
 //! rather than through unbounded thread growth.
 //!

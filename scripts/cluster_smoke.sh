@@ -1,12 +1,14 @@
 #!/usr/bin/env sh
 # Smoke test of `merced cluster`: start three shards and a router with
 # --replication 2, compile six distinct keys through the router, wait for
-# replication to land, SIGKILL one shard while a burst of re-requests is
-# in flight, and assert zero failed client requests and zero recompiles
-# of already-stored keys (via the per-backend serve_cache_misses series
-# in the router's aggregated /metrics). Structured errors must keep the
-# ppet-error/v1 shape throughout, and `merced stat <router>` must succeed
-# against the aggregated exposition. Shared by scripts/ci.sh and the
+# replication to land, re-request them sequentially and assert the router
+# reused its pooled shard connections (cluster_upstream_connects), SIGKILL
+# one shard while a burst of re-requests is in flight, and assert zero
+# failed client requests and zero recompiles of already-stored keys (via
+# the per-backend serve_cache_misses series in the router's aggregated
+# /metrics). Structured errors must keep the ppet-error/v1 shape
+# throughout, and `merced stat <router>` must succeed against the
+# aggregated exposition. Shared by scripts/ci.sh and the
 # workflow so the two entry points cannot drift.
 set -eu
 
@@ -112,6 +114,23 @@ while True:
         break
     assert time.time() < deadline, f"replication never landed:\n{metrics}"
     time.sleep(0.1)
+
+# Connection reuse: twelve sequential routed re-requests (all cache hits,
+# already replicated) ride the router's pooled keep-alive connections, so
+# it opens at most 2 connections per backend for them. A count, not a
+# timing.
+def connects(text, backend):
+    return metric(text, f'cluster_upstream_connects{{backend="{backend}"}}')
+_, before = request(router, "GET", "/metrics")
+for i in range(2 * SEEDS):
+    status, body = request(router, "POST", "/compile", req_body(i % SEEDS))
+    assert status == 200 and body == first[i % SEEDS], (i, status, body[:200])
+_, after = request(router, "GET", "/metrics")
+assert sum(connects(after, b) for b in (b1, b2, b3)) > 0, after
+for b in (b1, b2, b3):
+    opened = connects(after, b) - connects(before, b)
+    assert opened <= 2, f"router opened {opened} connections to {b}:\n{after}"
+assert metric(after, "cluster_requests") - metric(before, "cluster_requests") == 2 * SEEDS
 
 # Per-backend compile work before the kill, from the aggregated
 # exposition's backend-labelled series.

@@ -164,6 +164,8 @@ if sys.argv[2] == "cluster":
     assert rollups, "expected unlabelled serve rollups"
     assert any(s.startswith("cluster_") for s, _ in samples), \
         "expected cluster_* router series"
+    assert any(s.startswith('cluster_upstream_connects{backend="')
+               for s, _ in samples), "expected per-backend upstream connects"
 print(f"metrics_lint[{sys.argv[2]}]: {len(samples)} samples, "
       f"{len(buckets)} histogram series, all structural checks OK")
 EOF

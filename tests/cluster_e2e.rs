@@ -398,3 +398,64 @@ fn an_unrepresentable_router_timeout_waits_instead_of_panicking() {
     shard_handle.shutdown();
     shard_join.join().unwrap();
 }
+
+/// The router's `name{backend="addr"}` series from its exposition.
+fn backend_metric(router: SocketAddr, name: &str, backend: SocketAddr) -> u64 {
+    let (_, metrics) = roundtrip(router, "GET", "/metrics", "");
+    metric(&metrics, &format!("{name}{{backend=\"{backend}\"}} "))
+}
+
+/// Sequential routed compiles share one pooled connection to the shard.
+/// The shard then stops and restarts on the same address, closing the
+/// pooled connection while it is idle: stopping must not wait out the
+/// shard's 10 s stream timeout on it, and the next routed compile must
+/// be retried on a fresh connection without counting as a backend
+/// failure.
+#[test]
+fn pooled_connections_survive_a_shard_restart_without_a_backend_error() {
+    let (backend, compiles) = counting(Duration::ZERO);
+    let (shard, shard_handle, shard_join) = start_backend(backend.clone());
+    let config = ClusterConfig {
+        probe: Duration::from_secs(3600),
+        ..ClusterConfig::default()
+    };
+    let (router, router_handle, router_join) =
+        start_router(backend.clone(), vec![shard.to_string()], config);
+
+    for seed in 0..5 {
+        let req = CompileRequest::builtin("s27").with_seed(seed % 2).to_json();
+        let (status, body) = roundtrip(router, "POST", "/compile", &req);
+        assert_eq!(status, 200, "{body}");
+    }
+    let connects = backend_metric(router, "cluster_upstream_connects", shard);
+    assert_eq!(connects, 1, "five sequential hops, one connection");
+
+    let stopping = Instant::now();
+    shard_handle.shutdown();
+    shard_join.join().unwrap();
+    assert!(
+        stopping.elapsed() < Duration::from_secs(2),
+        "a shard with an idle pooled connection took {:?} to stop",
+        stopping.elapsed()
+    );
+    let server = Server::bind(shard, backend, ServeConfig::default()).unwrap();
+    let shard_handle = server.handle();
+    let shard_join = thread::spawn(move || server.run());
+
+    let req = CompileRequest::builtin("s27").with_seed(7).to_json();
+    let (status, body) = roundtrip(router, "POST", "/compile", &req);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(compiles.load(Ordering::SeqCst), 3);
+    assert_eq!(
+        backend_metric(router, "cluster_upstream_connects", shard),
+        2
+    );
+    assert_eq!(backend_metric(router, "cluster_backend_errors", shard), 0);
+    let (_, metrics) = roundtrip(router, "GET", "/metrics", "");
+    assert_eq!(metric(&metrics, "cluster_backend_down "), 0, "{metrics}");
+
+    router_handle.shutdown();
+    router_join.join().unwrap();
+    shard_handle.shutdown();
+    shard_join.join().unwrap();
+}
