@@ -2,8 +2,6 @@
 //! and the Table 12 with/without-retiming breakdowns.
 
 use ppet_cbit::cost::{synthesized_area_dff, CostSource};
-use ppet_graph::retime::CutRealization;
-use ppet_graph::scc::SccId;
 use ppet_netlist::AreaModel;
 
 use crate::code::AuditCode;
@@ -26,7 +24,7 @@ const PAPER_TABLE1: [(u32, f64); 6] = [
 const CONVERTED_DECI_DFF: u64 = 9;
 const MUX_DECI_DFF: u64 = 23;
 
-pub(crate) fn check(ctx: &Ctx<'_>, realization: Option<&CutRealization>, report: &mut AuditReport) {
+pub(crate) fn check(ctx: &Ctx<'_>, report: &mut AuditReport) {
     let subject = ctx.subject;
     let claims = &subject.claims;
 
@@ -83,9 +81,7 @@ pub(crate) fn check(ctx: &Ctx<'_>, realization: Option<&CutRealization>, report:
     }
 
     // Table 12 breakdowns over the recorded cut set.
-    let mut cuts = subject.cut_nets.to_vec();
-    cuts.sort_unstable();
-    cuts.dedup();
+    let cuts = &ctx.cuts;
 
     // Without retiming: only register-driven cuts convert in place.
     let converted_wo = cuts.iter().filter(|&&c| ctx.graph.is_register(c)).count();
@@ -99,34 +95,14 @@ pub(crate) fn check(ctx: &Ctx<'_>, realization: Option<&CutRealization>, report:
         mux_wo,
     );
 
-    // With retiming, under the same policy the compiler used.
-    let (converted_w, mux_w) = match (subject.policy, realization) {
-        (RetimingPolicy::PaperScc, _) => {
-            let mut chi = vec![0usize; ctx.scc.len()];
-            let mut converted = 0usize;
-            let mut mux = 0usize;
-            for &c in &cuts {
-                if ctx.scc.net_in_cyclic_component(&ctx.graph, c) {
-                    chi[ctx.scc.component_of(ctx.graph.net(c).src()).index()] += 1;
-                } else {
-                    converted += 1;
-                }
-            }
-            for (i, &x) in chi.iter().enumerate() {
-                let f = ctx.scc.registers_in(SccId(i as u32));
-                converted += x.min(f);
-                mux += x.saturating_sub(f);
-            }
-            (converted, mux)
-        }
-        (RetimingPolicy::Solver(_), Some(real)) => (real.covered.len(), real.excess.len()),
-        (RetimingPolicy::Solver(_), None) => {
-            report.fail(
-                AuditCode::CostWithRetiming,
-                "solver policy claimed but no realization witness available".to_owned(),
-            );
-            return;
-        }
+    // With retiming, under the same policy the compiler used; the solver's
+    // mix is the realization's, whose legality `retime` checks.
+    let (converted_w, mux_w) = match subject.policy {
+        RetimingPolicy::PaperScc => ctx.paper_split(),
+        RetimingPolicy::Solver(_) => (
+            subject.realization.covered.len(),
+            subject.realization.excess.len(),
+        ),
     };
     breakdown_check(
         report,

@@ -2,7 +2,8 @@
 //! modules read is computed here, once, directly from the netlist — never
 //! copied from the compiler's claims.
 
-use ppet_graph::{scc::Scc, CircuitGraph};
+use ppet_graph::scc::{Scc, SccId};
+use ppet_graph::CircuitGraph;
 use ppet_netlist::NetId;
 
 use crate::subject::AuditSubject;
@@ -24,6 +25,8 @@ pub(crate) struct Ctx<'a> {
     /// Cut nets implied by the membership (driver's partition differs from
     /// some sink's), ascending.
     pub derived_cuts: Vec<NetId>,
+    /// The recorded cut nets, ascending and deduplicated.
+    pub cuts: Vec<NetId>,
 }
 
 impl<'a> Ctx<'a> {
@@ -79,6 +82,10 @@ impl<'a> Ctx<'a> {
             }
         }
 
+        let mut cuts = subject.cut_nets.to_vec();
+        cuts.sort_unstable();
+        cuts.dedup();
+
         Self {
             subject,
             graph,
@@ -87,6 +94,23 @@ impl<'a> Ctx<'a> {
             duplicate_cells,
             derived_inputs,
             derived_cuts,
+            cuts,
         }
+    }
+
+    /// The paper's per-SCC split (§4.2) of the recorded cuts into
+    /// `(converted, multiplexed)`: a cyclic SCC converts `min(χ, f)` of its
+    /// `χ` cuts (Corollary 2), every other cut converts.
+    pub fn paper_split(&self) -> (usize, usize) {
+        let mut chi = vec![0usize; self.scc.len()];
+        for &c in &self.cuts {
+            if self.scc.net_in_cyclic_component(&self.graph, c) {
+                chi[self.scc.component_of(self.graph.net(c).src()).index()] += 1;
+            }
+        }
+        let mux: usize = (chi.iter().enumerate())
+            .map(|(i, &x)| x.saturating_sub(self.scc.registers_in(SccId(i as u32))))
+            .sum();
+        (self.cuts.len() - mux, mux)
     }
 }

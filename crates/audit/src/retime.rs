@@ -1,11 +1,17 @@
 //! Retiming legality re-verification (paper §2.2–§2.3).
 //!
 //! The audit does not trust the compiler's area accounting to imply that a
-//! legal retiming exists. It re-runs the difference-constraint realizer on
-//! the recorded cut set, then checks the produced lag vector **as data**:
+//! legal retiming exists. It checks the compile's cut realization — the one
+//! the cost phase priced and `--emit` builds — **as data**, never
+//! re-solving it:
 //!
+//! * well-formedness — one lag per retime-graph node, and the covered and
+//!   excess cuts split the deduplicated cut set exactly
+//!   ([`AuditCode::RetimeWitness`]);
 //! * Corollary 3 — every retimed edge weight `w_ρ(e) = w(e) + ρ(head) −
-//!   ρ(tail)` is non-negative ([`AuditCode::RetimeLegality`]);
+//!   ρ(tail)` is non-negative, and under the solver policy with fixed I/O
+//!   latency every primary input and output carries one lag
+//!   ([`AuditCode::RetimeLegality`]);
 //! * cut coverage — every register chain crossing `c` covered cut nets
 //!   keeps at least `c` registers ([`AuditCode::RetimeCoverage`]);
 //! * Corollary 2 — sampled directed cycles keep their register count
@@ -24,9 +30,8 @@
 use std::collections::BTreeSet;
 
 use ppet_graph::retime::{
-    retimed_weight, CutRealization, CutRealizer, EdgeId, IoLatency, RetimeGraph, Retiming,
+    retimed_weight, CutRealization, EdgeId, IoLatency, RNodeKind, RetimeGraph, Retiming,
 };
-use ppet_graph::scc::SccId;
 use ppet_graph::CircuitGraph;
 use ppet_netlist::{CellId, Circuit, NetId};
 
@@ -38,89 +43,88 @@ use crate::subject::RetimingPolicy;
 /// How many independent cycles the Corollary 2 spot-check samples.
 const CYCLE_SAMPLES: usize = 16;
 
-pub(crate) fn check(ctx: &Ctx<'_>, report: &mut AuditReport) -> Option<CutRealization> {
+pub(crate) fn check(ctx: &Ctx<'_>, report: &mut AuditReport) {
     let subject = ctx.subject;
+    let real = subject.realization;
     let rg = RetimeGraph::from_graph(&ctx.graph);
+    if let Some(problem) = witness_problem(&rg, real, &ctx.cuts) {
+        report.fail(AuditCode::RetimeWitness, problem);
+        return;
+    }
+    let (n_covered, n_excess) = (real.covered.len(), real.excess.len());
+    report.ok(
+        AuditCode::RetimeWitness,
+        format!("realization covers {n_covered} and multiplexes {n_excess} cuts"),
+    );
+    let covered: BTreeSet<NetId> = real.covered.iter().copied().collect();
     let io = match subject.policy {
         RetimingPolicy::PaperScc => IoLatency::Flexible,
         RetimingPolicy::Solver(io) => io,
     };
-    let real = CutRealizer::new(&rg)
-        .io_latency(io)
-        .realize(subject.cut_nets);
-    if real.retiming.len() != rg.num_nodes() {
-        report.fail(
-            AuditCode::RetimeWitness,
-            format!(
-                "witness has {} lags for {} nodes",
-                real.retiming.len(),
-                rg.num_nodes()
-            ),
-        );
-        return None;
-    }
-    report.ok(
-        AuditCode::RetimeWitness,
-        format!(
-            "realizer covered {} of {} cuts in {} iterations",
-            real.covered.len(),
-            subject.cut_nets.len(),
-            real.iterations
-        ),
-    );
-    let covered: BTreeSet<NetId> = real.covered.iter().copied().collect();
-    verify_lags(&rg, &real.retiming, &covered, report);
+    verify_lags(&rg, &real.retiming, &covered, io, report);
     report.witness = Some(serialize_witness(&real.retiming, &real.covered));
 
     // Corollary 2 donation bound, paper policy: converted bits claimed on
     // cyclic SCCs cannot exceed the registers those SCCs hold.
     if subject.policy == RetimingPolicy::PaperScc {
-        let mut chi = vec![0usize; ctx.scc.len()];
-        let mut off_scc = 0usize;
-        let mut cuts = subject.cut_nets.to_vec();
-        cuts.sort_unstable();
-        cuts.dedup();
-        for &c in &cuts {
-            if ctx.scc.net_in_cyclic_component(&ctx.graph, c) {
-                chi[ctx.scc.component_of(ctx.graph.net(c).src()).index()] += 1;
-            } else {
-                off_scc += 1;
-            }
-        }
-        let supply: usize = chi
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| x.min(ctx.scc.registers_in(SccId(i as u32))))
-            .sum();
+        let (supply, _) = ctx.paper_split();
         let claimed = subject.claims.with_retiming.converted_bits;
-        if claimed <= off_scc + supply {
+        if claimed <= supply {
             report.ok(
                 AuditCode::RetimeSccSupply,
-                format!(
-                    "{claimed} converted bits within supply {off_scc} off-SCC + {supply} on-SCC"
-                ),
+                format!("{claimed} converted bits within supply {supply}"),
             );
         } else {
             report.fail(
                 AuditCode::RetimeSccSupply,
-                format!(
-                    "claimed {claimed} converted bits, Corollary 2 supplies at most {}",
-                    off_scc + supply
-                ),
+                format!("claimed {claimed} converted bits, Corollary 2 supplies at most {supply}"),
             );
         }
     }
-    Some(real)
 }
 
-/// Legality, coverage, and the cycle spot-check for one lag vector.
+/// Why `real` is not a well-formed realization of `cuts` (ascending,
+/// deduplicated): a lag per retime-graph node, and covered and excess cuts
+/// splitting `cuts` exactly (disjoint, no repeats, nothing missing).
+fn witness_problem(rg: &RetimeGraph, real: &CutRealization, cuts: &[NetId]) -> Option<String> {
+    if real.retiming.len() != rg.num_nodes() {
+        let lags = real.retiming.len();
+        return Some(format!(
+            "witness has {lags} lags for {} nodes",
+            rg.num_nodes()
+        ));
+    }
+    let mut split: Vec<NetId> = real.covered.iter().chain(&real.excess).copied().collect();
+    split.sort_unstable();
+    (split != cuts).then(|| {
+        let (covered, excess) = (real.covered.len(), real.excess.len());
+        format!(
+            "{covered} covered + {excess} excess cuts do not split the {} cuts",
+            cuts.len()
+        )
+    })
+}
+
+/// Legality, coverage, and the cycle spot-check for one lag vector. Under
+/// [`IoLatency::Fixed`], legality also requires every primary input and
+/// output node to carry one common lag.
 fn verify_lags(
     rg: &RetimeGraph,
     lags: &Retiming,
     covered: &BTreeSet<NetId>,
+    io: IoLatency,
     report: &mut AuditReport,
 ) {
     let mut illegal = Vec::new();
+    if io == IoLatency::Fixed {
+        let io_lags: BTreeSet<i64> = (rg.nodes().iter().zip(lags))
+            .filter(|(k, _)| matches!(k, RNodeKind::Input(_) | RNodeKind::Output(_)))
+            .map(|(_, &lag)| lag)
+            .collect();
+        if io_lags.len() > 1 {
+            illegal.push(format!("fixed I/O latency, but I/O lags {io_lags:?}"));
+        }
+    }
     let mut uncovered = Vec::new();
     for (i, e) in rg.edges().iter().enumerate() {
         let w = retimed_weight(rg, lags, EdgeId::from_index(i));
@@ -193,7 +197,7 @@ pub fn verify_recorded_witness(circuit: &Circuit, witness: &str) -> AuditReport 
         AuditCode::RetimeWitness,
         format!("recorded witness parsed: {} covered cuts", covered.len()),
     );
-    verify_lags(&rg, &lags, &covered, &mut report);
+    verify_lags(&rg, &lags, &covered, IoLatency::Flexible, &mut report);
     report
 }
 
@@ -316,6 +320,7 @@ fn sample_cycles(rg: &RetimeGraph, limit: usize) -> Vec<Vec<EdgeId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppet_graph::retime::CutRealizer;
     use ppet_netlist::data;
 
     #[test]
@@ -363,6 +368,31 @@ mod tests {
             let report = verify_recorded_witness(&c, bad);
             assert!(report.failed(AuditCode::RetimeWitness), "{bad}: {report}");
         }
+    }
+
+    #[test]
+    fn unequal_io_lags_fail_legality_only_under_fixed_latency() {
+        let c = data::s27();
+        let rg = RetimeGraph::from_graph(&CircuitGraph::from_circuit(&c));
+        // Lagging one primary input by -1 adds a register on each of its
+        // out-edges: legal edge by edge, but it unties the I/O latency.
+        let input = rg
+            .nodes()
+            .iter()
+            .position(|k| matches!(k, RNodeKind::Input(_)))
+            .expect("s27 has inputs");
+        let mut lags = vec![0i64; rg.num_nodes()];
+        lags[input] = -1;
+        let verdict = |io| {
+            let mut report = AuditReport::default();
+            verify_lags(&rg, &lags, &BTreeSet::new(), io, &mut report);
+            report
+        };
+        let flexible = verdict(IoLatency::Flexible);
+        assert!(flexible.pass(), "{flexible}");
+        let fixed = verdict(IoLatency::Fixed);
+        assert!(fixed.failed(AuditCode::RetimeLegality), "{fixed}");
+        assert!(!fixed.failed(AuditCode::RetimeCoverage), "{fixed}");
     }
 
     #[test]

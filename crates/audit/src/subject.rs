@@ -2,14 +2,14 @@
 //! the compiler claimed for it.
 
 use ppet_cbit::cost::CostSource;
-use ppet_graph::retime::IoLatency;
+use ppet_graph::retime::{CutRealization, IoLatency};
 use ppet_netlist::{Circuit, NetId};
 use ppet_partition::Partition;
 
 /// Which with-retiming accounting rule the compiler used — the audit
-/// re-derives the breakdown under the same rule (but with its own
-/// implementation and, for the solver, an independent legality check of
-/// the produced witness).
+/// re-derives the breakdown under the same rule (with its own
+/// implementation of the per-SCC rule; for the solver, from the checked
+/// cut realization).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetimingPolicy {
     /// The paper's per-SCC aggregate (§4.2): `min(χ, f)` converted bits
@@ -96,8 +96,8 @@ pub struct Claims {
 }
 
 /// The audit subject: the original netlist, the compiled configuration
-/// (partition membership and cut set — the ground truth the auditor walks),
-/// the compile parameters, and the claimed [`Claims`].
+/// (partition membership, cut set and cut realization — the ground truth
+/// the auditor walks), the compile parameters, and the claimed [`Claims`].
 #[derive(Debug, Clone)]
 pub struct AuditSubject<'a> {
     /// The original, uninstrumented netlist.
@@ -115,6 +115,10 @@ pub struct AuditSubject<'a> {
     pub partitions: &'a [Partition],
     /// The cut nets of the final clustering.
     pub cut_nets: &'a [NetId],
+    /// The compile's cut realization: the retiming lags, the covered cuts
+    /// and the excess (multiplexed) cuts. The audit checks it as data —
+    /// legality, coverage, and that it splits exactly the cut set.
+    pub realization: &'a CutRealization,
     /// The numbers the compiler reported.
     pub claims: Claims,
 }

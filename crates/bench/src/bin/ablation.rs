@@ -17,7 +17,6 @@
 use ppet_core::cost::realized_with_retiming;
 use ppet_core::{CostPolicy, Merced, MercedConfig};
 use ppet_flow::{saturate_network, FlowParams};
-use ppet_graph::retime::IoLatency;
 use ppet_graph::retime::{
     minimize_registers, minimize_shared_registers, shared_register_count, CutRealizer, RetimeGraph,
 };
@@ -256,7 +255,7 @@ fn min_area_retiming() {
         let min_edge =
             minimize_registers(&rg, &demands).map(|m| shared_register_count(&rg, &m.retiming));
         let min_shared = minimize_shared_registers(&rg, &demands).map(|m| m.total_registers);
-        let realized = realized_with_retiming(&circuit, &assigned.cut_nets, IoLatency::Flexible);
+        let realized = realized_with_retiming(&circuit, &real);
         let area = ppet_core::cost::circuit_area_units(&circuit);
         println!(
             "{:<10} {:>9} {:>14} {:>14} {:>14} {:>10} {:>12}",

@@ -84,7 +84,8 @@ fn claims_of(report: &PpetReport) -> Claims {
 
 impl Compilation {
     /// Assembles the audit subject for this compilation: `circuit` must be
-    /// the same netlist the compile ran on.
+    /// the same netlist the compile ran on. Solves the cut realization if
+    /// the compile has not yet (see [`Compilation::realization`]).
     #[must_use]
     pub fn audit_subject<'a>(&'a self, circuit: &'a Circuit) -> AuditSubject<'a> {
         let config = &self.report.config;
@@ -99,6 +100,7 @@ impl Compilation {
             cost_source: config.cost_source,
             partitions: &self.assignment.partitions,
             cut_nets: &self.assignment.cut_nets,
+            realization: self.realization(circuit),
             claims: claims_of(&self.report),
         }
     }

@@ -146,7 +146,6 @@
 use std::process::ExitCode;
 
 use ppet_core::audit::attach_audit;
-use ppet_core::instrument::{insert_test_hardware_traced, InstrumentOptions};
 use ppet_core::{
     compile_batch, resolve_builtin, Compilation, CostPolicy, Merced, MercedBackend, MercedConfig,
     PpetReport,
@@ -987,22 +986,25 @@ fn emit_instrumented(
     path: &str,
     tracer: &Tracer,
 ) -> Result<(), CliError> {
-    let groups: Vec<Vec<_>> = compilation
-        .cut_groups
-        .iter()
-        .filter(|g| !g.is_empty())
-        .cloned()
-        .collect();
-    let inst = insert_test_hardware_traced(circuit, &groups, InstrumentOptions::default(), tracer)
+    let inst = compilation
+        .instrument(circuit, tracer)
         .map_err(|e| CliError::new("compile", e.to_string()))?;
     write_file(std::path::Path::new(path), &writer::to_bench(&inst.circuit))?;
+    let bits = inst.cbits.iter().flatten().count();
+    let converted = inst.cbits.iter().flatten().filter(|b| b.converted).count();
+    let mux = bits - converted;
+    // Under the scc policy the manifest prices the paper's per-SCC
+    // aggregate, which need not be the mix built: then print both.
+    let priced = &compilation.report.area.with_retiming;
+    let (p_converted, p_mux) = (priced.converted_bits, priced.mux_bits);
+    let note = if (p_converted, p_mux) == (converted, mux) {
+        String::new()
+    } else {
+        format!("; the manifest prices {p_converted} converted, {p_mux} multiplexed")
+    };
+    let cells = inst.circuit.num_cells();
     eprintln!(
-        "wrote {} ({} cells, {} CBIT bits: {} converted, {} multiplexed)",
-        path,
-        inst.circuit.num_cells(),
-        inst.converted_cuts.len() + inst.mux_cuts.len(),
-        inst.converted_cuts.len(),
-        inst.mux_cuts.len()
+        "wrote {path} ({cells} cells, {bits} CBIT bits: {converted} converted, {mux} multiplexed{note})"
     );
     Ok(())
 }

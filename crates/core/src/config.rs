@@ -15,9 +15,10 @@ pub enum CostPolicy {
     #[default]
     PaperScc,
     /// Exact realization through the Leiserson–Saxe difference-constraint
-    /// solver (`ppet_graph::retime::CutRealizer`): per-*cycle* feasibility
-    /// instead of the per-SCC approximation. Slower; used by the ablation
-    /// harness.
+    /// solver: per-*cycle* feasibility instead of the per-SCC approximation,
+    /// priced from [`Compilation::realization`](crate::Compilation::realization).
+    /// Slower (`cost_retime` 146 ms vs 0.1 ms on s1423); the golden s641
+    /// recording, perfbench's `cold_compile` and the ablations run it.
     Solver,
 }
 
@@ -53,7 +54,8 @@ pub struct MercedConfig {
     pub cost_source: CostSource,
     /// With-retiming accounting policy.
     pub cost_policy: CostPolicy,
-    /// I/O latency freedom for the solver policy.
+    /// I/O latency freedom of the compile's one cut realization, which the
+    /// audit and `--emit` read under either policy.
     pub io_latency: IoLatency,
     /// Worker threads for batch compilation. A single compile and fault
     /// simulation are sequential. A pure
@@ -111,7 +113,7 @@ impl MercedConfig {
         self
     }
 
-    /// Sets the I/O latency policy for [`CostPolicy::Solver`].
+    /// Sets the I/O latency freedom of the cut realization.
     #[must_use]
     pub fn with_io_latency(mut self, io: IoLatency) -> Self {
         self.io_latency = io;

@@ -18,7 +18,7 @@
 
 use ppet_cbit::acell::{AcellCost, AcellVariant};
 use ppet_graph::retime::{
-    minimize_shared_registers, shared_register_count, CutRealizer, IoLatency, RetimeGraph,
+    minimize_shared_registers, shared_register_count, CutRealization, RetimeGraph,
 };
 use ppet_graph::{scc::Scc, CircuitGraph, NetId};
 use ppet_netlist::{AreaModel, Circuit};
@@ -35,7 +35,7 @@ pub struct AreaBreakdown {
 }
 
 impl AreaBreakdown {
-    fn from_counts(converted_bits: usize, mux_bits: usize) -> Self {
+    pub(crate) fn from_counts(converted_bits: usize, mux_bits: usize) -> Self {
         let cost = AcellCost::paper();
         let deci_dff = converted_bits as u64 * cost.deci_dff(AcellVariant::ConvertedFf)
             + mux_bits as u64 * cost.deci_dff(AcellVariant::Multiplexed);
@@ -44,12 +44,6 @@ impl AreaBreakdown {
             mux_bits,
             deci_dff,
         }
-    }
-
-    /// Overhead in the paper's area units (1 DFF = 10 units).
-    #[must_use]
-    pub fn area_units(&self) -> u64 {
-        self.deci_dff
     }
 
     /// `A_CBIT / A_total` as a percentage, with `A_total` the original
@@ -118,37 +112,24 @@ pub fn with_retiming_scc(graph: &CircuitGraph, scc: &Scc, cuts: &[NetId]) -> Are
     AreaBreakdown::from_counts(converted, mux)
 }
 
-/// With-retiming accounting through the exact Leiserson–Saxe solver:
-/// covered cuts convert flip-flops, dropped cuts are multiplexed.
-///
-/// Slower than [`with_retiming_scc`] but exact per cycle (the per-SCC rule
-/// is an aggregate approximation).
-#[must_use]
-pub fn with_retiming_solver(graph: &CircuitGraph, cuts: &[NetId], io: IoLatency) -> AreaBreakdown {
-    let rg = RetimeGraph::from_graph(graph);
-    let real = CutRealizer::new(&rg).io_latency(io).realize(cuts);
-    AreaBreakdown::from_counts(real.covered.len(), real.excess.len())
-}
-
-/// Fully realized with-retiming accounting: like
-/// [`with_retiming_solver`], but additionally charging the **new
-/// registers** the retiming must create. The paper's 0.9-DFF-per-covered-
-/// cut figure assumes every covered cut is served by an *existing*
-/// functional flip-flop; when the cut count exceeds the register supply
-/// (common at small `l_k`), legal retiming conjures extra registers on
-/// acyclic paths — real hardware the optimistic accounting omits. This
+/// Fully realized with-retiming accounting: the breakdown of the cut
+/// realization `real` (covered cuts convert flip-flops, excess cuts are
+/// multiplexed) plus the **new registers** the retiming must create. The
+/// paper's 0.9-DFF-per-covered-cut figure assumes every covered cut is
+/// served by an *existing* functional flip-flop; when the cut count
+/// exceeds the register supply (common at small `l_k`), legal retiming
+/// conjures extra registers on acyclic paths — real hardware the
+/// optimistic accounting omits. This
 /// function computes the exact minimum register count that still covers
-/// every realizable cut (min-area retiming with fan-out sharing) and
+/// every cut `real` covers (min-area retiming with fan-out sharing) and
 /// charges each register beyond the original supply one full DFF.
 #[must_use]
 pub fn realized_with_retiming(
     circuit: &Circuit,
-    cuts: &[NetId],
-    io: IoLatency,
+    real: &CutRealization,
 ) -> Option<RealizedRetimingCost> {
     let graph = CircuitGraph::from_circuit(circuit);
     let rg = RetimeGraph::from_graph(&graph);
-    let real = CutRealizer::new(&rg).io_latency(io).realize(cuts);
     let demands: Vec<i64> = rg
         .edges()
         .iter()
@@ -223,7 +204,13 @@ pub fn circuit_area_units(circuit: &Circuit) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppet_graph::retime::CutRealizer;
     use ppet_netlist::data;
+
+    fn realize(c: &Circuit, cuts: &[NetId]) -> CutRealization {
+        let rg = RetimeGraph::from_graph(&CircuitGraph::from_circuit(c));
+        CutRealizer::new(&rg).realize(cuts)
+    }
 
     fn setup() -> (Circuit, CircuitGraph, Scc) {
         let c = data::s27();
@@ -287,7 +274,8 @@ mod tests {
         let (c, g, scc) = setup();
         let cuts = [c.find("G10").unwrap()]; // register already there
         let paper = with_retiming_scc(&g, &scc, &cuts);
-        let solver = with_retiming_solver(&g, &cuts, IoLatency::Flexible);
+        let real = realize(&c, &cuts);
+        let solver = AreaBreakdown::from_counts(real.covered.len(), real.excess.len());
         assert_eq!(paper, solver);
     }
 
@@ -300,7 +288,7 @@ mod tests {
             .iter()
             .map(|n| c.find(n).unwrap())
             .collect();
-        let realized = realized_with_retiming(&c, &cuts, IoLatency::Flexible).unwrap();
+        let realized = realized_with_retiming(&c, &realize(&c, &cuts)).unwrap();
         let optimistic = with_retiming_scc(&g, &scc, &cuts);
         assert!(realized.total_deci_dff >= optimistic.deci_dff);
         assert_eq!(realized.registers_before, 3);
@@ -315,7 +303,7 @@ mod tests {
     fn realized_cost_free_when_register_already_there() {
         let (c, _, _) = setup();
         let cuts = [c.find("G10").unwrap()];
-        let realized = realized_with_retiming(&c, &cuts, IoLatency::Flexible).unwrap();
+        let realized = realized_with_retiming(&c, &realize(&c, &cuts)).unwrap();
         // One covered cut, registers unchanged: only the 0.9 gates.
         assert_eq!(realized.new_registers, 0);
         assert_eq!(realized.total_deci_dff, 9);

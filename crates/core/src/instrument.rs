@@ -5,8 +5,8 @@
 //! conversion at the netlist level and returns an instrumented circuit a
 //! downstream flow could hand to synthesis:
 //!
-//! 1. the cut realization is computed (which cuts get converted functional
-//!    flip-flops, which need multiplexed registers) and the corresponding
+//! 1. the compile's cut realization (which cuts get converted functional
+//!    flip-flops, which need multiplexed registers) is read and its
 //!    **legal retiming is applied**, so a register physically sits on every
 //!    covered cut;
 //! 2. each such register is converted into an **A_CELL** (paper Fig. 3):
@@ -32,25 +32,15 @@
 //! instrumented circuit is **sequentially equivalent to the retimed
 //! circuit** — verified by simulation in `tests/instrument_e2e.rs`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ppet_cbit::poly::primitive_poly;
-use ppet_graph::retime::{apply, minimize_registers, CutRealizer, IoLatency, RetimeGraph};
+use ppet_graph::retime::{apply, CutRealization, RetimeGraph};
 use ppet_graph::CircuitGraph;
 use ppet_netlist::{CellId, CellKind, Circuit, NetId};
 use ppet_trace::Tracer;
 
 use crate::error::MercedError;
-
-/// Options for [`insert_test_hardware_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InstrumentOptions {
-    /// After the cut realization, re-optimize the retiming to the exact
-    /// minimum total register count that still covers every realizable cut
-    /// (min-cost-flow min-area retiming). Costs one LP solve; saves
-    /// registers the realizer's feasible-point answer may waste.
-    pub minimize_registers: bool,
-}
 
 /// One CBIT bit of the instrumented circuit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,74 +62,59 @@ pub struct Instrumented {
     pub b1: CellId,
     /// Mode input `B2`.
     pub b2: CellId,
-    /// The CBIT register banks, one per non-empty cut group.
+    /// The CBIT register banks, one per cut group that has a bit of its
+    /// own; every realized cut is exactly one bit.
     pub cbits: Vec<Vec<CbitBit>>,
-    /// Cuts realized by converting functional flip-flops (0.9 DFF each).
-    pub converted_cuts: Vec<NetId>,
-    /// Cuts realized as multiplexed test registers (2.3 DFF each).
-    pub mux_cuts: Vec<NetId>,
 }
 
-/// Converts `circuit` for PPET: retimes it so registers sit on as many of
-/// `cut_groups`' nets as possible, then inserts the A_CELL/CBIT hardware.
+/// Converts `circuit` for PPET: applies `realization`'s retiming so a
+/// register sits on every covered cut, then inserts the A_CELL/CBIT
+/// hardware — a converted flip-flop per covered cut, a multiplexed test
+/// register per excess cut.
 ///
-/// `cut_groups` is the partition-induced grouping of cut nets (one group
-/// per CBIT — e.g. one per partition's internal input cuts); groups may be
-/// singletons. Net ids refer to the *original* circuit.
+/// `cut_groups` is the partition-induced grouping of cut nets (one CBIT
+/// per group); groups may be empty or share cuts. Net ids refer to the
+/// *original* circuit, for which `realization` was solved over every
+/// grouped net ([`crate::Compilation::instrument`] passes the compile's).
+///
+/// Wraps the conversion in an `instrument` span, reports
+/// `instrument.converted_cuts` and `instrument.mux_cuts` counters, and the
+/// register-count change the retiming caused as the
+/// `instrument.retimed_register_delta` gauge (registers after retiming
+/// minus before; mux A_CELL registers are counted separately under
+/// `instrument.mux_cuts`).
 ///
 /// # Errors
 ///
 /// Returns [`MercedError::CombinationalCycle`] for non-synchronous input.
 ///
+/// # Panics
+///
+/// When `realization`'s lags are not a legal retiming of `circuit`.
+///
 /// # Examples
 ///
 /// ```
-/// use ppet_core::instrument::insert_test_hardware;
+/// use ppet_core::{instrument::insert_test_hardware, Merced, MercedConfig};
 /// use ppet_netlist::data;
 ///
 /// # fn main() -> Result<(), ppet_core::MercedError> {
 /// let circuit = data::s27();
-/// let cut = circuit.find("G10").expect("net exists");
-/// let result = insert_test_hardware(&circuit, &[vec![cut]])?;
-/// // G10 feeds DFF G5: the cut converts that register, costing 3 gates.
-/// assert_eq!(result.converted_cuts, vec![cut]);
+/// let compilation = Merced::new(MercedConfig::default().with_cbit_length(4))
+///     .compile_detailed(&circuit)?;
+/// let realization = compilation.realization(&circuit);
+/// let tracer = ppet_trace::Tracer::noop();
+/// let inst = insert_test_hardware(&circuit, realization, &compilation.cut_groups, &tracer)?;
+/// // A converted flip-flop exactly where the realization covers a cut.
+/// let converted = inst.cbits.iter().flatten().filter(|b| b.converted).count();
+/// assert_eq!(converted, realization.covered.len());
 /// # Ok(())
 /// # }
 /// ```
 pub fn insert_test_hardware(
     circuit: &Circuit,
+    realization: &CutRealization,
     cut_groups: &[Vec<NetId>],
-) -> Result<Instrumented, MercedError> {
-    insert_test_hardware_with(circuit, cut_groups, InstrumentOptions::default())
-}
-
-/// [`insert_test_hardware`] with explicit [`InstrumentOptions`].
-///
-/// # Errors
-///
-/// Same as [`insert_test_hardware`].
-pub fn insert_test_hardware_with(
-    circuit: &Circuit,
-    cut_groups: &[Vec<NetId>],
-    options: InstrumentOptions,
-) -> Result<Instrumented, MercedError> {
-    insert_test_hardware_traced(circuit, cut_groups, options, &Tracer::noop())
-}
-
-/// [`insert_test_hardware_with`] with observability: wraps the conversion
-/// in an `instrument` span, reports `instrument.converted_cuts` and
-/// `instrument.mux_cuts` counters, and the register-count change the
-/// retiming caused as the `instrument.retimed_register_delta` gauge
-/// (registers after retiming minus before; mux A_CELL registers are
-/// counted separately under `instrument.mux_cuts`).
-///
-/// # Errors
-///
-/// Same as [`insert_test_hardware`].
-pub fn insert_test_hardware_traced(
-    circuit: &Circuit,
-    cut_groups: &[Vec<NetId>],
-    options: InstrumentOptions,
     tracer: &Tracer,
 ) -> Result<Instrumented, MercedError> {
     let _span = tracer.span("instrument");
@@ -148,34 +123,10 @@ pub fn insert_test_hardware_traced(
     }
     let graph = CircuitGraph::from_circuit(circuit);
     let rg = RetimeGraph::from_graph(&graph);
-    let all_cuts: Vec<NetId> = cut_groups.iter().flatten().copied().collect();
-    let realization = CutRealizer::new(&rg)
-        .io_latency(IoLatency::Flexible)
-        .realize(&all_cuts);
-
-    // Optionally trade the realizer's feasible retiming for the exact
-    // register-count minimum over the same cut demands.
-    let retiming = if options.minimize_registers {
-        let demands: Vec<i64> = rg
-            .edges()
-            .iter()
-            .map(|e| {
-                e.nets
-                    .iter()
-                    .filter(|n| realization.covered.contains(n))
-                    .count() as i64
-            })
-            .collect();
-        minimize_registers(&rg, &demands)
-            .map(|m| m.retiming)
-            .unwrap_or_else(|| realization.retiming.clone())
-    } else {
-        realization.retiming.clone()
-    };
 
     // Apply the retiming so covered cuts physically hold registers.
-    let mut out =
-        apply(circuit, &rg, &retiming).expect("realization retiming is legal by construction");
+    let mut out = apply(circuit, &rg, &realization.retiming)
+        .expect("the realization is a legal retiming of this circuit");
     tracer.add(
         "instrument.converted_cuts",
         realization.covered.len() as u64,
@@ -194,7 +145,7 @@ pub fn insert_test_hardware_traced(
     // rank by register depth; the j-th covered cut of an origin (0-based)
     // is served by chain register `<origin>__rt{j+1}` in the retimed
     // circuit (apply() names every chain register that way).
-    let mut by_origin: HashMap<CellId, Vec<NetId>> = HashMap::new();
+    let mut by_origin: BTreeMap<CellId, Vec<NetId>> = BTreeMap::new();
     for &cut in &realization.covered {
         by_origin.entry(rg.chain_of(cut).0).or_default().push(cut);
     }
@@ -220,17 +171,20 @@ pub fn insert_test_hardware_traced(
         bit_of_cut.insert(cut, bit);
     }
 
-    // Wire cascades per group, closing each with the feedback network.
+    // Wire cascades per non-empty group, closing each with the feedback
+    // network; CBITs are numbered in that order. A cut feeding several
+    // partitions sits in several groups but is one register with one
+    // cascade input: its bit joins the first group that lists it.
     let mut cbits: Vec<Vec<CbitBit>> = Vec::new();
-    for (gi, group) in cut_groups.iter().enumerate() {
+    for group in cut_groups {
         let bits: Vec<CbitBit> = group
             .iter()
-            .filter_map(|net| bit_of_cut.get(net).cloned())
+            .filter_map(|net| bit_of_cut.remove(net))
             .collect();
         if bits.is_empty() {
             continue;
         }
-        wire_cascade(&mut out, &bits, gi);
+        wire_cascade(&mut out, &bits, cbits.len());
         cbits.push(bits);
     }
 
@@ -239,27 +193,30 @@ pub fn insert_test_hardware_traced(
         b1,
         b2,
         cbits,
-        converted_cuts: realization.covered,
-        mux_cuts: realization.excess,
     })
 }
 
-/// Splices the three A_CELL mode gates in front of an existing register:
-/// `D = XOR(AND(old_d, B1), NOR(cascade, B2))`. The cascade input is left
-/// tied to `B2` (making the NOR output 0 whenever `B2 = 1`) until
-/// [`wire_cascade`] connects the chain.
+/// Adds the test gate `ppet_<stem>_<tag>`; every such name is fresh by
+/// construction.
+fn gate(out: &mut Circuit, kind: CellKind, stem: &str, tag: &str, fanin: &[CellId]) -> CellId {
+    out.add_cell(format!("ppet_{stem}_{tag}"), kind, fanin.to_vec())
+        .expect("fresh name")
+}
+
+/// The three A_CELL mode gates `XOR(AND(data, B1), NOR(cascade, B2))`,
+/// named with `tag`; returns the XOR that drives the bit's register. The
+/// cascade input is left tied to `B2` (making the NOR output 0 whenever
+/// `B2 = 1`) until [`wire_cascade`] connects the chain.
+fn mode_gates(out: &mut Circuit, tag: &str, data: CellId, b1: CellId, b2: CellId) -> CellId {
+    let and = gate(out, CellKind::And, "and", tag, &[data, b1]);
+    let nor = gate(out, CellKind::Nor, "nor", tag, &[b2, b2]);
+    gate(out, CellKind::Xor, "xor", tag, &[and, nor])
+}
+
+/// Splices the A_CELL mode gates in front of an existing register.
 fn convert_register(out: &mut Circuit, register: CellId, b1: CellId, b2: CellId) -> CbitBit {
     let old_d = out.cell(register).fanin()[0];
-    let n = register.index();
-    let and = out
-        .add_cell(format!("ppet_and_{n}"), CellKind::And, vec![old_d, b1])
-        .expect("fresh name");
-    let nor = out
-        .add_cell(format!("ppet_nor_{n}"), CellKind::Nor, vec![b2, b2])
-        .expect("fresh name");
-    let xor = out
-        .add_cell(format!("ppet_xor_{n}"), CellKind::Xor, vec![and, nor])
-        .expect("fresh name");
+    let xor = mode_gates(out, &register.index().to_string(), old_d, b1, b2);
     out.set_fanin(register, vec![xor]).expect("register exists");
     CbitBit {
         register,
@@ -279,34 +236,16 @@ fn insert_mux_acell(
     b1: CellId,
     b2: CellId,
 ) -> CbitBit {
-    let n = tag.index();
+    let tag = format!("m{}", tag.index());
     // Sinks to rewire: captured before the test gates are added.
     let sinks: Vec<CellId> = out.fanouts().of(driver).to_vec();
-    let and = out
-        .add_cell(format!("ppet_and_m{n}"), CellKind::And, vec![driver, b1])
-        .expect("fresh name");
-    let nor = out
-        .add_cell(format!("ppet_nor_m{n}"), CellKind::Nor, vec![b2, b2])
-        .expect("fresh name");
-    let xor = out
-        .add_cell(format!("ppet_xor_m{n}"), CellKind::Xor, vec![and, nor])
-        .expect("fresh name");
-    let dff = out
-        .add_cell(format!("ppet_dff_m{n}"), CellKind::Dff, vec![xor])
-        .expect("fresh name");
+    let xor = mode_gates(out, &tag, driver, b1, b2);
+    let dff = gate(out, CellKind::Dff, "dff", &tag, &[xor]);
     // MUX: out = (q AND NOT b2) OR (data AND b2).
-    let not_b2 = out
-        .add_cell(format!("ppet_nb2_m{n}"), CellKind::Not, vec![b2])
-        .expect("fresh name");
-    let q_path = out
-        .add_cell(format!("ppet_mq_m{n}"), CellKind::And, vec![dff, not_b2])
-        .expect("fresh name");
-    let d_path = out
-        .add_cell(format!("ppet_md_m{n}"), CellKind::And, vec![driver, b2])
-        .expect("fresh name");
-    let mux = out
-        .add_cell(format!("ppet_mux_m{n}"), CellKind::Or, vec![q_path, d_path])
-        .expect("fresh name");
+    let not_b2 = gate(out, CellKind::Not, "nb2", &tag, &[b2]);
+    let q_path = gate(out, CellKind::And, "mq", &tag, &[dff, not_b2]);
+    let d_path = gate(out, CellKind::And, "md", &tag, &[driver, b2]);
+    let mux = gate(out, CellKind::Or, "mux", &tag, &[q_path, d_path]);
 
     for sink in sinks {
         let fanin: Vec<CellId> = out
@@ -346,9 +285,7 @@ fn wire_cascade(out: &mut Circuit, bits: &[CbitBit], group: usize) {
             .collect();
         let mut acc = taps[0];
         for (k, &t) in taps.iter().enumerate().skip(1) {
-            acc = out
-                .add_cell(format!("ppet_fb_{group}_{k}"), CellKind::Xor, vec![acc, t])
-                .expect("fresh name");
+            acc = gate(out, CellKind::Xor, "fb", &format!("{group}_{k}"), &[acc, t]);
         }
         acc
     };
@@ -372,7 +309,25 @@ fn wire_cascade(out: &mut Circuit, bits: &[CbitBit], group: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppet_graph::retime::CutRealizer;
     use ppet_netlist::data;
+
+    /// The Flexible-latency realization of every grouped cut.
+    fn realize(c: &Circuit, groups: &[Vec<NetId>]) -> CutRealization {
+        let cuts: Vec<NetId> = groups.iter().flatten().copied().collect();
+        CutRealizer::new(&RetimeGraph::from_graph(&CircuitGraph::from_circuit(c))).realize(&cuts)
+    }
+
+    fn instrument(c: &Circuit, groups: &[Vec<NetId>]) -> Instrumented {
+        insert_test_hardware(c, &realize(c, groups), groups, &Tracer::noop()).unwrap()
+    }
+
+    /// `(converted, multiplexed)` bits of an instrumented circuit.
+    fn mix(inst: &Instrumented) -> (usize, usize) {
+        let bits: Vec<&CbitBit> = inst.cbits.iter().flatten().collect();
+        let converted = bits.iter().filter(|b| b.converted).count();
+        (converted, bits.len() - converted)
+    }
 
     /// A combinational AND chain of `n` gates; every gate net is a cut.
     /// With no functional registers, every cut becomes a mux A_CELL, so a
@@ -432,9 +387,8 @@ mod tests {
         let c = data::s27();
         let cut = c.find("G10").unwrap();
         let before_dffs = c.num_flip_flops();
-        let inst = insert_test_hardware(&c, &[vec![cut]]).unwrap();
-        assert_eq!(inst.converted_cuts, vec![cut]);
-        assert!(inst.mux_cuts.is_empty());
+        let inst = instrument(&c, &[vec![cut]]);
+        assert_eq!(mix(&inst), (1, 0));
         // No new register: the functional flip-flop was converted.
         assert_eq!(inst.circuit.num_flip_flops(), before_dffs);
         // Three mode gates + mode pins were added.
@@ -447,7 +401,7 @@ mod tests {
     fn instrumented_circuit_is_structurally_valid() {
         let c = data::s27();
         let cuts = vec![vec![c.find("G10").unwrap(), c.find("G11").unwrap()]];
-        let inst = insert_test_hardware(&c, &cuts).unwrap();
+        let inst = instrument(&c, &cuts);
         assert!(
             ppet_netlist::validate::find_combinational_cycle(&inst.circuit).is_none(),
             "instrumentation must not create combinational cycles"
@@ -463,38 +417,33 @@ mod tests {
         )
         .unwrap();
         let cuts = vec![vec![c.find("g1").unwrap(), c.find("g2").unwrap()]];
-        let inst = insert_test_hardware(&c, &cuts).unwrap();
-        assert_eq!(inst.converted_cuts.len(), 1);
-        assert_eq!(inst.mux_cuts.len(), 1);
+        let inst = instrument(&c, &cuts);
+        assert_eq!(mix(&inst), (1, 1));
         // The mux A_CELL adds one register.
         assert!(inst.circuit.num_flip_flops() >= 2);
         assert!(ppet_netlist::validate::find_combinational_cycle(&inst.circuit).is_none());
     }
 
     #[test]
-    fn min_area_option_never_uses_more_registers() {
+    fn empty_groups_take_no_cbit_number() {
         let c = data::s27();
-        let cuts = vec![vec![c.find("G10").unwrap(), c.find("G11").unwrap()]];
-        let plain = insert_test_hardware(&c, &cuts).unwrap();
-        let lean = insert_test_hardware_with(
-            &c,
-            &cuts,
-            InstrumentOptions {
-                minimize_registers: true,
-            },
-        )
-        .unwrap();
-        assert!(lean.circuit.num_flip_flops() <= plain.circuit.num_flip_flops());
-        // Same cut realization either way.
-        assert_eq!(lean.converted_cuts, plain.converted_cuts);
-        assert_eq!(lean.mux_cuts, plain.mux_cuts);
-        assert!(ppet_netlist::validate::find_combinational_cycle(&lean.circuit).is_none());
+        let groups = vec![
+            vec![],
+            vec![c.find("G10").unwrap()],
+            vec![],
+            vec![c.find("G11").unwrap(), c.find("G8").unwrap()],
+        ];
+        let inst = instrument(&c, &groups);
+        assert_eq!(inst.cbits.len(), 2);
+        // The second CBIT's feedback XOR is named for CBIT 1, not group 3.
+        assert!(inst.circuit.find("ppet_fb_1_1").is_some());
+        assert!(inst.circuit.find("ppet_fb_3_1").is_none());
     }
 
     #[test]
     fn small_group_taps_include_the_last_register() {
         let (c, cuts) = chain_circuit(4);
-        let inst = insert_test_hardware(&c, &[cuts]).unwrap();
+        let inst = instrument(&c, &[cuts]);
         let bits = &inst.cbits[0];
         assert_eq!(bits.len(), 4);
         let taps = feedback_taps(&inst.circuit, bits);
@@ -508,7 +457,7 @@ mod tests {
     #[test]
     fn group_wider_than_32_bits_builds_a_valid_compactor() {
         let (c, cuts) = chain_circuit(40);
-        let inst = insert_test_hardware(&c, &[cuts]).unwrap();
+        let inst = instrument(&c, &[cuts]);
         assert_eq!(inst.cbits.len(), 1);
         let bits = &inst.cbits[0];
         assert_eq!(bits.len(), 40);
@@ -537,18 +486,15 @@ mod tests {
         let c = data::s27();
         let cuts = vec![vec![c.find("G10").unwrap(), c.find("G11").unwrap()]];
         let (tracer, sink) = Tracer::collecting();
-        let inst =
-            insert_test_hardware_traced(&c, &cuts, InstrumentOptions::default(), &tracer).unwrap();
+        let inst = insert_test_hardware(&c, &realize(&c, &cuts), &cuts, &tracer).unwrap();
+        let (converted, mux) = mix(&inst);
         let report = sink.report();
         assert_eq!(report.spans[0].name, "instrument");
         assert_eq!(
             report.counters["instrument.converted_cuts"],
-            inst.converted_cuts.len() as u64
+            converted as u64
         );
-        assert_eq!(
-            report.counters["instrument.mux_cuts"],
-            inst.mux_cuts.len() as u64
-        );
+        assert_eq!(report.counters["instrument.mux_cuts"], mux as u64);
         assert!(report
             .gauges
             .contains_key("instrument.retimed_register_delta"));
@@ -562,7 +508,13 @@ mod tests {
         let y = c.add_cell("y", CellKind::And, vec![x, a]).unwrap();
         c.set_fanin(x, vec![y, a]).unwrap();
         c.mark_output(y).unwrap();
-        let err = insert_test_hardware(&c, &[]).unwrap_err();
+        let none = CutRealization {
+            retiming: Vec::new(),
+            covered: Vec::new(),
+            excess: Vec::new(),
+            iterations: 0,
+        };
+        let err = insert_test_hardware(&c, &none, &[], &Tracer::noop()).unwrap_err();
         assert!(matches!(err, MercedError::CombinationalCycle { .. }));
     }
 }

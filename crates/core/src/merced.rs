@@ -1,10 +1,12 @@
 //! The Merced compilation pipeline (paper Table 2).
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use ppet_cbit::cost::CbitCostModel;
 use ppet_cbit::schedule::{CutSpec, TestSchedule};
 use ppet_flow::saturate_network_traced;
+use ppet_graph::retime::{CutRealization, CutRealizer, IoLatency, RetimeGraph};
 use ppet_graph::{scc::Scc, CircuitGraph};
 use ppet_netlist::{AreaModel, Circuit, CircuitStats};
 use ppet_partition::{assign_cbit_traced, inputs, make_group_traced, MakeGroupParams};
@@ -14,8 +16,9 @@ use ppet_netlist::NetId;
 use ppet_partition::CbitAssignment;
 
 use crate::config::{CostPolicy, MercedConfig};
-use crate::cost;
+use crate::cost::{self, AreaBreakdown};
 use crate::error::MercedError;
+use crate::instrument::{insert_test_hardware, Instrumented};
 use crate::report::{AreaComparison, PartitionSummary, PhaseMetrics, PpetReport, ScheduleSummary};
 
 /// Elapsed nanoseconds since `start`, clamped to ≥ 1 so a phase that fits
@@ -26,10 +29,18 @@ fn phase_ns(start: Instant) -> u64 {
         .max(1)
 }
 
+/// The compile's cut realization: a legal retiming covering as many of
+/// `cuts` as the circuit's loops allow.
+fn solve_realization(graph: &CircuitGraph, cuts: &[NetId], io: IoLatency) -> CutRealization {
+    CutRealizer::new(&RetimeGraph::from_graph(graph))
+        .io_latency(io)
+        .realize(cuts)
+}
+
 /// A compilation result carrying the full partition data alongside the
 /// summary report — for callers that go on to extract segments
-/// (`ppet_sim::pet`-style experiments) or insert the test hardware
-/// ([`crate::instrument`]).
+/// (`ppet_sim::pet`-style experiments), audit the result, or insert the
+/// test hardware ([`Compilation::instrument`]).
 #[derive(Debug, Clone)]
 pub struct Compilation {
     /// The summary report (what [`Merced::compile`] returns).
@@ -41,6 +52,35 @@ pub struct Compilation {
     /// internal cut nets (the grouping [`crate::instrument`] consumes).
     /// Partitions with no internal cuts contribute empty groups.
     pub cut_groups: Vec<Vec<NetId>>,
+    /// Solved by `cost_retime` under [`CostPolicy::Solver`], else on use.
+    realization: OnceLock<CutRealization>,
+}
+
+impl Compilation {
+    /// The cut realization of this compile — the lags, the covered cuts
+    /// and the excess (multiplexed) cuts — under the configured I/O
+    /// latency. The solver policy prices it; the audit and
+    /// [`Compilation::instrument`] read it. `circuit` must be the netlist
+    /// the compile ran on.
+    pub fn realization(&self, circuit: &Circuit) -> &CutRealization {
+        let (cuts, io) = (&self.assignment.cut_nets, self.report.config.io_latency);
+        self.realization
+            .get_or_init(|| solve_realization(&CircuitGraph::from_circuit(circuit), cuts, io))
+    }
+
+    /// [`insert_test_hardware`] over this compile's realization and cut
+    /// groups.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`insert_test_hardware`].
+    pub fn instrument(
+        &self,
+        circuit: &Circuit,
+        tracer: &Tracer,
+    ) -> Result<Instrumented, MercedError> {
+        insert_test_hardware(circuit, self.realization(circuit), &self.cut_groups, tracer)
+    }
 }
 
 /// The BIST compiler: partitions a circuit for PPET and costs the test
@@ -268,9 +308,14 @@ impl Merced {
         }
 
         // Area comparison (Table 12).
+        let realization = OnceLock::new();
         let with_retiming = match self.config.cost_policy {
             CostPolicy::PaperScc => cost::with_retiming_scc(&graph, &scc, &cuts),
-            CostPolicy::Solver => cost::with_retiming_solver(&graph, &cuts, self.config.io_latency),
+            CostPolicy::Solver => {
+                let real = realization
+                    .get_or_init(|| solve_realization(&graph, &cuts, self.config.io_latency));
+                AreaBreakdown::from_counts(real.covered.len(), real.excess.len())
+            }
         };
         let without_retiming = cost::without_retiming(&graph, &cuts);
         let circuit_area = cost::circuit_area_units(circuit);
@@ -401,6 +446,7 @@ impl Merced {
             report,
             assignment,
             cut_groups,
+            realization,
         })
     }
 }

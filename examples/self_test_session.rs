@@ -14,13 +14,13 @@
 
 use std::error::Error;
 
-use ppet::core::instrument::insert_test_hardware;
 use ppet::core::{Merced, MercedConfig};
 use ppet::netlist::{data, SynthSpec, Synthesizer};
 use ppet::prng::{Rng, Xoshiro256PlusPlus};
 use ppet::sim::fault::{all_faults, FaultSite};
 use ppet::sim::logic::Simulator;
 use ppet::sim::seqsim::{Observe, SequentialFaultSim};
+use ppet::trace::Tracer;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let circuits = vec![
@@ -56,23 +56,17 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
 
         // 2. Insert the hardware.
-        let groups: Vec<Vec<_>> = compilation
-            .cut_groups
-            .iter()
-            .filter(|g| !g.is_empty())
-            .cloned()
-            .collect();
-        if groups.is_empty() {
+        let inst = compilation.instrument(&circuit, &Tracer::noop())?;
+        if inst.cbits.is_empty() {
             println!("  no internal cuts at this l_k: the whole circuit is one CUT\n");
             continue;
         }
-        let inst = insert_test_hardware(&circuit, &groups)?;
+        let bits = inst.cbits.iter().flatten().count();
+        let converted = inst.cbits.iter().flatten().filter(|b| b.converted).count();
         println!(
-            "  instrumented: {} CBIT bits ({} converted FFs, {} multiplexed), \
+            "  instrumented: {bits} CBIT bits ({converted} converted FFs, {} multiplexed), \
              {} cells total",
-            inst.converted_cuts.len() + inst.mux_cuts.len(),
-            inst.converted_cuts.len(),
-            inst.mux_cuts.len(),
+            bits - converted,
             inst.circuit.num_cells(),
         );
 

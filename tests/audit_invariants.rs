@@ -181,3 +181,63 @@ fn corrupted_cost_field_fails_with_cost_deci_dff() {
     assert!(!audit.pass());
     assert!(audit.failed(AuditCode::CostDeciDff), "{audit}");
 }
+
+#[test]
+fn realization_not_splitting_the_cut_set_fails_with_retime_witness() {
+    let (circuit, compilation) = compiled_s27();
+    let real = compilation.realization(&circuit);
+    let first = *real
+        .covered
+        .first()
+        .or(real.excess.first())
+        .expect("s27 at l_k = 4 has cuts");
+
+    // A cut dropped from both lists, and a cut listed in both.
+    let mut dropped = real.clone();
+    dropped.covered.retain(|&n| n != first);
+    dropped.excess.retain(|&n| n != first);
+    let mut doubled = real.clone();
+    doubled.excess.push(first);
+    for bad in [&dropped, &doubled] {
+        let mut subject = compilation.audit_subject(&circuit);
+        subject.realization = bad;
+        let audit = ppet::audit::audit(&subject);
+        assert!(!audit.pass());
+        assert!(audit.failed(AuditCode::RetimeWitness), "{audit}");
+    }
+}
+
+#[test]
+fn unequal_io_lags_under_fixed_latency_fail_with_retime_legality() {
+    use ppet::graph::retime::{CutRealizer, IoLatency, RetimeGraph};
+    use ppet::graph::CircuitGraph;
+
+    // s27 at l_k = 4 under the solver: with flexible I/O latency the cut
+    // is covered by lagging the I/O apart; fixed latency forbids that.
+    let circuit = data::s27();
+    let solver = |io| {
+        Merced::new(
+            MercedConfig::default()
+                .with_cbit_length(4)
+                .with_cost_policy(CostPolicy::Solver)
+                .with_io_latency(io),
+        )
+        .compile_detailed(&circuit)
+        .expect("compiles")
+    };
+    let fixed = solver(IoLatency::Fixed);
+    let rg = RetimeGraph::from_graph(&CircuitGraph::from_circuit(&circuit));
+    let flexible = CutRealizer::new(&rg).realize(&fixed.assignment.cut_nets);
+
+    // The flexible witness is legal edge by edge...
+    let flex = solver(IoLatency::Flexible);
+    let mut subject = flex.audit_subject(&circuit);
+    subject.realization = &flexible;
+    assert!(!ppet::audit::audit(&subject).failed(AuditCode::RetimeLegality));
+    // ...but not as the witness of a fixed-latency compile.
+    let mut subject = fixed.audit_subject(&circuit);
+    subject.realization = &flexible;
+    let audit = ppet::audit::audit(&subject);
+    assert!(!audit.pass());
+    assert!(audit.failed(AuditCode::RetimeLegality), "{audit}");
+}

@@ -8,12 +8,25 @@
 //!    pattern sequences and their final signature detects an injected
 //!    design fault.
 
-use ppet::core::instrument::insert_test_hardware;
-use ppet::graph::retime::{apply, CutRealizer, IoLatency, RetimeGraph};
+use ppet::core::instrument::{insert_test_hardware, Instrumented};
+use ppet::graph::retime::{apply, CutRealization, CutRealizer, IoLatency, RetimeGraph};
 use ppet::graph::CircuitGraph;
-use ppet::netlist::{data, Circuit};
+use ppet::netlist::{data, Circuit, NetId};
 use ppet::prng::{Rng, Xoshiro256PlusPlus};
 use ppet::sim::logic::{SequentialSim, Simulator};
+use ppet::trace::Tracer;
+
+fn realize(c: &Circuit, cuts: &[NetId]) -> CutRealization {
+    let rg = RetimeGraph::from_graph(&CircuitGraph::from_circuit(c));
+    CutRealizer::new(&rg)
+        .io_latency(IoLatency::Flexible)
+        .realize(cuts)
+}
+
+/// Instruments `c` with one CBIT over `cuts`, realized for `c` itself.
+fn instrument(c: &Circuit, cuts: &[NetId]) -> Instrumented {
+    insert_test_hardware(c, &realize(c, cuts), &[cuts.to_vec()], &Tracer::noop()).unwrap()
+}
 
 fn s27_cuts(c: &Circuit) -> Vec<ppet::netlist::NetId> {
     vec![
@@ -31,12 +44,10 @@ fn normal_mode_is_sequentially_equivalent_to_the_retimed_circuit() {
     // Reference: the same retiming the instrumenter applies.
     let graph = CircuitGraph::from_circuit(&circuit);
     let rg = RetimeGraph::from_graph(&graph);
-    let real = CutRealizer::new(&rg)
-        .io_latency(IoLatency::Flexible)
-        .realize(&cuts);
+    let real = realize(&circuit, &cuts);
     let retimed = apply(&circuit, &rg, &real.retiming).unwrap();
 
-    let inst = insert_test_hardware(&circuit, &[cuts]).unwrap();
+    let inst = insert_test_hardware(&circuit, &real, &[cuts], &Tracer::noop()).unwrap();
 
     let ref_sim = Simulator::new(&retimed).unwrap();
     let dut_sim = Simulator::new(&inst.circuit).unwrap();
@@ -63,7 +74,7 @@ fn normal_mode_is_sequentially_equivalent_to_the_retimed_circuit() {
 #[test]
 fn test_mode_cycles_the_cbit_registers() {
     let circuit = data::s27();
-    let inst = insert_test_hardware(&circuit, &[s27_cuts(&circuit)]).unwrap();
+    let inst = instrument(&circuit, &s27_cuts(&circuit));
     let sim = Simulator::new(&inst.circuit).unwrap();
     let mut seq = SequentialSim::new(&sim);
 
@@ -108,7 +119,7 @@ fn test_mode_signature_detects_an_injected_fault() {
     // window stands in for the wider MISR a real session would size to
     // make aliasing negligible.
     let signature = |c: &Circuit| -> Vec<Vec<u64>> {
-        let inst = insert_test_hardware(c, std::slice::from_ref(&cuts)).unwrap();
+        let inst = instrument(c, &cuts);
         let sim = Simulator::new(&inst.circuit).unwrap();
         let mut seq = SequentialSim::new(&sim);
         let n = sim.inputs().len();
@@ -142,9 +153,16 @@ fn test_mode_signature_detects_an_injected_fault() {
 fn instrumentation_counts_add_up() {
     let circuit = data::s27();
     let cuts = s27_cuts(&circuit);
-    let inst = insert_test_hardware(&circuit, std::slice::from_ref(&cuts)).unwrap();
+    let real = realize(&circuit, &cuts);
+    let inst = insert_test_hardware(
+        &circuit,
+        &real,
+        std::slice::from_ref(&cuts),
+        &Tracer::noop(),
+    )
+    .unwrap();
     assert_eq!(
-        inst.converted_cuts.len() + inst.mux_cuts.len(),
+        real.covered.len() + real.excess.len(),
         cuts.len(),
         "every cut realized exactly once"
     );
@@ -157,7 +175,9 @@ fn instrumentation_counts_add_up() {
         .iter()
         .filter(|(_, cell)| cell.name().starts_with("ppet_"))
         .count();
-    let expected_min = inst.converted_cuts.len() * 3 + inst.mux_cuts.len() * 8;
+    let converted = inst.cbits.iter().flatten().filter(|b| b.converted).count();
+    assert_eq!(converted, real.covered.len());
+    let expected_min = converted * 3 + (bits - converted) * 8;
     assert!(
         added_gates >= expected_min,
         "{added_gates} < {expected_min}"
@@ -186,9 +206,9 @@ fn works_on_synthetic_circuits() {
         .map(|(net, _)| net)
         .collect();
     assert!(!cuts.is_empty());
-    let inst = insert_test_hardware(&circuit, std::slice::from_ref(&cuts)).unwrap();
+    let inst = instrument(&circuit, &cuts);
     assert!(ppet::netlist::validate::find_combinational_cycle(&inst.circuit).is_none());
-    assert_eq!(inst.converted_cuts.len() + inst.mux_cuts.len(), {
+    assert_eq!(inst.cbits.iter().map(Vec::len).sum::<usize>(), {
         let mut c = cuts.clone();
         c.sort_unstable();
         c.dedup();
@@ -205,7 +225,7 @@ fn test_mode_signatures_cover_functional_stuck_at_faults() {
     use ppet::sim::seqsim::{Observe, SequentialFaultSim};
 
     let circuit = data::s27();
-    let inst = insert_test_hardware(&circuit, &[s27_cuts(&circuit)]).unwrap();
+    let inst = instrument(&circuit, &s27_cuts(&circuit));
 
     // Faults in the functional logic only (not the inserted test gates).
     let functional = |site: &FaultSite| {
@@ -247,4 +267,68 @@ fn test_mode_signatures_cover_functional_stuck_at_faults() {
         report.coverage() > 0.5,
         "signature-only coverage too low: {report:?}"
     );
+}
+
+/// The hardware is the design the compile realized and priced: for every
+/// golden-corpus config, and for s27 at l_k = 4 under the solver with
+/// fixed I/O latency (where a flexible re-solve once built 1 converted /
+/// 0 multiplexed bits against 0 / 1 priced), the instrumented bits split
+/// exactly as the compile's realization does, one bit per cut, and under
+/// the solver policy exactly as the report prices them.
+#[test]
+fn instrumented_mix_is_the_compiles_realization() {
+    use ppet::core::{resolve_builtin, CostPolicy, Merced, MercedConfig};
+
+    let configs = [
+        ("s27", 4, CostPolicy::PaperScc, IoLatency::Flexible),
+        ("counter8", 4, CostPolicy::PaperScc, IoLatency::Flexible),
+        ("johnson12", 6, CostPolicy::PaperScc, IoLatency::Flexible),
+        ("s510", 16, CostPolicy::PaperScc, IoLatency::Flexible),
+        ("s641", 16, CostPolicy::Solver, IoLatency::Flexible),
+        ("s27", 4, CostPolicy::Solver, IoLatency::Fixed),
+    ];
+    for (name, lk, policy, io) in configs {
+        let circuit = resolve_builtin(name).expect("builtin");
+        let config = MercedConfig::default()
+            .with_cbit_length(lk)
+            .with_cost_policy(policy)
+            .with_io_latency(io);
+        let compilation = Merced::new(config)
+            .compile_detailed(&circuit)
+            .expect("compiles");
+        let inst = compilation
+            .instrument(&circuit, &Tracer::noop())
+            .expect("instruments");
+        let bits: Vec<_> = inst.cbits.iter().flatten().collect();
+        let converted = bits.iter().filter(|b| b.converted).count();
+        let built = (converted, bits.len() - converted);
+        let real = compilation.realization(&circuit);
+        let what = format!("{name} l_k={lk} {policy:?} {io:?}");
+        assert_eq!(built, (real.covered.len(), real.excess.len()), "{what}");
+        assert_eq!(bits.len(), compilation.report.nets_cut, "{what}");
+        if policy == CostPolicy::Solver {
+            let priced = &compilation.report.area.with_retiming;
+            assert_eq!(built, (priced.converted_bits, priced.mux_bits), "{what}");
+        }
+    }
+}
+
+/// Emitting the same compile twice writes the same netlist: covered cuts
+/// are converted in chain-origin order, not hash order.
+#[test]
+fn instrumented_netlist_is_deterministic() {
+    use ppet::core::{resolve_builtin, Merced, MercedConfig};
+    use ppet::netlist::writer::to_bench;
+
+    let circuit = resolve_builtin("s510").expect("builtin");
+    let compilation = Merced::new(MercedConfig::default().with_cbit_length(16))
+        .compile_detailed(&circuit)
+        .expect("compiles");
+    let emit = || {
+        let inst = compilation
+            .instrument(&circuit, &Tracer::noop())
+            .expect("instruments");
+        to_bench(&inst.circuit)
+    };
+    assert_eq!(emit(), emit());
 }
