@@ -228,8 +228,6 @@ impl Merced {
                 ("flow.heap_pops", search.heap_pops),
                 ("flow.nodes_settled", search.settled),
                 ("flow.relaxations", search.relaxations),
-                ("flow.requeue", search.requeued),
-                ("flow.reused", search.reused),
                 ("flow.shortfall_nodes", flow_shortfall_nodes as u64),
                 ("flow.trees_built", profile.num_trees() as u64),
             ],

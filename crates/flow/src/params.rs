@@ -47,22 +47,6 @@ impl FlowParams {
     /// downstream additions.
     pub const MAX_EXPONENT: f64 = 700.0;
 
-    /// Budget (in cached tree nodes, summed over all sources) of the
-    /// incremental-SSSP cache the saturation loop carries.
-    ///
-    /// Each cached node is 16 bytes, so the worst case is ~256 KiB;
-    /// sources past the budget simply run fresh, which cannot
-    /// change any result (the cache only ever changes *work counters* —
-    /// see `ppet_graph::dijkstra::SsspCache`). Deliberately small: cache
-    /// hits only happen when no weight on the cached tree changed between
-    /// two visits of the same source, which is common on small circuits
-    /// (and in the clamped-congestion regime where distances freeze) but
-    /// rare mid-saturation on large ones — a large budget would pay
-    /// store-and-revalidate on every tree for almost no reuse. A constant
-    /// rather than a tunable: it is invisible in the output, so it has no
-    /// place in the experiment definition or the run manifest.
-    pub const SSSP_CACHE_NODES: usize = 1 << 14;
-
     /// The congestion distance `d(e) = exp(α·flow/cap)` of Table 3 STEP
     /// 3.3, with the exponent saturated at [`FlowParams::MAX_EXPONENT`].
     ///

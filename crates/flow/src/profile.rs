@@ -79,11 +79,11 @@ impl CongestionProfile {
     /// distances, flows, visit counts, tree count, saturation flag and
     /// shortfall — ignoring the [`DijkstraStats`] work counters.
     ///
-    /// This is the equivalence the saturation rewrite is tested under:
-    /// the reference and the CSR/bucket-queue/cached engine must produce
-    /// identical results, but legitimately differ in how much search work
-    /// they spent getting there (`PartialEq` compares the counters too
-    /// and is the right notion *within* one engine).
+    /// This is the equivalence any saturation engine must meet against
+    /// the reference; how much search work it spends may differ.
+    /// `PartialEq` compares the counters too — today's production loop
+    /// meets that stricter notion as well, since its bucket queue pops in
+    /// the reference heap's exact order.
     #[must_use]
     pub fn result_eq(&self, other: &Self) -> bool {
         self.distance == other.distance

@@ -3,7 +3,7 @@
 use ppet_graph::{dijkstra, CircuitGraph};
 use ppet_netlist::CellId;
 use ppet_prng::{Rng, Xoshiro256PlusPlus};
-use ppet_trace::Tracer;
+use ppet_trace::{HistogramSnapshot, Tracer};
 
 use crate::params::FlowParams;
 use crate::profile::CongestionProfile;
@@ -28,10 +28,10 @@ use crate::profile::CongestionProfile;
 ///
 /// The inner loop runs over the graph's packed [`Csr`](ppet_graph::Csr)
 /// view with a fixed-slot bucket-queue Dijkstra
-/// ([`dijkstra::DijkstraScratch::run_fast`]) and an incremental tree
-/// cache ([`dijkstra::SsspCache`]); the congestion result is bit-identical
-/// to the pre-rewrite implementation, which is retained as
-/// [`saturate_network_reference`] and property-tested against.
+/// ([`dijkstra::DijkstraScratch::run_fast`]); the whole profile — work
+/// counters included — is bit-identical to the pre-rewrite
+/// implementation, which is retained as [`saturate_network_reference`]
+/// and tested against.
 ///
 /// # Panics
 ///
@@ -55,9 +55,9 @@ pub fn saturate_network(graph: &CircuitGraph, params: &FlowParams, seed: u64) ->
 }
 
 /// [`saturate_network`] with observability: reports trees built, heap
-/// pops, relaxations, settled/reused/requeued nodes and the CSR shape as
-/// `flow.*` counters, and each tree's size into the `flow.tree_nodes`
-/// histogram.
+/// pops, relaxations, settled nodes and the CSR shape as `flow.*`
+/// counters, and each tree's size into the `flow.tree_nodes` histogram
+/// (folded locally and recorded once per run).
 ///
 /// The congestion result is bit-identical to the untraced call — tracing
 /// never perturbs the PRNG stream or the flow arithmetic — and with a
@@ -94,13 +94,11 @@ pub fn saturate_network_traced(
     let mut flow = vec![0.0f64; n];
     let mut visits = vec![0u32; n];
     let mut trees = 0usize;
-    let mut tree_sizes = Vec::new();
+    let mut tree_sizes = HistogramSnapshot::default();
     let mut scratch = dijkstra::DijkstraScratch::new(n);
-    // The cache only ever changes work counters, never results.
-    let mut cache = dijkstra::SsspCache::new(n, FlowParams::SSSP_CACHE_NODES);
     let mut table = DistTable::new();
-    // Per-net tree-membership count: `flow[i]` is always `flow_of[hits[i]]`
-    // in per-net mode.
+    // Per-net tree-membership count: in per-net mode a net's flow is
+    // `flow_of[hits[i]]`, read once after the loop.
     let mut hits = vec![0u32; n];
     // STEP 3: continue until every node has been visited more than
     // `min_visit` times (the paper's loop condition is
@@ -115,20 +113,16 @@ pub fn saturate_network_traced(
         if visits[v.index()] == quota + 1 {
             below_count -= 1;
         }
-        cache.run(&mut scratch, csr, v, &distance);
+        scratch.run_fast(csr, v, &distance);
         trees += 1;
         if enabled {
-            tree_sizes.push(scratch.visited_order().len() as u64);
+            tree_sizes.record(scratch.visited_order().len() as u64);
         }
         if params.per_branch {
             for (net, count) in scratch.tree_net_counts() {
                 let i = net.index();
                 flow[i] += params.delta * f64::from(count);
-                let nd = params.congestion_distance(flow[i]);
-                if nd.to_bits() != distance[i].to_bits() {
-                    distance[i] = nd;
-                    cache.note_changed(net);
-                }
+                distance[i] = params.congestion_distance(flow[i]);
             }
         } else {
             for (net, _) in scratch.tree_net_counts() {
@@ -136,29 +130,25 @@ pub fn saturate_network_traced(
                 hits[i] += 1;
                 let k = hits[i] as usize;
                 table.ensure(k, params);
-                flow[i] = table.flow_of[k];
-                let nd = table.dist_of[k];
-                if nd.to_bits() != distance[i].to_bits() {
-                    distance[i] = nd;
-                    cache.note_changed(net);
-                }
+                distance[i] = table.dist_of[k];
             }
+        }
+    }
+    if !params.per_branch {
+        for (f, &k) in flow.iter_mut().zip(&hits) {
+            *f = table.flow_of[k as usize];
         }
     }
     let search = scratch.stats();
 
     if enabled {
-        for &size in &tree_sizes {
-            tracer.record("flow.tree_nodes", size);
-        }
+        tracer.record("flow.tree_nodes", &tree_sizes);
         tracer.add("flow.csr.nodes", csr.num_nodes() as u64);
         tracer.add("flow.csr.branches", csr.num_branches() as u64);
         tracer.add("flow.trees_built", trees as u64);
         tracer.add("flow.heap_pops", search.heap_pops);
         tracer.add("flow.relaxations", search.relaxations);
         tracer.add("flow.nodes_settled", search.settled);
-        tracer.add("flow.reused", search.reused);
-        tracer.add("flow.requeue", search.requeued);
     }
 
     // Per-node visit shortfall: how many visits each node was short of
@@ -219,13 +209,12 @@ impl DistTable {
 
 /// The pre-rewrite `Saturate_Network` implementation: binary-heap Dijkstra
 /// over the pointer-rich adjacency, per-tree sorted net lists, one `exp`
-/// per touched net, no caching.
+/// per touched net.
 ///
 /// Retained on purpose as the executable baseline: the `saturate` bench
 /// bin times it against the production path to measure the rewrite's
-/// speedup, and the equivalence tests assert the two agree on every
-/// algorithmic output ([`CongestionProfile::result_eq`] — work counters
-/// legitimately differ once the cache starts reusing trees).
+/// speedup, and the equivalence tests assert the two produce the same
+/// [`CongestionProfile`], work counters included.
 #[must_use]
 pub fn saturate_network_reference(
     graph: &CircuitGraph,
@@ -338,8 +327,8 @@ mod tests {
 
     #[test]
     fn matches_the_reference_implementation_bit_for_bit() {
-        // The rewrite contract: CSR + bucket queue + SSSP cache + the
-        // memoized distance ladder change *work*, never *results*. The
+        // The rewrite contract: CSR + bucket queue + the memoized
+        // distance ladder change the cost of the work, never *results*. The
         // distance/flow vectors must agree to the last bit, in both
         // accounting modes, across seeds.
         let g = s27();
@@ -363,27 +352,31 @@ mod tests {
     }
 
     #[test]
-    fn cache_reuse_shows_up_in_the_work_counters() {
-        // Peripheral sources (tiny trees whose parent nets rarely change)
-        // recur min_visit+ times; at least some of those recurrences must
-        // hit the cache, and the counters must stay internally consistent:
-        // every settled node was either reused, requeued, or found by a
-        // fresh search.
-        let g = s27();
-        let prof = saturate_network(&g, &FlowParams::quick(), 1);
-        let s = prof.search_stats();
-        assert!(s.reused > 0, "cache never reused a tree: {s:?}");
-        assert!(s.settled >= s.reused + s.requeued);
-        // The reference does strictly more heap work.
-        let r = saturate_network_reference(&g, &FlowParams::quick(), 1).search_stats();
-        assert!(
-            s.heap_pops < r.heap_pops,
-            "{} vs {}",
-            s.heap_pops,
-            r.heap_pops
-        );
-        assert_eq!(r.reused, 0);
-        assert_eq!(r.requeued, 0);
+    fn whole_profile_matches_the_reference_work_counters_included() {
+        // The engines differ only in how they search, never in what they
+        // find or how much search work that takes: the bucket queue pops
+        // in the binary heap's exact order, so heap pops, relaxations and
+        // settles agree too, not only the algorithmic outputs.
+        let table9 = |name| {
+            let record = ppet_netlist::data::table9::find(name).expect("stand-in");
+            CircuitGraph::from_circuit(
+                &ppet_netlist::Synthesizer::new(ppet_netlist::synth::calibrated_spec(record, 0))
+                    .build(),
+            )
+        };
+        for (name, g) in [
+            ("s27", s27()),
+            ("s510", table9("s510")),
+            ("s641", table9("s641")),
+        ] {
+            for per_branch in [false, true] {
+                let mut p = FlowParams::quick();
+                p.per_branch = per_branch;
+                let fast = saturate_network(&g, &p, 1);
+                let slow = saturate_network_reference(&g, &p, 1);
+                assert_eq!(fast, slow, "{name} per_branch {per_branch}");
+            }
+        }
     }
 
     #[test]
@@ -474,8 +467,6 @@ mod tests {
         assert_eq!(report.counters["flow.heap_pops"], stats.heap_pops);
         assert_eq!(report.counters["flow.relaxations"], stats.relaxations);
         assert_eq!(report.counters["flow.nodes_settled"], stats.settled);
-        assert_eq!(report.counters["flow.reused"], stats.reused);
-        assert_eq!(report.counters["flow.requeue"], stats.requeued);
         assert_eq!(report.counters["flow.csr.nodes"], g.num_nodes() as u64);
         assert_eq!(
             report.counters["flow.csr.branches"],
@@ -530,9 +521,9 @@ mod tests {
 
     #[test]
     fn extreme_congestion_matches_the_reference_too() {
-        // In the clamped region the distance stops changing, which is
-        // exactly where the `note_changed` skip keeps cached trees alive —
-        // the results must still be bit-identical to the reference.
+        // In the clamped region the distance stops changing; the ladder
+        // and the exact-order engine must still match the reference bit
+        // for bit.
         let g = tiny();
         let mut p = FlowParams::quick();
         p.alpha = 1e6;

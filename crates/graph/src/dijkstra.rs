@@ -23,9 +23,9 @@
 //!   settle order, work counters) is bit-identical to the reference, at a
 //!   fraction of the per-settle cost. See `DESIGN.md` §13.
 //!
-//! [`SsspCache`] adds an incremental layer for the saturation loop: when
-//! the congestion weights a cached tree depends on did not change between
-//! trees, the unchanged part is reused instead of re-relaxed.
+//! Both engines keep their per-node search state in one lazily stamped
+//! array ([`DijkstraScratch`]), so a tree never pays to reset the nodes
+//! it does not reach.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -61,8 +61,7 @@ impl PartialOrd for HeapEntry {
 }
 
 /// A monotone fixed-slot bucket queue over `(f64-bit key, node)` pairs —
-/// the engine behind [`DijkstraScratch::run_fast`] and the seeded
-/// re-search of [`SsspCache`].
+/// the engine behind [`DijkstraScratch::run_fast`].
 ///
 /// The slot of a key is its top 16 bits (sign, the 11 exponent bits, and
 /// the 4 leading mantissa bits): a monotone index for non-negative
@@ -134,9 +133,8 @@ impl SlotQueue {
         self.cur_vec.clear();
     }
 
-    // `inline(always)`, not `inline`: with two callers (`run_fast` and
-    // the seeded re-search) LLVM stops inlining these on its own, which
-    // measured ~10 % slower cold compiles end to end.
+    // `inline(always)`: an out-of-line push/pop in the relaxation loop
+    // once measured ~10 % slower cold compiles end to end.
     #[inline(always)]
     fn push(&mut self, key: u64, node: u32) {
         self.len += 1;
@@ -206,14 +204,38 @@ impl SlotQueue {
     }
 }
 
+/// One node's search state, packed so a relaxation reads and writes a
+/// single 16-byte slot.
+///
+/// `mark` tells how much of the slot is current, relative to the
+/// scratch's (even) epoch: below it the slot is stale and reads as
+/// unreached (`INFINITY`, no parent); equal to it the node is reached
+/// with a tentative distance; `epoch + 1` means settled.
+#[derive(Debug, Clone, Copy)]
+struct NodeState {
+    dist: f64,
+    /// Parent net id, [`NO_PARENT`] for the source.
+    parent: u32,
+    mark: u32,
+}
+
+const NO_PARENT: u32 = u32::MAX;
+
+const UNREACHED: NodeState = NodeState {
+    dist: f64::INFINITY,
+    parent: NO_PARENT,
+    mark: 0,
+};
+
 /// Reusable work buffers for repeated shortest-path-tree computations.
 ///
 /// `Saturate_Network` runs tens of thousands of Dijkstra trees over the
-/// same graph; reallocating and re-initializing the distance/parent/done
-/// arrays every time dominates small-tree runs. The scratch keeps the
-/// arrays alive and resets them lazily through a visitation stamp, so a run
-/// touching `k` nodes costs `O(k)`-ish regardless of `|V|`, and the tree's
-/// per-net branch counts are accumulated *while nodes settle* — no
+/// same graph. The scratch keeps one 16-byte state slot per node
+/// (distance, parent net, epoch mark) alive across runs and invalidates
+/// it lazily: each run advances an epoch, and a slot whose mark predates
+/// it reads as unreached. Nothing is refilled per tree, so a run
+/// touching `k` nodes costs `O(k)`-ish regardless of `|V|`, and the
+/// tree's per-net branch counts are accumulated *while nodes settle* — no
 /// post-pass allocation or sort on the hot path.
 ///
 /// # Examples
@@ -231,15 +253,14 @@ impl SlotQueue {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DijkstraScratch {
-    dist: Vec<f64>,
-    parent_net: Vec<Option<NetId>>,
-    stamp: Vec<u32>,
-    done: Vec<bool>,
+    state: Vec<NodeState>,
+    /// Always even; advanced by two per run (see [`NodeState`]).
     epoch: u32,
     heap: BinaryHeap<HeapEntry>,
     slot_queue: SlotQueue,
     visited: Vec<CellId>,
-    net_stamp: Vec<u32>,
+    /// Branches of each net in the last run's tree; a net's slot is reset
+    /// when its driver settles, which precedes every branch it feeds.
     net_count: Vec<u32>,
     tree_list: Vec<NetId>,
     stats: DijkstraStats,
@@ -251,30 +272,12 @@ pub struct DijkstraScratch {
 /// flow phase can report how much search work its trees cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DijkstraStats {
-    /// Heap pops, including stale entries skipped by the `done` check.
+    /// Heap pops, including stale entries skipped as already settled.
     pub heap_pops: u64,
     /// Successful relaxations (`dist` improvements pushed to the heap).
     pub relaxations: u64,
-    /// Nodes settled (final distance fixed) — restored-from-cache nodes
-    /// count too, so this always equals the total tree size.
+    /// Nodes settled (final distance fixed) — the total tree size.
     pub settled: u64,
-    /// Nodes whose `(distance, parent)` were reused verbatim from a
-    /// cached tree by the incremental path ([`SsspCache`]); zero for
-    /// fresh runs.
-    pub reused: u64,
-    /// Nodes an incremental run had to requeue and re-relax because a
-    /// congestion weight on their cached tree path changed; zero for
-    /// fresh runs.
-    pub requeued: u64,
-}
-
-/// One node of a cached shortest-path tree, in settle order.
-#[derive(Debug, Clone, Copy)]
-struct CacheNode {
-    node: u32,
-    /// Parent net id, `u32::MAX` for the source.
-    parent: u32,
-    dist: f64,
 }
 
 impl DijkstraScratch {
@@ -282,15 +285,11 @@ impl DijkstraScratch {
     #[must_use]
     pub fn new(n: usize) -> Self {
         Self {
-            dist: vec![f64::INFINITY; n],
-            parent_net: vec![None; n],
-            stamp: vec![0; n],
-            done: vec![false; n],
+            state: vec![UNREACHED; n],
             epoch: 0,
             heap: BinaryHeap::new(),
             slot_queue: SlotQueue::new(),
             visited: Vec::new(),
-            net_stamp: vec![0; n],
             net_count: vec![0; n],
             tree_list: Vec::new(),
             stats: DijkstraStats::default(),
@@ -309,46 +308,34 @@ impl DijkstraScratch {
     }
 
     fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamp wrap-around: force full reset.
-            self.stamp.fill(u32::MAX);
-            self.net_stamp.fill(u32::MAX);
-            self.epoch = 1;
+        if self.epoch >= u32::MAX - 2 {
+            // Epoch wrap-around: the next epoch would collide with marks
+            // still in the arrays, so clear them once.
+            self.state.fill(UNREACHED);
+            self.epoch = 0;
         }
+        self.epoch += 2;
         self.heap.clear();
         self.slot_queue.reset();
         self.visited.clear();
         self.tree_list.clear();
     }
 
-    fn fresh(&mut self, v: usize) -> bool {
-        if self.stamp[v] != self.epoch {
-            self.stamp[v] = self.epoch;
-            self.dist[v] = f64::INFINITY;
-            self.parent_net[v] = None;
-            self.done[v] = false;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Marks `v` settled: final distance fixed, parent final, tree-net
     /// branch accounting updated.
+    #[inline(always)]
     fn settle(&mut self, v: usize) {
-        self.done[v] = true;
-        self.stats.settled += 1;
+        let state = &mut self.state[v];
+        state.mark = self.epoch + 1;
+        let p = state.parent;
         self.visited.push(CellId::from_index(v));
-        if let Some(p) = self.parent_net[v] {
-            let pi = p.index();
-            if self.net_stamp[pi] == self.epoch {
-                self.net_count[pi] += 1;
-            } else {
-                self.net_stamp[pi] = self.epoch;
-                self.net_count[pi] = 1;
-                self.tree_list.push(p);
+        self.net_count[v] = 0;
+        if p != NO_PARENT {
+            let count = &mut self.net_count[p as usize];
+            if *count == 0 {
+                self.tree_list.push(CellId::from_index(p as usize));
             }
+            *count += 1;
         }
     }
 
@@ -376,9 +363,13 @@ impl DijkstraScratch {
             "one length per net slot required"
         );
         self.begin();
+        let epoch = self.epoch;
         let s = source.index();
-        self.fresh(s);
-        self.dist[s] = 0.0;
+        self.state[s] = NodeState {
+            dist: 0.0,
+            parent: NO_PARENT,
+            mark: epoch,
+        };
         self.heap.push(HeapEntry {
             dist: 0.0,
             node: s as u32,
@@ -386,8 +377,8 @@ impl DijkstraScratch {
         while let Some(HeapEntry { dist: d, node }) = self.heap.pop() {
             self.stats.heap_pops += 1;
             let v = node as usize;
-            if self.done[v] {
-                continue;
+            if self.state[v].mark != epoch {
+                continue; // settled
             }
             self.settle(v);
             let net = CellId::from_index(v);
@@ -398,26 +389,31 @@ impl DijkstraScratch {
             );
             for &w in graph.net(net).sinks() {
                 let wi = w.index();
-                self.fresh(wi);
+                let st = &mut self.state[wi];
+                if st.mark < epoch {
+                    *st = NodeState {
+                        mark: epoch,
+                        ..UNREACHED
+                    };
+                }
                 let nd = d + l;
-                if nd < self.dist[wi] {
-                    self.dist[wi] = nd;
-                    self.parent_net[wi] = Some(net);
+                if nd < st.dist {
+                    st.dist = nd;
+                    st.parent = node;
                     self.stats.relaxations += 1;
                     self.heap.push(HeapEntry {
                         dist: nd,
                         node: wi as u32,
                     });
-                } else if nd == self.dist[wi]
-                    && !self.done[wi]
-                    && should_replace(self.parent_net[wi], net)
-                {
+                } else if nd == st.dist && st.mark == epoch && node < st.parent {
                     // Equal distance: prefer the smaller parent net id so
-                    // the tree is unique regardless of heap pop order.
-                    self.parent_net[wi] = Some(net);
+                    // the tree is unique regardless of heap pop order
+                    // (`NO_PARENT` loses to every net).
+                    st.parent = node;
                 }
             }
         }
+        self.stats.settled += self.visited.len() as u64;
     }
 
     /// Runs the fixed-slot bucket-queue Dijkstra over the packed [`Csr`]
@@ -446,29 +442,24 @@ impl DijkstraScratch {
         );
         self.begin();
         self.slot_queue.ensure();
-        // Bulk-initialize instead of the per-touch lazy `fresh()`: four
-        // vectorized fills per tree cost far less than a stamp check and
-        // three conditional stores on every edge scanned. Stamping every
-        // node keeps the accessor contract: unreached nodes read
-        // `INFINITY`/`None` through the now-valid stamp.
-        self.stamp.fill(self.epoch);
-        self.dist.fill(f64::INFINITY);
-        self.parent_net.fill(None);
-        self.done.fill(false);
+        let epoch = self.epoch;
         let s = source.index();
-        self.dist[s] = 0.0;
+        self.state[s] = NodeState {
+            dist: 0.0,
+            parent: NO_PARENT,
+            mark: epoch,
+        };
         let mut pops = 0u64;
         let mut relaxations = 0u64;
         self.slot_queue.push(0, s as u32); // 0.0f64.to_bits() == 0
         while let Some((key, node)) = self.slot_queue.pop() {
             pops += 1;
             let v = node as usize;
-            if self.done[v] {
-                continue;
+            if self.state[v].mark != epoch {
+                continue; // settled
             }
             let d = f64::from_bits(key);
             self.settle(v);
-            let net = CellId::from_index(v);
             let l = length[v];
             assert!(
                 l >= 0.0,
@@ -476,155 +467,45 @@ impl DijkstraScratch {
             );
             let nd = d + l;
             let bits = nd.to_bits();
-            for &w in csr.sinks(net) {
+            for &w in csr.sinks(CellId::from_index(v)) {
                 let wi = w.index();
-                if nd < self.dist[wi] {
-                    self.dist[wi] = nd;
-                    self.parent_net[wi] = Some(net);
+                let st = &mut self.state[wi];
+                if st.mark < epoch {
+                    // First touch this run: the stale slot reads as
+                    // (INFINITY, no parent), which any finite `nd` beats.
+                    *st = NodeState {
+                        dist: nd,
+                        parent: node,
+                        mark: epoch,
+                    };
+                    if nd < f64::INFINITY {
+                        relaxations += 1;
+                        self.slot_queue.push(bits, wi as u32);
+                    }
+                } else if nd < st.dist {
+                    // Never true for a settled node: its distance is at
+                    // most `d`, and `nd = d + l` with `l >= 0`.
+                    st.dist = nd;
+                    st.parent = node;
                     relaxations += 1;
                     self.slot_queue.push(bits, wi as u32);
-                } else if nd == self.dist[wi]
-                    && !self.done[wi]
-                    && should_replace(self.parent_net[wi], net)
-                {
-                    self.parent_net[wi] = Some(net);
+                } else if nd == st.dist && st.mark == epoch && node < st.parent {
+                    st.parent = node;
                 }
             }
         }
         self.stats.heap_pops += pops;
         self.stats.relaxations += relaxations;
-    }
-
-    /// Restores a cached tree verbatim: every node settles with its
-    /// cached distance and parent, no search work at all.
-    fn restore_tree(&mut self, nodes: &[CacheNode]) {
-        self.begin();
-        for e in nodes {
-            let v = e.node as usize;
-            self.fresh(v);
-            self.dist[v] = e.dist;
-            self.parent_net[v] = cached_parent(e.parent);
-            self.settle(v);
-            self.stats.reused += 1;
-        }
-    }
-
-    /// Incremental run: restores the `valid` subset of a cached tree and
-    /// re-searches only the invalidated remainder, seeded by relaxing
-    /// every branch from a restored node into the non-restored region.
-    ///
-    /// Soundness (see `DESIGN.md` §13): congestion weights only ever
-    /// increase, so a node whose cached tree path avoids every changed
-    /// net keeps its exact distance *and* — because the tie rule picks the
-    /// smallest net id among minimal candidates, and non-minimal
-    /// candidates only move further from the minimum — its exact parent.
-    /// Strictly positive lengths are required (saturation's congestion
-    /// distances are ≥ 1): a zero-length branch could tie a node to a
-    /// predecessor that a fresh run would settle *after* it, where the
-    /// reference blocks the equal-distance parent swap.
-    fn run_seeded(
-        &mut self,
-        csr: &Csr,
-        source: CellId,
-        length: &[f64],
-        cached: &[CacheNode],
-        valid: &[bool],
-    ) {
-        assert_eq!(
-            length.len(),
-            csr.num_nodes(),
-            "one length per net slot required"
-        );
-        debug_assert_eq!(cached.first().map(|e| e.node), Some(source.index() as u32));
-        let _ = source;
-        self.begin();
-        self.slot_queue.ensure();
-        // 1. Restore the still-valid nodes, preserving their relative
-        //    settle order (a parent always precedes its children).
-        for (e, &ok) in cached.iter().zip(valid) {
-            if !ok {
-                continue;
-            }
-            let v = e.node as usize;
-            self.fresh(v);
-            self.dist[v] = e.dist;
-            self.parent_net[v] = cached_parent(e.parent);
-            self.settle(v);
-            self.stats.reused += 1;
-        }
-        // 2. Seed: relax every branch leaving a restored node into the
-        //    not-yet-settled region. Order does not matter — the improve /
-        //    equal-min-net rules make the outcome order-independent.
-        let restored = self.visited.len();
-        for idx in 0..restored {
-            let u = self.visited[idx];
-            let ui = u.index();
-            let d = self.dist[ui];
-            let l = length[ui];
-            assert!(
-                l > 0.0,
-                "incremental SSSP requires strictly positive lengths, got {l} at node {ui}"
-            );
-            for &w in csr.sinks(u) {
-                let wi = w.index();
-                self.fresh(wi);
-                if self.done[wi] {
-                    continue;
-                }
-                let nd = d + l;
-                if nd < self.dist[wi] {
-                    self.dist[wi] = nd;
-                    self.parent_net[wi] = Some(u);
-                    self.stats.relaxations += 1;
-                    self.slot_queue.push(nd.to_bits(), wi as u32);
-                } else if nd == self.dist[wi] && should_replace(self.parent_net[wi], u) {
-                    self.parent_net[wi] = Some(u);
-                }
-            }
-        }
-        // 3. Search the invalidated region, exactly the run_fast main loop
-        //    (every key pushed here is ≥ the one just popped, as the
-        //    slot queue requires; step 2 pushed before any pop).
-        while let Some((key, node)) = self.slot_queue.pop() {
-            self.stats.heap_pops += 1;
-            let v = node as usize;
-            if self.done[v] {
-                continue;
-            }
-            let d = f64::from_bits(key);
-            self.settle(v);
-            self.stats.requeued += 1;
-            let net = CellId::from_index(v);
-            let l = length[v];
-            assert!(
-                l > 0.0,
-                "incremental SSSP requires strictly positive lengths, got {l} at node {v}"
-            );
-            for &w in csr.sinks(net) {
-                let wi = w.index();
-                self.fresh(wi);
-                if self.done[wi] {
-                    continue;
-                }
-                let nd = d + l;
-                if nd < self.dist[wi] {
-                    self.dist[wi] = nd;
-                    self.parent_net[wi] = Some(net);
-                    self.stats.relaxations += 1;
-                    self.slot_queue.push(nd.to_bits(), wi as u32);
-                } else if nd == self.dist[wi] && should_replace(self.parent_net[wi], net) {
-                    self.parent_net[wi] = Some(net);
-                }
-            }
-        }
+        self.stats.settled += self.visited.len() as u64;
     }
 
     /// Distance of `node` from the last run's source (`INFINITY` when
     /// unreached).
     #[must_use]
     pub fn distance(&self, node: CellId) -> f64 {
-        if self.stamp[node.index()] == self.epoch {
-            self.dist[node.index()]
+        let st = self.state[node.index()];
+        if st.mark >= self.epoch {
+            st.dist
         } else {
             f64::INFINITY
         }
@@ -633,16 +514,12 @@ impl DijkstraScratch {
     /// The tree parent net of `node`, if reached.
     #[must_use]
     pub fn parent(&self, node: CellId) -> Option<NetId> {
-        if self.stamp[node.index()] == self.epoch {
-            self.parent_net[node.index()]
-        } else {
-            None
-        }
+        let st = self.state[node.index()];
+        (st.mark >= self.epoch && st.parent != NO_PARENT)
+            .then(|| CellId::from_index(st.parent as usize))
     }
 
-    /// Nodes settled by the last run, in settle order (source first). An
-    /// incremental run lists the restored nodes first (in their cached
-    /// relative order), then the re-searched ones.
+    /// Nodes settled by the last run, in settle order (source first).
     #[must_use]
     pub fn visited_order(&self) -> &[CellId] {
         &self.visited
@@ -677,219 +554,6 @@ impl DijkstraScratch {
             .collect();
         out.sort_unstable();
         out
-    }
-}
-
-fn cached_parent(raw: u32) -> Option<NetId> {
-    (raw != u32::MAX).then(|| CellId::from_index(raw as usize))
-}
-
-fn should_replace(current: Option<NetId>, candidate: NetId) -> bool {
-    match current {
-        None => true,
-        Some(c) => candidate < c,
-    }
-}
-
-/// One cached shortest-path tree plus the clock tick it was built at.
-#[derive(Debug, Clone)]
-struct CachedTree {
-    built_at: u64,
-    /// [`SsspCache::note_changed`] total at build time, for the O(1)
-    /// nothing-changed and hopeless fast paths.
-    changes_at_build: u64,
-    nodes: Vec<CacheNode>,
-}
-
-/// Incremental single-source shortest-path cache for the saturation loop.
-///
-/// `Saturate_Network` redraws every source ≥ `min_visit` times while the
-/// congestion weights *only ever increase* (flow is only added). Under
-/// monotone weight increases a cached tree node stays exact as long as no
-/// net on its root path changed — so when a source recurs, the cache
-/// revalidates its previous tree with one linear walk and either reuses
-/// it wholly (no search at all), reuses the unchanged part and re-relaxes
-/// only the invalidated subtrees ([`DijkstraScratch`] seeded run — only
-/// worth it when at least half the tree survives), or falls back to a
-/// fresh [`DijkstraScratch::run_fast`].
-///
-/// # Contract
-///
-/// * Between two [`SsspCache::run`] calls, weights may only **increase**,
-///   and every net whose weight changed must be reported via
-///   [`SsspCache::note_changed`]. Violating this silently yields stale
-///   distances.
-/// * Lengths must be ≥ 1 (congestion distances are `exp(non-negative)`):
-///   the seeded partial re-search is unsound for zero-length branches.
-///
-/// Results are bit-identical to fresh runs regardless of cache hits; only
-/// the [`DijkstraStats`] work counters (`reused`, `requeued`, and the
-/// reduced `heap_pops`/`relaxations`) reveal the shortcut. The cache
-/// bounds its memory by `budget_nodes` total cached tree nodes; sources
-/// past the budget simply run fresh, which cannot change any result.
-///
-/// Because any heuristic here is result-invisible, the cache also defends
-/// its own overhead: a global change counter gives an O(1) "nothing
-/// changed at all" restore that skips the validity walk, and after
-/// [`SsspCache::MISS_STREAK_OFF`] consecutive failed reuses it stops
-/// *storing* trees until the weights freeze (mid-saturation on a large
-/// circuit every tree invalidates everything, so storing is pure waste;
-/// once congestion clamps and distances stop moving, storing resumes and
-/// full-tree restores kick in).
-///
-/// # Examples
-///
-/// ```
-/// use ppet_graph::{dijkstra::{DijkstraScratch, SsspCache}, CircuitGraph};
-/// use ppet_netlist::data;
-///
-/// let g = CircuitGraph::from_circuit(&data::s27());
-/// let unit = vec![1.0; g.num_nodes()];
-/// let mut scratch = DijkstraScratch::new(g.num_nodes());
-/// let mut cache = SsspCache::new(g.num_nodes(), 1 << 16);
-/// let src = g.find("G0").unwrap();
-/// cache.run(&mut scratch, g.csr(), src, &unit);
-/// let first: Vec<f64> = g.nodes().map(|v| scratch.distance(v)).collect();
-/// // No weight changed: the second run reuses the whole tree.
-/// cache.run(&mut scratch, g.csr(), src, &unit);
-/// let second: Vec<f64> = g.nodes().map(|v| scratch.distance(v)).collect();
-/// assert_eq!(first, second);
-/// assert!(scratch.stats().reused > 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SsspCache {
-    trees: Vec<Option<CachedTree>>,
-    last_changed: Vec<u64>,
-    clock: u64,
-    budget: usize,
-    used: usize,
-    valid_stamp: Vec<u32>,
-    valid_epoch: u32,
-    valid_flags: Vec<bool>,
-    /// Total [`SsspCache::note_changed`] calls ever; a cached tree built
-    /// when this had the same value is trivially fully valid.
-    changes: u64,
-    /// `changes` as of the previous [`SsspCache::run`] — equal to
-    /// `changes` when the weights have frozen.
-    changes_at_prev_run: u64,
-    /// Consecutive runs that found a cached tree but could not restore
-    /// it whole.
-    miss_streak: u32,
-}
-
-impl SsspCache {
-    /// After this many consecutive failed full-tree reuses the cache
-    /// stops storing trees (each store copies the whole tree for
-    /// nothing) until a run observes zero weight changes — the signal
-    /// that congestion has clamped and reuse can start paying again.
-    pub const MISS_STREAK_OFF: u32 = 64;
-
-    /// Creates a cache for graphs of `n` nodes holding at most
-    /// `budget_nodes` cached tree nodes across all sources.
-    #[must_use]
-    pub fn new(n: usize, budget_nodes: usize) -> Self {
-        Self {
-            trees: vec![None; n],
-            last_changed: vec![0; n],
-            clock: 0,
-            budget: budget_nodes,
-            used: 0,
-            valid_stamp: vec![0; n],
-            valid_epoch: 0,
-            valid_flags: Vec::new(),
-            changes: 0,
-            changes_at_prev_run: 0,
-            miss_streak: 0,
-        }
-    }
-
-    /// Records that `net`'s weight changed after the most recent
-    /// [`SsspCache::run`]. Call once per changed net per tree.
-    pub fn note_changed(&mut self, net: NetId) {
-        self.last_changed[net.index()] = self.clock;
-        self.changes += 1;
-    }
-
-    /// Computes the shortest-path tree from `source` into `scratch`,
-    /// reusing whatever the cache proves unchanged. Results in `scratch`
-    /// are bit-identical to `scratch.run_fast(csr, source, length)`.
-    pub fn run(
-        &mut self,
-        scratch: &mut DijkstraScratch,
-        csr: &Csr,
-        source: CellId,
-        length: &[f64],
-    ) {
-        self.clock += 1;
-        let frozen = self.changes == self.changes_at_prev_run;
-        self.changes_at_prev_run = self.changes;
-        let s = source.index();
-        match self.trees[s].take() {
-            None => scratch.run_fast(csr, source, length),
-            Some(tree) => {
-                let changes_since = self.changes - tree.changes_at_build;
-                if changes_since == 0 {
-                    // Nothing anywhere changed since this tree was built.
-                    self.miss_streak = 0;
-                    scratch.restore_tree(&tree.nodes);
-                    self.trees[s] = Some(tree);
-                    return;
-                }
-                self.valid_epoch = self.valid_epoch.wrapping_add(1);
-                if self.valid_epoch == 0 {
-                    self.valid_stamp.fill(u32::MAX);
-                    self.valid_epoch = 1;
-                }
-                self.valid_flags.clear();
-                let mut valid_count = 0usize;
-                for e in &tree.nodes {
-                    let ok = e.parent == u32::MAX
-                        || (self.valid_stamp[e.parent as usize] == self.valid_epoch
-                            && self.last_changed[e.parent as usize] < tree.built_at);
-                    if ok {
-                        self.valid_stamp[e.node as usize] = self.valid_epoch;
-                        valid_count += 1;
-                    }
-                    self.valid_flags.push(ok);
-                }
-                if valid_count == tree.nodes.len() {
-                    self.miss_streak = 0;
-                    scratch.restore_tree(&tree.nodes);
-                    self.trees[s] = Some(tree);
-                    return;
-                }
-                self.miss_streak = self.miss_streak.saturating_add(1);
-                self.used -= tree.nodes.len();
-                if 2 * valid_count >= tree.nodes.len() {
-                    // Enough survives for the seeded re-search to beat a
-                    // fresh run.
-                    scratch.run_seeded(csr, source, length, &tree.nodes, &self.valid_flags);
-                } else {
-                    scratch.run_fast(csr, source, length);
-                }
-            }
-        }
-        if self.miss_streak >= Self::MISS_STREAK_OFF && !frozen {
-            return;
-        }
-        let len = scratch.visited_order().len();
-        if self.used + len <= self.budget {
-            let nodes: Vec<CacheNode> = scratch
-                .visited_order()
-                .iter()
-                .map(|&v| CacheNode {
-                    node: v.index() as u32,
-                    parent: scratch.parent(v).map_or(u32::MAX, |p| p.index() as u32),
-                    dist: scratch.distance(v),
-                })
-                .collect();
-            self.used += len;
-            self.trees[s] = Some(CachedTree {
-                built_at: self.clock,
-                changes_at_build: self.changes,
-                nodes,
-            });
-        }
     }
 }
 
@@ -1003,56 +667,6 @@ mod tests {
             .collect();
         from_iter.sort_unstable();
         assert_eq!(from_iter, scratch.tree_net_branch_counts());
-    }
-
-    #[test]
-    fn sssp_cache_reuses_and_invalidates_correctly() {
-        let g = s27_graph();
-        let n = g.num_nodes();
-        let mut lengths = vec![1.0; n];
-        let src = g.find("G9").unwrap();
-
-        let mut scratch = DijkstraScratch::new(n);
-        let mut cache = SsspCache::new(n, 1 << 16);
-        cache.run(&mut scratch, g.csr(), src, &lengths);
-        let baseline: Vec<u64> = g.nodes().map(|v| scratch.distance(v).to_bits()).collect();
-
-        // Unchanged weights: full reuse, identical results.
-        cache.run(&mut scratch, g.csr(), src, &lengths);
-        assert!(scratch.stats().reused > 0);
-        assert_eq!(scratch.stats().requeued, 0);
-        let again: Vec<u64> = g.nodes().map(|v| scratch.distance(v).to_bits()).collect();
-        assert_eq!(baseline, again);
-
-        // Increase a weight on the tree: the invalidated part is re-run
-        // and the result matches a fresh run bit for bit.
-        let changed = scratch.tree_nets()[0];
-        lengths[changed.index()] += 2.5;
-        cache.note_changed(changed);
-        cache.run(&mut scratch, g.csr(), src, &lengths);
-        let incremental: Vec<u64> = g.nodes().map(|v| scratch.distance(v).to_bits()).collect();
-        let inc_parents: Vec<Option<NetId>> = g.nodes().map(|v| scratch.parent(v)).collect();
-
-        let mut fresh = DijkstraScratch::new(n);
-        fresh.run_fast(g.csr(), src, &lengths);
-        let want: Vec<u64> = g.nodes().map(|v| fresh.distance(v).to_bits()).collect();
-        let want_parents: Vec<Option<NetId>> = g.nodes().map(|v| fresh.parent(v)).collect();
-        assert_eq!(incremental, want);
-        assert_eq!(inc_parents, want_parents);
-    }
-
-    #[test]
-    fn sssp_cache_with_zero_budget_always_runs_fresh() {
-        let g = s27_graph();
-        let n = g.num_nodes();
-        let unit = vec![1.0; n];
-        let src = g.find("G0").unwrap();
-        let mut scratch = DijkstraScratch::new(n);
-        let mut cache = SsspCache::new(n, 0);
-        cache.run(&mut scratch, g.csr(), src, &unit);
-        cache.run(&mut scratch, g.csr(), src, &unit);
-        assert_eq!(scratch.stats().reused, 0);
-        assert_eq!(scratch.stats().requeued, 0);
     }
 
     #[test]
@@ -1177,11 +791,48 @@ mod tests {
         assert_eq!(scratch.stats(), DijkstraStats::default());
     }
 
+    #[test]
+    fn epoch_wrap_around_matches_a_fresh_scratch() {
+        // Runs straddling the epoch wrap must agree with a fresh scratch:
+        // without the reset, marks written just before the wrap would read
+        // as "reached" or "settled" in the first epochs after it. Both
+        // engines share the state array, so alternate them.
+        let g = s27_graph();
+        let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 4) as f64 * 0.5).collect();
+        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        scratch.epoch = u32::MAX - 7;
+        for (i, src) in g.nodes().chain(g.nodes()).enumerate() {
+            let mut fresh = DijkstraScratch::new(g.num_nodes());
+            if i % 2 == 0 {
+                scratch.run_fast(g.csr(), src, &lengths);
+                fresh.run_fast(g.csr(), src, &lengths);
+            } else {
+                scratch.run(&g, src, &lengths);
+                fresh.run(&g, src, &lengths);
+            }
+            assert_eq!(scratch.visited_order(), fresh.visited_order(), "run {i}");
+            for v in g.nodes() {
+                assert_eq!(
+                    scratch.distance(v).to_bits(),
+                    fresh.distance(v).to_bits(),
+                    "run {i} node {v}"
+                );
+                assert_eq!(scratch.parent(v), fresh.parent(v), "run {i} node {v}");
+            }
+            assert_eq!(
+                scratch.tree_net_branch_counts(),
+                fresh.tree_net_branch_counts(),
+                "run {i}"
+            );
+        }
+        assert!(scratch.epoch < 100, "the runs never crossed the wrap");
+    }
+
     // The `*_rejected*` tests below are regression tests for a release-mode
     // hole: the length check used to be a `debug_assert!`, so `--release`
     // builds accepted NaN (and negative) lengths and silently corrupted the
     // queue order. CI runs them under the release profile as well, for the
-    // reference and for both production paths (fresh and seeded).
+    // reference and for the production engine.
 
     #[test]
     #[should_panic(expected = "non-negative")]
@@ -1234,26 +885,5 @@ mod tests {
         let mut lengths = vec![1.0; g.num_nodes()];
         lengths[src.index()] = f64::NAN;
         let _ = fast_tree(&g, src, &lengths);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly positive")]
-    fn nan_length_rejected_by_seeded_run() {
-        // The cache's partial re-search checks lengths on its own. Poison
-        // the net entering the last-settled node: most of the tree stays
-        // valid, so the cache takes the seeded path, not a fresh run (whose
-        // panic message would not match).
-        let g = s27_graph();
-        let n = g.num_nodes();
-        let src = g.find("G0").unwrap();
-        let mut lengths = vec![1.0; n];
-        let mut scratch = DijkstraScratch::new(n);
-        let mut cache = SsspCache::new(n, 1 << 16);
-        cache.run(&mut scratch, g.csr(), src, &lengths);
-        let last = *scratch.visited_order().last().unwrap();
-        let changed = scratch.parent(last).unwrap();
-        lengths[changed.index()] = f64::NAN;
-        cache.note_changed(changed);
-        cache.run(&mut scratch, g.csr(), src, &lengths);
     }
 }

@@ -138,6 +138,7 @@ pub fn make_group_traced(
     let mut boundaries_used = 0usize;
 
     let mut assignment: Vec<u32> = vec![0; n];
+    let mut position = vec![NOT_IN_SUBSET; n];
     let mut next_id: u32 = 0;
     // Live clusters: id -> (members, input count).
     let mut clusters: HashMap<u32, (Vec<CellId>, usize)> = HashMap::new();
@@ -177,6 +178,7 @@ pub fn make_group_traced(
         &mut assignment,
         &mut next_id,
         &mut clusters,
+        &mut position,
     );
 
     loop {
@@ -204,6 +206,7 @@ pub fn make_group_traced(
             &mut assignment,
             &mut next_id,
             &mut clusters,
+            &mut position,
         );
     }
 
@@ -256,9 +259,15 @@ pub fn make_group_traced(
     result
 }
 
+/// [`split_subset`]'s `position` of a cell outside the subset.
+const NOT_IN_SUBSET: u32 = u32::MAX;
+
 /// `Make_Set` (paper Table 5): splits `subset` into weakly connected
 /// components over unsevered nets at `boundary`, registering the new
 /// clusters with their input counts.
+///
+/// `position` is a per-cell scratch array, all [`NOT_IN_SUBSET`] on entry
+/// and on return.
 #[allow(clippy::too_many_arguments)]
 fn split_subset(
     graph: &CircuitGraph,
@@ -270,10 +279,12 @@ fn split_subset(
     assignment: &mut [u32],
     next_id: &mut u32,
     clusters: &mut HashMap<u32, (Vec<CellId>, usize)>,
+    position: &mut [u32],
 ) {
     // Union-find over subset positions.
-    let index_of: HashMap<CellId, usize> =
-        subset.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+    for (i, &v) in subset.iter().enumerate() {
+        position[v.index()] = i as u32;
+    }
     let mut parent: Vec<usize> = (0..subset.len()).collect();
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
@@ -309,10 +320,11 @@ fn split_subset(
         if severed {
             continue;
         }
-        let pu = index_of[&u];
+        let pu = position[u.index()] as usize;
         for &sink in graph.net(u).sinks() {
-            if let Some(&ps) = index_of.get(&sink) {
-                let (a, b) = (find(&mut parent, pu), find(&mut parent, ps));
+            let ps = position[sink.index()];
+            if ps != NOT_IN_SUBSET {
+                let (a, b) = (find(&mut parent, pu), find(&mut parent, ps as usize));
                 if a != b {
                     parent[a] = b;
                 }
@@ -320,15 +332,13 @@ fn split_subset(
         }
     }
 
-    // Collect components and register them.
-    let mut groups: HashMap<usize, Vec<CellId>> = HashMap::new();
+    // Collect components and register them in ascending root order.
+    let mut groups: Vec<Vec<CellId>> = vec![Vec::new(); subset.len()];
     for (i, &v) in subset.iter().enumerate() {
-        groups.entry(find(&mut parent, i)).or_default().push(v);
+        groups[find(&mut parent, i)].push(v);
+        position[v.index()] = NOT_IN_SUBSET;
     }
-    let mut roots: Vec<usize> = groups.keys().copied().collect();
-    roots.sort_unstable();
-    for root in roots {
-        let members = groups.remove(&root).expect("key exists");
+    for members in groups.into_iter().filter(|g| !g.is_empty()) {
         let id = *next_id;
         *next_id += 1;
         for &m in &members {

@@ -132,8 +132,8 @@ impl TraceSink for CollectingSink {
         self.metrics.gauge(name).set(value);
     }
 
-    fn hist_record(&self, name: &'static str, value: u64) {
-        self.metrics.histogram(name).record(value);
+    fn hist_merge(&self, name: &'static str, samples: &HistogramSnapshot) {
+        self.metrics.histogram(name).merge(samples);
     }
 }
 
@@ -308,7 +308,9 @@ mod tests {
             let _s = tracer.span("phase");
             tracer.add("hits", 3);
             tracer.gauge("ratio", 0.5);
-            tracer.record("sizes", 17);
+            let mut sizes = HistogramSnapshot::default();
+            sizes.record(17);
+            tracer.record("sizes", &sizes);
         }
         let text = sink.report().tree_string();
         for needle in [

@@ -92,10 +92,18 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        let bucket = (u64::BITS - value.leading_zeros()) as usize;
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(value, Ordering::Relaxed);
-        self.0.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.0.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds every sample of `samples`, as if each had been recorded.
+    pub fn merge(&self, samples: &HistogramSnapshot) {
+        self.0.count.fetch_add(samples.count, Ordering::Relaxed);
+        self.0.sum.fetch_add(samples.sum, Ordering::Relaxed);
+        for &(lower, count) in &samples.buckets {
+            self.0.buckets[bucket_of(lower)].fetch_add(count, Ordering::Relaxed);
+        }
     }
 
     /// A point-in-time copy of the histogram state.
@@ -134,7 +142,28 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
 }
 
+/// The bucket index of `value`: its bit length.
+fn bucket_of(value: u64) -> usize {
+    (u64::BITS - value.leading_zeros()) as usize
+}
+
 impl HistogramSnapshot {
+    /// Adds one sample, keeping the buckets ascending — a local
+    /// accumulator for [`crate::Tracer::record`].
+    pub fn record(&mut self, value: u64) {
+        self.count = self.count.saturating_add(1);
+        self.sum = self.sum.saturating_add(value);
+        let lower = if value == 0 {
+            0
+        } else {
+            1 << (bucket_of(value) - 1)
+        };
+        match self.buckets.binary_search_by_key(&lower, |&(l, _)| l) {
+            Ok(i) => self.buckets[i].1 += 1,
+            Err(i) => self.buckets.insert(i, (lower, 1)),
+        }
+    }
+
     /// Mean sample value (0 when empty).
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -425,6 +454,22 @@ mod tests {
             ]
         );
         assert!(snap.mean() > 0.0);
+    }
+
+    #[test]
+    fn a_locally_accumulated_batch_merges_as_its_samples() {
+        let (one_by_one, batched) = (Histogram::default(), Histogram::default());
+        let mut local = HistogramSnapshot::default();
+        for v in [5u64, 0, 700, 3, 5, 1 << 40, 6] {
+            one_by_one.record(v);
+            local.record(v);
+        }
+        assert_eq!(local, one_by_one.snapshot());
+        batched.merge(&local);
+        batched.merge(&local);
+        let mut twice = local.clone();
+        twice.merge(&local);
+        assert_eq!(batched.snapshot(), twice);
     }
 
     #[test]

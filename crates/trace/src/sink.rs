@@ -16,6 +16,8 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use crate::HistogramSnapshot;
+
 /// Identifies one started span to its sink (sink-defined meaning).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(pub u64);
@@ -38,8 +40,8 @@ pub trait TraceSink: Send + Sync {
     /// Sets the gauge `name` to `value`.
     fn gauge_set(&self, name: &'static str, value: f64);
 
-    /// Records `value` into the histogram `name`.
-    fn hist_record(&self, name: &'static str, value: u64);
+    /// Folds a batch of samples into the histogram `name`.
+    fn hist_merge(&self, name: &'static str, samples: &HistogramSnapshot);
 }
 
 /// The default sink: reports disabled and drops everything.
@@ -61,7 +63,7 @@ impl TraceSink for NoopSink {
 
     fn gauge_set(&self, _name: &'static str, _value: f64) {}
 
-    fn hist_record(&self, _name: &'static str, _value: u64) {}
+    fn hist_merge(&self, _name: &'static str, _samples: &HistogramSnapshot) {}
 }
 
 /// A cheap cloneable handle to a [`TraceSink`]; the type threaded through
@@ -123,11 +125,14 @@ impl Tracer {
         }
     }
 
-    /// Records `value` into histogram `name` (no-op when disabled).
+    /// Folds `samples` into histogram `name` (no-op when disabled). A hot
+    /// loop accumulates into a local [`HistogramSnapshot`] and records it
+    /// once, so the sink's registry is visited once per batch rather than
+    /// once per sample.
     #[inline]
-    pub fn record(&self, name: &'static str, value: u64) {
+    pub fn record(&self, name: &'static str, samples: &HistogramSnapshot) {
         if self.enabled() {
-            self.sink.hist_record(name, value);
+            self.sink.hist_merge(name, samples);
         }
     }
 }
@@ -183,7 +188,7 @@ mod tests {
         let span = a.span("anything");
         a.add("c", 1);
         a.gauge("g", 1.0);
-        a.record("h", 1);
+        a.record("h", &HistogramSnapshot::default());
         drop(span);
     }
 

@@ -53,11 +53,11 @@ for name in s27.json batch.json; do
 done
 
 # The diff above only proves parity for counters that are actually in the
-# manifests. The saturation-rewrite counters (CSR shape, bucket-queue
-# requeues, SSSP-cache reuses) are the ones a batch worker could drop or
-# mis-merge, so require their presence explicitly — silently dropping one
-# from the manifest must fail here, not pass vacuously.
-for counter in flow.csr.nodes flow.csr.branches flow.requeue flow.reused \
+# manifests. The saturation counters (CSR shape and search work) are the
+# ones a batch worker could drop or mis-merge, so require their presence
+# explicitly — silently dropping one from the manifest must fail here, not
+# pass vacuously.
+for counter in flow.csr.nodes flow.csr.branches \
                flow.heap_pops flow.nodes_settled flow.relaxations; do
     for side in seq par; do
         grep -q "\"$counter\"" "$tmp/$side/s27.json" || {
