@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! retime [out.json]          run and write results (default BENCH_retime.json)
-//! retime --bless FLOOR.json  run and (re)write the checked-in floor
+//! retime --bless FLOOR.json  run 5 times and (re)write the checked-in floor from the medians
 //! retime --gate FLOOR.json   run and fail if the optimized median is more
 //!                            than TOLERANCE× slower than the floor
 //! ```

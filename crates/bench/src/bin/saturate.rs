@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! saturate [out.json]          run and write results (default BENCH_saturate.json)
-//! saturate --bless FLOOR.json  run and (re)write the checked-in floor
+//! saturate --bless FLOOR.json  run 5 times and (re)write the checked-in floor from the medians
 //! saturate --gate FLOOR.json   run and fail if the optimized median is more
 //!                              than TOLERANCE× slower than the floor
 //! ```

@@ -9,19 +9,28 @@
 //! instead) and the delta ratio (stored bytes over logical bytes — the
 //! workload is twenty near-identical inverter-chain circuits whose run
 //! manifests differ only in a few counters, so similarity-based delta
-//! encoding should compress them well below raw).
+//! encoding should compress them well below raw). The backend sets every
+//! phase's `wall_ns` to 0 before a manifest reaches the store: real wall
+//! times differ in every manifest and moved the delta ratio from run to
+//! run, while with them fixed the stored bytes, and so the ratio, are the
+//! same on every run.
 //!
 //! Usage: `store_bench [out.json]` (default `BENCH_store.json`).
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
 use ppet_core::{MercedBackend, MercedConfig};
-use ppet_serve::{CompileRequest, ServeConfig, Server};
+use ppet_serve::{
+    BackendError, CompileBackend, CompileRequest, NormalizedRequest, ServeConfig, Server,
+};
 use ppet_store::{Store, StoreConfig};
+use ppet_trace::RunManifest;
 
 const VARIANTS: u32 = 20;
 
@@ -36,6 +45,34 @@ fn chain_bench(length: u32) -> String {
     }
     src.push_str(&format!("z = DFF(n{})\n", length - 1));
     src
+}
+
+/// The Merced backend with every phase's `wall_ns` set to 0 in the
+/// manifests it compiles, counting its compiles.
+#[derive(Clone)]
+struct FixedClock {
+    inner: MercedBackend,
+    compiles: Arc<AtomicU64>,
+}
+
+impl CompileBackend for FixedClock {
+    fn normalize(&self, request: &CompileRequest) -> Result<NormalizedRequest, BackendError> {
+        self.inner.normalize(request)
+    }
+
+    fn compile(&self, normalized: &NormalizedRequest) -> Result<String, BackendError> {
+        self.compiles.fetch_add(1, Ordering::SeqCst);
+        let mut manifest = RunManifest::from_json(&self.inner.compile(normalized)?)
+            .map_err(|e| BackendError::new("manifest", e.to_string()))?;
+        for phase in &mut manifest.phases {
+            phase.wall_ns = 0;
+        }
+        Ok(manifest.to_json())
+    }
+
+    fn verify_stored(&self, stored: &str) -> Result<(), BackendError> {
+        self.inner.verify_stored(stored)
+    }
 }
 
 fn request(addr: SocketAddr, body: &str) -> String {
@@ -57,8 +94,11 @@ fn request(addr: SocketAddr, body: &str) -> String {
     response.split_off(split + 4)
 }
 
-fn serve_round(store_dir: &Path, bodies: &[String]) -> (Vec<String>, Vec<u64>) {
-    let backend = MercedBackend::new(MercedConfig::default());
+fn serve_round(
+    backend: FixedClock,
+    store_dir: &Path,
+    bodies: &[String],
+) -> (Vec<String>, Vec<u64>) {
     let config = ServeConfig {
         store_dir: Some(store_dir.to_path_buf()),
         ..ServeConfig::default()
@@ -99,13 +139,21 @@ fn main() {
     // Round 1: cold — every request runs the full pipeline and is
     // written through to the store. Round 2: a fresh process-equivalent
     // (new server, same directory) — every request must come back from
-    // disk byte-identical, wall-clock entry included, because a
-    // recompile would have stamped a new one.
-    let (cold_answers, cold_ns) = serve_round(&store_dir, &bodies);
-    let (warm_answers, warm_ns) = serve_round(&store_dir, &bodies);
+    // disk byte-identical, without a single compile.
+    let backend = FixedClock {
+        inner: MercedBackend::new(MercedConfig::default()),
+        compiles: Arc::default(),
+    };
+    let (cold_answers, cold_ns) = serve_round(backend.clone(), &store_dir, &bodies);
+    let (warm_answers, warm_ns) = serve_round(backend.clone(), &store_dir, &bodies);
     assert_eq!(
         cold_answers, warm_answers,
         "restart must answer byte-identically from the store"
+    );
+    assert_eq!(
+        backend.compiles.load(Ordering::SeqCst),
+        u64::from(VARIANTS),
+        "the restarted server must answer from disk, not recompile"
     );
 
     let stats = Store::open(&store_dir, StoreConfig::default())

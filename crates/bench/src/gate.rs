@@ -7,6 +7,9 @@
 //! (schema `ppet-bench-<kernel>/v1`) records both medians and their ratio;
 //! `--gate` compares a fresh optimized median against the recorded
 //! `optimized_ns` only — the reference column is documentation.
+//! `--bless` records, per circuit, the median over [`BLESS_RUNS`] whole
+//! runs, so one fast run on a noisy machine cannot set a floor that the
+//! next gate run fails.
 
 use std::time::Instant;
 
@@ -14,6 +17,9 @@ use ppet_trace::json;
 
 /// Timed repetitions per engine; the median is reported.
 pub const REPS: usize = 5;
+
+/// Whole runs `--bless` takes the per-circuit median over.
+pub const BLESS_RUNS: usize = 5;
 
 /// A fresh run may be this much slower than the recorded floor before the
 /// gate fails — wide enough for machine noise, tight enough to catch a
@@ -44,6 +50,32 @@ pub fn median_ns(mut f: impl FnMut()) -> u64 {
         .collect();
     samples.sort_unstable();
     samples[samples.len() / 2]
+}
+
+/// Per circuit, the median of each column over `runs`. The runs must
+/// list the same circuits with the same facts (kernels are
+/// deterministic; only their timings vary).
+fn median_rows(runs: &[Vec<Timing>]) -> Vec<Timing> {
+    let first = &runs[0];
+    for run in runs {
+        assert_eq!(run.len(), first.len(), "runs differ in circuits");
+        for (a, b) in run.iter().zip(first) {
+            assert_eq!((a.circuit, &a.facts), (b.circuit, &b.facts));
+        }
+    }
+    let median = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    first
+        .iter()
+        .enumerate()
+        .map(|(i, row)| Timing {
+            reference_ns: median(runs.iter().map(|r| r[i].reference_ns).collect()),
+            optimized_ns: median(runs.iter().map(|r| r[i].optimized_ns).collect()),
+            ..row.clone()
+        })
+        .collect()
 }
 
 fn render(kernel: &str, seed: u64, rows: &[Timing]) -> String {
@@ -144,14 +176,15 @@ fn gate(kernel: &str, path: &str, rows: &[Timing]) {
 ///
 /// ```text
 /// <kernel> [out.json]          run and write results (default BENCH_<kernel>.json)
-/// <kernel> --bless FLOOR.json  run and (re)write the checked-in floor
+/// <kernel> --bless FLOOR.json  run BLESS_RUNS times and (re)write the
+///                              checked-in floor from the medians
 /// <kernel> --gate FLOOR.json   run and fail if an optimized median is more
 ///                              than TOLERANCE× slower than the floor
 /// ```
 ///
 /// `measure` must check the optimized engine against the reference before
 /// it times either.
-pub fn main(kernel: &str, seed: u64, measure: impl FnOnce() -> Vec<Timing>) {
+pub fn main(kernel: &str, seed: u64, measure: impl Fn() -> Vec<Timing>) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--gate") => {
@@ -160,7 +193,9 @@ pub fn main(kernel: &str, seed: u64, measure: impl FnOnce() -> Vec<Timing>) {
         }
         Some("--bless") => {
             let path = args.get(1).expect("--bless needs the floor path");
-            std::fs::write(path, render(kernel, seed, &measure())).expect("write floor");
+            let runs: Vec<Vec<Timing>> = (0..BLESS_RUNS).map(|_| measure()).collect();
+            let rows = median_rows(&runs);
+            std::fs::write(path, render(kernel, seed, &rows)).expect("write floor");
             println!("blessed {path}");
         }
         Some(flag) if flag.starts_with("--") => {
@@ -202,5 +237,29 @@ mod tests {
         let floor = read_floor("retime", path.to_str().unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(floor, vec![("s641".to_string(), 100)]);
+    }
+
+    #[test]
+    fn bless_takes_each_column_median_over_runs() {
+        let run = |reference_ns, optimized_ns| {
+            vec![Timing {
+                circuit: "s510",
+                facts: vec![("trees", 8)],
+                reference_ns,
+                optimized_ns,
+            }]
+        };
+        // One fast outlier run does not set the floor.
+        let runs = [
+            run(90, 35),
+            run(95, 20),
+            run(93, 38),
+            run(99, 36),
+            run(91, 40),
+        ];
+        let rows = median_rows(&runs);
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].reference_ns, rows[0].optimized_ns), (93, 36));
+        assert_eq!(rows[0].facts, vec![("trees", 8)]);
     }
 }

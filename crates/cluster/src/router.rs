@@ -15,7 +15,11 @@
 //! Compiles and replication pushes travel over each backend's
 //! [`Pool`] of kept-alive connections, counted per backend by
 //! `cluster.upstream_connects`; probes and `/metrics` scrapes stay
-//! one-shot. Marking a backend down closes its idle connections.
+//! one-shot. Marking a backend down closes its idle connections. Each
+//! proxy attempt and each push runs on a thread of the router's
+//! [`ThreadCache`], reused once a previous attempt has finished
+//! (`cluster.threads_spawned` counts the spawns); [`Router::run`] joins
+//! them after the front end's handlers.
 
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -27,7 +31,9 @@ use std::time::{Duration, Instant};
 
 use ppet_serve::front::{error_reply, unrouted, Front, Reply, Routes};
 use ppet_serve::http::{self, Request};
-use ppet_serve::{normalize_body, CacheKey, CompileBackend, Gate, ServerHandle, REQUEST_ID_HEADER};
+use ppet_serve::{
+    normalize_body, CacheKey, CompileBackend, Gate, ServerHandle, ThreadCache, REQUEST_ID_HEADER,
+};
 use ppet_trace::{expo, Counter, Metrics};
 
 use crate::proxy::{self, CancelHandle, Pool, Response};
@@ -141,6 +147,8 @@ struct ClusterService<B> {
     metrics: Metrics,
     config: ClusterConfig,
     handle: ServerHandle,
+    /// The threads proxy attempts and replication pushes run on.
+    threads: ThreadCache,
 }
 
 /// The shard router bound to a socket.
@@ -182,6 +190,7 @@ impl<B: CompileBackend> Router<B> {
             .map(|a| Member::new(a, &metrics))
             .collect();
         let ring = Ring::new(members.len(), config.vnodes.max(1));
+        let threads = ThreadCache::new(metrics.counter("cluster.threads_spawned"));
         let service = Arc::new(ClusterService {
             backend: Arc::new(backend),
             members,
@@ -191,6 +200,7 @@ impl<B: CompileBackend> Router<B> {
             metrics,
             config,
             handle: front.handle(),
+            threads,
         });
         Ok(Self { front, service })
     }
@@ -209,7 +219,8 @@ impl<B: CompileBackend> Router<B> {
 
     /// Serves until shutdown (handle, `POST /shutdown`, or a Unix
     /// termination signal), then drains: no new connections, all
-    /// accepted requests answered, the prober joined.
+    /// accepted requests answered, the prober joined, and every proxy
+    /// attempt and replication push finished.
     pub fn run(self) {
         let prober = {
             let service = Arc::clone(&self.service);
@@ -217,6 +228,7 @@ impl<B: CompileBackend> Router<B> {
         };
         self.front.run(&self.service);
         let _ = prober.join();
+        self.service.threads.join();
     }
 }
 
@@ -443,7 +455,7 @@ impl<B: CompileBackend> ClusterService<B> {
             let request_id = Arc::clone(&request_id);
             let timeout = self.config.timeout;
             let tx = tx.clone();
-            thread::spawn(move || {
+            self.threads.spawn(move || {
                 let result = pool.request(
                     "POST",
                     "/compile",
@@ -561,7 +573,7 @@ impl<B: CompileBackend> ClusterService<B> {
             let path = path.clone();
             let replicated = replicated.clone();
             let failed = failed.clone();
-            thread::spawn(move || {
+            self.threads.spawn(move || {
                 match pool.request("PUT", &path, &[], &manifest, timeout, None) {
                     Ok(response) if response.status == 200 => replicated.inc(),
                     _ => failed.inc(),

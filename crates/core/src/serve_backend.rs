@@ -10,15 +10,37 @@
 //! `wall_ns`/`jobs` manifest entries, which record the run, not the
 //! result).
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
+use ppet_netlist::canonical::HashedCircuit;
 use ppet_serve::{BackendError, CompileBackend, CompileRequest, NormalizedRequest};
 
 use crate::builtin::resolve_builtin;
 use crate::{Merced, MercedConfig};
 
+/// Total cells the builtin memo holds. The eight Table-9 stand-ins up to
+/// s1423 take 3,250 together and all seventeen 108,004; a builtin that
+/// would take the memo past the budget is resolved on every request.
+const BUILTIN_MEMO_CELLS: usize = 1 << 15;
+
 /// [`CompileBackend`] implementation backed by [`Merced`].
+///
+/// A builtin name resolves to the same circuit every time, so the
+/// backend resolves and hashes each builtin once and hands later
+/// requests a clone of that [`HashedCircuit`]. The memo is shared by
+/// clones of the backend and bounded by `BUILTIN_MEMO_CELLS` cells.
 #[derive(Debug, Clone)]
 pub struct MercedBackend {
     base: MercedConfig,
+    builtins: Arc<Mutex<BuiltinMemo>>,
+}
+
+/// Resolved builtins by name, and the cells they hold together.
+#[derive(Debug, Default)]
+struct BuiltinMemo {
+    circuits: HashMap<String, HashedCircuit>,
+    cells: usize,
 }
 
 impl MercedBackend {
@@ -28,7 +50,27 @@ impl MercedBackend {
     /// decision and never change results.
     #[must_use]
     pub fn new(base: MercedConfig) -> Self {
-        Self { base }
+        Self {
+            base,
+            builtins: Arc::default(),
+        }
+    }
+
+    /// The builtin `name`, resolved and hashed on its first request and
+    /// memoized while the cell budget allows.
+    fn builtin(&self, name: &str) -> Option<HashedCircuit> {
+        const NO_PANIC: &str = "nothing panics while holding the builtin memo";
+        if let Some(hit) = self.builtins.lock().expect(NO_PANIC).circuits.get(name) {
+            return Some(hit.clone());
+        }
+        let circuit = HashedCircuit::new(resolve_builtin(name)?);
+        let mut memo = self.builtins.lock().expect(NO_PANIC);
+        let cells = memo.cells + circuit.num_cells();
+        if cells <= BUILTIN_MEMO_CELLS && !memo.circuits.contains_key(name) {
+            memo.cells = cells;
+            memo.circuits.insert(name.to_owned(), circuit.clone());
+        }
+        Some(circuit)
     }
 
     fn effective_config(
@@ -46,13 +88,14 @@ impl MercedBackend {
 impl CompileBackend for MercedBackend {
     fn normalize(&self, request: &CompileRequest) -> Result<NormalizedRequest, BackendError> {
         let circuit = match (&request.builtin, &request.bench) {
-            (Some(name), None) => resolve_builtin(name).ok_or_else(|| {
+            (Some(name), None) => self.builtin(name).ok_or_else(|| {
                 BackendError::new("usage", format!("unknown builtin circuit `{name}`"))
             })?,
             (None, Some(source)) => {
                 let name = request.name.as_deref().unwrap_or("request");
                 ppet_netlist::bench_format::parse(name, source)
                     .map_err(|e| BackendError::new("parse", e.to_string()))?
+                    .into()
             }
             _ => {
                 return Err(BackendError::new(
@@ -171,6 +214,27 @@ mod tests {
             .normalize(&CompileRequest::builtin("s27"))
             .unwrap();
         assert_eq!(CacheKey::of(&with_jobs), CacheKey::of(&without));
+    }
+
+    #[test]
+    fn the_builtin_memo_is_shared_by_clones_and_bounded_in_cells() {
+        let backend = backend();
+        let memoized = |name: &str| backend.builtins.lock().unwrap().circuits.contains_key(name);
+        let key = |backend: &MercedBackend, name: &str| {
+            let norm = backend.normalize(&CompileRequest::builtin(name)).unwrap();
+            let derived = CacheKey::derive(&norm.circuit, &norm.config_entries, norm.seed);
+            assert_eq!(CacheKey::of(&norm), derived, "{name}");
+            derived
+        };
+        let first = key(&backend, "s38417");
+        assert!(memoized("s38417"));
+        assert_eq!(key(&backend.clone(), "s38417"), first, "clones share it");
+        // 23,843 + 20,717 cells exceed the budget: the second is resolved
+        // per request and still keys the same.
+        let big = key(&backend, "s38584.1");
+        assert!(!memoized("s38584.1"));
+        assert_eq!(key(&backend, "s38584.1"), big);
+        assert_eq!(backend.builtins.lock().unwrap().cells, 23_843);
     }
 
     #[test]

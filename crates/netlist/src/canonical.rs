@@ -6,7 +6,9 @@
 //! comments, whitespace, or line order quirks. This module defines the
 //! canonical byte form — the [`writer::to_bench`](crate::writer) emission,
 //! which normalizes everything the parser discards — and a small
-//! dependency-free 128-bit FNV-1a hasher over it.
+//! dependency-free 128-bit FNV-1a hasher over it. A [`HashedCircuit`]
+//! carries a circuit together with its [`content_hash`], so a caller that
+//! keys on the same circuit many times serializes it once.
 //!
 //! # Examples
 //!
@@ -20,6 +22,9 @@
 //! # Ok(())
 //! # }
 //! ```
+
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::circuit::Circuit;
 use crate::writer;
@@ -54,6 +59,16 @@ impl Fnv128 {
         Self {
             state: FNV128_OFFSET,
         }
+    }
+
+    /// A hasher continuing from `state`, a digest an earlier hasher
+    /// [`finish`](Self::finish)ed with: absorbing more bytes gives what
+    /// the earlier hasher would have given. FNV-1a's state is its digest,
+    /// so a prefix hashed once (say, a circuit's [`content_hash`]) can
+    /// start many longer hashes.
+    #[must_use]
+    pub fn resume(state: u128) -> Self {
+        Self { state }
     }
 
     /// Absorbs `bytes`.
@@ -91,6 +106,49 @@ pub fn content_hash(circuit: &Circuit) -> u128 {
     let mut h = Fnv128::new();
     h.write_frame(&canonical_bytes(circuit));
     h.finish()
+}
+
+/// A circuit with its [`content_hash`], computed once when built.
+///
+/// The only constructor hashes, so the hash always belongs to the
+/// circuit; the circuit sits behind an [`Arc`], so clones are cheap and
+/// share it. Derefs to [`Circuit`].
+#[derive(Debug, Clone)]
+pub struct HashedCircuit {
+    circuit: Arc<Circuit>,
+    hash: u128,
+}
+
+impl HashedCircuit {
+    /// Hashes `circuit`.
+    #[must_use]
+    pub fn new(circuit: Circuit) -> Self {
+        let hash = content_hash(&circuit);
+        Self {
+            circuit: Arc::new(circuit),
+            hash,
+        }
+    }
+
+    /// The circuit's [`content_hash`].
+    #[must_use]
+    pub fn content_hash(&self) -> u128 {
+        self.hash
+    }
+}
+
+impl From<Circuit> for HashedCircuit {
+    fn from(circuit: Circuit) -> Self {
+        Self::new(circuit)
+    }
+}
+
+impl Deref for HashedCircuit {
+    type Target = Circuit;
+
+    fn deref(&self) -> &Circuit {
+        &self.circuit
+    }
 }
 
 #[cfg(test)]
@@ -141,5 +199,25 @@ mod tests {
         a_bc.write_frame(b"a");
         a_bc.write_frame(b"bc");
         assert_ne!(ab_c.finish(), a_bc.finish());
+    }
+
+    #[test]
+    fn resuming_a_digest_continues_the_hash() {
+        let mut whole = Fnv128::new();
+        whole.write_frame(b"prefix");
+        whole.write_frame(b"suffix");
+        let mut prefix = Fnv128::new();
+        prefix.write_frame(b"prefix");
+        let mut resumed = Fnv128::resume(prefix.finish());
+        resumed.write_frame(b"suffix");
+        assert_eq!(resumed.finish(), whole.finish());
+    }
+
+    #[test]
+    fn a_hashed_circuit_carries_its_content_hash() {
+        let hashed = HashedCircuit::from(data::s27());
+        assert_eq!(hashed.content_hash(), content_hash(&data::s27()));
+        assert_eq!(hashed.name(), "s27");
+        assert_eq!(hashed.clone().content_hash(), hashed.content_hash());
     }
 }

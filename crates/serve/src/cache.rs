@@ -3,7 +3,9 @@
 //! The key is a 128-bit FNV-1a hash over the circuit's canonical
 //! `.bench` bytes, the effective config entries, and the effective seed —
 //! each field length-prefixed so concatenations cannot collide (see
-//! [`ppet_netlist::canonical`]). Because the compiler is deterministic,
+//! [`ppet_netlist::canonical`]). The circuit's frame is hashed once, when
+//! its `HashedCircuit` is built; [`CacheKey::of`] resumes from there.
+//! Because the compiler is deterministic,
 //! equal keys *must* produce byte-identical manifests (modulo the
 //! `wall_ns`/`jobs` entries, which are part of the manifest but not the
 //! result), so a hit can return the stored body outright.
@@ -18,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use ppet_netlist::canonical::{canonical_bytes, Fnv128};
+use ppet_netlist::canonical::{content_hash, Fnv128};
 use ppet_netlist::Circuit;
 use ppet_trace::SpanData;
 
@@ -37,25 +39,39 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The cache key: a 128-bit content hash of `(circuit, config, seed)`.
+///
+/// The derivation is fixed: stored entries on disk and the router's
+/// agreement with its shards both depend on every key staying
+/// byte-identical, and a test pins the keys of known requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey(pub u128);
 
 impl CacheKey {
-    /// Derives the key for a normalized request.
+    /// Derives the key for a normalized request. The circuit's frame was
+    /// hashed when its [`HashedCircuit`](ppet_netlist::canonical::HashedCircuit)
+    /// was built, so this resumes from that digest and hashes only the
+    /// config entries and the seed; the key equals [`CacheKey::derive`]'s.
     #[must_use]
     pub fn of(normalized: &NormalizedRequest) -> Self {
-        Self::derive(
-            &normalized.circuit,
+        Self::resume(
+            normalized.circuit.content_hash(),
             &normalized.config_entries,
             normalized.seed,
         )
     }
 
-    /// Derives the key from the constituent parts.
+    /// Derives the key from the constituent parts: FNV-1a-128 over the
+    /// frames of the circuit's canonical bytes, each config key and
+    /// value, and the seed.
     #[must_use]
     pub fn derive(circuit: &Circuit, config_entries: &[(String, String)], seed: u64) -> Self {
-        let mut hasher = Fnv128::new();
-        hasher.write_frame(&canonical_bytes(circuit));
+        Self::resume(content_hash(circuit), config_entries, seed)
+    }
+
+    /// Continues [`CacheKey::derive`]'s hash after the circuit frame,
+    /// whose digest is the circuit's [`content_hash`].
+    fn resume(circuit_hash: u128, config_entries: &[(String, String)], seed: u64) -> Self {
+        let mut hasher = Fnv128::resume(circuit_hash);
         for (k, v) in config_entries {
             hasher.write_frame(k.as_bytes());
             hasher.write_frame(v.as_bytes());
@@ -323,7 +339,7 @@ mod tests {
 
     fn normalized(seed: u64) -> NormalizedRequest {
         NormalizedRequest {
-            circuit: circuit(),
+            circuit: circuit().into(),
             config_entries: vec![("cbit_length".into(), "4".into())],
             seed,
         }
@@ -333,6 +349,8 @@ mod tests {
     fn key_depends_on_all_three_fields() {
         let base = CacheKey::of(&normalized(1));
         assert_eq!(base, CacheKey::of(&normalized(1)));
+        let cfg = normalized(1).config_entries;
+        assert_eq!(base, CacheKey::derive(&circuit(), &cfg, 1), "same key");
         assert_ne!(base, CacheKey::of(&normalized(2)));
 
         let mut other_cfg = normalized(1);
@@ -341,7 +359,9 @@ mod tests {
 
         let mut other_circuit = normalized(1);
         other_circuit.circuit =
-            ppet_netlist::bench_format::parse("t", "INPUT(a)\nOUTPUT(y)\ny = BUFF(a)\n").unwrap();
+            ppet_netlist::bench_format::parse("t", "INPUT(a)\nOUTPUT(y)\ny = BUFF(a)\n")
+                .unwrap()
+                .into();
         assert_ne!(base, CacheKey::of(&other_circuit));
     }
 

@@ -2,7 +2,9 @@
 //!
 //! A [`Front`] owns everything between the socket and a binary's route
 //! table: the nonblocking listener, the accept loop (polling the
-//! shutdown flag every 15 ms and reaping finished handler threads),
+//! shutdown flag every 15 ms and handing each connection to a thread of
+//! its [`ThreadCache`], which reuses an idle handler thread when one
+//! waits and spawns one otherwise),
 //! per-connection read/write timeouts and `TCP_NODELAY`, request parsing
 //! with the 413/400 error mapping, request-ID minting and echo, and the
 //! [`ServerHandle`] that stops it all. Each binary supplies only its
@@ -32,6 +34,7 @@ use ppet_exec::WorkQueue;
 use crate::http::{self, HttpError, Request};
 use crate::obs::{RequestIds, REQUEST_ID_HEADER};
 use crate::signal;
+use crate::threads::ThreadCache;
 
 /// How often the accept loop polls the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(15);
@@ -119,6 +122,8 @@ pub struct Front {
     listener: TcpListener,
     addr: SocketAddr,
     conns: Arc<Conns>,
+    /// The threads connections are answered on.
+    threads: ThreadCache,
 }
 
 /// What every connection handler of one [`Front`] shares.
@@ -186,6 +191,7 @@ impl Front {
                 handle: ServerHandle::default(),
                 idle: Mutex::new(Some(HashMap::new())),
             }),
+            threads: ThreadCache::default(),
         })
     }
 
@@ -201,12 +207,12 @@ impl Front {
         self.conns.handle.clone()
     }
 
-    /// Accepts until shutdown, answering each connection on its own
-    /// thread through `routes`, then wakes the handlers idle on a
-    /// kept-alive connection and joins every handler thread: when this
+    /// Accepts until shutdown, answering each connection through
+    /// `routes` on a thread of the front's [`ThreadCache`] (an idle one
+    /// when it has one, else a new one), then wakes the handlers idle on
+    /// a kept-alive connection and joins every handler thread: when this
     /// returns, all accepted requests have been answered.
     pub fn run<R: Routes>(self, routes: &Arc<R>) {
-        let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
         let mut accepted = 0u64;
         while !self.conns.handle.shutting_down() {
             match self.listener.accept() {
@@ -215,22 +221,15 @@ impl Front {
                     let conns = Arc::clone(&self.conns);
                     let id = accepted;
                     accepted += 1;
-                    handlers.push(thread::spawn(move || {
+                    self.threads.spawn(move || {
                         handle_connection(stream, id, &conns, routes.as_ref());
-                    }));
+                    });
                 }
                 Err(_) => thread::sleep(ACCEPT_POLL),
             }
-            // Reap finished handler threads so the vec stays small on
-            // long runs.
-            if handlers.len() >= 32 {
-                handlers.retain(|h| !h.is_finished());
-            }
         }
         self.conns.close_idle();
-        for h in handlers {
-            let _ = h.join();
-        }
+        self.threads.join();
     }
 }
 
@@ -313,13 +312,31 @@ mod tests {
     }
 
     fn start() -> (SocketAddr, ServerHandle, thread::JoinHandle<()>) {
+        let (addr, handle, _, join) = start_counted();
+        (addr, handle, join)
+    }
+
+    /// [`start`], also returning the front's thread cache.
+    fn start_counted() -> (
+        SocketAddr,
+        ServerHandle,
+        ThreadCache,
+        thread::JoinHandle<()>,
+    ) {
         let front = Front::bind("127.0.0.1:0", 0).unwrap();
         let (addr, handle) = (front.local_addr(), front.handle());
-        (
-            addr,
-            handle,
-            thread::spawn(move || front.run(&Arc::new(Echo))),
-        )
+        let threads = front.threads.clone();
+        let join = thread::spawn(move || front.run(&Arc::new(Echo)));
+        (addr, handle, threads, join)
+    }
+
+    /// One `Connection: close` request on a fresh connection.
+    fn one_shot(addr: SocketAddr, path: &str) -> String {
+        let mut conn = connect(addr);
+        send(&mut conn, path, "close");
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
+        response
     }
 
     fn send(conn: &mut BufReader<TcpStream>, path: &str, connection: &str) {
@@ -361,6 +378,65 @@ mod tests {
         assert_eq!(conn.read_to_end(&mut rest).unwrap(), 0, "closed after /c");
         handle.shutdown();
         join.join().unwrap();
+    }
+
+    #[test]
+    fn sequential_connections_reuse_handler_threads() {
+        let (addr, handle, threads, join) = start_counted();
+        for i in 0..20 {
+            let path = format!("/{i}");
+            assert!(one_shot(addr, &path).ends_with(&format!("GET {path}")));
+        }
+        assert!(threads.spawned() <= 2, "spawned {}", threads.spawned());
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    /// A handler parked on an idle kept-alive connection is busy: the
+    /// next connection gets another thread instead of waiting for it.
+    #[test]
+    fn an_idle_kept_alive_connection_does_not_hold_up_a_new_one() {
+        let (addr, handle, join) = start();
+        let mut parked = connect(addr);
+        exchange(&mut parked, "/a", "keep-alive");
+        let started = Instant::now();
+        assert!(one_shot(addr, "/b").ends_with("GET /b"));
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "answered after {:?}",
+            started.elapsed()
+        );
+        assert_eq!(
+            exchange(&mut parked, "/c", "close"),
+            (false, "GET /c".into())
+        );
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn stopping_joins_idle_cached_threads_promptly() {
+        let (addr, handle, threads, join) = start_counted();
+        // Two connections at once leave two threads idle in the cache.
+        let mut first = connect(addr);
+        exchange(&mut first, "/a", "keep-alive");
+        one_shot(addr, "/b");
+        drop(first);
+        while threads.idle() < 2 {
+            thread::yield_now();
+        }
+        assert_eq!(threads.spawned(), 2);
+
+        let started = Instant::now();
+        handle.shutdown();
+        join.join().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "stop took {:?}",
+            started.elapsed()
+        );
+        // Every cached thread held the cache; joined, none does.
+        assert_eq!(threads.holders(), 1);
     }
 
     /// Stopping must not wait out `STREAM_TIMEOUT` on a connection idle

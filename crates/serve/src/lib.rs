@@ -20,8 +20,10 @@
 //!
 //! The HTTP front end ([`front`]: listener, accept loop, connection
 //! handler, request IDs, [`ServerHandle`]) is shared with
-//! `ppet-cluster`'s router, which also coalesces on [`Gate`];
-//! [`server`] supplies the compile service's routes and drain.
+//! `ppet-cluster`'s router, which also coalesces on [`Gate`] and runs its
+//! proxy attempts on the same kind of [`ThreadCache`] the front end
+//! answers connections on; [`server`] supplies the compile service's
+//! routes and drain.
 //!
 //! # Endpoints
 //!
@@ -75,6 +77,7 @@ pub mod obs;
 mod request;
 pub mod server;
 pub mod signal;
+pub mod threads;
 
 pub use cache::{CacheKey, Claim, CompileResult, Gate, ResultCache, DEFAULT_CACHE_CAPACITY};
 pub use front::ServerHandle;
@@ -83,3 +86,4 @@ pub use request::{
     normalize_body, BackendError, CompileBackend, CompileRequest, NormalizedRequest, REQUEST_SCHEMA,
 };
 pub use server::{ServeConfig, Server, DEFAULT_TRACE_RING};
+pub use threads::ThreadCache;

@@ -11,7 +11,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ppet_netlist::Circuit;
+use ppet_netlist::canonical::HashedCircuit;
 use ppet_trace::json::{self, Value};
 use ppet_trace::Tracer;
 
@@ -193,10 +193,16 @@ impl std::fmt::Display for BackendError {
 /// compile parameters. The cache key is derived from exactly these three
 /// fields, so backends must exclude anything that cannot change the
 /// result (worker counts, for instance) from `config_entries`.
+///
+/// The circuit carries its content hash, computed when the
+/// [`HashedCircuit`] was built, so [`CacheKey::of`](crate::CacheKey::of)
+/// hashes only the config and seed. A backend may hand out clones of one
+/// `HashedCircuit` for many requests (the Merced backend memoizes its
+/// builtin circuits this way); the key is the same either way.
 #[derive(Debug, Clone)]
 pub struct NormalizedRequest {
-    /// The resolved circuit.
-    pub circuit: Circuit,
+    /// The resolved circuit, with its content hash.
+    pub circuit: HashedCircuit,
     /// The effective configuration as deterministic key/value entries.
     pub config_entries: Vec<(String, String)>,
     /// The effective seed.

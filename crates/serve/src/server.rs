@@ -2,9 +2,10 @@
 //!
 //! One [`Server`] owns a [`Front`] (the shared listener), a bounded
 //! [`WorkQueue`] of compile workers, the [`ResultCache`], and a
-//! [`Metrics`] registry. Each accepted connection is handled on its own
-//! thread (one request, or a keep-alive sequence of them, per
-//! connection); compile work itself runs on the
+//! [`Metrics`] registry. Each accepted connection is handled on a thread
+//! of the front end's [`crate::ThreadCache`] (one request, or a
+//! keep-alive sequence of them, per connection; an idle thread is reused
+//! when one waits); compile work itself runs on the
 //! queue, so slow compiles exert backpressure through the bounded queue
 //! rather than through unbounded thread growth.
 //!
@@ -590,7 +591,7 @@ mod tests {
             let circuit = ppet_netlist::bench_format::parse("echo", source)
                 .map_err(|e| BackendError::new("parse", e.to_string()))?;
             Ok(NormalizedRequest {
-                circuit,
+                circuit: circuit.into(),
                 config_entries: request.config.clone(),
                 seed: request.seed.unwrap_or(0),
             })

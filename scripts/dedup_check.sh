@@ -4,7 +4,9 @@
 #  1. The 20-variant inverter-chain manifest bench (real compile output
 #     through `merced serve`) must dedup to a delta ratio under 0.1 —
 #     the super-feature index has to *find* the near-duplicates and the
-#     varint delta encoder has to make them cheap.
+#     varint delta encoder has to make them cheap. The bench fixes every
+#     phase's `wall_ns` at 0 before a manifest is stored, so the ratio is
+#     the same on every run.
 #  2. The 1000-variant synthetic stress corpus must stay within families
 #     and be deterministic: `dedup_bench --gate` fails if any delta's
 #     base belongs to another family, then replays the log and re-runs

@@ -7,9 +7,11 @@
 #                                  circuit is more than the tolerance (1.3x,
 #                                  recorded in each floor file) slower than
 #                                  the checked-in floor
-#   scripts/perf_gate.sh --bless   re-measure and overwrite both floors (run
-#                                  after an intentional perf-relevant change
-#                                  on the reference machine, then commit)
+#   scripts/perf_gate.sh --bless   re-measure and overwrite both floors with
+#                                  each circuit's median over 5 whole runs
+#                                  (run after an intentional perf-relevant
+#                                  change on the reference machine, then
+#                                  commit)
 #
 # The floors live in recorded/BENCH_saturate.json (schema
 # ppet-bench-saturate/v1, s1423 and s510) and recorded/BENCH_retime.json

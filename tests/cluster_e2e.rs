@@ -100,7 +100,7 @@ struct CountingBackend {
 impl CompileBackend for CountingBackend {
     fn normalize(&self, request: &CompileRequest) -> Result<NormalizedRequest, BackendError> {
         Ok(NormalizedRequest {
-            circuit: ppet::netlist::data::s27(),
+            circuit: ppet::netlist::data::s27().into(),
             config_entries: Vec::new(),
             seed: request.seed.unwrap_or(0),
         })
@@ -458,4 +458,43 @@ fn pooled_connections_survive_a_shard_restart_without_a_backend_error() {
     router_join.join().unwrap();
     shard_handle.shutdown();
     shard_join.join().unwrap();
+}
+
+/// Proxy attempts and replication pushes run on the router's cached
+/// threads: once a few routed compiles have warmed the cache, sequential
+/// routed reads run on threads that already exist.
+#[test]
+fn sequential_routed_requests_stop_spawning_once_the_cache_is_warm() {
+    let (backend, compiles) = counting(Duration::ZERO);
+    let shards: Vec<_> = (0..2).map(|_| start_backend(backend.clone())).collect();
+    let addrs = shards.iter().map(|(a, _, _)| a.to_string()).collect();
+    let (router, router_handle, router_join) =
+        start_router(backend, addrs, ClusterConfig::default());
+    let spawned = || {
+        let (_, metrics) = roundtrip(router, "GET", "/metrics", "");
+        metric(&metrics, "cluster_threads_spawned ")
+    };
+
+    let requests: Vec<String> = (0..4)
+        .map(|seed| CompileRequest::builtin("s27").with_seed(seed).to_json())
+        .collect();
+    for req in &requests {
+        let (status, body) = roundtrip(router, "POST", "/compile", req);
+        assert_eq!(status, 200, "{body}");
+    }
+    assert_eq!(compiles.load(Ordering::SeqCst), 4);
+    let warm = spawned();
+    assert!((1..=4).contains(&warm), "warm-up spawned {warm} threads");
+    for req in requests.iter().cycle().take(12) {
+        let (status, body) = roundtrip(router, "POST", "/compile", req);
+        assert_eq!(status, 200, "{body}");
+    }
+    assert_eq!(spawned(), warm, "warm sequential reads spawned threads");
+
+    router_handle.shutdown();
+    router_join.join().unwrap();
+    for (_, handle, join) in shards {
+        handle.shutdown();
+        join.join().unwrap();
+    }
 }

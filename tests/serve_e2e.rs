@@ -253,7 +253,7 @@ struct DelayBackend {
 impl CompileBackend for DelayBackend {
     fn normalize(&self, request: &CompileRequest) -> Result<NormalizedRequest, BackendError> {
         Ok(NormalizedRequest {
-            circuit: ppet::netlist::data::s27(),
+            circuit: ppet::netlist::data::s27().into(),
             config_entries: Vec::new(),
             seed: request.seed.unwrap_or(0),
         })
