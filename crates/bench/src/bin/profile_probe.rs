@@ -2,6 +2,10 @@
 //! Table 9 circuit, prints the span tree (durations, counters, histograms)
 //! to stderr, and optionally writes the JSON run manifest.
 //!
+//! Where `/proc/self/status` exists (Linux), it also prints the process's
+//! peak resident set (`VmHWM`) after the compile, and how much the compile
+//! raised it over the peak before it started.
+//!
 //! ```text
 //! profile_probe [circuit] [--lk N] [--json out.json]
 //! ```
@@ -31,6 +35,7 @@ fn main() {
     let record = table9::find(&name).expect("known Table 9 circuit");
     let circuit = build_circuit(record);
 
+    let hwm_before = vm_hwm_kb();
     let (tracer, sink) = Tracer::collecting();
     let config = MercedConfig::default()
         .with_cbit_length(lk)
@@ -39,7 +44,15 @@ fn main() {
         .compile_traced(&circuit, &tracer)
         .expect("circuit compiles");
 
+    let hwm_after = vm_hwm_kb();
+
     eprint!("{}", sink.report().tree_string());
+    if let (Some(before), Some(after)) = (hwm_before, hwm_after) {
+        eprintln!(
+            "VmHWM: {after} kB after the compile (+{} kB during it)",
+            after - before
+        );
+    }
     println!("{}", PpetReport::table10_header());
     println!("{}", report.table10_row());
 
@@ -47,4 +60,11 @@ fn main() {
         std::fs::write(&path, report.run_manifest().to_json()).expect("manifest is writable");
         eprintln!("wrote {path}");
     }
+}
+
+/// The process's peak resident set in kB, from `/proc/self/status`.
+fn vm_hwm_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }

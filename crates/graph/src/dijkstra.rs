@@ -76,11 +76,21 @@ impl PartialOrd for HeapEntry {
 /// are inserted in order — pops therefore leave in exactly the
 /// `(distance, node)` order of a tie-broken binary heap, which is what
 /// makes `run_fast` bit-identical to the reference.
+///
+/// A slot is a singly linked list threaded through one entry arena that
+/// holds every push of the current run and is cleared when the next run
+/// starts. So the queue's memory is the fixed 128 KiB head array plus
+/// 16 B per push of the largest tree, whatever range of distances the
+/// trees of a whole saturation cover.
 #[derive(Debug, Clone, Default)]
 struct SlotQueue {
-    /// Lazily sized to [`NUM_SLOTS`] on first use, so scratch
+    /// Arena index of each slot's most recent entry, [`EMPTY`] for an
+    /// empty slot. Lazily sized to [`NUM_SLOTS`] on first use, so scratch
     /// areas that only run the reference stay small.
-    slots: Vec<Vec<(u64, u32)>>,
+    head: Vec<u32>,
+    /// The current run's entries outside the cursor slot, each linked to
+    /// the entry pushed before it into the same slot.
+    arena: Vec<Entry>,
     /// One occupancy bit per slot.
     occ1: Vec<u64>,
     /// One occupancy bit per `occ1` word.
@@ -92,36 +102,49 @@ struct SlotQueue {
     len: usize,
 }
 
+/// One queued `(key, node)` pair and the arena index of the next entry
+/// in its slot ([`EMPTY`] at the list's end): 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: u64,
+    node: u32,
+    next: u32,
+}
+
 /// `f64::to_bits() >> 48` of any non-negative double (`+inf` included) is
 /// below this.
 const NUM_SLOTS: usize = 1 << 15;
 /// Words of the second-level occupancy bitmap: one bit per `occ1` word.
 const SLOT_SUMMARY_WORDS: usize = NUM_SLOTS / 64 / 64;
+/// End of a slot list. Each arena entry is a relaxation along a distinct
+/// CSR branch (the source's push lands in the cursor slot), and branch
+/// offsets are `u32`, so every arena index stays below it.
+const EMPTY: u32 = u32::MAX;
 
 impl SlotQueue {
     fn new() -> Self {
         Self::default()
     }
 
-    /// Allocates the slot array (~0.75 MiB of empty `Vec` headers) on
+    /// Allocates the head array (128 KiB) and the occupancy bitmap on
     /// first use.
     fn ensure(&mut self) {
-        if self.slots.is_empty() {
-            self.slots = vec![Vec::new(); NUM_SLOTS];
+        if self.head.is_empty() {
+            self.head = vec![EMPTY; NUM_SLOTS];
             self.occ1 = vec![0; NUM_SLOTS / 64];
         }
     }
 
     /// Prepares for a new run. A completed run drains every slot, so this
-    /// is O(1) then; after an abandoned run (caller panicked mid-search)
-    /// it sweeps the occupied slots clean.
+    /// only clears the arena then; after an abandoned run (caller panicked
+    /// mid-search) it sweeps the occupied heads clean.
     fn reset(&mut self) {
         if self.len != 0 {
             for w in 0..self.occ1.len() {
                 let mut bits = self.occ1[w];
                 while bits != 0 {
                     let s = (w << 6) + bits.trailing_zeros() as usize;
-                    self.slots[s].clear();
+                    self.head[s] = EMPTY;
                     bits &= bits - 1;
                 }
                 self.occ1[w] = 0;
@@ -131,6 +154,7 @@ impl SlotQueue {
         }
         self.cur = 0;
         self.cur_vec.clear();
+        self.arena.clear();
     }
 
     // `inline(always)`: an out-of-line push/pop in the relaxation loop
@@ -145,12 +169,13 @@ impl SlotQueue {
             self.cur_vec.insert(pos, (key, node));
             return;
         }
-        let sv = &mut self.slots[s];
-        if sv.is_empty() {
+        let next = self.head[s];
+        if next == EMPTY {
             self.occ1[s >> 6] |= 1u64 << (s & 63);
             self.occ2[s >> 12] |= 1u64 << ((s >> 6) & 63);
         }
-        sv.push((key, node));
+        self.head[s] = self.arena.len() as u32;
+        self.arena.push(Entry { key, node, next });
     }
 
     #[inline(always)]
@@ -193,14 +218,30 @@ impl SlotQueue {
             self.occ2[w >> 6] &= !(1u64 << (w & 63));
         }
         self.len -= 1;
-        if self.slots[s].len() == 1 {
+        let mut i = std::mem::replace(&mut self.head[s], EMPTY);
+        let first = self.arena[i as usize];
+        if first.next == EMPTY {
             // The common late-saturation case: distances span a huge
-            // dynamic range, one entry per slot — skip the swap and sort.
-            return self.slots[s].pop();
+            // dynamic range, one entry per slot — skip the gather and sort.
+            return Some((first.key, first.node));
         }
-        std::mem::swap(&mut self.cur_vec, &mut self.slots[s]);
+        while i != EMPTY {
+            let e = self.arena[i as usize];
+            self.cur_vec.push((e.key, e.node));
+            i = e.next;
+        }
         self.cur_vec.sort_unstable_by(|a, b| b.cmp(a));
         self.cur_vec.pop()
+    }
+
+    /// Heap bytes the queue keeps between runs.
+    #[cfg(test)]
+    fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.head.capacity() * size_of::<u32>()
+            + self.occ1.capacity() * size_of::<u64>()
+            + self.arena.capacity() * size_of::<Entry>()
+            + self.cur_vec.capacity() * size_of::<(u64, u32)>()
     }
 }
 
@@ -826,6 +867,149 @@ mod tests {
             );
         }
         assert!(scratch.epoch < 100, "the runs never crossed the wrap");
+    }
+
+    /// Saturates `g` the way `ppet_flow::saturate_network` does under
+    /// `FlowParams::paper()` (capacity 1, Δ = 0.01, α = 4, min_visit = 20,
+    /// per-net accounting, exponent clamped at 700), with `scratch` as the
+    /// engine. Returns the final net lengths, the most pushes one run made
+    /// (its relaxations plus the source), and which slots the settled
+    /// distances fell in.
+    fn saturate_paper(
+        scratch: &mut DijkstraScratch,
+        g: &CircuitGraph,
+    ) -> (Vec<f64>, u64, Vec<bool>) {
+        use ppet_prng::{Rng, Xoshiro256PlusPlus};
+        const DELTA: f64 = 0.01;
+        const ALPHA: f64 = 4.0;
+        const MIN_VISIT: u32 = 20;
+        const MAX_EXPONENT: f64 = 700.0;
+        let n = g.num_nodes();
+        let mut rng = Xoshiro256PlusPlus::seed_from(1);
+        let mut length = vec![1.0f64; n];
+        let mut flow = vec![0.0f64; n];
+        let mut visits = vec![0u32; n];
+        let mut below = n;
+        let mut max_pushes = 0;
+        let mut touched = vec![false; NUM_SLOTS];
+        while below > 0 {
+            let v = rng.gen_index(n);
+            visits[v] += 1;
+            if visits[v] == MIN_VISIT + 1 {
+                below -= 1;
+            }
+            let before = scratch.stats().relaxations;
+            scratch.run_fast(g.csr(), CellId::from_index(v), &length);
+            max_pushes = max_pushes.max(scratch.stats().relaxations - before + 1);
+            for &u in scratch.visited_order() {
+                touched[(scratch.distance(u).to_bits() >> 48) as usize] = true;
+            }
+            for (net, _) in scratch.tree_net_counts() {
+                let i = net.index();
+                flow[i] += DELTA;
+                length[i] = (ALPHA * flow[i]).min(MAX_EXPONENT).exp();
+            }
+        }
+        (length, max_pushes, touched)
+    }
+
+    /// The Table-9 stand-in `name`, as the compiler synthesizes it.
+    fn table9_graph(name: &str) -> CircuitGraph {
+        let record = data::table9::find(name).expect("stand-in");
+        CircuitGraph::from_circuit(
+            &ppet_netlist::Synthesizer::new(ppet_netlist::synth::calibrated_spec(record, 0))
+                .build(),
+        )
+    }
+
+    #[test]
+    fn slot_queue_memory_is_bounded_by_tree_size_not_key_range() {
+        let g = table9_graph("s1423");
+        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        let (length, max_pushes, touched) = saturate_paper(&mut scratch, &g);
+        // The head array and the occupancy bitmap.
+        let fixed = NUM_SLOTS * 4 + NUM_SLOTS / 64 * 8;
+        let bound = fixed + 2 * 16 * (max_pushes as usize + 1);
+        let after_saturation = scratch.slot_queue.retained_bytes();
+        assert!(
+            after_saturation <= bound,
+            "{after_saturation} B retained, bound {bound} B ({max_pushes} pushes)"
+        );
+
+        // Replaying trees with each length scaled by 2^-100k is exact (no
+        // length or sum leaves the normal range), so the queue does the
+        // same work with every key 1,600k slots lower: largely in slots the
+        // saturation never used. What it retains must not change.
+        let replay = |scratch: &mut DijkstraScratch, k: i32, seen: &mut Vec<bool>| {
+            let scaled: Vec<f64> = length.iter().map(|&l| l * 0.5f64.powi(100 * k)).collect();
+            let before = scratch.take_stats();
+            for src in g.nodes() {
+                scratch.run_fast(g.csr(), src, &scaled);
+                for &u in scratch.visited_order() {
+                    seen[(scratch.distance(u).to_bits() >> 48) as usize] = true;
+                }
+            }
+            std::mem::replace(&mut scratch.stats, before)
+        };
+        let mut seen = touched;
+        let work = replay(&mut scratch, 0, &mut seen);
+        let retained = scratch.slot_queue.retained_bytes();
+        let slots_before = seen.iter().filter(|&&t| t).count();
+        for k in 1..=10 {
+            assert_eq!(work, replay(&mut scratch, k, &mut seen), "2^-{}", 100 * k);
+        }
+        let slots_after = seen.iter().filter(|&&t| t).count();
+        assert!(
+            slots_after >= slots_before + 1000,
+            "the replays touched few new slots: {slots_before} -> {slots_after}"
+        );
+        assert_eq!(
+            scratch.slot_queue.retained_bytes(),
+            retained,
+            "retained bytes grew with the slots touched ({slots_before} -> {slots_after})"
+        );
+    }
+
+    #[test]
+    fn scratch_reused_after_a_panicked_run_matches_a_fresh_one() {
+        // A NaN length panics `run_fast` mid-search, with entries still
+        // queued in several slots; the next run must sweep them (the
+        // `reset` path a completed run never takes) and find the same tree
+        // as a fresh scratch.
+        let g = table9_graph("s510");
+        let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 9) as f64 * 0.75).collect();
+        let src = g.nodes().next().unwrap();
+        let good = fast_tree(&g, src, &lengths);
+        let order = good.visited_order();
+        let mut poisoned = lengths.clone();
+        poisoned[order[order.len() / 2].index()] = f64::NAN;
+
+        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scratch.run_fast(g.csr(), src, &poisoned);
+        }));
+        assert!(panicked.is_err(), "the NaN length was never consumed");
+        assert!(scratch.slot_queue.len > 0, "the panic left nothing queued");
+        let occupied: u32 = scratch.slot_queue.occ1.iter().map(|w| w.count_ones()).sum();
+        assert!(
+            occupied > 1,
+            "only {occupied} slot(s) occupied at the panic"
+        );
+
+        for source in [src, g.nodes().nth(7).unwrap()] {
+            scratch.run_fast(g.csr(), source, &lengths);
+            let fresh = fast_tree(&g, source, &lengths);
+            assert_eq!(scratch.visited_order(), fresh.visited_order());
+            assert_eq!(scratch.take_stats(), fresh.stats());
+            for v in g.nodes() {
+                assert_eq!(scratch.distance(v).to_bits(), fresh.distance(v).to_bits());
+                assert_eq!(scratch.parent(v), fresh.parent(v));
+            }
+            assert_eq!(
+                scratch.tree_net_branch_counts(),
+                fresh.tree_net_branch_counts()
+            );
+        }
     }
 
     // The `*_rejected*` tests below are regression tests for a release-mode
