@@ -41,8 +41,9 @@ fn main() {
         .with_cbit_length(lk)
         .with_flow(harness_flow(circuit.num_cells()));
     let report = Merced::new(config)
-        .compile_traced(&circuit, &tracer)
-        .expect("circuit compiles");
+        .compile_detailed_traced(&circuit, &tracer)
+        .expect("circuit compiles")
+        .report;
 
     let hwm_after = vm_hwm_kb();
 

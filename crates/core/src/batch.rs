@@ -101,10 +101,10 @@ pub fn compile_batch(merced: &Merced, circuits: &[Circuit], pool: &Pool) -> Batc
         if let Ok(report) = result {
             let mut counters: Vec<(String, u64)> = Vec::new();
             for phase in &report.phases {
-                for &(counter, value) in &phase.counters {
+                for (counter, value) in &phase.counters {
                     match counters.iter_mut().find(|(n, _)| n == counter) {
                         Some((_, total)) => *total += value,
-                        None => counters.push((counter.to_owned(), value)),
+                        None => counters.push((counter.clone(), *value)),
                     }
                 }
             }

@@ -54,5 +54,5 @@ pub use builtin::resolve_builtin;
 pub use config::{CostPolicy, MercedConfig};
 pub use error::MercedError;
 pub use merced::{Compilation, Merced};
-pub use report::{PhaseMetrics, PpetReport};
+pub use report::PpetReport;
 pub use serve_backend::MercedBackend;

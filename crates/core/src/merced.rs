@@ -5,12 +5,13 @@ use std::time::Instant;
 
 use ppet_cbit::cost::CbitCostModel;
 use ppet_cbit::schedule::{CutSpec, TestSchedule};
-use ppet_flow::saturate_network_traced;
+use ppet_flow::saturate_network;
+use ppet_graph::dijkstra::DijkstraStats;
 use ppet_graph::retime::{CutRealization, CutRealizer, IoLatency, RetimeGraph};
 use ppet_graph::{scc::Scc, CircuitGraph};
 use ppet_netlist::{AreaModel, Circuit, CircuitStats};
-use ppet_partition::{assign_cbit_traced, inputs, make_group_traced, MakeGroupParams};
-use ppet_trace::Tracer;
+use ppet_partition::{assign_cbit, inputs, make_group, MakeGroupParams};
+use ppet_trace::{HistogramSnapshot, PhaseManifest, Span, Tracer};
 
 use ppet_netlist::NetId;
 use ppet_partition::CbitAssignment;
@@ -19,14 +20,68 @@ use crate::config::{CostPolicy, MercedConfig};
 use crate::cost::{self, AreaBreakdown};
 use crate::error::MercedError;
 use crate::instrument::{insert_test_hardware, Instrumented};
-use crate::report::{AreaComparison, PartitionSummary, PhaseMetrics, PpetReport, ScheduleSummary};
+use crate::report::{AreaComparison, PartitionSummary, PpetReport, ScheduleSummary};
 
-/// Elapsed nanoseconds since `start`, clamped to ≥ 1 so a phase that fits
-/// inside one clock tick still registers as having happened.
-fn phase_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos())
-        .unwrap_or(u64::MAX)
-        .max(1)
+/// One pipeline phase (one paper Table 2 step) being measured: its span
+/// on the tracer and its own clock, so the phase record's `wall_ns` does
+/// not depend on tracing.
+struct Phase<'t> {
+    tracer: &'t Tracer,
+    span: Span<'t>,
+    name: &'static str,
+    start: Instant,
+}
+
+impl<'t> Phase<'t> {
+    fn start(tracer: &'t Tracer, name: &'static str) -> Self {
+        let start = Instant::now();
+        Phase {
+            tracer,
+            span: tracer.span(name),
+            name,
+            start,
+        }
+    }
+
+    /// Reports `counters` to the tracer while the span is still open (so
+    /// they are the span's counter deltas), closes the span, and pushes
+    /// the phase record with the same counters onto `phases`.
+    fn finish(self, phases: &mut Vec<PhaseManifest>, counters: &[(&'static str, u64)]) {
+        for &(name, value) in counters {
+            self.tracer.add(name, value);
+        }
+        drop(self.span);
+        let mut counters: Vec<(String, u64)> = counters
+            .iter()
+            .map(|&(name, value)| (name.to_owned(), value))
+            .collect();
+        counters.sort_unstable();
+        phases.push(PhaseManifest {
+            name: self.name.to_owned(),
+            // Clamped to ≥ 1 so a phase that fits inside one clock tick
+            // still registers as having happened.
+            wall_ns: u64::try_from(self.start.elapsed().as_nanos())
+                .unwrap_or(u64::MAX)
+                .max(1),
+            counters,
+        });
+    }
+}
+
+/// The saturation's tree sizes as the `flow.tree_nodes` histogram.
+fn tree_size_histogram(search: &DijkstraStats) -> HistogramSnapshot {
+    let buckets = search
+        .tree_sizes
+        .iter()
+        .enumerate()
+        .filter(|&(_, &count)| count > 0)
+        .map(|(bits, &count)| (if bits == 0 { 0 } else { 1 << (bits - 1) }, count))
+        .collect();
+    HistogramSnapshot {
+        count: search.tree_sizes.iter().sum(),
+        sum: search.settled,
+        buckets,
+    }
 }
 
 /// The compile's cut realization: a legal retiming covering as many of
@@ -132,25 +187,6 @@ impl Merced {
         self.compile_detailed(circuit).map(|c| c.report)
     }
 
-    /// [`Merced::compile`] with observability: wraps each pipeline phase
-    /// in a span on `tracer` and records phase counters into it.
-    ///
-    /// The report (including [`PpetReport::phases`]) is identical to the
-    /// untraced call up to wall-clock noise; counters are deterministic
-    /// per seed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Merced::compile`].
-    pub fn compile_traced(
-        &self,
-        circuit: &Circuit,
-        tracer: &Tracer,
-    ) -> Result<PpetReport, MercedError> {
-        self.compile_detailed_traced(circuit, tracer)
-            .map(|c| c.report)
-    }
-
     /// Like [`Merced::compile`], additionally returning the partition
     /// member sets and per-partition cut groups.
     ///
@@ -161,8 +197,13 @@ impl Merced {
         self.compile_detailed_traced(circuit, &Tracer::noop())
     }
 
-    /// [`Merced::compile_detailed`] with observability (see
-    /// [`Merced::compile_traced`]).
+    /// [`Merced::compile_detailed`] with observability: wraps each
+    /// pipeline phase in a span on `tracer` and adds each phase's
+    /// counters to it — the same counters, under the same names, as the
+    /// phase's record in [`PpetReport::phases`].
+    ///
+    /// The result is identical to the untraced call up to wall-clock
+    /// noise; counters are deterministic per seed.
     ///
     /// # Errors
     ///
@@ -187,42 +228,35 @@ impl Merced {
 
         // STEPs 1–2: graph representation and strongly connected
         // components.
-        let phase_start = Instant::now();
-        let (graph, scc) = {
-            let _span = tracer.span("scc");
-            let graph = CircuitGraph::from_circuit(circuit);
-            let scc = Scc::of(&graph);
-            tracer.add("scc.components", scc.len() as u64);
-            (graph, scc)
-        };
+        let phase = Phase::start(tracer, "scc");
+        let graph = CircuitGraph::from_circuit(circuit);
+        let scc = Scc::of(&graph);
         let cyclic_components = scc
             .components()
             .iter()
             .filter(|comp| scc.is_cyclic(scc.component_of(comp[0])))
             .count();
-        phases.push(PhaseMetrics {
-            name: "scc",
-            wall_ns: phase_ns(phase_start),
-            counters: vec![
+        phase.finish(
+            &mut phases,
+            &[
                 ("scc.components", scc.len() as u64),
                 ("scc.cyclic_components", cyclic_components as u64),
             ],
-        });
+        );
 
         // STEP 3: Assign_CBIT = saturate + cluster + merge. Saturation is
         // the paper's sequential Table 3 loop.
-        let phase_start = Instant::now();
-        let profile = {
-            let _span = tracer.span("saturate_network");
-            saturate_network_traced(&graph, &self.config.flow, self.config.seed, tracer)
-        };
+        let phase = Phase::start(tracer, "saturate_network");
+        let profile = saturate_network(&graph, &self.config.flow, self.config.seed);
         let search = profile.search_stats();
         let flow_saturated = profile.is_saturated();
         let flow_shortfall_nodes = profile.unsaturated_nodes();
-        phases.push(PhaseMetrics {
-            name: "saturate_network",
-            wall_ns: phase_ns(phase_start),
-            counters: vec![
+        if tracer.enabled() {
+            tracer.record("flow.tree_nodes", &tree_size_histogram(&search));
+        }
+        phase.finish(
+            &mut phases,
+            &[
                 ("flow.csr.branches", graph.csr().num_branches() as u64),
                 ("flow.csr.nodes", graph.csr().num_nodes() as u64),
                 ("flow.heap_pops", search.heap_pops),
@@ -231,50 +265,40 @@ impl Merced {
                 ("flow.shortfall_nodes", flow_shortfall_nodes as u64),
                 ("flow.trees_built", profile.num_trees() as u64),
             ],
-        });
+        );
 
-        let phase_start = Instant::now();
-        let grouped = {
-            let _span = tracer.span("make_group");
-            make_group_traced(
-                &graph,
-                &scc,
-                &profile,
-                &MakeGroupParams::new(self.config.cbit_length).with_beta(self.config.beta),
-                tracer,
-            )
-        };
+        let phase = Phase::start(tracer, "make_group");
+        let grouped = make_group(
+            &graph,
+            &scc,
+            &profile,
+            &MakeGroupParams::new(self.config.cbit_length).with_beta(self.config.beta),
+        );
         let clusters_before_merge = grouped.clustering.num_clusters();
         let forced_internal = grouped.forced_internal.len();
-        phases.push(PhaseMetrics {
-            name: "make_group",
-            wall_ns: phase_ns(phase_start),
-            counters: vec![
+        phase.finish(
+            &mut phases,
+            &[
                 ("partition.boundaries_used", grouped.boundaries_used as u64),
                 ("partition.clusters_formed", clusters_before_merge as u64),
                 ("partition.forced_internal", forced_internal as u64),
                 ("partition.nets_cut", grouped.cut_nets.len() as u64),
             ],
-        });
+        );
 
-        let phase_start = Instant::now();
-        let assignment = {
-            let _span = tracer.span("assign_cbit");
-            assign_cbit_traced(&graph, grouped.clustering, self.config.cbit_length, tracer)
-        };
-        phases.push(PhaseMetrics {
-            name: "assign_cbit",
-            wall_ns: phase_ns(phase_start),
-            counters: vec![
+        let phase = Phase::start(tracer, "assign_cbit");
+        let assignment = assign_cbit(&graph, grouped.clustering, self.config.cbit_length);
+        phase.finish(
+            &mut phases,
+            &[
                 ("assign.merge_attempts", assignment.merge_attempts as u64),
                 ("assign.merges", assignment.merges as u64),
                 ("assign.partitions", assignment.partitions.len() as u64),
             ],
-        });
+        );
 
         // STEP 4: cost the partition with and without retiming.
-        let phase_start = Instant::now();
-        let cost_span = tracer.span("cost_retime");
+        let phase = Phase::start(tracer, "cost_retime");
 
         // Cut statistics.
         let cuts = assignment.cut_nets.clone();
@@ -367,46 +391,33 @@ impl Merced {
             })
             .collect();
 
-        tracer.add("cost.converted_cuts", with_retiming.converted_bits as u64);
-        tracer.add("cost.mux_cuts", with_retiming.mux_bits as u64);
-        tracer.add("cost.cut_nets_on_scc", cuts_on_scc.len() as u64);
-        drop(cost_span);
-        phases.push(PhaseMetrics {
-            name: "cost_retime",
-            wall_ns: phase_ns(phase_start),
-            counters: vec![
+        phase.finish(
+            &mut phases,
+            &[
                 ("cost.converted_cuts", with_retiming.converted_bits as u64),
                 ("cost.cut_nets_on_scc", cuts_on_scc.len() as u64),
                 ("cost.mux_cuts", with_retiming.mux_bits as u64),
             ],
-        });
+        );
 
         // STEP 5: power-constrained session schedule (ppet-sched). A pure
         // function of the partition summaries, the cost source, and the
         // budget — no randomness, so PPET_JOBS cannot perturb it.
-        let phase_start = Instant::now();
-        let power = {
-            let _span = tracer.span("power_sched");
-            let power = crate::power_sched::partition_schedule(
-                &partitions,
-                self.config.cost_source,
-                self.config.power_budget_cdf,
-            )?;
-            tracer.add("sched.blocks", power.block_count() as u64);
-            tracer.add("sched.steps", power.steps.len() as u64);
-            tracer.add("sched.peak_cdf", power.peak_power_cdf());
-            power
-        };
-        phases.push(PhaseMetrics {
-            name: "power_sched",
-            wall_ns: phase_ns(phase_start),
-            counters: vec![
+        let phase = Phase::start(tracer, "power_sched");
+        let power = crate::power_sched::partition_schedule(
+            &partitions,
+            self.config.cost_source,
+            self.config.power_budget_cdf,
+        )?;
+        phase.finish(
+            &mut phases,
+            &[
                 ("sched.blocks", power.block_count() as u64),
                 ("sched.budget_cdf", power.budget_cdf),
                 ("sched.peak_cdf", power.peak_power_cdf()),
                 ("sched.steps", power.steps.len() as u64),
             ],
-        });
+        );
         drop(root_span);
 
         let report = PpetReport {

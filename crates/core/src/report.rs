@@ -5,24 +5,10 @@ use std::time::Duration;
 
 use ppet_netlist::CircuitStats;
 use ppet_sched::PowerSchedule;
-use ppet_trace::RunManifest;
+use ppet_trace::{PhaseManifest, RunManifest};
 
 use crate::config::MercedConfig;
 use crate::cost::AreaBreakdown;
-
-/// Wall time and counters of one pipeline phase (one paper Table 2 step).
-///
-/// Populated by every compile — no tracer needed — from the phase results
-/// themselves, so [`PpetReport::run_manifest`] works on any report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseMetrics {
-    /// Phase name; matches the span name used under tracing.
-    pub name: &'static str,
-    /// Wall-clock nanoseconds spent in the phase (clamped to ≥ 1).
-    pub wall_ns: u64,
-    /// Counter values attributed to the phase, sorted by name.
-    pub counters: Vec<(&'static str, u64)>,
-}
 
 /// Summary of one final partition (CUT).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,8 +119,12 @@ pub struct PpetReport {
     /// packed into sequential steps under
     /// [`MercedConfig::power_budget_cdf`] (or the default budget policy).
     pub power: PowerSchedule,
-    /// Per-phase wall time and counters, in pipeline order.
-    pub phases: Vec<PhaseMetrics>,
+    /// Per-phase wall time and counters, in pipeline order: one record
+    /// per paper Table 2 step, named as its span and carrying the
+    /// counters that span reports (sorted by name). Every compile fills
+    /// it, traced or not, so [`PpetReport::run_manifest`] works on any
+    /// report.
+    pub phases: Vec<PhaseManifest>,
     /// Wall-clock compile time (the Tables 10–11 "CPU time" column).
     pub elapsed: Duration,
 }
@@ -272,17 +262,7 @@ impl PpetReport {
         for (key, value) in self.result_entries() {
             manifest.push_result(key, value);
         }
-        for phase in &self.phases {
-            manifest.push_phase(
-                phase.name,
-                phase.wall_ns,
-                phase
-                    .counters
-                    .iter()
-                    .map(|&(name, value)| (name.to_owned(), value))
-                    .collect(),
-            );
-        }
+        manifest.phases.clone_from(&self.phases);
         manifest.compute_totals();
         manifest
     }
@@ -407,10 +387,10 @@ mod tests {
                     power_cdf: 814,
                 }],
             },
-            phases: vec![PhaseMetrics {
-                name: "saturate_network",
+            phases: vec![PhaseManifest {
+                name: "saturate_network".into(),
                 wall_ns: 1_000,
-                counters: vec![("flow.trees_built", 60)],
+                counters: vec![("flow.trees_built".into(), 60)],
             }],
             elapsed: Duration::from_millis(12),
         }

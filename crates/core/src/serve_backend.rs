@@ -144,10 +144,10 @@ impl CompileBackend for MercedBackend {
         tracer: &ppet_trace::Tracer,
     ) -> Result<String, BackendError> {
         let config = self.effective_config(normalized)?;
-        let report = Merced::new(config)
-            .compile_traced(&normalized.circuit, tracer)
+        let compiled = Merced::new(config)
+            .compile_detailed_traced(&normalized.circuit, tracer)
             .map_err(|e| BackendError::new("compile", e.to_string()))?;
-        Ok(report.run_manifest().to_json())
+        Ok(compiled.report.run_manifest().to_json())
     }
 
     /// Semantic integrity gate on the persistent store's read path: the

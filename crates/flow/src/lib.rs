@@ -52,4 +52,4 @@ mod saturate;
 
 pub use params::FlowParams;
 pub use profile::CongestionProfile;
-pub use saturate::{saturate_network, saturate_network_reference, saturate_network_traced};
+pub use saturate::{saturate_network, saturate_network_reference};

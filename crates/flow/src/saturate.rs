@@ -3,7 +3,6 @@
 use ppet_graph::{dijkstra, CircuitGraph};
 use ppet_netlist::CellId;
 use ppet_prng::{Rng, Xoshiro256PlusPlus};
-use ppet_trace::{HistogramSnapshot, Tracer};
 
 use crate::params::FlowParams;
 use crate::profile::CongestionProfile;
@@ -51,25 +50,6 @@ use crate::profile::CongestionProfile;
 /// ```
 #[must_use]
 pub fn saturate_network(graph: &CircuitGraph, params: &FlowParams, seed: u64) -> CongestionProfile {
-    saturate_network_traced(graph, params, seed, &Tracer::noop())
-}
-
-/// [`saturate_network`] with observability: reports trees built, heap
-/// pops, relaxations, settled nodes and the CSR shape as `flow.*`
-/// counters, and each tree's size into the `flow.tree_nodes` histogram
-/// (folded locally and recorded once per run).
-///
-/// The congestion result is bit-identical to the untraced call — tracing
-/// never perturbs the PRNG stream or the flow arithmetic — and with a
-/// disabled tracer (e.g. [`Tracer::noop`]) the hot loop performs no
-/// recording, no formatting, and no allocation beyond the untraced path.
-#[must_use]
-pub fn saturate_network_traced(
-    graph: &CircuitGraph,
-    params: &FlowParams,
-    seed: u64,
-    tracer: &Tracer,
-) -> CongestionProfile {
     if let Some(problem) = params.validate() {
         panic!("invalid flow parameters: {problem}");
     }
@@ -87,14 +67,12 @@ pub fn saturate_network_traced(
     }
 
     let mut rng = Xoshiro256PlusPlus::seed_from(seed ^ SATURATE_SALT);
-    let enabled = tracer.enabled(); // hoisted: one check, not one per tree
     let quota = params.min_visit;
     let csr = graph.csr();
     let mut distance = vec![1.0f64; n];
     let mut flow = vec![0.0f64; n];
     let mut visits = vec![0u32; n];
     let mut trees = 0usize;
-    let mut tree_sizes = HistogramSnapshot::default();
     let mut scratch = dijkstra::DijkstraScratch::new(n);
     let mut table = DistTable::new();
     // Per-net tree-membership count: in per-net mode a net's flow is
@@ -115,9 +93,6 @@ pub fn saturate_network_traced(
         }
         scratch.run_fast(csr, v, &distance);
         trees += 1;
-        if enabled {
-            tree_sizes.record(scratch.visited_order().len() as u64);
-        }
         if params.per_branch {
             for (net, count) in scratch.tree_net_counts() {
                 let i = net.index();
@@ -139,18 +114,6 @@ pub fn saturate_network_traced(
             *f = table.flow_of[k as usize];
         }
     }
-    let search = scratch.stats();
-
-    if enabled {
-        tracer.record("flow.tree_nodes", &tree_sizes);
-        tracer.add("flow.csr.nodes", csr.num_nodes() as u64);
-        tracer.add("flow.csr.branches", csr.num_branches() as u64);
-        tracer.add("flow.trees_built", trees as u64);
-        tracer.add("flow.heap_pops", search.heap_pops);
-        tracer.add("flow.relaxations", search.relaxations);
-        tracer.add("flow.nodes_settled", search.settled);
-    }
-
     // Per-node visit shortfall: how many visits each node was short of
     // `min_visit + 1` when the loop stopped (non-zero only when the tree
     // budget ran out first).
@@ -164,7 +127,7 @@ pub fn saturate_network_traced(
         flow,
         visits,
         trees,
-        search,
+        search: scratch.stats(),
         saturated,
         shortfall,
     }
@@ -449,32 +412,21 @@ mod tests {
         let _ = saturate_network(&g, &p, 0);
     }
 
+    /// The pipeline traces `flow.*` from the finished profile's search
+    /// stats: they must be reproducible and agree with the run.
     #[test]
     fn tracing_does_not_perturb_results() {
-        let g = s27();
-        let p = FlowParams::quick();
-        let plain = saturate_network(&g, &p, 9);
-        let (tracer, sink) = Tracer::collecting();
-        let traced = saturate_network_traced(&g, &p, 9, &tracer);
-        assert_eq!(plain, traced);
-
-        let report = sink.report();
-        let stats = traced.search_stats();
-        assert_eq!(
-            report.counters["flow.trees_built"],
-            traced.num_trees() as u64
-        );
-        assert_eq!(report.counters["flow.heap_pops"], stats.heap_pops);
-        assert_eq!(report.counters["flow.relaxations"], stats.relaxations);
-        assert_eq!(report.counters["flow.nodes_settled"], stats.settled);
-        assert_eq!(report.counters["flow.csr.nodes"], g.num_nodes() as u64);
-        assert_eq!(
-            report.counters["flow.csr.branches"],
-            g.num_branches() as u64
-        );
-        let hist = &report.histograms["flow.tree_nodes"];
-        assert_eq!(hist.count, traced.num_trees() as u64);
-        assert_eq!(hist.sum, stats.settled);
+        let (g, p) = (s27(), FlowParams::quick());
+        let prof = saturate_network(&g, &p, 9);
+        assert_eq!(prof, saturate_network(&g, &p, 9));
+        let stats = prof.search_stats();
+        let sizes = &stats.tree_sizes;
+        assert_eq!(sizes.iter().sum::<u64>(), prof.num_trees() as u64);
+        assert_eq!(sizes[0], 0, "every tree settles its root");
+        let low: u64 = (1..32).map(|b| sizes[b] << (b - 1)).sum();
+        let high: u64 = (1..32).map(|b| sizes[b] * ((1 << b) - 1)).sum();
+        assert!((low..=high).contains(&stats.settled));
+        assert!(stats.heap_pops >= stats.settled && stats.relaxations > 0);
     }
 
     #[test]

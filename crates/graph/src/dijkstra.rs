@@ -319,6 +319,10 @@ pub struct DijkstraStats {
     pub relaxations: u64,
     /// Nodes settled (final distance fixed) — the total tree size.
     pub settled: u64,
+    /// Runs by tree size (nodes settled in the run), indexed by bit
+    /// length: entry `i ≥ 1` counts trees of `[2^(i-1), 2^i)` nodes;
+    /// trees of `2^31` nodes or more land in the last entry.
+    pub tree_sizes: [u64; 32],
 }
 
 impl DijkstraScratch {
@@ -360,6 +364,14 @@ impl DijkstraScratch {
         self.slot_queue.reset();
         self.visited.clear();
         self.tree_list.clear();
+    }
+
+    /// Counts the finished run's tree into [`DijkstraStats`].
+    fn end_run(&mut self) {
+        let size = self.visited.len();
+        self.stats.settled += size as u64;
+        let bits = (usize::BITS - size.leading_zeros()) as usize;
+        self.stats.tree_sizes[bits.min(31)] += 1;
     }
 
     /// Marks `v` settled: final distance fixed, parent final, tree-net
@@ -454,7 +466,7 @@ impl DijkstraScratch {
                 }
             }
         }
-        self.stats.settled += self.visited.len() as u64;
+        self.end_run();
     }
 
     /// Runs the fixed-slot bucket-queue Dijkstra over the packed [`Csr`]
@@ -537,7 +549,7 @@ impl DijkstraScratch {
         }
         self.stats.heap_pops += pops;
         self.stats.relaxations += relaxations;
-        self.stats.settled += self.visited.len() as u64;
+        self.end_run();
     }
 
     /// Distance of `node` from the last run's source (`INFINITY` when
@@ -819,6 +831,9 @@ mod tests {
         assert!(one.settled >= 2);
         assert!(one.relaxations >= one.settled - 1);
         assert_eq!(one.settled, scratch.visited_order().len() as u64);
+        let bits = (u64::BITS - one.settled.leading_zeros()) as usize;
+        assert_eq!(one.tree_sizes.iter().sum::<u64>(), 1);
+        assert_eq!(one.tree_sizes[bits], 1, "one tree of {} nodes", one.settled);
 
         scratch.run(&g, g.find("G0").unwrap(), &unit);
         let two = scratch.stats();

@@ -5,7 +5,6 @@ use std::collections::{BTreeSet, HashMap};
 
 use ppet_graph::{CircuitGraph, NetId};
 use ppet_netlist::CellId;
-use ppet_trace::Tracer;
 
 use crate::cluster::Clustering;
 use crate::inputs;
@@ -80,21 +79,6 @@ struct Live {
 /// walkthrough.
 #[must_use]
 pub fn assign_cbit(graph: &CircuitGraph, clustering: Clustering, lk: usize) -> CbitAssignment {
-    assign_cbit_traced(graph, clustering, lk, &Tracer::noop())
-}
-
-/// [`assign_cbit`] with observability: reports merges performed, merge
-/// candidates evaluated, and final partition count as `assign.*` counters.
-///
-/// The assignment is identical to the untraced call; a disabled tracer
-/// records nothing.
-#[must_use]
-pub fn assign_cbit_traced(
-    graph: &CircuitGraph,
-    clustering: Clustering,
-    lk: usize,
-    tracer: &Tracer,
-) -> CbitAssignment {
     let mut live: Vec<Option<Live>> = clustering
         .iter()
         .map(|(id, members)| {
@@ -274,17 +258,13 @@ pub fn assign_cbit_traced(
     let merged_clustering = Clustering::from_dense(raw, partitions.len().max(1));
     let cut_nets = inputs::cut_nets(graph, &merged_clustering);
 
-    let assignment = CbitAssignment {
+    CbitAssignment {
         partitions,
         clustering: merged_clustering,
         cut_nets,
         merges,
         merge_attempts,
-    };
-    tracer.add("assign.merges", assignment.merges as u64);
-    tracer.add("assign.merge_attempts", assignment.merge_attempts as u64);
-    tracer.add("assign.partitions", assignment.partitions.len() as u64);
-    assignment
+    }
 }
 
 #[cfg(test)]

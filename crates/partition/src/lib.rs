@@ -53,6 +53,6 @@ pub mod validate;
 
 mod assign_cbit_impl;
 
-pub use assign_cbit_impl::{assign_cbit, assign_cbit_traced, CbitAssignment, Partition};
+pub use assign_cbit_impl::{assign_cbit, CbitAssignment, Partition};
 pub use cluster::{ClusterId, Clustering};
-pub use make_group::{make_group, make_group_traced, MakeGroupParams, MakeGroupResult};
+pub use make_group::{make_group, MakeGroupParams, MakeGroupResult};

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use ppet_flow::CongestionProfile;
 use ppet_graph::{scc::Scc, CircuitGraph, NetId};
 use ppet_netlist::CellId;
-use ppet_trace::Tracer;
 
 use crate::budget::SccBudget;
 use crate::cluster::Clustering;
@@ -112,23 +111,6 @@ pub fn make_group(
     scc: &Scc,
     profile: &CongestionProfile,
     params: &MakeGroupParams,
-) -> MakeGroupResult {
-    make_group_traced(graph, scc, profile, params, &Tracer::noop())
-}
-
-/// [`make_group`] with observability: reports the clustering outcome as
-/// `partition.*` counters (nets cut, clusters formed, boundaries used,
-/// nets forced internal by the SCC budget, oversized clusters).
-///
-/// The result is identical to the untraced call; a disabled tracer
-/// records nothing.
-#[must_use]
-pub fn make_group_traced(
-    graph: &CircuitGraph,
-    scc: &Scc,
-    profile: &CongestionProfile,
-    params: &MakeGroupParams,
-    tracer: &Tracer,
 ) -> MakeGroupResult {
     let n = graph.num_nodes();
     let mut state = vec![NetState::Undecided; n];
@@ -237,26 +219,14 @@ pub fn make_group_traced(
         .map(|(id, _)| id.index())
         .collect();
 
-    let result = MakeGroupResult {
+    MakeGroupResult {
         clustering,
         cut_nets,
         forced_internal,
         boundaries_used,
         oversized,
         locked_cluster,
-    };
-    tracer.add("partition.nets_cut", result.cut_nets.len() as u64);
-    tracer.add(
-        "partition.clusters_formed",
-        result.clustering.num_clusters() as u64,
-    );
-    tracer.add("partition.boundaries_used", result.boundaries_used as u64);
-    tracer.add(
-        "partition.forced_internal",
-        result.forced_internal.len() as u64,
-    );
-    tracer.add("partition.oversized", result.oversized.len() as u64);
-    result
+    }
 }
 
 /// [`split_subset`]'s `position` of a cell outside the subset.

@@ -13,7 +13,6 @@ use std::fmt;
 
 use ppet_netlist::{CellId, CellKind, Circuit};
 use ppet_prng::{Rng, Xoshiro256PlusPlus};
-use ppet_trace::Tracer;
 
 use crate::fsim::{CoverageReport, FaultSim};
 use crate::levelize::{LevelizeError, Levelized};
@@ -200,20 +199,12 @@ pub fn counting_word(i: usize, block: u64) -> u64 {
 /// * [`PetError::TooManyInputs`] beyond [`MAX_EXHAUSTIVE_INPUTS`];
 /// * [`PetError::Levelize`] for cyclic netlists.
 pub fn exhaustive_coverage(circuit: &Circuit) -> Result<CoverageReport, PetError> {
-    exhaustive_coverage_traced(circuit, &Tracer::noop())
+    exhaustive_sim(circuit).map(|fs| fs.report())
 }
 
-/// [`exhaustive_coverage`] with observability: reports `fsim.blocks`,
-/// `fsim.fault_evals`, `fsim.patterns`, `fsim.detected`, and
-/// `fsim.faults` counters to `tracer` after the sweep.
-///
-/// # Errors
-///
-/// As [`exhaustive_coverage`].
-pub fn exhaustive_coverage_traced(
-    circuit: &Circuit,
-    tracer: &Tracer,
-) -> Result<CoverageReport, PetError> {
+/// The fault simulator after [`exhaustive_coverage`]'s sweep, work
+/// counters ([`FaultSim::stats`]) included.
+fn exhaustive_sim(circuit: &Circuit) -> Result<FaultSim<'_>, PetError> {
     let k = circuit.num_inputs();
     if k > MAX_EXHAUSTIVE_INPUTS {
         return Err(PetError::TooManyInputs {
@@ -235,16 +226,7 @@ pub fn exhaustive_coverage_traced(
             break; // everything detectable found already
         }
     }
-    let report = fs.report();
-    if tracer.enabled() {
-        let stats = fs.stats();
-        tracer.add("fsim.blocks", stats.blocks);
-        tracer.add("fsim.fault_evals", stats.fault_evals);
-        tracer.add("fsim.patterns", report.patterns);
-        tracer.add("fsim.detected", report.detected as u64);
-        tracer.add("fsim.faults", report.total as u64);
-    }
-    Ok(report)
+    Ok(fs)
 }
 
 /// Random-pattern coverage with `n` patterns (the comparison the paper's §1
@@ -327,26 +309,18 @@ mod tests {
     }
 
     #[test]
-    fn traced_coverage_reports_consistent_counters() {
+    fn exhaustive_sweep_counts_its_work() {
         let c = data::s27();
         let members: Vec<_> = c.ids().collect();
         let seg = extract_segment(&c, &members);
-        let plain = exhaustive_coverage(&seg.circuit).unwrap();
-        let (tracer, sink) = Tracer::collecting();
-        let traced = exhaustive_coverage_traced(&seg.circuit, &tracer).unwrap();
-        assert_eq!(plain, traced);
+        let fs = exhaustive_sim(&seg.circuit).unwrap();
+        let (report, stats) = (fs.report(), fs.stats());
+        assert_eq!(report, exhaustive_coverage(&seg.circuit).unwrap());
 
-        let report = sink.report();
-        assert_eq!(report.counters["fsim.patterns"], traced.patterns);
-        assert_eq!(report.counters["fsim.detected"], traced.detected as u64);
-        assert_eq!(report.counters["fsim.faults"], traced.total as u64);
-        assert_eq!(report.counters["fsim.blocks"], traced.patterns.div_ceil(64));
+        assert_eq!(stats.blocks, report.patterns.div_ceil(64));
         // Every block simulates at most the full fault list.
-        assert!(
-            report.counters["fsim.fault_evals"]
-                <= traced.total as u64 * traced.patterns.div_ceil(64)
-        );
-        assert!(report.counters["fsim.fault_evals"] >= traced.total as u64);
+        assert!(stats.fault_evals <= report.total as u64 * stats.blocks);
+        assert!(stats.fault_evals >= report.total as u64);
     }
 
     #[test]

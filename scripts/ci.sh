@@ -22,6 +22,18 @@ rustc --version | grep -q '^rustc 1\.95\.0' || {
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> algorithm crates stay tracer-free (flow, partition, sim)"
+# Phase counters are returned in the algorithms' result structs and
+# recorded once, by the pipeline (ppet-core); a ppet-trace dependency here
+# would bring back a second place to name them.
+deps=$(cargo tree --offline -e normal -p ppet-flow -p ppet-partition -p ppet-sim)
+case "$deps" in
+*ppet-trace*)
+    echo "ci: ppet-flow, ppet-partition or ppet-sim depends on ppet-trace" >&2
+    exit 1
+    ;;
+esac
+
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --no-deps --all-targets -- -D warnings
 

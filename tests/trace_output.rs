@@ -88,7 +88,10 @@ fn traced_compile_agrees_with_the_manifest() {
     let merced = Merced::new(MercedConfig::default().with_cbit_length(4));
     let plain = merced.compile(&circuit).expect("compiles");
     let (tracer, sink) = Tracer::collecting();
-    let traced = merced.compile_traced(&circuit, &tracer).expect("compiles");
+    let traced = merced
+        .compile_detailed_traced(&circuit, &tracer)
+        .expect("compiles")
+        .report;
 
     // Tracing never perturbs results.
     assert_eq!(plain.nets_cut, traced.nets_cut);
@@ -97,22 +100,36 @@ fn traced_compile_agrees_with_the_manifest() {
     let mb = traced.run_manifest();
     assert_eq!(ma.totals, mb.totals);
 
-    // Every counter both sides know about must agree.
-    let report = sink.report();
-    for (name, total) in &mb.totals {
-        if let Some(&recorded) = report.counters.get(name.as_str()) {
-            assert_eq!(recorded, *total, "counter {name} disagrees");
-        }
-    }
     // The span tree mirrors the pipeline: one root with every phase.
+    let report = sink.report();
     assert_eq!(report.spans.len(), 1);
     assert_eq!(report.spans[0].name, "merced");
-    let children: Vec<&str> = report.spans[0]
-        .children
-        .iter()
-        .map(|s| s.name.as_str())
-        .collect();
-    assert_eq!(children, PIPELINE_PHASES);
+    let children = &report.spans[0].children;
+    let names: Vec<&str> = children.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, PIPELINE_PHASES);
+
+    // Each phase reports one counter list: its span's increments are
+    // exactly the manifest phase's counters, name for name, none missing
+    // on either side (a span lists increments, so zero counters show
+    // only in the totals, which must match in full).
+    assert_eq!(mb.phases.len(), children.len());
+    for (phase, span) in mb.phases.iter().zip(children) {
+        assert_eq!(phase.name, span.name);
+        let nonzero: Vec<(String, u64)> = phase
+            .counters
+            .iter()
+            .filter(|&&(_, value)| value > 0)
+            .cloned()
+            .collect();
+        assert_eq!(nonzero, span.counter_deltas, "phase {}", phase.name);
+    }
+    let totals: Vec<(String, u64)> = report.counters.clone().into_iter().collect();
+    assert_eq!(totals, mb.totals);
+
+    // One histogram sample per saturation tree, summing to the settles.
+    let trees = &report.histograms["flow.tree_nodes"];
+    assert_eq!(Some(&trees.count), report.counters.get("flow.trees_built"));
+    assert_eq!(Some(&trees.sum), report.counters.get("flow.nodes_settled"));
 }
 
 #[test]
