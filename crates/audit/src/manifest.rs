@@ -40,6 +40,12 @@ pub fn cross_check(recorded: &RunManifest, fresh: &RunManifest) -> AuditReport {
     if recorded.seed != fresh.seed {
         bad.push(format!("seed {} vs {}", recorded.seed, fresh.seed));
     }
+    if recorded.engine != fresh.engine {
+        bad.push(format!(
+            "engine epoch {:?} vs {:?}",
+            recorded.engine, fresh.engine
+        ));
+    }
 
     let varying = |key: &str| key == "jobs";
     let rec_cfg: Vec<_> = recorded

@@ -21,7 +21,9 @@ use ppet_netlist::Circuit;
 /// `FlowParams::max_trees`).
 pub const BUDGET_THRESHOLD_CELLS: usize = 3000;
 
-/// Trees per node granted to budgeted circuits.
+/// Trees per node granted to budgeted circuits: six whole rounds of
+/// `Saturate_Network`'s source permutations, so every node is a source
+/// exactly six times (the paper's quota takes `min_visit + 1 = 21`).
 pub const TREES_PER_NODE: u64 = 6;
 
 /// Builds the synthetic stand-in for one published benchmark record.

@@ -256,6 +256,7 @@ impl PpetReport {
     #[must_use]
     pub fn run_manifest(&self) -> RunManifest {
         let mut manifest = RunManifest::new(self.circuit.name.clone(), self.seed);
+        manifest.engine = Some(ppet_trace::ENGINE_EPOCH);
         for (key, value) in self.config.manifest_entries() {
             manifest.push_config(key, value);
         }

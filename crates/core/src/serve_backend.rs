@@ -151,16 +151,18 @@ impl CompileBackend for MercedBackend {
     }
 
     /// Semantic integrity gate on the persistent store's read path: the
-    /// stored body must parse as a `ppet-trace/v1` run manifest and its
-    /// recorded totals must survive an audit cross-check against totals
-    /// recomputed from its own phase counters. The store's CRC layer
-    /// catches flipped bits; this catches a manifest that decodes fine
-    /// but no longer adds up.
+    /// stored body must parse as a `ppet-trace/v1` run manifest and
+    /// survive an audit cross-check against itself with the totals
+    /// recomputed from its own phase counters and the engine epoch set to
+    /// this build's. The store's CRC layer catches flipped bits; this
+    /// catches a manifest that decodes fine but no longer adds up, or
+    /// that another engine epoch computed.
     fn verify_stored(&self, stored: &str) -> Result<(), BackendError> {
         let recorded = ppet_trace::RunManifest::from_json(stored).map_err(|e| {
             BackendError::new("audit", format!("stored body is not a manifest: {e}"))
         })?;
         let mut recomputed = recorded.clone();
+        recomputed.engine = Some(ppet_trace::ENGINE_EPOCH);
         recomputed.compute_totals();
         let report = ppet_audit::manifest::cross_check(&recorded, &recomputed);
         if report.pass() {

@@ -3,6 +3,7 @@
 //! Stored entries on disk and router/shard key agreement both depend on
 //! `CacheKey` staying byte-identical, so the literal keys of the two
 //! golden oracle requests and of one `.bench` request are recorded here.
+//! They change when, and only when, `ENGINE_EPOCH` moves.
 //! The memoized builtin path must also agree with the spelled-out
 //! derivation, on the first (resolving) request and on a repeat.
 
@@ -38,9 +39,9 @@ fn derived(normalized: &NormalizedRequest) -> CacheKey {
 fn cache_keys_are_pinned() {
     let backend = MercedBackend::new(MercedConfig::default());
     for (request, pinned) in [
-        (golden("s510", "scc"), "5a90078f7b31e7f7091d82b8e9280533"),
-        (golden("s641", "solver"), "3065aa1be5b24728439dfe71933c2eb5"),
-        (bench_request(), "0441621e15cd9eed89377fbd8bd1be6a"),
+        (golden("s510", "scc"), "9b368e0a96256fa736d50f022a216424"),
+        (golden("s641", "solver"), "46c571c3744485fcec76157c441d8418"),
+        (bench_request(), "5d0c737227102c69e56f73b4eb3aeba3"),
     ] {
         // The first builtin request resolves and memoizes the circuit, the
         // second is served from the memo: both must key as `derive` does.

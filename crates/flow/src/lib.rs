@@ -6,8 +6,9 @@
 //! probabilistic multicommodity-flow method (ICCAD 1992, the paper's
 //! reference \[10\]) estimates this by repeatedly
 //!
-//! 1. picking a random source node (with a fairness index so every node is
-//!    visited at least `min_visit` times),
+//! 1. picking a random source node (in rounds, each a fresh random order
+//!    of all nodes, until every node was picked more than `min_visit`
+//!    times),
 //! 2. computing the shortest-path tree to all reachable sinks under the
 //!    current distance function, and
 //! 3. injecting `Δ` units of flow on every net of the tree, then updating

@@ -32,11 +32,13 @@ pub struct FlowParams {
     /// default).
     pub per_branch: bool,
     /// Optional cap on the total number of shortest-path trees. The
-    /// paper-faithful loop runs ≈ `min_visit · |V| · ln|V|` trees, which is
-    /// intractable for the 20 000-cell benchmarks on commodity hardware
-    /// (and could not have been what the authors ran in 98 s on a Sparc10);
-    /// the large-circuit harnesses set a budget of a few trees per node and
-    /// record the deviation in `EXPERIMENTS.md`. `None` = unbounded.
+    /// paper-faithful loop runs exactly `(min_visit + 1) · |V|` trees,
+    /// which is intractable for the 20 000-cell benchmarks on commodity
+    /// hardware (and could not have been what the authors ran in 98 s on a
+    /// Sparc10); the large-circuit harnesses set a budget of a few trees
+    /// per node and record the deviation in `EXPERIMENTS.md`. The cap may
+    /// fall mid-round, so visit counts then differ by at most one across
+    /// nodes. `None` = unbounded.
     pub max_trees: Option<u64>,
 }
 
@@ -50,12 +52,12 @@ impl FlowParams {
     /// The congestion distance `d(e) = exp(α·flow/cap)` of Table 3 STEP
     /// 3.3, with the exponent saturated at [`FlowParams::MAX_EXPONENT`].
     ///
-    /// [`FlowParams::validate`] bounds the *expected* flow, but source
-    /// selection is random: unlucky draws (or a heavily shared net in a
-    /// per-branch run) can overshoot the visit quota far enough that the
-    /// raw `exp` overflows to `+inf`, which makes every path through the
-    /// net compare as unreachable and silently distorts the trees that
-    /// follow. Saturating keeps the distance finite and the ordering of
+    /// [`FlowParams::validate`] bounds the *average* flow, but a net that
+    /// far more trees share than average (a bottleneck every source routes
+    /// through, or a heavily shared net in a per-branch run) can carry
+    /// enough flow that the raw `exp` overflows to `+inf`, which makes
+    /// every path through the net compare as unreachable and silently
+    /// distorts the trees that follow. Saturating keeps the distance finite and the ordering of
     /// all smaller flows intact. The production loop and the reference
     /// share this single definition, so they stay bit-identical.
     ///

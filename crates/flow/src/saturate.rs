@@ -9,21 +9,26 @@ use crate::profile::CongestionProfile;
 
 /// Runs the probabilistic multicommodity-flow saturation on `graph`.
 ///
-/// Follows the paper's Table 3 exactly:
+/// Follows the paper's Table 3:
 ///
 /// ```text
 /// STEP 1  d(e) = 1, flow(e) = 0, cap(e) = b            for every net
 /// STEP 2  visit(v) = 0                                  for every node
 /// STEP 3  while ∃v: visit(v) ≤ min_visit:
-///   3.1     randomly pick v; visit(v) += 1
+///   3.1     pick v next in a random round; visit(v) += 1
 ///   3.2     T_v = Dijkstra(G, d(E), v)
 ///   3.3     for each net e ∈ T_v: flow(e) += Δ; d(e) = exp(α·flow/cap)
 /// STEP 4  return d(E)
 /// ```
 ///
-/// The random source selection uses the workspace PRNG seeded with `seed`,
-/// so the whole process is reproducible. Termination is guaranteed: every
-/// draw increments one visit counter and draws are uniform over all nodes.
+/// STEP 3.1 picks sources in rounds: each round visits every node once,
+/// in a fresh uniformly random order from the workspace PRNG seeded with
+/// `seed`, so the whole process is reproducible. Every node is still a
+/// uniformly random source, equally often (a stratified sample of the
+/// paper's uniform draws). The loop stops after exactly `min_visit + 1`
+/// rounds, `(min_visit + 1) · |V|` trees: the fewest that meet STEP 3's
+/// condition, where independent uniform draws need 36–45 per node for
+/// `min_visit = 20` (a coupon collector).
 ///
 /// The inner loop runs over the graph's packed [`Csr`](ppet_graph::Csr)
 /// view with a fixed-slot bucket-queue Dijkstra
@@ -66,7 +71,6 @@ pub fn saturate_network(graph: &CircuitGraph, params: &FlowParams, seed: u64) ->
         };
     }
 
-    let mut rng = Xoshiro256PlusPlus::seed_from(seed ^ SATURATE_SALT);
     let quota = params.min_visit;
     let csr = graph.csr();
     let mut distance = vec![1.0f64; n];
@@ -78,19 +82,10 @@ pub fn saturate_network(graph: &CircuitGraph, params: &FlowParams, seed: u64) ->
     // Per-net tree-membership count: in per-net mode a net's flow is
     // `flow_of[hits[i]]`, read once after the loop.
     let mut hits = vec![0u32; n];
-    // STEP 3: continue until every node has been visited more than
-    // `min_visit` times (the paper's loop condition is
-    // `∃v: visit(v) <= min_visit`).
-    let mut below_count = n; // nodes with visit <= quota
-    while below_count > 0 {
-        if params.max_trees.is_some_and(|cap| trees as u64 >= cap) {
-            break; // tree budget exhausted (see FlowParams::max_trees)
-        }
-        let v = CellId::from_index(rng.gen_index(n));
+    // STEP 3: `min_visit + 1` rounds of every node once, which meets the
+    // paper's loop condition `∃v: visit(v) <= min_visit` exactly.
+    for v in sources(n, params, seed) {
         visits[v.index()] += 1;
-        if visits[v.index()] == quota + 1 {
-            below_count -= 1;
-        }
         scratch.run_fast(csr, v, &distance);
         trees += 1;
         if params.per_branch {
@@ -133,9 +128,26 @@ pub fn saturate_network(graph: &CircuitGraph, params: &FlowParams, seed: u64) ->
     }
 }
 
-/// Seed salt for the saturation PRNG (ASCII "SATURATE"), shared by the
-/// production loop and the reference.
+/// Seed salt for the saturation PRNG (ASCII "SATURATE").
 const SATURATE_SALT: u64 = 0x5341_5455_5241_5445;
+
+/// Table 3's source sequence, shared by the production loop and the
+/// reference: `min_visit + 1` rounds, each a fresh uniformly random
+/// permutation of all `n` nodes, cut off after
+/// [`FlowParams::max_trees`] sources.
+fn sources(n: usize, params: &FlowParams, seed: u64) -> impl Iterator<Item = CellId> {
+    let mut rng = Xoshiro256PlusPlus::seed_from(seed ^ SATURATE_SALT);
+    let mut order: Vec<CellId> = (0..n).map(CellId::from_index).collect();
+    let budget = params
+        .max_trees
+        .map_or(usize::MAX, |cap| usize::try_from(cap).unwrap_or(usize::MAX));
+    (0..=params.min_visit)
+        .flat_map(move |_| {
+            rng.shuffle(&mut order);
+            order.clone()
+        })
+        .take(budget)
+}
 
 /// Memoized congestion-distance ladder for per-net flow accounting.
 ///
@@ -199,25 +211,15 @@ pub fn saturate_network_reference(
             shortfall: Vec::new(),
         };
     }
-    let mut rng = Xoshiro256PlusPlus::seed_from(seed ^ SATURATE_SALT);
     let quota = params.min_visit;
     let mut distance = vec![1.0f64; n];
     let mut flow = vec![0.0f64; n];
     let mut visits = vec![0u32; n];
     let mut trees = 0usize;
-    let nodes: Vec<_> = graph.nodes().collect();
     let mut scratch = dijkstra::DijkstraScratch::new(n);
 
-    let mut below_count = n;
-    while below_count > 0 {
-        if params.max_trees.is_some_and(|cap| trees as u64 >= cap) {
-            break;
-        }
-        let v = nodes[rng.gen_index(n)];
+    for v in sources(n, params, seed) {
         visits[v.index()] += 1;
-        if visits[v.index()] == quota + 1 {
-            below_count -= 1;
-        }
         scratch.run(graph, v, &distance);
         trees += 1;
         if params.per_branch {
@@ -261,15 +263,45 @@ mod tests {
         CircuitGraph::from_circuit(&data::s27())
     }
 
+    /// A Table 9 stand-in circuit, as the compile pipeline builds it.
+    fn table9(name: &str) -> CircuitGraph {
+        let record = ppet_netlist::data::table9::find(name).expect("stand-in");
+        CircuitGraph::from_circuit(
+            &ppet_netlist::Synthesizer::new(ppet_netlist::synth::calibrated_spec(record, 0))
+                .build(),
+        )
+    }
+
     #[test]
     fn every_node_visited_enough() {
         let g = s27();
         let p = FlowParams::quick();
         let prof = saturate_network(&g, &p, 1);
         for (i, &v) in prof.visits().iter().enumerate() {
-            assert!(v > p.min_visit, "node {i} visited only {v} times");
+            assert_eq!(v, p.min_visit + 1, "node {i}");
         }
-        assert!(prof.num_trees() >= g.num_nodes() * p.min_visit as usize);
+        assert_eq!(prof.num_trees(), g.num_nodes() * (p.min_visit as usize + 1));
+    }
+
+    #[test]
+    fn a_tree_budget_spreads_visits_evenly() {
+        // The cap can fall mid-round, but rounds are permutations: no node
+        // is a source twice before every node was one once.
+        let g = table9("s510");
+        let n = g.num_nodes() as u64;
+        for cap in [1, n - 1, n, 2 * n + n / 3] {
+            let mut p = FlowParams::paper();
+            p.max_trees = Some(cap);
+            let prof = saturate_network(&g, &p, 3);
+            assert_eq!(prof.num_trees() as u64, cap);
+            let lo = prof.visits().iter().min().unwrap();
+            let hi = prof.visits().iter().max().unwrap();
+            assert!(hi - lo <= 1, "cap {cap}: visits span {lo}..={hi}");
+            assert_eq!(
+                prof.visits().iter().map(|&v| u64::from(v)).sum::<u64>(),
+                cap
+            );
+        }
     }
 
     #[test]
@@ -320,13 +352,6 @@ mod tests {
         // find or how much search work that takes: the bucket queue pops
         // in the binary heap's exact order, so heap pops, relaxations and
         // settles agree too, not only the algorithmic outputs.
-        let table9 = |name| {
-            let record = ppet_netlist::data::table9::find(name).expect("stand-in");
-            CircuitGraph::from_circuit(
-                &ppet_netlist::Synthesizer::new(ppet_netlist::synth::calibrated_spec(record, 0))
-                    .build(),
-            )
-        };
         for (name, g) in [
             ("s27", s27()),
             ("s510", table9("s510")),
@@ -397,7 +422,9 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let g = s27();
+        // Not s27: with every node a source equally often, its few trees
+        // come out the same in any order.
+        let g = table9("s641");
         let a = saturate_network(&g, &FlowParams::quick(), 1);
         let b = saturate_network(&g, &FlowParams::quick(), 2);
         assert_ne!(a, b);

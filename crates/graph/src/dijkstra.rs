@@ -885,11 +885,11 @@ mod tests {
     }
 
     /// Saturates `g` the way `ppet_flow::saturate_network` does under
-    /// `FlowParams::paper()` (capacity 1, Δ = 0.01, α = 4, min_visit = 20,
-    /// per-net accounting, exponent clamped at 700), with `scratch` as the
-    /// engine. Returns the final net lengths, the most pushes one run made
-    /// (its relaxations plus the source), and which slots the settled
-    /// distances fell in.
+    /// `FlowParams::paper()` (capacity 1, Δ = 0.01, α = 4, min_visit = 20
+    /// rounds of shuffled sources, per-net accounting, exponent clamped
+    /// at 700), with `scratch` as the engine. Returns the final net
+    /// lengths, the most pushes one run made (its relaxations plus the
+    /// source), and which slots the settled distances fell in.
     fn saturate_paper(
         scratch: &mut DijkstraScratch,
         g: &CircuitGraph,
@@ -903,18 +903,15 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::seed_from(1);
         let mut length = vec![1.0f64; n];
         let mut flow = vec![0.0f64; n];
-        let mut visits = vec![0u32; n];
-        let mut below = n;
+        let mut order: Vec<CellId> = g.nodes().collect();
         let mut max_pushes = 0;
         let mut touched = vec![false; NUM_SLOTS];
-        while below > 0 {
-            let v = rng.gen_index(n);
-            visits[v] += 1;
-            if visits[v] == MIN_VISIT + 1 {
-                below -= 1;
-            }
+        for v in (0..=MIN_VISIT).flat_map(|_| {
+            rng.shuffle(&mut order);
+            order.clone()
+        }) {
             let before = scratch.stats().relaxations;
-            scratch.run_fast(g.csr(), CellId::from_index(v), &length);
+            scratch.run_fast(g.csr(), v, &length);
             max_pushes = max_pushes.max(scratch.stats().relaxations - before + 1);
             for &u in scratch.visited_order() {
                 touched[(scratch.distance(u).to_bits() >> 48) as usize] = true;

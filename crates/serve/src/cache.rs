@@ -1,7 +1,8 @@
 //! The content-addressed result cache with in-flight coalescing.
 //!
 //! The key is a 128-bit FNV-1a hash over the circuit's canonical
-//! `.bench` bytes, the effective config entries, and the effective seed —
+//! `.bench` bytes, the engine epoch ([`ENGINE_EPOCH`]), the effective
+//! config entries, and the effective seed —
 //! each field length-prefixed so concatenations cannot collide (see
 //! [`ppet_netlist::canonical`]). The circuit's frame is hashed once, when
 //! its `HashedCircuit` is built; [`CacheKey::of`] resumes from there.
@@ -22,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use ppet_netlist::canonical::{content_hash, Fnv128};
 use ppet_netlist::Circuit;
-use ppet_trace::SpanData;
+use ppet_trace::{SpanData, ENGINE_EPOCH};
 
 use crate::request::{BackendError, NormalizedRequest};
 
@@ -38,11 +39,14 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The cache key: a 128-bit content hash of `(circuit, config, seed)`.
+/// The cache key: a 128-bit content hash of `(circuit, engine epoch,
+/// config, seed)`.
 ///
 /// The derivation is fixed: stored entries on disk and the router's
 /// agreement with its shards both depend on every key staying
-/// byte-identical, and a test pins the keys of known requests.
+/// byte-identical, and a test pins the keys of known requests. The keys
+/// change only when [`ENGINE_EPOCH`] does, so an upgraded engine never
+/// looks up an older engine's answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey(pub u128);
 
@@ -61,8 +65,8 @@ impl CacheKey {
     }
 
     /// Derives the key from the constituent parts: FNV-1a-128 over the
-    /// frames of the circuit's canonical bytes, each config key and
-    /// value, and the seed.
+    /// frames of the circuit's canonical bytes, the engine epoch, each
+    /// config key and value, and the seed.
     #[must_use]
     pub fn derive(circuit: &Circuit, config_entries: &[(String, String)], seed: u64) -> Self {
         Self::resume(content_hash(circuit), config_entries, seed)
@@ -72,6 +76,7 @@ impl CacheKey {
     /// whose digest is the circuit's [`content_hash`].
     fn resume(circuit_hash: u128, config_entries: &[(String, String)], seed: u64) -> Self {
         let mut hasher = Fnv128::resume(circuit_hash);
+        hasher.write_frame(&ENGINE_EPOCH.to_le_bytes());
         for (k, v) in config_entries {
             hasher.write_frame(k.as_bytes());
             hasher.write_frame(v.as_bytes());

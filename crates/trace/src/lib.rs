@@ -53,6 +53,6 @@ mod metrics;
 mod sink;
 
 pub use collect::{human_duration, CollectingSink, SpanData, TraceReport};
-pub use manifest::{PhaseManifest, RunManifest, SCHEMA};
+pub use manifest::{PhaseManifest, RunManifest, ENGINE_EPOCH, SCHEMA};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, HISTOGRAM_BUCKETS};
 pub use sink::{NoopSink, Span, SpanId, TraceSink, Tracer};

@@ -9,6 +9,18 @@ use crate::json::{self, Value};
 /// Manifest schema tag; bump on breaking layout changes.
 pub const SCHEMA: &str = "ppet-trace/v1";
 
+/// The epoch of the compile engine this build runs. Bump it in the same
+/// change as anything that alters a compile's results (a manifest line
+/// other than `wall_ns`), so stored answers of an older engine stop being
+/// served as current: the service's cache key frames it, and a stored
+/// manifest that records another [`RunManifest::engine`] fails
+/// verification and is recompiled.
+///
+/// Epoch 0 is every engine before epochs were recorded (manifests with no
+/// `engine` field). Epoch 1 picks saturation sources in permutation
+/// rounds.
+pub const ENGINE_EPOCH: u32 = 1;
+
 /// One pipeline phase in a [`RunManifest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseManifest {
@@ -29,6 +41,10 @@ pub struct RunManifest {
     pub circuit: String,
     /// PRNG seed the run used.
     pub seed: u64,
+    /// [`ENGINE_EPOCH`] of the engine that computed the results; `None`
+    /// for manifests that record no compile, and for those written before
+    /// epochs existed. Omitted from the JSON when `None`.
+    pub engine: Option<u32>,
     /// Configuration key/value pairs, in insertion order.
     pub config: Vec<(String, String)>,
     /// Deterministic result key/value pairs (cut counts, partition shapes,
@@ -54,6 +70,7 @@ impl RunManifest {
             schema: SCHEMA.to_owned(),
             circuit: circuit.into(),
             seed,
+            engine: None,
             config: Vec::new(),
             result: Vec::new(),
             phases: Vec::new(),
@@ -134,6 +151,9 @@ impl RunManifest {
         field(&mut out, 1, "schema", &json::escaped(&self.schema), true);
         field(&mut out, 1, "circuit", &json::escaped(&self.circuit), true);
         field(&mut out, 1, "seed", &self.seed.to_string(), true);
+        if let Some(engine) = self.engine {
+            field(&mut out, 1, "engine", &engine.to_string(), true);
+        }
 
         out.push_str("  \"config\": {");
         for (i, (key, value)) in self.config.iter().enumerate() {
@@ -205,6 +225,14 @@ impl RunManifest {
             .get("seed")
             .and_then(Value::as_u64)
             .ok_or("missing `seed`")?;
+        let engine = doc
+            .get("engine")
+            .map(|v| {
+                v.as_u64()
+                    .and_then(|n| u32::try_from(n).ok())
+                    .ok_or("`engine` is not a u32")
+            })
+            .transpose()?;
         let config = doc
             .get("config")
             .and_then(Value::as_obj)
@@ -240,6 +268,7 @@ impl RunManifest {
             schema: schema.to_owned(),
             circuit,
             seed,
+            engine,
             config,
             result,
             phases,
@@ -411,6 +440,18 @@ mod tests {
     fn schema_mismatch_is_rejected() {
         let text = sample().to_json().replace(SCHEMA, "other/v9");
         assert!(RunManifest::from_json(&text).is_err());
+    }
+
+    #[test]
+    fn engine_epoch_round_trips_and_is_optional() {
+        let mut m = sample();
+        assert!(!m.to_json().contains("\"engine\""));
+        m.engine = Some(ENGINE_EPOCH);
+        let text = m.to_json();
+        assert!(text.contains(&format!("\"engine\": {ENGINE_EPOCH},")));
+        assert_eq!(RunManifest::from_json(&text).unwrap(), m);
+        let bad = text.replace(&format!("\"engine\": {ENGINE_EPOCH}"), "\"engine\": -1");
+        assert!(RunManifest::from_json(&bad).is_err());
     }
 
     #[test]

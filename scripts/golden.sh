@@ -8,6 +8,13 @@
 #                               recordings (run after an intentional
 #                               algorithm change, then commit the diff)
 #
+# A result change (any recorded line other than `wall_ns`) must come with
+# a new engine epoch (`ENGINE_EPOCH`, crates/trace/src/manifest.rs; each
+# manifest records it as `"engine"`): --bless refuses a changed corpus
+# whose epoch did not move, so stored answers of the old engine can never
+# pass as current. The blessed `(epoch, corpus digest)` pair is committed
+# in recorded/golden.epoch, and --check requires it to match the corpus.
+#
 # Each recording is produced by `merced --builtin <name> --audit
 # --trace-json`, so it carries the full configuration, every result claim,
 # and the audited retiming lag witness. `merced audit <manifest>`
@@ -23,6 +30,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 GOLDEN_DIR=recorded/golden
+EPOCH_FILE=recorded/golden.epoch
 MERCED=target/release/merced
 
 # The corpus: builtin circuit name + compile flags. One line per recording;
@@ -35,6 +43,29 @@ johnson12 --lk 6
 s510 --lk 16
 s641 --lk 16 --policy solver
 EOF
+}
+
+# The engine epoch a directory of recordings was computed by: the one
+# `"engine"` value all of them share (0 for recordings that predate
+# epochs). Fails if they disagree.
+epoch_of() {
+    epochs="$(corpus | while read -r name _flags; do
+        e="$(sed -n 's/^  "engine": \([0-9]*\),$/\1/p' "$1/$name.json")"
+        echo "${e:-0}"
+    done | sort -u)"
+    if [ "$(echo "$epochs" | wc -l | tr -d ' ')" -ne 1 ]; then
+        echo "golden: recordings in $1 disagree on the engine epoch" >&2
+        exit 1
+    fi
+    echo "$epochs"
+}
+
+# Digest of a directory of recordings with every `wall_ns` line removed:
+# equal digests mean equal results.
+digest_of() {
+    corpus | while read -r name _flags; do
+        grep -v '"wall_ns"' "$1/$name.json"
+    done | cksum | awk '{print $1 "-" $2}'
 }
 
 build() {
@@ -54,7 +85,7 @@ bless() {
     corpus | while read -r name flags; do
         echo "==> bless $name"
         # shellcheck disable=SC2086
-        "$MERCED" --builtin "$name" $flags --audit --quiet \
+        PPET_JOBS=1 "$MERCED" --builtin "$name" $flags --audit --quiet \
             --trace-json "$tmp/$name.json" > /dev/null
         "$MERCED" audit "$tmp/$name.json" --quiet || {
             echo "golden: fresh $name recording failed its own audit;" >&2
@@ -73,17 +104,36 @@ bless() {
             }
         done
     done
+    epoch="$(epoch_of "$tmp")"
+    digest="$(digest_of "$tmp")"
+    if ls "$GOLDEN_DIR"/*.json > /dev/null 2>&1; then
+        old_epoch="$(epoch_of "$GOLDEN_DIR")"
+        if [ "$digest" != "$(digest_of "$GOLDEN_DIR")" ] && [ "$epoch" = "$old_epoch" ]; then
+            echo "golden: results changed but the engine epoch is still $epoch;" >&2
+            echo "golden: bump ENGINE_EPOCH (crates/trace/src/manifest.rs) in the same change" >&2
+            echo "golden: refusing to bless — nothing was overwritten" >&2
+            exit 1
+        fi
+    fi
     mkdir -p "$GOLDEN_DIR"
     corpus | while read -r name _flags; do
         mv "$tmp/$name.json" "$GOLDEN_DIR/$name.json"
     done
-    echo "golden: blessed $(corpus | wc -l | tr -d ' ') audited recordings in $GOLDEN_DIR"
+    echo "$epoch $digest" > "$EPOCH_FILE"
+    echo "golden: blessed $(corpus | wc -l | tr -d ' ') audited recordings in $GOLDEN_DIR (engine epoch $epoch)"
 }
 
 check() {
     build
     if ! ls "$GOLDEN_DIR"/*.json > /dev/null 2>&1; then
         echo "golden: no recordings in $GOLDEN_DIR (run scripts/golden.sh --bless)" >&2
+        exit 1
+    fi
+    epoch="$(epoch_of "$GOLDEN_DIR")"
+    pair="$epoch $(digest_of "$GOLDEN_DIR")"
+    if [ "$pair" != "$(cat "$EPOCH_FILE" 2>/dev/null)" ]; then
+        echo "golden: $EPOCH_FILE does not name the corpus (want \"$pair\");" >&2
+        echo "golden: recordings change only through scripts/golden.sh --bless" >&2
         exit 1
     fi
     status=0

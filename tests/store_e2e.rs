@@ -2,8 +2,8 @@
 //! Merced backend: a served manifest must survive a server restart
 //! byte-for-byte (wall-clock entry included — proof nothing recompiled),
 //! the disk hit must be observable in `/metrics`, and a stored body that
-//! fails the audit cross-check must be quarantined and recompiled rather
-//! than served.
+//! fails the audit cross-check, or that an older engine epoch computed,
+//! must be quarantined and recompiled rather than served.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -14,6 +14,7 @@ use ppet::cluster::proxy;
 use ppet::core::{MercedBackend, MercedConfig};
 use ppet::serve::{CompileRequest, ServeConfig, Server, ServerHandle};
 use ppet::store::{Store, StoreConfig};
+use ppet::trace::ENGINE_EPOCH;
 
 fn start(store_dir: PathBuf) -> (SocketAddr, ServerHandle, thread::JoinHandle<()>) {
     let backend = MercedBackend::new(MercedConfig::default().with_cbit_length(4));
@@ -113,6 +114,51 @@ fn corrupted_stored_manifest_is_quarantined_and_recompiled() {
     let (addr, handle, join) = start(dir.clone());
     let (status, recompiled) = roundtrip(addr, "POST", "/compile", &req);
     assert_eq!(status, 200, "{recompiled}");
+    let (_, metrics) = roundtrip(addr, "GET", "/metrics", "");
+    assert_eq!(metric(&metrics, "store_quarantined "), 1, "{metrics}");
+    assert_eq!(metric(&metrics, "serve_cache_misses "), 1, "{metrics}");
+
+    handle.shutdown();
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_previous_engine_epoch_is_quarantined_and_recompiled() {
+    let dir = temp_dir("epoch");
+    let req = CompileRequest::builtin("s27").with_seed(5).to_json();
+    let current = format!("\"engine\": {ENGINE_EPOCH},");
+    let previous = format!("\"engine\": {},", ENGINE_EPOCH - 1);
+
+    let (addr, handle, join) = start(dir.clone());
+    let (status, first) = roundtrip(addr, "POST", "/compile", &req);
+    assert_eq!(status, 200, "{first}");
+    assert!(first.contains(&current), "{first}");
+    handle.shutdown();
+    join.join().unwrap();
+
+    // Rewrite the entry as the engine one epoch back recorded it: a
+    // well-formed manifest whose totals add up, under the key this build
+    // looks up. A rolling upgrade leaves such entries: a router already on
+    // the new epoch proxies a request to a shard still on the old engine
+    // and replicates its answer, under the new key, to a shard that is
+    // upgraded afterwards.
+    {
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        let keys = store.keys();
+        assert_eq!(keys.len(), 1);
+        let body = String::from_utf8(store.get(keys[0]).unwrap()).unwrap();
+        let older = body.replacen(&current, &previous, 1);
+        assert_ne!(body, older, "epoch line must exist");
+        store.quarantine(keys[0]);
+        store.put(keys[0], older.as_bytes()).unwrap();
+        store.flush().unwrap();
+    }
+
+    let (addr, handle, join) = start(dir.clone());
+    let (status, fresh) = roundtrip(addr, "POST", "/compile", &req);
+    assert_eq!(status, 200, "{fresh}");
+    assert!(fresh.contains(&current), "{fresh}");
     let (_, metrics) = roundtrip(addr, "GET", "/metrics", "");
     assert_eq!(metric(&metrics, "store_quarantined "), 1, "{metrics}");
     assert_eq!(metric(&metrics, "serve_cache_misses "), 1, "{metrics}");
