@@ -97,6 +97,9 @@ pub enum AuditCode {
     ManifestSchema,
     /// A recorded manifest field differs from the freshly recomputed run.
     ManifestMismatch,
+    /// A recorded manifest was computed by another engine epoch than the
+    /// one recomputing it: its results may differ for that reason alone.
+    EngineEpoch,
 }
 
 impl AuditCode {
@@ -132,6 +135,7 @@ impl AuditCode {
             Self::SchedRebuild => "sched-rebuild",
             Self::ManifestSchema => "manifest-schema",
             Self::ManifestMismatch => "manifest-mismatch",
+            Self::EngineEpoch => "engine-epoch",
         }
     }
 }
@@ -177,6 +181,7 @@ mod tests {
             AuditCode::SchedRebuild,
             AuditCode::ManifestSchema,
             AuditCode::ManifestMismatch,
+            AuditCode::EngineEpoch,
         ];
         let mut names: Vec<&str> = all.iter().map(|c| c.name()).collect();
         for n in &names {

@@ -13,7 +13,8 @@ use crate::code::AuditCode;
 use crate::report::AuditReport;
 
 /// Compares `recorded` against `fresh`, reporting one
-/// [`AuditCode::ManifestMismatch`] failure per differing field class.
+/// [`AuditCode::ManifestMismatch`] failure per differing field class, and
+/// an [`AuditCode::EngineEpoch`] failure when the two engines differ.
 #[must_use]
 pub fn cross_check(recorded: &RunManifest, fresh: &RunManifest) -> AuditReport {
     let mut report = AuditReport::default();
@@ -41,10 +42,15 @@ pub fn cross_check(recorded: &RunManifest, fresh: &RunManifest) -> AuditReport {
         bad.push(format!("seed {} vs {}", recorded.seed, fresh.seed));
     }
     if recorded.engine != fresh.engine {
-        bad.push(format!(
-            "engine epoch {:?} vs {:?}",
-            recorded.engine, fresh.engine
-        ));
+        // Epoch 0 is every engine before manifests recorded theirs.
+        report.fail(
+            AuditCode::EngineEpoch,
+            format!(
+                "recorded by engine epoch {}, recomputed by epoch {}: re-record the manifest",
+                recorded.engine.unwrap_or(0),
+                fresh.engine.unwrap_or(0)
+            ),
+        );
     }
 
     let varying = |key: &str| key == "jobs";
@@ -103,4 +109,36 @@ pub fn cross_check(recorded: &RunManifest, fresh: &RunManifest) -> AuditReport {
         report.fail(AuditCode::ManifestMismatch, bad.join("; "));
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn manifest(engine: Option<u32>) -> RunManifest {
+        let mut m = RunManifest::new("s27", 7);
+        m.engine = engine;
+        m.push_config("cbit_length", 4);
+        m.push_result("nets_cut", 3);
+        m
+    }
+
+    #[test]
+    fn another_engine_epoch_has_a_code_of_its_own() {
+        for recorded in [None, Some(1)] {
+            let report = cross_check(&manifest(recorded), &manifest(Some(2)));
+            assert!(!report.pass());
+            assert_eq!(report.failures().len(), 1, "{report}");
+            assert!(report.failed(AuditCode::EngineEpoch));
+            assert!(!report.failed(AuditCode::ManifestMismatch));
+            let detail = &report.first_failure().unwrap().detail;
+            let old = recorded.unwrap_or(0);
+            assert!(
+                detail.contains(&format!("engine epoch {old},")) && detail.contains("epoch 2"),
+                "{detail}"
+            );
+            assert!(detail.contains("re-record"), "{detail}");
+        }
+        assert!(cross_check(&manifest(Some(2)), &manifest(Some(2))).pass());
+    }
 }

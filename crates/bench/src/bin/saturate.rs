@@ -1,7 +1,7 @@
 //! Single-thread `Saturate_Network` micro-harness: times the production
-//! engine (CSR + bucket-queue Dijkstra over one lazily stamped node-state
-//! array) against the retained pre-rewrite reference on the perf-gate
-//! circuits, and backs `scripts/perf_gate.sh`.
+//! engine (CSR + component-ordered Dijkstra over one lazily stamped
+//! node-state array) against the retained composite-key binary-heap
+//! reference on the perf-gate circuits, and backs `scripts/perf_gate.sh`.
 //!
 //! Before any timing, each circuit's optimized profile is checked
 //! [`result_eq`](ppet_flow::CongestionProfile::result_eq)-identical to the

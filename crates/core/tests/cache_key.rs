@@ -39,9 +39,9 @@ fn derived(normalized: &NormalizedRequest) -> CacheKey {
 fn cache_keys_are_pinned() {
     let backend = MercedBackend::new(MercedConfig::default());
     for (request, pinned) in [
-        (golden("s510", "scc"), "9b368e0a96256fa736d50f022a216424"),
-        (golden("s641", "solver"), "46c571c3744485fcec76157c441d8418"),
-        (bench_request(), "5d0c737227102c69e56f73b4eb3aeba3"),
+        (golden("s510", "scc"), "fedf41aa3d43a37004e28c00a5ac6d75"),
+        (golden("s641", "solver"), "eb9d2752f58ad8210bd7f501cc0bdd1b"),
+        (bench_request(), "d6168e281a75f857086fc428afeb9ae8"),
     ] {
         // The first builtin request resolves and memoizes the circuit, the
         // second is served from the memo: both must key as `derive` does.

@@ -6,62 +6,111 @@
 //! congestion distance `d(e)`. Ties are broken by node id so the tree — and
 //! therefore the whole stochastic flow process — is reproducible.
 //!
-//! Two interchangeable engines compute the tree:
+//! Nodes settle one strongly connected component at a time, in the
+//! topological order of the SCC condensation (the components of the
+//! paper's STEP 2), and by `(distance, node)` inside a component. No
+//! branch enters a component from a later one, so when a component comes
+//! up every fanin outside it is final: a single-node component settles
+//! with no priority queue at all, and only cyclic components need one. A
+//! node's parent is the smallest-id fanin that settled before it and
+//! reaches it at its final distance. Two engines settle in this order:
 //!
-//! * [`DijkstraScratch::run`] — the **reference**: a `BinaryHeap` over the
-//!   pointer-rich [`CircuitGraph`] adjacency. Kept as the executable
-//!   specification the property tests compare against.
-//! * [`DijkstraScratch::run_fast`] — the **saturation hot path**: a
-//!   fixed-slot bucket queue (`SlotQueue`) over the packed [`Csr`]
-//!   adjacency, keyed by the top 16 bits of the distance bit pattern. For
-//!   non-negative doubles the bit pattern is a monotone fixed-point
+//! * [`DijkstraScratch::run`] — the **reference**: a `BinaryHeap` keyed
+//!   `(topological index, distance bits, node)` over the pointer-rich
+//!   [`CircuitGraph`] adjacency. Kept as the executable specification the
+//!   property tests compare against.
+//! * [`DijkstraScratch::run_fast`] — the **saturation hot path**, over the
+//!   packed [`Csr`] adjacency. A bitmap over topological indices drives
+//!   the outer loop; a cyclic component runs a fixed-slot bucket queue
+//!   (`SlotQueue`) keyed by the top 16 bits of the distance bit pattern.
+//!   For non-negative doubles the bit pattern is a monotone fixed-point
 //!   encoding, so the slots cover the entire non-negative `f64` range
 //!   (saturation's clamped-exponential weights span `[1, e^700]`, far
-//!   beyond any bounded calendar), entries never migrate between slots,
-//!   and the drain order reproduces the binary heap's `(distance, node)`
-//!   order exactly — so *everything* observable (distances, parents,
-//!   settle order, work counters) is bit-identical to the reference, at a
-//!   fraction of the per-settle cost. See `DESIGN.md` §13.
+//!   beyond any bounded calendar) and the drain order reproduces the
+//!   binary heap's `(distance, node)` order exactly. Distances, parents,
+//!   settle order, relaxations and tree sizes are bit-identical to the
+//!   reference; only the pop counts differ. See `DESIGN.md` §13.
 //!
 //! Both engines keep their per-node search state in one lazily stamped
 //! array ([`DijkstraScratch`]), so a tree never pays to reset the nodes
 //! it does not reach.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use ppet_netlist::{CellId, NetId};
 
 use crate::csr::Csr;
 use crate::graph::CircuitGraph;
+use crate::scc::Scc;
 
-#[derive(Debug, Clone, PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: u32,
+/// A two-level bitmap over `0..len`: one bit per index and one summary
+/// bit per 64-bit word, so the next set index at or after a cursor is a
+/// handful of word scans away.
+#[derive(Debug, Clone, Default)]
+struct Bitmap {
+    words: Vec<u64>,
+    summary: Vec<u64>,
 }
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by distance, tie-broken by node id for determinism.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.cmp(&self.node))
+impl Bitmap {
+    fn new(len: usize) -> Self {
+        let words = len.div_ceil(64);
+        Self {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
     }
-}
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    #[inline(always)]
+    fn insert(&mut self, i: usize) {
+        self.words[i >> 6] |= 1u64 << (i & 63);
+        self.summary[i >> 12] |= 1u64 << ((i >> 6) & 63);
+    }
+
+    /// Removes and returns the smallest set index at or after `from`.
+    #[inline(always)]
+    fn take_from(&mut self, from: usize) -> Option<usize> {
+        let mut w = from >> 6;
+        let mut bits = *self.words.get(w)? & (!0u64 << (from & 63));
+        if bits == 0 {
+            let mut s = w >> 6;
+            let mut above = self.summary[s] & (!1u64 << (w & 63));
+            while above == 0 {
+                s += 1;
+                above = *self.summary.get(s)?;
+            }
+            w = (s << 6) + above.trailing_zeros() as usize;
+            bits = self.words[w];
+        }
+        let i = (w << 6) + bits.trailing_zeros() as usize;
+        self.words[w] &= !(1u64 << (i & 63));
+        if self.words[w] == 0 {
+            self.summary[w >> 6] &= !(1u64 << (w & 63));
+        }
+        Some(i)
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.summary.iter().all(|&s| s == 0)
+    }
+
+    /// Clears every set bit, visiting only the words the summary marks.
+    fn clear(&mut self) {
+        for (s, summary) in self.summary.iter_mut().enumerate() {
+            let mut above = std::mem::take(summary);
+            while above != 0 {
+                self.words[(s << 6) + above.trailing_zeros() as usize] = 0;
+                above &= above - 1;
+            }
+        }
     }
 }
 
 /// A monotone fixed-slot bucket queue over `(f64-bit key, node)` pairs —
-/// the engine behind [`DijkstraScratch::run_fast`].
+/// the queue [`DijkstraScratch::run_fast`] drains a cyclic component with.
 ///
 /// The slot of a key is its top 16 bits (sign, the 11 exponent bits, and
 /// the 4 leading mantissa bits): a monotone index for non-negative
@@ -69,32 +118,29 @@ impl PartialOrd for HeapEntry {
 /// non-negative `f64` range — including `+inf` — with an exponentially
 /// scaled grid whose slot width is a fixed ×(1 + 2⁻⁴) distance band.
 /// Entries never migrate: a push lands in its final slot, and a
-/// two-level occupancy bitmap finds the next occupied slot in a handful
-/// of word scans. The slot being drained is sorted descending
+/// two-level occupancy [`Bitmap`] finds the next occupied slot in a
+/// handful of word scans. The slot being drained is sorted descending
 /// by `(key, node)` once, and same-slot arrivals (Dijkstra pushes keys ≥
 /// the minimum, so they can land in the cursor slot but never before it)
 /// are inserted in order — pops therefore leave in exactly the
-/// `(distance, node)` order of a tie-broken binary heap, which is what
-/// makes `run_fast` bit-identical to the reference.
+/// `(distance, node)` order of a tie-broken binary heap.
 ///
 /// A slot is a singly linked list threaded through one entry arena that
-/// holds every push of the current run and is cleared when the next run
-/// starts. So the queue's memory is the fixed 128 KiB head array plus
-/// 16 B per push of the largest tree, whatever range of distances the
-/// trees of a whole saturation cover.
+/// holds every push of the current component and is cleared when the
+/// next one starts. So the queue's memory is the fixed 128 KiB head array
+/// plus 16 B per push of the largest tree, whatever range of distances
+/// the trees of a whole saturation cover.
 #[derive(Debug, Clone, Default)]
 struct SlotQueue {
     /// Arena index of each slot's most recent entry, [`EMPTY`] for an
     /// empty slot. Lazily sized to [`NUM_SLOTS`] on first use, so scratch
     /// areas that only run the reference stay small.
     head: Vec<u32>,
-    /// The current run's entries outside the cursor slot, each linked to
-    /// the entry pushed before it into the same slot.
+    /// The current component's entries outside the cursor slot, each
+    /// linked to the entry pushed before it into the same slot.
     arena: Vec<Entry>,
-    /// One occupancy bit per slot.
-    occ1: Vec<u64>,
-    /// One occupancy bit per `occ1` word.
-    occ2: [u64; SLOT_SUMMARY_WORDS],
+    /// One occupancy bit per slot; the cursor slot's bit is never set.
+    occ: Bitmap,
     /// Slot currently being drained.
     cur: usize,
     /// The drained slot's entries, sorted descending (pop from the back).
@@ -114,11 +160,9 @@ struct Entry {
 /// `f64::to_bits() >> 48` of any non-negative double (`+inf` included) is
 /// below this.
 const NUM_SLOTS: usize = 1 << 15;
-/// Words of the second-level occupancy bitmap: one bit per `occ1` word.
-const SLOT_SUMMARY_WORDS: usize = NUM_SLOTS / 64 / 64;
 /// End of a slot list. Each arena entry is a relaxation along a distinct
-/// CSR branch (the source's push lands in the cursor slot), and branch
-/// offsets are `u32`, so every arena index stays below it.
+/// CSR branch or a component seed (one per node), and branch offsets are
+/// `u32`, so every arena index stays below it.
 const EMPTY: u32 = u32::MAX;
 
 impl SlotQueue {
@@ -131,25 +175,19 @@ impl SlotQueue {
     fn ensure(&mut self) {
         if self.head.is_empty() {
             self.head = vec![EMPTY; NUM_SLOTS];
-            self.occ1 = vec![0; NUM_SLOTS / 64];
+            self.occ = Bitmap::new(NUM_SLOTS);
         }
     }
 
-    /// Prepares for a new run. A completed run drains every slot, so this
-    /// only clears the arena then; after an abandoned run (caller panicked
-    /// mid-search) it sweeps the occupied heads clean.
+    /// Prepares for a new component. A drained queue has no occupied
+    /// slot, so this only rewinds the cursor and clears the arena then;
+    /// after an abandoned run (caller panicked mid-search) it sweeps the
+    /// occupied heads clean.
     fn reset(&mut self) {
         if self.len != 0 {
-            for w in 0..self.occ1.len() {
-                let mut bits = self.occ1[w];
-                while bits != 0 {
-                    let s = (w << 6) + bits.trailing_zeros() as usize;
-                    self.head[s] = EMPTY;
-                    bits &= bits - 1;
-                }
-                self.occ1[w] = 0;
+            while let Some(s) = self.occ.take_from(0) {
+                self.head[s] = EMPTY;
             }
-            self.occ2 = [0; SLOT_SUMMARY_WORDS];
             self.len = 0;
         }
         self.cur = 0;
@@ -171,8 +209,7 @@ impl SlotQueue {
         }
         let next = self.head[s];
         if next == EMPTY {
-            self.occ1[s >> 6] |= 1u64 << (s & 63);
-            self.occ2[s >> 12] |= 1u64 << ((s >> 6) & 63);
+            self.occ.insert(s);
         }
         self.head[s] = self.arena.len() as u32;
         self.arena.push(Entry { key, node, next });
@@ -187,36 +224,11 @@ impl SlotQueue {
         if self.len == 0 {
             return None;
         }
-        // Find the next occupied slot strictly after `cur` via the
-        // two-level bitmap.
-        let mut w = self.cur >> 6;
-        let rest = if (self.cur & 63) == 63 {
-            0
-        } else {
-            !0u64 << ((self.cur & 63) + 1)
-        };
-        let mut bits = self.occ1[w] & rest;
-        if bits == 0 {
-            let mut w2 = w >> 6;
-            let rest2 = if (w & 63) == 63 {
-                0
-            } else {
-                !0u64 << ((w & 63) + 1)
-            };
-            let mut bits2 = self.occ2[w2] & rest2;
-            while bits2 == 0 {
-                w2 += 1;
-                bits2 = self.occ2[w2];
-            }
-            w = (w2 << 6) + bits2.trailing_zeros() as usize;
-            bits = self.occ1[w];
-        }
-        let s = (w << 6) + bits.trailing_zeros() as usize;
+        let s = self
+            .occ
+            .take_from(self.cur)
+            .expect("a queued entry outside the cursor slot occupies a later slot");
         self.cur = s;
-        self.occ1[w] &= !(1u64 << (s & 63));
-        if self.occ1[w] == 0 {
-            self.occ2[w >> 6] &= !(1u64 << (w & 63));
-        }
         self.len -= 1;
         let mut i = std::mem::replace(&mut self.head[s], EMPTY);
         let first = self.arena[i as usize];
@@ -239,9 +251,58 @@ impl SlotQueue {
     fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
         self.head.capacity() * size_of::<u32>()
-            + self.occ1.capacity() * size_of::<u64>()
+            + self.occ.words.capacity() * size_of::<u64>()
+            + self.occ.summary.capacity() * size_of::<u64>()
             + self.arena.capacity() * size_of::<Entry>()
             + self.cur_vec.capacity() * size_of::<(u64, u32)>()
+    }
+}
+
+/// The graph's SCC condensation in topological order: the order both
+/// engines settle components in. [`Scc::of`] numbers components in
+/// reverse topological order, so component `id` of `C` has topological
+/// index `C − 1 − id`, and every branch leaving a component points to a
+/// higher index.
+#[derive(Debug, Clone)]
+struct Condensation {
+    /// Topological index of each node's component.
+    topo: Vec<u32>,
+    /// The members of the component at topological index `t` are
+    /// `members[start[t]..start[t + 1]]`, ascending.
+    start: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl Condensation {
+    fn of(graph: &CircuitGraph) -> Self {
+        let scc = Scc::of(graph);
+        let mut topo = vec![0; graph.num_nodes()];
+        let mut start = Vec::with_capacity(scc.len() + 1);
+        let mut members = Vec::with_capacity(graph.num_nodes());
+        start.push(0);
+        for (t, comp) in scc.components().iter().rev().enumerate() {
+            for &v in comp {
+                topo[v.index()] = t as u32;
+                members.push(v.index() as u32);
+            }
+            start.push(members.len() as u32);
+        }
+        Self {
+            topo,
+            start,
+            members,
+        }
+    }
+
+    /// Number of components.
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Positions in `members` of the component at topological index `t`.
+    #[inline(always)]
+    fn range(&self, t: usize) -> Range<usize> {
+        self.start[t] as usize..self.start[t + 1] as usize
     }
 }
 
@@ -268,11 +329,13 @@ const UNREACHED: NodeState = NodeState {
     mark: 0,
 };
 
-/// Reusable work buffers for repeated shortest-path-tree computations.
+/// Reusable work buffers for repeated shortest-path-tree computations
+/// over one graph.
 ///
 /// `Saturate_Network` runs tens of thousands of Dijkstra trees over the
-/// same graph. The scratch keeps one 16-byte state slot per node
-/// (distance, parent net, epoch mark) alive across runs and invalidates
+/// same graph. The scratch computes the graph's SCC condensation once,
+/// when it is made, and keeps one 16-byte state slot per node
+/// (distance, parent net, epoch mark) alive across runs, invalidating
 /// it lazily: each run advances an epoch, and a slot whose mark predates
 /// it reads as unreached. Nothing is refilled per tree, so a run
 /// touching `k` nodes costs `O(k)`-ish regardless of `|V|`, and the
@@ -287,7 +350,7 @@ const UNREACHED: NodeState = NodeState {
 ///
 /// let g = CircuitGraph::from_circuit(&data::s27());
 /// let unit = vec![1.0; g.num_nodes()];
-/// let mut scratch = DijkstraScratch::new(g.num_nodes());
+/// let mut scratch = DijkstraScratch::new(&g);
 /// scratch.run_fast(g.csr(), g.find("G0").unwrap(), &unit);
 /// let visited = scratch.visited_order().len();
 /// assert!(visited >= 2);
@@ -297,7 +360,14 @@ pub struct DijkstraScratch {
     state: Vec<NodeState>,
     /// Always even; advanced by two per run (see [`NodeState`]).
     epoch: u32,
-    heap: BinaryHeap<HeapEntry>,
+    order: Condensation,
+    /// The reference's queue: `(topological index, distance bits, node)`,
+    /// smallest first.
+    heap: BinaryHeap<Reverse<(u32, u64, u32)>>,
+    /// The production engine's components to settle: the topological
+    /// index of every component holding a node reached with a finite
+    /// distance and not yet settled.
+    pending: Bitmap,
     slot_queue: SlotQueue,
     visited: Vec<CellId>,
     /// Branches of each net in the last run's tree; a net's slot is reset
@@ -313,9 +383,13 @@ pub struct DijkstraScratch {
 /// flow phase can report how much search work its trees cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DijkstraStats {
-    /// Heap pops, including stale entries skipped as already settled.
+    /// Queue pops, including stale entries skipped as already settled.
+    /// The reference pops every entry it pushes: one per relaxation plus
+    /// each run's source. The production engine pops one bitmap entry
+    /// per component it settles, plus the bucket-queue entries (seeds and
+    /// relaxations) of the cyclic ones.
     pub heap_pops: u64,
-    /// Successful relaxations (`dist` improvements pushed to the heap).
+    /// Successful relaxations (`dist` improvements to a finite distance).
     pub relaxations: u64,
     /// Nodes settled (final distance fixed) — the total tree size.
     pub settled: u64,
@@ -326,12 +400,17 @@ pub struct DijkstraStats {
 }
 
 impl DijkstraScratch {
-    /// Creates buffers for graphs of `n` nodes.
+    /// Creates buffers for trees over `graph`, and its condensation
+    /// order (one Tarjan pass). Every run must be over the same graph.
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub fn new(graph: &CircuitGraph) -> Self {
+        let n = graph.num_nodes();
+        let order = Condensation::of(graph);
         Self {
             state: vec![UNREACHED; n],
             epoch: 0,
+            pending: Bitmap::new(order.len()),
+            order,
             heap: BinaryHeap::new(),
             slot_queue: SlotQueue::new(),
             visited: Vec::new(),
@@ -352,7 +431,13 @@ impl DijkstraScratch {
         std::mem::take(&mut self.stats)
     }
 
-    fn begin(&mut self) {
+    fn begin(&mut self, num_nodes: usize, length: &[f64]) {
+        assert_eq!(
+            num_nodes,
+            self.state.len(),
+            "a scratch runs over the graph it was made for"
+        );
+        assert_eq!(length.len(), num_nodes, "one length per net slot required");
         if self.epoch >= u32::MAX - 2 {
             // Epoch wrap-around: the next epoch would collide with marks
             // still in the arrays, so clear them once.
@@ -360,8 +445,9 @@ impl DijkstraScratch {
             self.epoch = 0;
         }
         self.epoch += 2;
+        // Both only hold entries after an abandoned (panicked) run.
         self.heap.clear();
-        self.slot_queue.reset();
+        self.pending.clear();
         self.visited.clear();
         self.tree_list.clear();
     }
@@ -375,9 +461,9 @@ impl DijkstraScratch {
     }
 
     /// Marks `v` settled: final distance fixed, parent final, tree-net
-    /// branch accounting updated.
+    /// branch accounting updated. Returns the length of `v`'s net, checked.
     #[inline(always)]
-    fn settle(&mut self, v: usize) {
+    fn settle(&mut self, v: usize, length: &[f64]) -> f64 {
         let state = &mut self.state[v];
         state.mark = self.epoch + 1;
         let p = state.parent;
@@ -390,32 +476,68 @@ impl DijkstraScratch {
             }
             *count += 1;
         }
+        // Checked in every build, not by a `debug_assert!`: a NaN admitted
+        // in release corrupts the queue order silently. Once per settled
+        // node; lengths of unreached nodes are never read.
+        let l = length[v];
+        assert!(
+            l >= 0.0,
+            "net length of node {v} must be non-negative and not NaN, got {l}"
+        );
+        l
+    }
+
+    /// Relaxes the branch from settled `node` to `w` at distance `nd`:
+    /// the tie rule of both engines. Returns whether `w`'s distance
+    /// improved to a finite value, i.e. whether `w` must be queued.
+    #[inline(always)]
+    fn relax(&mut self, node: u32, w: usize, nd: f64) -> bool {
+        let epoch = self.epoch;
+        let st = &mut self.state[w];
+        if st.mark < epoch {
+            // First touch this run: the stale slot reads as
+            // (INFINITY, no parent), which any finite `nd` beats.
+            *st = NodeState {
+                dist: nd,
+                parent: node,
+                mark: epoch,
+            };
+            nd < f64::INFINITY
+        } else if nd < st.dist {
+            // Never true for a settled node: its distance is at most
+            // the settling node's, and `nd` adds a non-negative length.
+            st.dist = nd;
+            st.parent = node;
+            true
+        } else {
+            if nd == st.dist && st.mark == epoch && node < st.parent {
+                // Equal distance: prefer the smaller parent net id among
+                // the fanins settled so far (`NO_PARENT` loses to all).
+                st.parent = node;
+            }
+            false
+        }
     }
 
     /// Runs the reference binary-heap Dijkstra from `source`; results are
     /// readable until the next run via [`DijkstraScratch::distance`],
     /// [`DijkstraScratch::parent`], and [`DijkstraScratch::visited_order`].
     ///
-    /// This is the executable specification [`DijkstraScratch::run_fast`]
-    /// is property-tested against; the hot saturation loop uses the CSR
-    /// variant.
+    /// Its heap is keyed `(topological index, distance bits, node)`, so
+    /// it pops in exactly the settle order [`DijkstraScratch::run_fast`]
+    /// produces: the executable specification that engine is
+    /// property-tested against. It pushes once per relaxation and once
+    /// for the source, and pops every push, so its `heap_pops` equals
+    /// `relaxations` plus the number of runs.
     ///
     /// # Panics
     ///
-    /// Panics if `length.len()` differs from the node count, or if any
-    /// length the search consumes is negative or NaN. The validation is
-    /// always on — not a `debug_assert!` — because a NaN admitted in a
-    /// release build makes the heap entry's `partial_cmp` fall back to
-    /// `Ordering::Equal`, silently corrupting heap order; each length is
-    /// checked once when its node settles, so the check adds O(1) per
-    /// settled node and never touches lengths of unreached nodes.
+    /// Panics if `graph` is not the graph the scratch was made for,
+    /// `length.len()` differs from the node count, or any length the
+    /// search consumes is negative or NaN. Each length is checked once,
+    /// when its node settles.
     pub fn run(&mut self, graph: &CircuitGraph, source: CellId, length: &[f64]) {
-        assert_eq!(
-            length.len(),
-            graph.num_nodes(),
-            "one length per net slot required"
-        );
-        self.begin();
+        self.begin(graph.num_nodes(), length);
         let epoch = self.epoch;
         let s = source.index();
         self.state[s] = NodeState {
@@ -423,77 +545,48 @@ impl DijkstraScratch {
             parent: NO_PARENT,
             mark: epoch,
         };
-        self.heap.push(HeapEntry {
-            dist: 0.0,
-            node: s as u32,
-        });
-        while let Some(HeapEntry { dist: d, node }) = self.heap.pop() {
+        self.heap.push(Reverse((self.order.topo[s], 0, s as u32)));
+        while let Some(Reverse((_, key, node))) = self.heap.pop() {
             self.stats.heap_pops += 1;
             let v = node as usize;
             if self.state[v].mark != epoch {
                 continue; // settled
             }
-            self.settle(v);
-            let net = CellId::from_index(v);
-            let l = length[v];
-            assert!(
-                l >= 0.0,
-                "net length of node {v} must be non-negative and not NaN, got {l}"
-            );
-            for &w in graph.net(net).sinks() {
+            let nd = f64::from_bits(key) + self.settle(v, length);
+            for &w in graph.net(CellId::from_index(v)).sinks() {
                 let wi = w.index();
-                let st = &mut self.state[wi];
-                if st.mark < epoch {
-                    *st = NodeState {
-                        mark: epoch,
-                        ..UNREACHED
-                    };
-                }
-                let nd = d + l;
-                if nd < st.dist {
-                    st.dist = nd;
-                    st.parent = node;
+                if self.relax(node, wi, nd) {
                     self.stats.relaxations += 1;
-                    self.heap.push(HeapEntry {
-                        dist: nd,
-                        node: wi as u32,
-                    });
-                } else if nd == st.dist && st.mark == epoch && node < st.parent {
-                    // Equal distance: prefer the smaller parent net id so
-                    // the tree is unique regardless of heap pop order
-                    // (`NO_PARENT` loses to every net).
-                    st.parent = node;
+                    self.heap
+                        .push(Reverse((self.order.topo[wi], nd.to_bits(), wi as u32)));
                 }
             }
         }
         self.end_run();
     }
 
-    /// Runs the fixed-slot bucket-queue Dijkstra over the packed [`Csr`]
+    /// Runs the component-ordered Dijkstra over the packed [`Csr`]
     /// adjacency — the `Saturate_Network` hot path.
     ///
-    /// The queue keys are the distances' IEEE-754 bit patterns (an exact
-    /// monotone quantization for non-negative doubles), bucketed by their
-    /// top 16 bits into a fixed array of 2¹⁵ slots
-    /// that covers the *entire* non-negative `f64` range — saturation's
-    /// clamped-exponential congestion distances span `[1, e^700]`, so no
-    /// bounded-range calendar works. Entries never migrate between slots
-    /// and the slot being drained is kept sorted, so pops come out in
-    /// exactly the `(distance, node)` order of the binary-heap reference:
-    /// distances, parents, settle order, and work counters are all
-    /// bit-identical to [`DijkstraScratch::run`]. See `DESIGN.md` §13.
+    /// A bitmap over topological indices holds the components reached
+    /// and not yet settled; the outer loop takes them smallest index
+    /// first. A single-node component settles at once: every fanin is in
+    /// an earlier component, so its tentative distance is final (a
+    /// self-loop can never shorten a settled node). A cyclic component
+    /// runs the `SlotQueue` Dijkstra, seeded with its members reached
+    /// so far at their tentative distances. A relaxation inside the
+    /// component pushes to that queue; one into a later component only
+    /// sets that component's bit. Settle order, distances, parents,
+    /// relaxations and tree sizes are bit-identical to
+    /// [`DijkstraScratch::run`]. See `DESIGN.md` §13.
     ///
     /// # Panics
     ///
-    /// As [`DijkstraScratch::run`]: length-vector size mismatch, or a
-    /// negative/NaN length consumed by the search.
+    /// As [`DijkstraScratch::run`]: a graph other than the scratch's,
+    /// a length-vector size mismatch, or a negative/NaN length consumed
+    /// by the search.
     pub fn run_fast(&mut self, csr: &Csr, source: CellId, length: &[f64]) {
-        assert_eq!(
-            length.len(),
-            csr.num_nodes(),
-            "one length per net slot required"
-        );
-        self.begin();
+        self.begin(csr.num_nodes(), length);
         self.slot_queue.ensure();
         let epoch = self.epoch;
         let s = source.index();
@@ -502,54 +595,61 @@ impl DijkstraScratch {
             parent: NO_PARENT,
             mark: epoch,
         };
+        self.pending.insert(self.order.topo[s] as usize);
         let mut pops = 0u64;
         let mut relaxations = 0u64;
-        self.slot_queue.push(0, s as u32); // 0.0f64.to_bits() == 0
-        while let Some((key, node)) = self.slot_queue.pop() {
+        let mut next = 0;
+        while let Some(t) = self.pending.take_from(next) {
             pops += 1;
-            let v = node as usize;
-            if self.state[v].mark != epoch {
-                continue; // settled
+            next = t + 1;
+            let members = self.order.range(t);
+            if members.len() == 1 {
+                let v = self.order.members[members.start] as usize;
+                relaxations += self.settle_and_relax(csr, v, length, t);
+                continue;
             }
-            let d = f64::from_bits(key);
-            self.settle(v);
-            let l = length[v];
-            assert!(
-                l >= 0.0,
-                "net length of node {v} must be non-negative and not NaN, got {l}"
-            );
-            let nd = d + l;
-            let bits = nd.to_bits();
-            for &w in csr.sinks(CellId::from_index(v)) {
-                let wi = w.index();
-                let st = &mut self.state[wi];
-                if st.mark < epoch {
-                    // First touch this run: the stale slot reads as
-                    // (INFINITY, no parent), which any finite `nd` beats.
-                    *st = NodeState {
-                        dist: nd,
-                        parent: node,
-                        mark: epoch,
-                    };
-                    if nd < f64::INFINITY {
-                        relaxations += 1;
-                        self.slot_queue.push(bits, wi as u32);
-                    }
-                } else if nd < st.dist {
-                    // Never true for a settled node: its distance is at
-                    // most `d`, and `nd = d + l` with `l >= 0`.
-                    st.dist = nd;
-                    st.parent = node;
-                    relaxations += 1;
-                    self.slot_queue.push(bits, wi as u32);
-                } else if nd == st.dist && st.mark == epoch && node < st.parent {
-                    st.parent = node;
+            self.slot_queue.reset();
+            for i in members {
+                let v = self.order.members[i];
+                let st = self.state[v as usize];
+                if st.mark == epoch && st.dist < f64::INFINITY {
+                    self.slot_queue.push(st.dist.to_bits(), v);
+                }
+            }
+            while let Some((_, node)) = self.slot_queue.pop() {
+                pops += 1;
+                let v = node as usize;
+                if self.state[v].mark == epoch {
+                    relaxations += self.settle_and_relax(csr, v, length, t);
                 }
             }
         }
         self.stats.heap_pops += pops;
         self.stats.relaxations += relaxations;
         self.end_run();
+    }
+
+    /// Settles `v`, a node of the component at topological index `t`, and
+    /// relaxes its branches: an improved sink in `t` goes into the slot
+    /// queue, one in a later component sets that component's bit.
+    /// Returns the relaxations.
+    #[inline(always)]
+    fn settle_and_relax(&mut self, csr: &Csr, v: usize, length: &[f64], t: usize) -> u64 {
+        let nd = self.state[v].dist + self.settle(v, length);
+        let mut relaxations = 0;
+        for &w in csr.sinks(CellId::from_index(v)) {
+            let wi = w.index();
+            if self.relax(v as u32, wi, nd) {
+                relaxations += 1;
+                let c = self.order.topo[wi] as usize;
+                if c == t {
+                    self.slot_queue.push(nd.to_bits(), wi as u32);
+                } else {
+                    self.pending.insert(c);
+                }
+            }
+        }
+        relaxations
     }
 
     /// Distance of `node` from the last run's source (`INFINITY` when
@@ -621,9 +721,40 @@ mod tests {
 
     /// A fresh production-engine tree from `source`.
     fn fast_tree(g: &CircuitGraph, source: CellId, length: &[f64]) -> DijkstraScratch {
-        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        let mut scratch = DijkstraScratch::new(g);
         scratch.run_fast(g.csr(), source, length);
         scratch
+    }
+
+    /// Asserts that one reference run and one production run (each on a
+    /// fresh scratch) found the same tree in the same settle order with
+    /// the same work, the pops aside: the two engines pop different
+    /// queues, and the reference pops exactly its pushes.
+    fn assert_same_run(g: &CircuitGraph, reference: &DijkstraScratch, fast: &DijkstraScratch) {
+        assert_eq!(reference.visited_order(), fast.visited_order());
+        let (r, f) = (reference.stats(), fast.stats());
+        assert_eq!(
+            r.heap_pops,
+            r.relaxations + 1,
+            "one push per relaxation and source"
+        );
+        assert_eq!(
+            (r.relaxations, r.settled, r.tree_sizes),
+            (f.relaxations, f.settled, f.tree_sizes)
+        );
+        for v in g.nodes() {
+            assert_eq!(
+                reference.distance(v).to_bits(),
+                fast.distance(v).to_bits(),
+                "node {v}"
+            );
+            assert_eq!(reference.parent(v), fast.parent(v), "node {v}");
+        }
+        assert_eq!(reference.tree_nets(), fast.tree_nets());
+        assert_eq!(
+            reference.tree_net_branch_counts(),
+            fast.tree_net_branch_counts()
+        );
     }
 
     #[test]
@@ -712,7 +843,7 @@ mod tests {
     fn tree_net_counts_agree_with_sorted_views() {
         let g = s27_graph();
         let unit = vec![1.0; g.num_nodes()];
-        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        let mut scratch = DijkstraScratch::new(&g);
         scratch.run_fast(g.csr(), g.find("G0").unwrap(), &unit);
         let mut from_iter: Vec<(NetId, usize)> = scratch
             .tree_net_counts()
@@ -727,18 +858,9 @@ mod tests {
         let g = s27_graph();
         let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 7) as f64 * 0.5).collect();
         for src in g.nodes() {
-            let mut a = DijkstraScratch::new(g.num_nodes());
+            let mut a = DijkstraScratch::new(&g);
             a.run(&g, src, &lengths);
-            let mut b = DijkstraScratch::new(g.num_nodes());
-            b.run_fast(g.csr(), src, &lengths);
-            assert_eq!(a.visited_order(), b.visited_order(), "src {src}");
-            assert_eq!(a.stats(), b.stats(), "src {src}");
-            for v in g.nodes() {
-                assert_eq!(a.distance(v).to_bits(), b.distance(v).to_bits());
-                assert_eq!(a.parent(v), b.parent(v));
-            }
-            assert_eq!(a.tree_nets(), b.tree_nets());
-            assert_eq!(a.tree_net_branch_counts(), b.tree_net_branch_counts());
+            assert_same_run(&g, &a, &fast_tree(&g, src, &lengths));
         }
     }
 
@@ -749,25 +871,13 @@ mod tests {
         // style equal keys — the cases a sloppy drain order would break.
         let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 4) as f64 * 0.5).collect();
         for src in g.nodes() {
-            let mut a = DijkstraScratch::new(g.num_nodes());
+            let mut a = DijkstraScratch::new(&g);
             a.run(&g, src, &lengths);
-            let mut b = DijkstraScratch::new(g.num_nodes());
-            b.run_fast(g.csr(), src, &lengths);
-            // Bit-identical in every observable, settle order and work
-            // counters included: the slot queue reproduces the binary
-            // heap's (distance, node) pop order exactly.
-            assert_eq!(a.visited_order(), b.visited_order(), "src {src}");
-            assert_eq!(a.stats(), b.stats(), "src {src}");
-            for v in g.nodes() {
-                assert_eq!(
-                    a.distance(v).to_bits(),
-                    b.distance(v).to_bits(),
-                    "src {src}"
-                );
-                assert_eq!(a.parent(v), b.parent(v), "src {src}");
-            }
-            assert_eq!(a.tree_nets(), b.tree_nets());
-            assert_eq!(a.tree_net_branch_counts(), b.tree_net_branch_counts());
+            // Bit-identical in every observable, settle order included:
+            // the bitmap takes components in topological order and the
+            // slot queue drains one in the binary heap's (distance, node)
+            // order.
+            assert_same_run(&g, &a, &fast_tree(&g, src, &lengths));
         }
     }
 
@@ -780,16 +890,47 @@ mod tests {
         let src = g.find("G9").unwrap();
         lengths[src.index()] = 1e300;
         lengths[g.find("G0").unwrap().index()] = 1e-12;
-        let mut a = DijkstraScratch::new(g.num_nodes());
+        let mut a = DijkstraScratch::new(&g);
         a.run(&g, src, &lengths);
-        let mut b = DijkstraScratch::new(g.num_nodes());
-        b.run_fast(g.csr(), src, &lengths);
-        assert_eq!(a.visited_order(), b.visited_order());
-        assert_eq!(a.stats(), b.stats());
-        for v in g.nodes() {
-            assert_eq!(a.distance(v).to_bits(), b.distance(v).to_bits());
-            assert_eq!(a.parent(v), b.parent(v));
-        }
+        assert_same_run(&g, &a, &fast_tree(&g, src, &lengths));
+    }
+
+    #[test]
+    fn a_fanin_in_an_earlier_component_counts_on_an_absorbed_tie() {
+        // s → x → w and s → m → u → w, where u's length vanishes next to
+        // H (H + 1 == H): x and u both reach w at exactly H. u sits in an
+        // earlier component than w, so it settles first and, as the
+        // smaller id, becomes w's parent. A global (distance, node) order
+        // would settle w (id 0) before u (id 1) and leave it x's.
+        use ppet_netlist::{CellKind, Circuit};
+        let mut c = Circuit::new("tie");
+        let cells = [
+            ("w", CellKind::Or),
+            ("u", CellKind::Buf),
+            ("x", CellKind::Buf),
+            ("s", CellKind::Input),
+            ("m", CellKind::Buf),
+        ]
+        .map(|(name, kind)| c.add_cell_deferred(name, kind).unwrap());
+        let [w, u, x, s, m] = cells;
+        c.set_fanin(w, vec![x, u]).unwrap();
+        c.set_fanin(u, vec![m]).unwrap();
+        c.set_fanin(x, vec![s]).unwrap();
+        c.set_fanin(m, vec![s]).unwrap();
+        c.mark_output(w).unwrap();
+        let g = CircuitGraph::from_circuit(&c);
+        const H: f64 = 1e20;
+        assert_eq!(H + 1.0, H);
+        let mut lengths = vec![1.0; g.num_nodes()];
+        lengths[x.index()] = H;
+        lengths[m.index()] = H;
+        let fast = fast_tree(&g, s, &lengths);
+        assert_eq!(fast.distance(w), H);
+        assert_eq!(fast.distance(u), H);
+        assert_eq!(fast.parent(w), Some(u));
+        let mut reference = DijkstraScratch::new(&g);
+        reference.run(&g, s, &lengths);
+        assert_same_run(&g, &reference, &fast);
     }
 
     #[test]
@@ -824,7 +965,7 @@ mod tests {
     fn stats_accumulate_and_reset() {
         let g = s27_graph();
         let unit = vec![1.0; g.num_nodes()];
-        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        let mut scratch = DijkstraScratch::new(&g);
         scratch.run(&g, g.find("G0").unwrap(), &unit);
         let one = scratch.stats();
         assert!(one.heap_pops >= one.settled);
@@ -855,10 +996,10 @@ mod tests {
         // engines share the state array, so alternate them.
         let g = s27_graph();
         let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 4) as f64 * 0.5).collect();
-        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        let mut scratch = DijkstraScratch::new(&g);
         scratch.epoch = u32::MAX - 7;
         for (i, src) in g.nodes().chain(g.nodes()).enumerate() {
-            let mut fresh = DijkstraScratch::new(g.num_nodes());
+            let mut fresh = DijkstraScratch::new(&g);
             if i % 2 == 0 {
                 scratch.run_fast(g.csr(), src, &lengths);
                 fresh.run_fast(g.csr(), src, &lengths);
@@ -937,10 +1078,10 @@ mod tests {
     #[test]
     fn slot_queue_memory_is_bounded_by_tree_size_not_key_range() {
         let g = table9_graph("s1423");
-        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        let mut scratch = DijkstraScratch::new(&g);
         let (length, max_pushes, touched) = saturate_paper(&mut scratch, &g);
-        // The head array and the occupancy bitmap.
-        let fixed = NUM_SLOTS * 4 + NUM_SLOTS / 64 * 8;
+        // The head array and the occupancy bitmap with its summary words.
+        let fixed = NUM_SLOTS * 4 + NUM_SLOTS / 64 * 8 + NUM_SLOTS / 4096 * 8;
         let bound = fixed + 2 * 16 * (max_pushes as usize + 1);
         let after_saturation = scratch.slot_queue.retained_bytes();
         assert!(
@@ -984,43 +1125,66 @@ mod tests {
 
     #[test]
     fn scratch_reused_after_a_panicked_run_matches_a_fresh_one() {
-        // A NaN length panics `run_fast` mid-search, with entries still
-        // queued in several slots; the next run must sweep them (the
-        // `reset` path a completed run never takes) and find the same tree
-        // as a fresh scratch.
+        // A NaN length panics `run_fast` mid-search: once on a node of a
+        // cyclic component, with entries still queued in several slots,
+        // and once on a single-node component; both times with later
+        // components' bits still set. The next run must sweep them (the
+        // paths a completed run never takes) and find the same tree as a
+        // fresh scratch.
         let g = table9_graph("s510");
         let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 9) as f64 * 0.75).collect();
         let src = g.nodes().next().unwrap();
         let good = fast_tree(&g, src, &lengths);
-        let order = good.visited_order();
-        let mut poisoned = lengths.clone();
-        poisoned[order[order.len() / 2].index()] = f64::NAN;
-
-        let mut scratch = DijkstraScratch::new(g.num_nodes());
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scratch.run_fast(g.csr(), src, &poisoned);
-        }));
-        assert!(panicked.is_err(), "the NaN length was never consumed");
-        assert!(scratch.slot_queue.len > 0, "the panic left nothing queued");
-        let occupied: u32 = scratch.slot_queue.occ1.iter().map(|w| w.count_ones()).sum();
-        assert!(
-            occupied > 1,
-            "only {occupied} slot(s) occupied at the panic"
-        );
-
-        for source in [src, g.nodes().nth(7).unwrap()] {
-            scratch.run_fast(g.csr(), source, &lengths);
-            let fresh = fast_tree(&g, source, &lengths);
-            assert_eq!(scratch.visited_order(), fresh.visited_order());
-            assert_eq!(scratch.take_stats(), fresh.stats());
-            for v in g.nodes() {
-                assert_eq!(scratch.distance(v).to_bits(), fresh.distance(v).to_bits());
-                assert_eq!(scratch.parent(v), fresh.parent(v));
-            }
-            assert_eq!(
-                scratch.tree_net_branch_counts(),
-                fresh.tree_net_branch_counts()
+        // The middle settle of the largest cyclic component, and the
+        // middle settle among single-node components.
+        let order = &good.order;
+        let size = |v: &CellId| order.range(order.topo[v.index()] as usize).len();
+        let largest = good.visited_order().iter().map(size).max().unwrap();
+        assert!(largest > 1, "the tree reaches no cycle");
+        let (cyclic, acyclic): (Vec<CellId>, Vec<CellId>) = good
+            .visited_order()
+            .iter()
+            .filter(|v| [1, largest].contains(&size(v)))
+            .partition(|v| size(v) > 1);
+        for (poison, on_cycle) in [
+            (cyclic[cyclic.len() / 2], true),
+            (acyclic[acyclic.len() / 2], false),
+        ] {
+            let mut poisoned = lengths.clone();
+            poisoned[poison.index()] = f64::NAN;
+            let mut scratch = DijkstraScratch::new(&g);
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                scratch.run_fast(g.csr(), src, &poisoned);
+            }));
+            assert!(panicked.is_err(), "the NaN length was never consumed");
+            assert!(
+                !scratch.pending.is_empty(),
+                "no component bit set at the panic on {poison}"
             );
+            if on_cycle {
+                assert!(scratch.slot_queue.len > 0, "the panic left nothing queued");
+                let occ = &scratch.slot_queue.occ;
+                let occupied: u32 = occ.words.iter().map(|w| w.count_ones()).sum();
+                assert!(
+                    occupied > 1,
+                    "only {occupied} slot(s) occupied at the panic"
+                );
+            }
+
+            for source in [src, g.nodes().nth(7).unwrap()] {
+                scratch.run_fast(g.csr(), source, &lengths);
+                let fresh = fast_tree(&g, source, &lengths);
+                assert_eq!(scratch.visited_order(), fresh.visited_order());
+                assert_eq!(scratch.take_stats(), fresh.stats());
+                for v in g.nodes() {
+                    assert_eq!(scratch.distance(v).to_bits(), fresh.distance(v).to_bits());
+                    assert_eq!(scratch.parent(v), fresh.parent(v));
+                }
+                assert_eq!(
+                    scratch.tree_net_branch_counts(),
+                    fresh.tree_net_branch_counts()
+                );
+            }
         }
     }
 
@@ -1028,7 +1192,39 @@ mod tests {
     // hole: the length check used to be a `debug_assert!`, so `--release`
     // builds accepted NaN (and negative) lengths and silently corrupted the
     // queue order. CI runs them under the release profile as well, for the
-    // reference and for the production engine.
+    // reference and for the production engine, with the bad length on the
+    // source (a single-node component, settled without a queue) and on a
+    // node of a cyclic component (settled from the slot queue).
+
+    /// s27's `G11`: a node of its sequential core, settled mid-tree by a
+    /// run from `G0`.
+    fn s27_cyclic_node(g: &CircuitGraph) -> CellId {
+        let v = g.find("G11").unwrap();
+        let order = Condensation::of(g);
+        assert!(order.range(order.topo[v.index()] as usize).len() > 1);
+        let unit = vec![1.0; g.num_nodes()];
+        assert!(fast_tree(g, g.find("G0").unwrap(), &unit).distance(v) > 0.0);
+        v
+    }
+
+    #[test]
+    #[should_panic(expected = "not NaN")]
+    fn nan_length_on_a_cyclic_node_rejected() {
+        let g = s27_graph();
+        let mut lengths = vec![1.0; g.num_nodes()];
+        lengths[s27_cyclic_node(&g).index()] = f64::NAN;
+        let mut scratch = DijkstraScratch::new(&g);
+        scratch.run(&g, g.find("G0").unwrap(), &lengths);
+    }
+
+    #[test]
+    #[should_panic(expected = "not NaN")]
+    fn nan_length_on_a_cyclic_node_rejected_by_fast_run() {
+        let g = s27_graph();
+        let mut lengths = vec![1.0; g.num_nodes()];
+        lengths[s27_cyclic_node(&g).index()] = f64::NAN;
+        let _ = fast_tree(&g, g.find("G0").unwrap(), &lengths);
+    }
 
     #[test]
     #[should_panic(expected = "non-negative")]
@@ -1037,7 +1233,7 @@ mod tests {
         let src = g.find("G0").unwrap();
         let mut lengths = vec![1.0; g.num_nodes()];
         lengths[src.index()] = -1.0; // the source always settles first
-        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        let mut scratch = DijkstraScratch::new(&g);
         scratch.run(&g, src, &lengths);
     }
 
@@ -1048,7 +1244,7 @@ mod tests {
         let src = g.find("G0").unwrap();
         let mut lengths = vec![1.0; g.num_nodes()];
         lengths[src.index()] = f64::NAN;
-        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        let mut scratch = DijkstraScratch::new(&g);
         scratch.run(&g, src, &lengths);
     }
 
@@ -1059,7 +1255,7 @@ mod tests {
         let src = g.find("G0").unwrap();
         let mut lengths = vec![1.0; g.num_nodes()];
         lengths[src.index()] = -0.5; // the source always settles first
-        let mut scratch = DijkstraScratch::new(g.num_nodes());
+        let mut scratch = DijkstraScratch::new(&g);
         scratch.run_fast(g.csr(), src, &lengths);
     }
 

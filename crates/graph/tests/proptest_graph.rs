@@ -5,26 +5,203 @@ use proptest::prelude::*;
 
 use ppet_graph::bellman::{DifferenceConstraints, Solution};
 use ppet_graph::dfs::{self, Direction};
-use ppet_graph::{dijkstra, scc::Scc, CircuitGraph};
-use ppet_netlist::{SynthSpec, Synthesizer};
+use ppet_graph::{dijkstra::DijkstraScratch, scc::Scc, CircuitGraph};
+use ppet_netlist::{CellId, CellKind, Circuit, SynthSpec, Synthesizer};
 use ppet_prng::{Rng, Xoshiro256PlusPlus};
+
+fn synthesized(pis: usize, dffs: usize, gates: usize, invs: usize, seed: u64) -> Circuit {
+    Synthesizer::new(
+        SynthSpec::new("prop")
+            .primary_inputs(pis)
+            .flip_flops(dffs)
+            .gates(gates)
+            .inverters(invs)
+            .dffs_on_scc(dffs / 2)
+            .seed(seed),
+    )
+    .build()
+}
 
 fn arb_graph() -> impl Strategy<Value = CircuitGraph> {
     (1usize..8, 0usize..10, 4usize..60, 0usize..12, any::<u64>()).prop_map(
         |(pis, dffs, gates, invs, seed)| {
-            let c = Synthesizer::new(
-                SynthSpec::new("prop")
-                    .primary_inputs(pis)
-                    .flip_flops(dffs)
-                    .gates(gates)
-                    .inverters(invs)
-                    .dffs_on_scc(dffs / 2)
-                    .seed(seed),
-            )
-            .build();
-            CircuitGraph::from_circuit(&c)
+            CircuitGraph::from_circuit(&synthesized(pis, dffs, gates, invs, seed))
         },
     )
+}
+
+/// Builds a circuit from per-node fan-ins (empty = primary input, one =
+/// buffer, more = OR gate), giving node `i` the cell id `id[i]`.
+fn circuit_from(fanins: &[Vec<usize>], id: &[usize]) -> Circuit {
+    let mut node_of = vec![0; id.len()];
+    for (node, &cell) in id.iter().enumerate() {
+        node_of[cell] = node;
+    }
+    let mut c = Circuit::new("prop");
+    for (cell, &node) in node_of.iter().enumerate() {
+        let kind = match fanins[node].len() {
+            0 => CellKind::Input,
+            1 => CellKind::Buf,
+            _ => CellKind::Or,
+        };
+        c.add_cell_deferred(format!("n{cell}"), kind).unwrap();
+    }
+    for (node, fanin) in fanins.iter().enumerate() {
+        let drivers = fanin.iter().map(|&f| CellId::from_index(id[f])).collect();
+        c.set_fanin(CellId::from_index(id[node]), drivers).unwrap();
+    }
+    c
+}
+
+/// A random permutation of `0..n`.
+fn permutation(n: usize, rng: &mut impl Rng) -> Vec<usize> {
+    let mut id: Vec<usize> = (0..n).collect();
+    rng.shuffle(&mut id);
+    id
+}
+
+/// The synthesizer's graphs with their cell ids randomly permuted, so ids
+/// carry no hint of topological order.
+fn arb_permuted_graph() -> impl Strategy<Value = CircuitGraph> {
+    (1usize..8, 0usize..10, 4usize..60, 0usize..12, any::<u64>()).prop_map(
+        |(pis, dffs, gates, invs, seed)| {
+            let c = synthesized(pis, dffs, gates, invs, seed);
+            let fanins: Vec<Vec<usize>> = c
+                .iter()
+                .map(|(_, cell)| cell.fanin().iter().map(|f| f.index()).collect())
+                .collect();
+            let mut rng = Xoshiro256PlusPlus::seed_from(!seed);
+            let id = permutation(fanins.len(), &mut rng);
+            CircuitGraph::from_circuit(&circuit_from(&fanins, &id))
+        },
+    )
+}
+
+/// Graphs the synthesizer does not build: a chain of blocks, each node
+/// reading from its own block (cycles of any size) or an earlier one,
+/// with self-loops and permuted ids.
+fn arb_cyclic_graph() -> impl Strategy<Value = CircuitGraph> {
+    (2usize..48, any::<u64>()).prop_map(|(n, seed)| {
+        let mut rng = Xoshiro256PlusPlus::seed_from(seed);
+        let mut block_start = vec![0; n];
+        for i in 1..n {
+            block_start[i] = if rng.gen_bool(0.25) {
+                i
+            } else {
+                block_start[i - 1]
+            };
+        }
+        let mut block_end = vec![n; n];
+        for i in (0..n - 1).rev() {
+            block_end[i] = if block_start[i + 1] == i + 1 {
+                i + 1
+            } else {
+                block_end[i + 1]
+            };
+        }
+        let fanins: Vec<Vec<usize>> = (0..n)
+            .map(|i| {
+                if i == 0 {
+                    return Vec::new();
+                }
+                (0..1 + rng.gen_index(3))
+                    .map(|_| match rng.gen_index(10) {
+                        0 => i,
+                        1..=5 => block_start[i] + rng.gen_index(block_end[i] - block_start[i]),
+                        _ => rng.gen_index(block_end[i]),
+                    })
+                    .collect()
+            })
+            .collect();
+        let id = permutation(n, &mut rng);
+        CircuitGraph::from_circuit(&circuit_from(&fanins, &id))
+    })
+}
+
+/// Net lengths for tie hunting: a coarse grid with zeros, or unit
+/// lengths mixed with huge ones, where `d + 1 == d` for every `d ≥ 1e20`.
+fn tie_lengths(n: usize, huge: bool, rng: &mut impl Rng) -> Vec<f64> {
+    const GRID: [f64; 5] = [0.0, 0.5, 1.0, 1.5, 2.0];
+    const MIXED: [f64; 5] = [0.0, 1.0, 1.0, 1e20, 2e20];
+    let pick = if huge { &MIXED } else { &GRID };
+    (0..n).map(|_| pick[rng.gen_index(pick.len())]).collect()
+}
+
+/// Runs both engines from every source of `g` and requires them to agree
+/// bit for bit on everything but the pop counts.
+fn engines_agree(g: &CircuitGraph, lengths: &[f64]) -> Result<(), TestCaseError> {
+    let mut reference = DijkstraScratch::new(g);
+    let mut fast = DijkstraScratch::new(g);
+    for src in g.nodes() {
+        reference.run(g, src, lengths);
+        fast.run_fast(g.csr(), src, lengths);
+        prop_assert_eq!(
+            reference.visited_order(),
+            fast.visited_order(),
+            "src {}",
+            src
+        );
+        let (r, f) = (reference.stats(), fast.stats());
+        prop_assert_eq!(
+            (r.relaxations, r.settled, r.tree_sizes),
+            (f.relaxations, f.settled, f.tree_sizes),
+            "src {}",
+            src
+        );
+        for v in g.nodes() {
+            prop_assert_eq!(
+                reference.distance(v).to_bits(),
+                fast.distance(v).to_bits(),
+                "src {} node {}",
+                src,
+                v
+            );
+            prop_assert_eq!(
+                reference.parent(v),
+                fast.parent(v),
+                "src {} node {}",
+                src,
+                v
+            );
+        }
+        prop_assert_eq!(
+            reference.tree_net_branch_counts(),
+            fast.tree_net_branch_counts(),
+            "src {}",
+            src
+        );
+    }
+    let r = reference.stats();
+    prop_assert_eq!(r.heap_pops, r.relaxations + g.num_nodes() as u64);
+    Ok(())
+}
+
+/// Every parent is a fanin reaching its node at exactly its distance, and
+/// every parent chain ends at the source.
+fn tree_is_valid(g: &CircuitGraph, src: CellId, lengths: &[f64]) -> Result<(), TestCaseError> {
+    let mut spt = DijkstraScratch::new(g);
+    spt.run_fast(g.csr(), src, lengths);
+    prop_assert_eq!(spt.distance(src), 0.0);
+    prop_assert_eq!(spt.parent(src), None);
+    for &v in spt.visited_order() {
+        let mut hops = 0;
+        let mut x = v;
+        while let Some(p) = spt.parent(x) {
+            prop_assert!(g.net(p).sinks().contains(&x), "{} is no fanin of {}", p, x);
+            prop_assert_eq!(
+                spt.distance(x).to_bits(),
+                (spt.distance(p) + lengths[p.index()]).to_bits(),
+                "{} -> {}",
+                p,
+                x
+            );
+            x = p;
+            hops += 1;
+            prop_assert!(hops < g.num_nodes(), "parent chain from {} cycles", v);
+        }
+        prop_assert_eq!(x, src, "the chain from {} ends elsewhere", v);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -72,7 +249,7 @@ proptest! {
         let lengths: Vec<f64> = (0..g.num_nodes()).map(|_| 0.25 + rng.gen_f64() * 4.0).collect();
         let nodes: Vec<_> = g.nodes().collect();
         let src = nodes[rng.gen_index(nodes.len())];
-        let mut spt = dijkstra::DijkstraScratch::new(g.num_nodes());
+        let mut spt = DijkstraScratch::new(&g);
         spt.run_fast(g.csr(), src, &lengths);
 
         let mut dist = vec![f64::INFINITY; g.num_nodes()];
@@ -95,39 +272,43 @@ proptest! {
         }
     }
 
-    /// The fixed-slot bucket-queue engine is bit-identical to the
-    /// binary-heap reference — settle order and work counters included —
-    /// on lengths drawn from a coarse grid that forces zero lengths and
-    /// distance ties (the cases where a sloppy drain order would diverge
-    /// first).
+    /// The production engine is bit-identical to the composite-key
+    /// reference — settle order, trees and work counters but the pops — on
+    /// the synthesizer's graphs, on the same graphs with permuted ids, and
+    /// on graphs with several cyclic components and self-loops; with
+    /// lengths that force distance ties, either on a coarse grid with
+    /// zeros or mixing unit and huge lengths so that `d + len == d`.
     #[test]
     fn slot_queue_dijkstra_matches_binary_reference(
         g in arb_graph(),
+        permuted in arb_permuted_graph(),
+        cyclic in arb_cyclic_graph(),
         len_seed in any::<u64>(),
     ) {
         let mut rng = Xoshiro256PlusPlus::seed_from(len_seed);
-        let lengths: Vec<f64> = (0..g.num_nodes())
-            .map(|_| 0.5 * rng.gen_index(5) as f64) // {0, 0.5, 1, 1.5, 2}
-            .collect();
-        let mut reference = dijkstra::DijkstraScratch::new(g.num_nodes());
-        let mut fast = dijkstra::DijkstraScratch::new(g.num_nodes());
-        for src in g.nodes() {
-            reference.run(&g, src, &lengths);
-            fast.run_fast(g.csr(), src, &lengths);
-            prop_assert_eq!(reference.visited_order(), fast.visited_order(), "src {}", src);
-            prop_assert_eq!(reference.stats(), fast.stats(), "src {}", src);
-            for v in g.nodes() {
-                prop_assert_eq!(
-                    reference.distance(v).to_bits(), fast.distance(v).to_bits(),
-                    "src {} node {}", src, v
-                );
-                prop_assert_eq!(reference.parent(v), fast.parent(v), "src {} node {}", src, v);
+        for graph in [&g, &permuted, &cyclic] {
+            for huge in [false, true] {
+                engines_agree(graph, &tie_lengths(graph.num_nodes(), huge, &mut rng))?;
             }
-            prop_assert_eq!(reference.tree_nets(), fast.tree_nets());
-            prop_assert_eq!(
-                reference.tree_net_branch_counts(),
-                fast.tree_net_branch_counts()
-            );
+        }
+    }
+
+    /// The production engine builds a valid shortest-path tree from every
+    /// source, ties and self-loops included.
+    #[test]
+    fn production_trees_are_shortest_path_trees(
+        permuted in arb_permuted_graph(),
+        cyclic in arb_cyclic_graph(),
+        len_seed in any::<u64>(),
+    ) {
+        let mut rng = Xoshiro256PlusPlus::seed_from(len_seed);
+        for graph in [&permuted, &cyclic] {
+            for huge in [false, true] {
+                let lengths = tie_lengths(graph.num_nodes(), huge, &mut rng);
+                for src in graph.nodes() {
+                    tree_is_valid(graph, src, &lengths)?;
+                }
+            }
         }
     }
 

@@ -480,21 +480,18 @@ impl<B: CompileBackend> Service<B> {
     /// Looks `key` up in the persistent store and verifies the stored
     /// body (UTF-8, then the backend's semantic check) before trusting
     /// it. Anything that fails verification — including a *panicking*
-    /// verifier — is quarantined so the slot recompiles: a corrupt store
-    /// degrades to a cold cache, never to a wrong answer or a dead slot.
+    /// verifier — is quarantined and counted as a store miss so the slot
+    /// recompiles: a corrupt store degrades to a cold cache, never to a
+    /// wrong answer or a dead slot.
     fn store_fetch(&self, key: CacheKey) -> Option<Arc<String>> {
         let store = self.store.as_ref()?;
-        let bytes = store.get(key.0)?;
-        let verified = String::from_utf8(bytes)
-            .ok()
-            .filter(|body| self.verify_stored_guarded(body).is_ok());
-        match verified {
-            Some(body) => Some(Arc::new(body)),
-            None => {
-                store.quarantine(key.0);
-                None
-            }
-        }
+        store
+            .get_verified(key.0, |bytes| {
+                String::from_utf8(bytes)
+                    .ok()
+                    .filter(|body| self.verify_stored_guarded(body).is_ok())
+            })
+            .map(Arc::new)
     }
 
     /// Records end-to-end request latency into the per-outcome

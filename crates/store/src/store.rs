@@ -537,28 +537,50 @@ impl Store {
     /// quarantined (removed, tombstoned, counted) and reported as a miss
     /// — the caller recomputes and re-puts.
     pub fn get(&self, key: u128) -> Option<Vec<u8>> {
-        let mut inner = self.inner.lock().unwrap();
-        if !inner.index.contains_key(&key) {
-            self.misses.inc();
-            return None;
-        }
-        match inner.read_artifact(key, self.config.decode_budget_factor) {
-            Ok(data) => {
-                inner.tick += 1;
-                let tick = inner.tick;
-                if let Some(entry) = inner.index.get_mut(&key) {
-                    entry.tick = tick;
-                }
-                self.hits.inc();
-                Some(data)
-            }
-            Err(_) => {
-                self.quarantine_locked(&mut inner, key);
-                self.publish_gauges(&inner);
+        self.get_verified(key, Some)
+    }
+
+    /// Fetches the artifact stored under `key` and hands it to `verify`,
+    /// a caller-level integrity check run without the store's lock. The
+    /// read counts as a hit only when `verify` accepts it (returns
+    /// `Some`); a rejected entry is quarantined as by [`Store::quarantine`]
+    /// and the read counts as a miss, like a corrupt record.
+    pub fn get_verified<T>(
+        &self,
+        key: u128,
+        verify: impl FnOnce(Vec<u8>) -> Option<T>,
+    ) -> Option<T> {
+        let data = {
+            let mut inner = self.inner.lock().unwrap();
+            if !inner.index.contains_key(&key) {
                 self.misses.inc();
-                None
+                return None;
             }
+            match inner.read_artifact(key, self.config.decode_budget_factor) {
+                Ok(data) => {
+                    inner.tick += 1;
+                    let tick = inner.tick;
+                    if let Some(entry) = inner.index.get_mut(&key) {
+                        entry.tick = tick;
+                    }
+                    data
+                }
+                Err(_) => {
+                    self.quarantine_locked(&mut inner, key);
+                    self.publish_gauges(&inner);
+                    self.misses.inc();
+                    return None;
+                }
+            }
+        };
+        let verified = verify(data);
+        if verified.is_some() {
+            self.hits.inc();
+        } else {
+            self.quarantine(key);
+            self.misses.inc();
         }
+        verified
     }
 
     /// Whether `key` is live (no counters, no LRU touch).

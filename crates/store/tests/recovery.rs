@@ -240,3 +240,21 @@ fn pin_state_survives_restart() {
     assert_eq!(stats.pinned, 1);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+#[test]
+fn a_read_its_caller_rejects_is_quarantined_and_counted_as_a_miss() {
+    let dir = fresh_dir("rejected");
+    let store = Store::open(&dir, StoreConfig::default()).unwrap();
+    store.put(1, b"stale answer").unwrap();
+    store.put(2, b"good answer").unwrap();
+    assert_eq!(store.get_verified(1, |_| None::<()>), None);
+    assert!(!store.contains(1), "the rejected entry is quarantined");
+    assert_eq!(
+        store.get_verified(2, Some).as_deref(),
+        Some(&b"good answer"[..])
+    );
+    let stats = store.stats();
+    assert_eq!((stats.hits, stats.misses, stats.quarantined), (1, 1, 1));
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}

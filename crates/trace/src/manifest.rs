@@ -18,8 +18,10 @@ pub const SCHEMA: &str = "ppet-trace/v1";
 ///
 /// Epoch 0 is every engine before epochs were recorded (manifests with no
 /// `engine` field). Epoch 1 picks saturation sources in permutation
-/// rounds.
-pub const ENGINE_EPOCH: u32 = 1;
+/// rounds. Epoch 2 settles each saturation tree one strongly connected
+/// component at a time, in topological order, which moves a tree's
+/// parent on some exact distance ties.
+pub const ENGINE_EPOCH: u32 = 2;
 
 /// One pipeline phase in a [`RunManifest`].
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -162,6 +162,9 @@ fn a_previous_engine_epoch_is_quarantined_and_recompiled() {
     let (_, metrics) = roundtrip(addr, "GET", "/metrics", "");
     assert_eq!(metric(&metrics, "store_quarantined "), 1, "{metrics}");
     assert_eq!(metric(&metrics, "serve_cache_misses "), 1, "{metrics}");
+    // The quarantined read served nothing: a miss, not a hit.
+    assert_eq!(metric(&metrics, "store_hits "), 0, "{metrics}");
+    assert_eq!(metric(&metrics, "store_misses "), 1, "{metrics}");
 
     handle.shutdown();
     join.join().unwrap();
