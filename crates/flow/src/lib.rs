@@ -23,8 +23,8 @@
 //! [`saturate_network`] runs the loop sequentially, exactly as Table 3
 //! states it: every tree routes over the distances all earlier trees left,
 //! so the result is a pure function of `(graph, params, seed)`. Its hot
-//! path is one engine — the fixed-slot bucket-queue Dijkstra over one
-//! lazily stamped node-state array (`ppet_graph::dijkstra`); the
+//! path is one engine — the component-ordered Dijkstra over one lazily
+//! stamped node-state array (`ppet_graph::dijkstra`); the
 //! pre-rewrite loop survives only as [`saturate_network_reference`], the
 //! specification the tests and the perf gate compare against. The two
 //! return equal profiles, search-work counters included.

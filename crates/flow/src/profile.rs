@@ -81,9 +81,10 @@ impl CongestionProfile {
     ///
     /// This is the equivalence any saturation engine must meet against
     /// the reference; how much search work it spends may differ.
-    /// `PartialEq` compares the counters too — today's production loop
-    /// meets that stricter notion as well, since its bucket queue pops in
-    /// the reference heap's exact order.
+    /// `PartialEq` compares the counters too. Today's production loop
+    /// settles in the reference's exact order and matches every counter
+    /// but `heap_pops`: it pops a component bitmap and, inside cyclic
+    /// components, a heap of its own, not the reference's one heap.
     #[must_use]
     pub fn result_eq(&self, other: &Self) -> bool {
         self.distance == other.distance

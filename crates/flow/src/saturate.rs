@@ -329,8 +329,8 @@ mod tests {
 
     #[test]
     fn matches_the_reference_implementation_bit_for_bit() {
-        // The rewrite contract: CSR + bucket queue + the memoized
-        // distance ladder change the cost of the work, never *results*. The
+        // The rewrite contract: CSR adjacency and component-ordered
+        // Dijkstra change the cost of the work, never *results*. The
         // distance/flow vectors must agree to the last bit, in both
         // accounting modes, across seeds.
         let g = s27();

@@ -21,15 +21,13 @@
 //!   property tests compare against.
 //! * [`DijkstraScratch::run_fast`] — the **saturation hot path**, over the
 //!   packed [`Csr`] adjacency. A bitmap over topological indices drives
-//!   the outer loop; a cyclic component runs a fixed-slot bucket queue
-//!   (`SlotQueue`) keyed by the top 16 bits of the distance bit pattern.
-//!   For non-negative doubles the bit pattern is a monotone fixed-point
-//!   encoding, so the slots cover the entire non-negative `f64` range
-//!   (saturation's clamped-exponential weights span `[1, e^700]`, far
-//!   beyond any bounded calendar) and the drain order reproduces the
-//!   binary heap's `(distance, node)` order exactly. Distances, parents,
-//!   settle order, relaxations and tree sizes are bit-identical to the
-//!   reference; only the pop counts differ. See `DESIGN.md` §13.
+//!   the outer loop; a cyclic component drains a `BinaryHeap` of its own,
+//!   keyed by the distance bits above the node id. For non-negative
+//!   doubles the bit pattern orders like the value, so the heap pops in
+//!   the reference's `(distance, node)` order inside the component.
+//!   Distances, parents, settle order, relaxations and tree sizes are
+//!   bit-identical to the reference; only the pop counts differ. See
+//!   `DESIGN.md` §13.
 //!
 //! Both engines keep their per-node search state in one lazily stamped
 //! array ([`DijkstraScratch`]), so a tree never pays to reset the nodes
@@ -109,155 +107,6 @@ impl Bitmap {
     }
 }
 
-/// A monotone fixed-slot bucket queue over `(f64-bit key, node)` pairs —
-/// the queue [`DijkstraScratch::run_fast`] drains a cyclic component with.
-///
-/// The slot of a key is its top 16 bits (sign, the 11 exponent bits, and
-/// the 4 leading mantissa bits): a monotone index for non-negative
-/// doubles, so [`NUM_SLOTS`] = 2¹⁵ slots cover the entire
-/// non-negative `f64` range — including `+inf` — with an exponentially
-/// scaled grid whose slot width is a fixed ×(1 + 2⁻⁴) distance band.
-/// Entries never migrate: a push lands in its final slot, and a
-/// two-level occupancy [`Bitmap`] finds the next occupied slot in a
-/// handful of word scans. The slot being drained is sorted descending
-/// by `(key, node)` once, and same-slot arrivals (Dijkstra pushes keys ≥
-/// the minimum, so they can land in the cursor slot but never before it)
-/// are inserted in order — pops therefore leave in exactly the
-/// `(distance, node)` order of a tie-broken binary heap.
-///
-/// A slot is a singly linked list threaded through one entry arena that
-/// holds every push of the current component and is cleared when the
-/// next one starts. So the queue's memory is the fixed 128 KiB head array
-/// plus 16 B per push of the largest tree, whatever range of distances
-/// the trees of a whole saturation cover.
-#[derive(Debug, Clone, Default)]
-struct SlotQueue {
-    /// Arena index of each slot's most recent entry, [`EMPTY`] for an
-    /// empty slot. Lazily sized to [`NUM_SLOTS`] on first use, so scratch
-    /// areas that only run the reference stay small.
-    head: Vec<u32>,
-    /// The current component's entries outside the cursor slot, each
-    /// linked to the entry pushed before it into the same slot.
-    arena: Vec<Entry>,
-    /// One occupancy bit per slot; the cursor slot's bit is never set.
-    occ: Bitmap,
-    /// Slot currently being drained.
-    cur: usize,
-    /// The drained slot's entries, sorted descending (pop from the back).
-    cur_vec: Vec<(u64, u32)>,
-    len: usize,
-}
-
-/// One queued `(key, node)` pair and the arena index of the next entry
-/// in its slot ([`EMPTY`] at the list's end): 16 bytes.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    key: u64,
-    node: u32,
-    next: u32,
-}
-
-/// `f64::to_bits() >> 48` of any non-negative double (`+inf` included) is
-/// below this.
-const NUM_SLOTS: usize = 1 << 15;
-/// End of a slot list. Each arena entry is a relaxation along a distinct
-/// CSR branch or a component seed (one per node), and branch offsets are
-/// `u32`, so every arena index stays below it.
-const EMPTY: u32 = u32::MAX;
-
-impl SlotQueue {
-    fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocates the head array (128 KiB) and the occupancy bitmap on
-    /// first use.
-    fn ensure(&mut self) {
-        if self.head.is_empty() {
-            self.head = vec![EMPTY; NUM_SLOTS];
-            self.occ = Bitmap::new(NUM_SLOTS);
-        }
-    }
-
-    /// Prepares for a new component. A drained queue has no occupied
-    /// slot, so this only rewinds the cursor and clears the arena then;
-    /// after an abandoned run (caller panicked mid-search) it sweeps the
-    /// occupied heads clean.
-    fn reset(&mut self) {
-        if self.len != 0 {
-            while let Some(s) = self.occ.take_from(0) {
-                self.head[s] = EMPTY;
-            }
-            self.len = 0;
-        }
-        self.cur = 0;
-        self.cur_vec.clear();
-        self.arena.clear();
-    }
-
-    // `inline(always)`: an out-of-line push/pop in the relaxation loop
-    // once measured ~10 % slower cold compiles end to end.
-    #[inline(always)]
-    fn push(&mut self, key: u64, node: u32) {
-        self.len += 1;
-        let s = (key >> 48) as usize;
-        if s == self.cur {
-            // A same-slot arrival while the slot drains: keep it sorted.
-            let pos = self.cur_vec.partition_point(|&e| e > (key, node));
-            self.cur_vec.insert(pos, (key, node));
-            return;
-        }
-        let next = self.head[s];
-        if next == EMPTY {
-            self.occ.insert(s);
-        }
-        self.head[s] = self.arena.len() as u32;
-        self.arena.push(Entry { key, node, next });
-    }
-
-    #[inline(always)]
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        if let Some(e) = self.cur_vec.pop() {
-            self.len -= 1;
-            return Some(e);
-        }
-        if self.len == 0 {
-            return None;
-        }
-        let s = self
-            .occ
-            .take_from(self.cur)
-            .expect("a queued entry outside the cursor slot occupies a later slot");
-        self.cur = s;
-        self.len -= 1;
-        let mut i = std::mem::replace(&mut self.head[s], EMPTY);
-        let first = self.arena[i as usize];
-        if first.next == EMPTY {
-            // The common late-saturation case: distances span a huge
-            // dynamic range, one entry per slot — skip the gather and sort.
-            return Some((first.key, first.node));
-        }
-        while i != EMPTY {
-            let e = self.arena[i as usize];
-            self.cur_vec.push((e.key, e.node));
-            i = e.next;
-        }
-        self.cur_vec.sort_unstable_by(|a, b| b.cmp(a));
-        self.cur_vec.pop()
-    }
-
-    /// Heap bytes the queue keeps between runs.
-    #[cfg(test)]
-    fn retained_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.head.capacity() * size_of::<u32>()
-            + self.occ.words.capacity() * size_of::<u64>()
-            + self.occ.summary.capacity() * size_of::<u64>()
-            + self.arena.capacity() * size_of::<Entry>()
-            + self.cur_vec.capacity() * size_of::<(u64, u32)>()
-    }
-}
-
 /// The graph's SCC condensation in topological order: the order both
 /// engines settle components in. [`Scc::of`] numbers components in
 /// reverse topological order, so component `id` of `C` has topological
@@ -304,6 +153,15 @@ impl Condensation {
     fn range(&self, t: usize) -> Range<usize> {
         self.start[t] as usize..self.start[t + 1] as usize
     }
+}
+
+/// The component heap's key for `node` at `dist`: the distance bits
+/// above the node id, so it orders as `(distance, node)` does (the bits
+/// of a non-negative double order like its value). One 128-bit compare
+/// is cheaper than a tuple's two.
+#[inline(always)]
+fn component_key(dist: f64, node: u32) -> Reverse<u128> {
+    Reverse(u128::from(dist.to_bits()) << 32 | u128::from(node))
 }
 
 /// One node's search state, packed so a relaxation reads and writes a
@@ -368,7 +226,9 @@ pub struct DijkstraScratch {
     /// index of every component holding a node reached with a finite
     /// distance and not yet settled.
     pending: Bitmap,
-    slot_queue: SlotQueue,
+    /// The production engine's queue inside one cyclic component:
+    /// [`component_key`]s, smallest first.
+    component_heap: BinaryHeap<Reverse<u128>>,
     visited: Vec<CellId>,
     /// Branches of each net in the last run's tree; a net's slot is reset
     /// when its driver settles, which precedes every branch it feeds.
@@ -386,8 +246,8 @@ pub struct DijkstraStats {
     /// Queue pops, including stale entries skipped as already settled.
     /// The reference pops every entry it pushes: one per relaxation plus
     /// each run's source. The production engine pops one bitmap entry
-    /// per component it settles, plus the bucket-queue entries (seeds and
-    /// relaxations) of the cyclic ones.
+    /// per component it settles, plus the component-heap entries (seeds
+    /// and relaxations) of the cyclic ones.
     pub heap_pops: u64,
     /// Successful relaxations (`dist` improvements to a finite distance).
     pub relaxations: u64,
@@ -412,7 +272,7 @@ impl DijkstraScratch {
             pending: Bitmap::new(order.len()),
             order,
             heap: BinaryHeap::new(),
-            slot_queue: SlotQueue::new(),
+            component_heap: BinaryHeap::new(),
             visited: Vec::new(),
             net_count: vec![0; n],
             tree_list: Vec::new(),
@@ -445,8 +305,9 @@ impl DijkstraScratch {
             self.epoch = 0;
         }
         self.epoch += 2;
-        // Both only hold entries after an abandoned (panicked) run.
+        // These only hold entries after an abandoned (panicked) run.
         self.heap.clear();
+        self.component_heap.clear();
         self.pending.clear();
         self.visited.clear();
         self.tree_list.clear();
@@ -573,12 +434,12 @@ impl DijkstraScratch {
     /// first. A single-node component settles at once: every fanin is in
     /// an earlier component, so its tentative distance is final (a
     /// self-loop can never shorten a settled node). A cyclic component
-    /// runs the `SlotQueue` Dijkstra, seeded with its members reached
-    /// so far at their tentative distances. A relaxation inside the
-    /// component pushes to that queue; one into a later component only
-    /// sets that component's bit. Settle order, distances, parents,
-    /// relaxations and tree sizes are bit-identical to
-    /// [`DijkstraScratch::run`]. See `DESIGN.md` §13.
+    /// runs a heap Dijkstra, seeded with its members reached so far at
+    /// their tentative distances. A relaxation inside the component
+    /// pushes to that heap; one into a later component only sets that
+    /// component's bit. Settle order, distances, parents, relaxations
+    /// and tree sizes are bit-identical to [`DijkstraScratch::run`]. See
+    /// `DESIGN.md` §13.
     ///
     /// # Panics
     ///
@@ -587,7 +448,6 @@ impl DijkstraScratch {
     /// by the search.
     pub fn run_fast(&mut self, csr: &Csr, source: CellId, length: &[f64]) {
         self.begin(csr.num_nodes(), length);
-        self.slot_queue.ensure();
         let epoch = self.epoch;
         let s = source.index();
         self.state[s] = NodeState {
@@ -608,17 +468,16 @@ impl DijkstraScratch {
                 relaxations += self.settle_and_relax(csr, v, length, t);
                 continue;
             }
-            self.slot_queue.reset();
             for i in members {
                 let v = self.order.members[i];
                 let st = self.state[v as usize];
                 if st.mark == epoch && st.dist < f64::INFINITY {
-                    self.slot_queue.push(st.dist.to_bits(), v);
+                    self.component_heap.push(component_key(st.dist, v));
                 }
             }
-            while let Some((_, node)) = self.slot_queue.pop() {
+            while let Some(Reverse(key)) = self.component_heap.pop() {
                 pops += 1;
-                let v = node as usize;
+                let v = key as u32 as usize; // the node id, below the distance
                 if self.state[v].mark == epoch {
                     relaxations += self.settle_and_relax(csr, v, length, t);
                 }
@@ -630,8 +489,8 @@ impl DijkstraScratch {
     }
 
     /// Settles `v`, a node of the component at topological index `t`, and
-    /// relaxes its branches: an improved sink in `t` goes into the slot
-    /// queue, one in a later component sets that component's bit.
+    /// relaxes its branches: an improved sink in `t` goes into the
+    /// component heap, one in a later component sets that component's bit.
     /// Returns the relaxations.
     #[inline(always)]
     fn settle_and_relax(&mut self, csr: &Csr, v: usize, length: &[f64], t: usize) -> u64 {
@@ -643,7 +502,7 @@ impl DijkstraScratch {
                 relaxations += 1;
                 let c = self.order.topo[wi] as usize;
                 if c == t {
-                    self.slot_queue.push(nd.to_bits(), wi as u32);
+                    self.component_heap.push(component_key(nd, wi as u32));
                 } else {
                     self.pending.insert(c);
                 }
@@ -875,8 +734,8 @@ mod tests {
             a.run(&g, src, &lengths);
             // Bit-identical in every observable, settle order included:
             // the bitmap takes components in topological order and the
-            // slot queue drains one in the binary heap's (distance, node)
-            // order.
+            // component heap drains one in the reference's (distance,
+            // node) order.
             assert_same_run(&g, &a, &fast_tree(&g, src, &lengths));
         }
     }
@@ -885,7 +744,7 @@ mod tests {
     fn slot_queue_handles_clamped_congestion_range() {
         let g = s27_graph();
         // Clamped-congestion-sized lengths span the whole f64 exponent
-        // range; the fixed slots must cover it without any fallback.
+        // range; the heap's bit-pattern keys must order all of it.
         let mut lengths = vec![1.0; g.num_nodes()];
         let src = g.find("G9").unwrap();
         lengths[src.index()] = 1e300;
@@ -931,34 +790,6 @@ mod tests {
         let mut reference = DijkstraScratch::new(&g);
         reference.run(&g, s, &lengths);
         assert_same_run(&g, &reference, &fast);
-    }
-
-    #[test]
-    fn slot_queue_pops_in_distance_then_node_order() {
-        let mut h = SlotQueue::new();
-        h.ensure();
-        // 5.0 and 5.125 share a slot (same top 16 bits), so the drain sort
-        // and the same-slot tie order are both exercised.
-        let keys = [5.0f64, 1.25, 5.0, 0.0, 1.25, 9.75, 5.125];
-        for (i, k) in keys.iter().enumerate() {
-            h.push(k.to_bits(), i as u32);
-        }
-        let mut popped = Vec::new();
-        while let Some((k, n)) = h.pop() {
-            popped.push((f64::from_bits(k), n));
-        }
-        assert_eq!(
-            popped,
-            vec![
-                (0.0, 3),
-                (1.25, 1),
-                (1.25, 4),
-                (5.0, 0),
-                (5.0, 2),
-                (5.125, 6),
-                (9.75, 5)
-            ]
-        );
     }
 
     #[test]
@@ -1030,7 +861,7 @@ mod tests {
     /// rounds of shuffled sources, per-net accounting, exponent clamped
     /// at 700), with `scratch` as the engine. Returns the final net
     /// lengths, the most pushes one run made (its relaxations plus the
-    /// source), and which slots the settled distances fell in.
+    /// source), and which exponents the settled distances had.
     fn saturate_paper(
         scratch: &mut DijkstraScratch,
         g: &CircuitGraph,
@@ -1046,7 +877,7 @@ mod tests {
         let mut flow = vec![0.0f64; n];
         let mut order: Vec<CellId> = g.nodes().collect();
         let mut max_pushes = 0;
-        let mut touched = vec![false; NUM_SLOTS];
+        let mut touched = vec![false; 1 << 11];
         for v in (0..=MIN_VISIT).flat_map(|_| {
             rng.shuffle(&mut order);
             order.clone()
@@ -1055,7 +886,7 @@ mod tests {
             scratch.run_fast(g.csr(), v, &length);
             max_pushes = max_pushes.max(scratch.stats().relaxations - before + 1);
             for &u in scratch.visited_order() {
-                touched[(scratch.distance(u).to_bits() >> 48) as usize] = true;
+                touched[(scratch.distance(u).to_bits() >> 52) as usize] = true;
             }
             for (net, _) in scratch.tree_net_counts() {
                 let i = net.index();
@@ -1080,54 +911,57 @@ mod tests {
         let g = table9_graph("s1423");
         let mut scratch = DijkstraScratch::new(&g);
         let (length, max_pushes, touched) = saturate_paper(&mut scratch, &g);
-        // The head array and the occupancy bitmap with its summary words.
-        let fixed = NUM_SLOTS * 4 + NUM_SLOTS / 64 * 8 + NUM_SLOTS / 4096 * 8;
-        let bound = fixed + 2 * 16 * (max_pushes as usize + 1);
-        let after_saturation = scratch.slot_queue.retained_bytes();
+        let retained_bytes = |scratch: &DijkstraScratch| {
+            scratch.component_heap.capacity() * std::mem::size_of::<Reverse<u128>>()
+        };
+        // 16 B per entry, doubled for the heap's growth; no fixed part.
+        let bound = 2 * 16 * (max_pushes as usize + 1);
+        let after_saturation = retained_bytes(&scratch);
         assert!(
             after_saturation <= bound,
             "{after_saturation} B retained, bound {bound} B ({max_pushes} pushes)"
         );
 
         // Replaying trees with each length scaled by 2^-100k is exact (no
-        // length or sum leaves the normal range), so the queue does the
-        // same work with every key 1,600k slots lower: largely in slots the
-        // saturation never used. What it retains must not change.
+        // length or sum leaves the normal range), so the heap does the
+        // same work with every key's exponent 100k lower: largely
+        // exponents the saturation never reached. What it retains must
+        // not change.
         let replay = |scratch: &mut DijkstraScratch, k: i32, seen: &mut Vec<bool>| {
             let scaled: Vec<f64> = length.iter().map(|&l| l * 0.5f64.powi(100 * k)).collect();
             let before = scratch.take_stats();
             for src in g.nodes() {
                 scratch.run_fast(g.csr(), src, &scaled);
                 for &u in scratch.visited_order() {
-                    seen[(scratch.distance(u).to_bits() >> 48) as usize] = true;
+                    seen[(scratch.distance(u).to_bits() >> 52) as usize] = true;
                 }
             }
             std::mem::replace(&mut scratch.stats, before)
         };
         let mut seen = touched;
         let work = replay(&mut scratch, 0, &mut seen);
-        let retained = scratch.slot_queue.retained_bytes();
-        let slots_before = seen.iter().filter(|&&t| t).count();
+        let retained = retained_bytes(&scratch);
+        let exps_before = seen.iter().filter(|&&t| t).count();
         for k in 1..=10 {
             assert_eq!(work, replay(&mut scratch, k, &mut seen), "2^-{}", 100 * k);
         }
-        let slots_after = seen.iter().filter(|&&t| t).count();
+        let exps_after = seen.iter().filter(|&&t| t).count();
         assert!(
-            slots_after >= slots_before + 1000,
-            "the replays touched few new slots: {slots_before} -> {slots_after}"
+            exps_after >= exps_before + 500,
+            "the replays reached few new exponents: {exps_before} -> {exps_after}"
         );
         assert_eq!(
-            scratch.slot_queue.retained_bytes(),
+            retained_bytes(&scratch),
             retained,
-            "retained bytes grew with the slots touched ({slots_before} -> {slots_after})"
+            "retained bytes grew with the exponents reached ({exps_before} -> {exps_after})"
         );
     }
 
     #[test]
     fn scratch_reused_after_a_panicked_run_matches_a_fresh_one() {
         // A NaN length panics `run_fast` mid-search: once on a node of a
-        // cyclic component, with entries still queued in several slots,
-        // and once on a single-node component; both times with later
+        // cyclic component, with several entries still in the component
+        // heap, and once on a single-node component; both times with later
         // components' bits still set. The next run must sweep them (the
         // paths a completed run never takes) and find the same tree as a
         // fresh scratch.
@@ -1162,13 +996,8 @@ mod tests {
                 "no component bit set at the panic on {poison}"
             );
             if on_cycle {
-                assert!(scratch.slot_queue.len > 0, "the panic left nothing queued");
-                let occ = &scratch.slot_queue.occ;
-                let occupied: u32 = occ.words.iter().map(|w| w.count_ones()).sum();
-                assert!(
-                    occupied > 1,
-                    "only {occupied} slot(s) occupied at the panic"
-                );
+                let queued = scratch.component_heap.len();
+                assert!(queued > 1, "only {queued} entries queued at the panic");
             }
 
             for source in [src, g.nodes().nth(7).unwrap()] {
@@ -1194,7 +1023,7 @@ mod tests {
     // queue order. CI runs them under the release profile as well, for the
     // reference and for the production engine, with the bad length on the
     // source (a single-node component, settled without a queue) and on a
-    // node of a cyclic component (settled from the slot queue).
+    // node of a cyclic component (settled from the component heap).
 
     /// s27's `G11`: a node of its sequential core, settled mid-tree by a
     /// run from `G0`.

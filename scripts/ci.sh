@@ -62,6 +62,9 @@ scripts/parity.sh
 echo "==> audit golden corpus"
 scripts/golden.sh --check
 
+echo "==> recordings: recorded/*.txt regenerate (small rows, CPU column masked)"
+scripts/recordings.sh --check
+
 echo "==> sched: golden schedules rebuild deterministically, pareto monotone"
 scripts/sched_check.sh
 
