@@ -10,6 +10,13 @@
 //! *across* families. A store that finds similarity correctly deltas
 //! every variant against its family and never across families.
 //!
+//! A second, small corpus holds manifest-shaped text: every family is a
+//! list of phases that repeat the same counter keys, so one encoder
+//! window recurs in more places than the encoder tries per hash. It
+//! reports `text_live_bytes`, and `log_fnv` digests every byte both
+//! stores wrote, so a change to the encoder or to base choice that moves
+//! a stored byte moves `log_fnv` even where the byte counts stay put.
+//!
 //! Usage: `dedup_bench [out.json] [--gate]`
 //!
 //! `--gate` checks that no delta's base lies outside the variant's own
@@ -27,6 +34,13 @@ use ppet_store::{PutOutcome, Store, StoreConfig, StoreStats};
 const FAMILIES: u64 = 40;
 const VARIANTS_PER_FAMILY: u64 = 25;
 const BODY_WORDS: usize = 2048; // 16 KiB per family body
+
+/// The manifest-shaped corpus: families, variants per family, and the
+/// phases and counters per phase of each document.
+const TEXT_FAMILIES: u64 = 8;
+const TEXT_VARIANTS: u64 = 8;
+const TEXT_PHASES: usize = 12;
+const TEXT_COUNTERS: usize = 10;
 
 fn lcg_bytes(seed: u64, words: usize) -> Vec<u8> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -51,6 +65,47 @@ fn variant(family: u64, v: u64) -> Vec<u8> {
         data.extend_from_slice(format!("variant {family}/{v}").as_bytes());
     }
     data
+}
+
+/// Variant `v` of manifest-shaped `family`: every phase lists the same
+/// counter keys with family-specific values, and a variant rewrites
+/// about one value in thirteen.
+fn text_variant(family: u64, v: u64) -> Vec<u8> {
+    let values = lcg_bytes(family + 101, TEXT_PHASES * TEXT_COUNTERS);
+    let mut text = String::from("{\n  \"phases\": [\n");
+    for phase in 0..TEXT_PHASES {
+        text.push_str(&format!(
+            "    {{\n      \"name\": \"phase{phase}\",\n      \"counters\": {{\n"
+        ));
+        for counter in 0..TEXT_COUNTERS {
+            let i = phase * TEXT_COUNTERS + counter;
+            let mut value = u64::from(values[i]);
+            if v > 0 && (i as u64 * 7 + v) % 13 == 0 {
+                value += v * 1000;
+            }
+            text.push_str(&format!("        \"counter.{counter}\": {value},\n"));
+        }
+        text.push_str("      }\n    },\n");
+    }
+    text.push_str("  ]\n}\n");
+    text.into_bytes()
+}
+
+/// FNV-1a over the segment files of every store directory in `dirs`,
+/// file by file in name order.
+fn log_fnv(dirs: &[&Path]) -> u64 {
+    let mut bytes = Vec::new();
+    for dir in dirs {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("store directory")
+            .map(|entry| entry.expect("directory entry").path())
+            .collect();
+        files.sort();
+        for file in files {
+            bytes.extend(std::fs::read(file).expect("segment file"));
+        }
+    }
+    ppet_dedup::feature::fnv1a(&bytes)
 }
 
 fn key(family: u64, v: u64) -> u128 {
@@ -173,7 +228,23 @@ fn main() {
     if gating {
         gate(&dir, &stats, &shapes);
     }
+
+    let text_dir = dir.with_extension("text");
+    let _ = std::fs::remove_dir_all(&text_dir);
+    let text_store = Store::open(&text_dir, StoreConfig::default()).expect("open text store");
+    for family in 0..TEXT_FAMILIES {
+        for v in 0..TEXT_VARIANTS {
+            text_store
+                .put(key(family, v), &text_variant(family, v))
+                .expect("put");
+        }
+    }
+    text_store.flush().expect("flush");
+    let text_live_bytes = text_store.stats().live_bytes;
+    drop(text_store);
+    let digest = log_fnv(&[&dir, &text_dir]);
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&text_dir);
 
     let put_mean = put_ns.iter().sum::<u64>() / put_ns.len().max(1) as u64;
     let depths: Vec<String> = stats.chain_depths.iter().map(u64::to_string).collect();
@@ -182,7 +253,8 @@ fn main() {
          \"variants\": {total},\n  \"put_ns_mean\": {put_mean},\n  \
          \"entries\": {},\n  \"delta_entries\": {},\n  \"delta_ratio\": {:.3},\n  \
          \"sf_table\": {},\n  \"chain_depths\": [{}],\n  \
-         \"live_bytes\": {},\n  \"logical_bytes\": {},\n  \"dedup_factor\": {:.1}\n}}\n",
+         \"live_bytes\": {},\n  \"logical_bytes\": {},\n  \"dedup_factor\": {:.1},\n  \
+         \"text_live_bytes\": {text_live_bytes},\n  \"log_fnv\": \"{digest:016x}\"\n}}\n",
         stats.entries,
         stats.delta_entries,
         stats.delta_ratio,

@@ -151,30 +151,42 @@ impl CompileBackend for MercedBackend {
     }
 
     /// Semantic integrity gate on the persistent store's read path: the
-    /// stored body must parse as a `ppet-trace/v1` run manifest and
-    /// survive an audit cross-check against itself with the totals
-    /// recomputed from its own phase counters and the engine epoch set to
-    /// this build's. The store's CRC layer catches flipped bits; this
-    /// catches a manifest that decodes fine but no longer adds up, or
-    /// that another engine epoch computed.
+    /// stored body must parse as a `ppet-trace/v1` run manifest that this
+    /// build's engine epoch computed, and whose totals equal the per-name
+    /// sums of its own phase counters. The store's CRC layer catches
+    /// flipped bits; this catches a manifest that decodes fine but no
+    /// longer adds up, or that another engine epoch computed. A failure
+    /// names the first failing audit check, `engine-epoch` before
+    /// `manifest-mismatch`.
     fn verify_stored(&self, stored: &str) -> Result<(), BackendError> {
-        let recorded = ppet_trace::RunManifest::from_json(stored).map_err(|e| {
+        let mut manifest = ppet_trace::RunManifest::from_json(stored).map_err(|e| {
             BackendError::new("audit", format!("stored body is not a manifest: {e}"))
         })?;
-        let mut recomputed = recorded.clone();
-        recomputed.engine = Some(ppet_trace::ENGINE_EPOCH);
-        recomputed.compute_totals();
-        let report = ppet_audit::manifest::cross_check(&recorded, &recomputed);
-        if report.pass() {
-            Ok(())
-        } else {
-            let detail = report
-                .first_failure()
-                .map_or_else(|| "unknown mismatch".to_owned(), |c| format!("{c:?}"));
-            Err(BackendError::new(
+        let mut report = ppet_audit::AuditReport::default();
+        if manifest.engine != Some(ppet_trace::ENGINE_EPOCH) {
+            report.fail(
+                ppet_audit::AuditCode::EngineEpoch,
+                format!(
+                    "recorded by engine epoch {}, recomputed by epoch {}: re-record the manifest",
+                    manifest.engine.unwrap_or(0),
+                    ppet_trace::ENGINE_EPOCH
+                ),
+            );
+        }
+        let recorded_totals = std::mem::take(&mut manifest.totals);
+        manifest.compute_totals();
+        if manifest.totals != recorded_totals {
+            report.fail(
+                ppet_audit::AuditCode::ManifestMismatch,
+                "counter totals differ",
+            );
+        }
+        match report.first_failure() {
+            None => Ok(()),
+            Some(check) => Err(BackendError::new(
                 "audit",
-                format!("stored manifest failed cross-check: {detail}"),
-            ))
+                format!("stored manifest failed cross-check: {check:?}"),
+            )),
         }
     }
 }
@@ -278,5 +290,101 @@ mod tests {
         };
         assert_eq!(strip(&served), strip(&direct));
         assert!(RunManifest::from_json(&served).is_ok());
+    }
+
+    /// `verify_stored` as it was before it stopped cloning, kept as the
+    /// spec: an audit cross-check of the stored manifest against a clone
+    /// of itself with the engine epoch set to this build's and the totals
+    /// recomputed.
+    fn verify_stored_by_cross_check(stored: &str) -> Result<(), BackendError> {
+        let recorded = RunManifest::from_json(stored).map_err(|e| {
+            BackendError::new("audit", format!("stored body is not a manifest: {e}"))
+        })?;
+        let mut recomputed = recorded.clone();
+        recomputed.engine = Some(ppet_trace::ENGINE_EPOCH);
+        recomputed.compute_totals();
+        let report = ppet_audit::manifest::cross_check(&recorded, &recomputed);
+        if report.pass() {
+            Ok(())
+        } else {
+            let detail = report
+                .first_failure()
+                .map_or_else(|| "unknown mismatch".to_owned(), |c| format!("{c:?}"));
+            Err(BackendError::new(
+                "audit",
+                format!("stored manifest failed cross-check: {detail}"),
+            ))
+        }
+    }
+
+    /// The golden corpus and damaged variants of each: the verdict, the
+    /// error kind and the message all match the cross-check formulation.
+    #[test]
+    fn verify_stored_matches_the_cross_check_spec() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../recorded/golden");
+        let mut goldens: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .collect();
+        goldens.sort();
+        assert!(goldens.len() >= 5, "{goldens:?}");
+
+        let backend = backend();
+        let check = |label: &str, body: &str, want_ok: bool| {
+            let got = backend.verify_stored(body);
+            assert_eq!(got, verify_stored_by_cross_check(body), "{label}");
+            assert_eq!(got.is_ok(), want_ok, "{label}: {got:?}");
+            if let Err(e) = got {
+                assert_eq!(e.kind, "audit", "{label}");
+            }
+        };
+        type Edit = fn(&mut RunManifest);
+        let damaged: [(&str, Edit); 8] = [
+            ("no engine", |m| m.engine = None),
+            ("epoch 1", |m| m.engine = Some(1)),
+            ("next epoch", |m| {
+                m.engine = Some(ppet_trace::ENGINE_EPOCH + 1)
+            }),
+            ("total changed", |m| m.totals[0].1 += 1),
+            ("total missing", |m| {
+                m.totals.pop();
+            }),
+            ("extra total", |m| m.totals.push(("zz.extra".to_owned(), 1))),
+            ("phase counter changed", |m| {
+                let phase = m
+                    .phases
+                    .iter_mut()
+                    .find(|p| !p.counters.is_empty())
+                    .unwrap();
+                phase.counters[0].1 += 1;
+            }),
+            ("epoch and total", |m| {
+                m.engine = Some(1);
+                m.totals[0].1 += 1;
+            }),
+        ];
+        for path in goldens {
+            let name = path.display().to_string();
+            let text = std::fs::read_to_string(&path).unwrap();
+            check(&name, &text, true);
+            let golden = RunManifest::from_json(&text).unwrap();
+            for (what, edit) in damaged {
+                let mut manifest = golden.clone();
+                edit(&mut manifest);
+                check(&format!("{name}, {what}"), &manifest.to_json(), false);
+            }
+            let other_schema = text.replace(ppet_trace::SCHEMA, "ppet-trace/v0");
+            check(&format!("{name}, other schema"), &other_schema, false);
+        }
+        for junk in [
+            "",
+            "{}",
+            "[1, 2]",
+            "not json",
+            "{\"schema\": \"ppet-trace/v1\"}",
+        ] {
+            check(junk, junk, false);
+        }
     }
 }

@@ -255,7 +255,7 @@ pub trait CompileBackend: Send + Sync + 'static {
     /// Re-verifies a body fetched from the persistent store before it is
     /// served. The store already CRC-checks every record; this hook is
     /// for *semantic* verification — the Merced backend overrides it to
-    /// re-derive the manifest's totals and audit-cross-check them. A
+    /// check the manifest's engine epoch and re-derive its totals. A
     /// failure quarantines the stored entry and falls back to a fresh
     /// compile, so returning an error here is safe, never fatal.
     ///

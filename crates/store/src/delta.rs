@@ -17,15 +17,17 @@
 //! still decode, so logs written before the format bump stay readable.
 //!
 //! Encoding is greedy: every [`INDEX_STRIDE`]-th base offset is indexed
-//! by the FNV hash of its [`WINDOW`]-byte window; the scan over the new
-//! data looks its current window up at every byte offset, verifies
-//! candidates byte-for-byte, extends the longest true match forward as
-//! far as it goes — and then *backward* into the pending literal run
-//! while bytes agree, reclaiming the up-to-`INDEX_STRIDE−1` bytes the
-//! strided index makes a resync land late by. Byte-granular probing
-//! (rather than chunk-aligned) is what makes insertions cheap: one
-//! inserted byte shifts every later offset, which chunk alignment would
-//! turn into "everything differs".
+//! by the FNV hash of its [`WINDOW`]-byte window, in one flat
+//! open-addressing table sized to the base (no allocation per hash;
+//! each hash keeps its lowest `MAX_CANDIDATES` offsets as candidates).
+//! The scan over the new data looks its current window up at every byte
+//! offset, verifies the candidates byte-for-byte, extends the longest
+//! true match forward as far as it goes — and then *backward* into the
+//! pending literal run while bytes agree, reclaiming the
+//! up-to-`INDEX_STRIDE−1` bytes the strided index makes a resync land
+//! late by. Byte-granular probing (rather than chunk-aligned) is what
+//! makes insertions cheap: one inserted byte shifts every later offset,
+//! which chunk alignment would turn into "everything differs".
 //!
 //! [`decode`] is bounds-checked everywhere — a corrupt delta yields
 //! [`DeltaError`], never a panic or a wrong artifact. The caller passes
@@ -44,8 +46,8 @@ pub const WINDOW: usize = 16;
 /// extension recovers the bytes a strided resync misses.
 pub const INDEX_STRIDE: usize = 4;
 
-/// Max base offsets remembered per window hash. Bounds worst-case
-/// encoding time on pathological (highly repetitive) bases.
+/// Max base offsets tried per window hash (the lowest ones). Bounds
+/// worst-case encoding time on pathological (highly repetitive) bases.
 const MAX_CANDIDATES: usize = 8;
 
 /// Format tag of the varint op encoding. v1 streams start with an op
@@ -109,37 +111,26 @@ fn encode_impl(base: &[u8], data: &[u8], backtrack: bool) -> Vec<u8> {
         return out;
     }
 
-    // Index every INDEX_STRIDE-th base window by hash.
-    let mut index: std::collections::HashMap<u64, Vec<u32>> = std::collections::HashMap::new();
-    for off in (0..=base.len() - WINDOW).step_by(INDEX_STRIDE) {
-        let h = fnv1a(&base[off..off + WINDOW]);
-        let slots = index.entry(h).or_default();
-        if slots.len() < MAX_CANDIDATES {
-            slots.push(off as u32);
-        }
-    }
+    let index = WindowIndex::new(base);
 
     let mut pos = 0usize;
     let mut lit_start = 0usize;
     while pos + WINDOW <= data.len() {
         let h = fnv1a(&data[pos..pos + WINDOW]);
         let mut best: Option<(usize, usize)> = None; // (base_off, len)
-        if let Some(cands) = index.get(&h) {
-            for &cand in cands {
-                let cand = cand as usize;
-                if base[cand..cand + WINDOW] != data[pos..pos + WINDOW] {
-                    continue; // hash collision
-                }
-                let mut len = WINDOW;
-                while cand + len < base.len()
-                    && pos + len < data.len()
-                    && base[cand + len] == data[pos + len]
-                {
-                    len += 1;
-                }
-                if best.map_or(true, |(_, b)| len > b) {
-                    best = Some((cand, len));
-                }
+        for cand in index.candidates(h) {
+            if base[cand..cand + WINDOW] != data[pos..pos + WINDOW] {
+                continue; // hash collision
+            }
+            let mut len = WINDOW;
+            while cand + len < base.len()
+                && pos + len < data.len()
+                && base[cand + len] == data[pos + len]
+            {
+                len += 1;
+            }
+            if best.map_or(true, |(_, b)| len > b) {
+                best = Some((cand, len));
             }
         }
         match best {
@@ -165,6 +156,74 @@ fn encode_impl(base: &[u8], data: &[u8], backtrack: bool) -> Vec<u8> {
     }
     push_literal(&mut out, &data[lit_start..]);
     out
+}
+
+/// The encoder's index of the base: every [`INDEX_STRIDE`]-th window,
+/// keyed by its FNV hash in one flat open-addressing table.
+///
+/// Windows with the same hash form a list through `next`, in ascending
+/// base offset; a lookup yields at most the first [`MAX_CANDIDATES`] of
+/// them. The table is sized to at least twice the window count, so
+/// linear probing always reaches an empty slot, and nothing is allocated
+/// per hash.
+struct WindowIndex {
+    /// `(hash, head)` per slot: `head` is 1 + the number of the first
+    /// window with that hash, 0 for an empty slot.
+    slots: Vec<(u64, u32)>,
+    /// Per window number: 1 + the number of the next window with the
+    /// same hash, 0 at the end of the list.
+    next: Vec<u32>,
+    /// `64 − log2(slots.len())`: a hash's home slot is the top bits of
+    /// its Fibonacci-scrambled value.
+    shift: u32,
+}
+
+impl WindowIndex {
+    /// Indexes `base`, which must hold at least one [`WINDOW`].
+    fn new(base: &[u8]) -> Self {
+        let windows = (base.len() - WINDOW) / INDEX_STRIDE + 1;
+        let capacity = (2 * windows).next_power_of_two();
+        let mut index = WindowIndex {
+            slots: vec![(0, 0); capacity],
+            next: vec![0; windows],
+            shift: 64 - capacity.trailing_zeros(),
+        };
+        // Last window first: prepending keeps each list in ascending
+        // offset order.
+        for w in (0..windows).rev() {
+            let off = w * INDEX_STRIDE;
+            let h = fnv1a(&base[off..off + WINDOW]);
+            let slot = index.slot(h);
+            index.next[w] = index.slots[slot].1;
+            index.slots[slot] = (h, w as u32 + 1);
+        }
+        index
+    }
+
+    /// The slot holding hash `h`, or the empty slot where it belongs.
+    fn slot(&self, h: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let (key, head) = self.slots[slot];
+            if head == 0 || key == h {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The base offsets of the first [`MAX_CANDIDATES`] indexed windows
+    /// whose hash is `h`, ascending.
+    fn candidates(&self, h: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut link = self.slots[self.slot(h)].1;
+        std::iter::from_fn(move || {
+            let w = (link as usize).checked_sub(1)?;
+            link = self.next[w];
+            Some(w * INDEX_STRIDE)
+        })
+        .take(MAX_CANDIDATES)
+    }
 }
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -313,6 +372,96 @@ fn read_u32(delta: &[u8], at: usize) -> Result<u32, DeltaError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The encoder as it was before the flat index, kept as the spec:
+    /// a `HashMap` from window hash to the first [`MAX_CANDIDATES`]
+    /// indexed offsets. [`encode_impl`] must match it byte for byte.
+    fn reference_encode(base: &[u8], data: &[u8], backtrack: bool) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len() / 4 + 16);
+        if data.is_empty() {
+            return out;
+        }
+        out.push(FORMAT_VARINT);
+        if base.len() < WINDOW || data.len() < WINDOW {
+            push_literal(&mut out, data);
+            return out;
+        }
+
+        let mut index: std::collections::HashMap<u64, Vec<u32>> = std::collections::HashMap::new();
+        for off in (0..=base.len() - WINDOW).step_by(INDEX_STRIDE) {
+            let h = fnv1a(&base[off..off + WINDOW]);
+            let slots = index.entry(h).or_default();
+            if slots.len() < MAX_CANDIDATES {
+                slots.push(off as u32);
+            }
+        }
+
+        let mut pos = 0usize;
+        let mut lit_start = 0usize;
+        while pos + WINDOW <= data.len() {
+            let h = fnv1a(&data[pos..pos + WINDOW]);
+            let mut best: Option<(usize, usize)> = None; // (base_off, len)
+            if let Some(cands) = index.get(&h) {
+                for &cand in cands {
+                    let cand = cand as usize;
+                    if base[cand..cand + WINDOW] != data[pos..pos + WINDOW] {
+                        continue; // hash collision
+                    }
+                    let mut len = WINDOW;
+                    while cand + len < base.len()
+                        && pos + len < data.len()
+                        && base[cand + len] == data[pos + len]
+                    {
+                        len += 1;
+                    }
+                    if best.map_or(true, |(_, b)| len > b) {
+                        best = Some((cand, len));
+                    }
+                }
+            }
+            match best {
+                Some((mut off, mut len)) => {
+                    if backtrack {
+                        while off > 0 && pos > lit_start && base[off - 1] == data[pos - 1] {
+                            off -= 1;
+                            pos -= 1;
+                            len += 1;
+                        }
+                    }
+                    push_literal(&mut out, &data[lit_start..pos]);
+                    push_copy(&mut out, off, len);
+                    pos += len;
+                    lit_start = pos;
+                }
+                None => pos += 1,
+            }
+        }
+        push_literal(&mut out, &data[lit_start..]);
+        out
+    }
+
+    /// `encode_impl` equals the reference at both `backtrack` settings,
+    /// and its output decodes back to `data`.
+    fn matches_reference(base: &[u8], data: &[u8]) -> Result<(), TestCaseError> {
+        for backtrack in [true, false] {
+            let delta = encode_impl(base, data, backtrack);
+            prop_assert_eq!(&delta, &reference_encode(base, data, backtrack));
+            prop_assert_eq!(decode(base, &delta, data.len()).unwrap(), data);
+        }
+        Ok(())
+    }
+
+    /// A manifest-shaped document: `lines` counter lines whose values
+    /// come from `values`.
+    fn manifest_text(lines: usize, values: &[u64]) -> Vec<u8> {
+        let mut text = String::from("{\n  \"schema\": \"ppet-trace/v1\",\n  \"totals\": {\n");
+        for i in 0..lines {
+            let value = values[i % values.len()] % 100_000;
+            text.push_str(&format!("    \"phase{}.counter_{i}\": {value},\n", i % 7));
+        }
+        text.push_str("  }\n}\n");
+        text.into_bytes()
+    }
 
     fn round_trip(base: &[u8], data: &[u8]) -> usize {
         let delta = encode(base, data);
@@ -537,6 +686,90 @@ mod tests {
             prop_assert_eq!(&chained, &v2);
             prop_assert_eq!(&flat, &v2);
             prop_assert_eq!(chained, flat);
+        }
+    }
+
+    /// Repetitive inputs: one window recurs far more than
+    /// [`MAX_CANDIDATES`] times, so the candidate cap decides the match.
+    #[test]
+    fn repetitive_inputs_match_the_reference() {
+        let base = b"abcdefgh".repeat(64);
+        let mut data = base.clone();
+        data.splice(100..100, b"XY".iter().copied());
+        data.extend_from_slice(b"tail of the data");
+        matches_reference(&base, &data).unwrap();
+        let run = vec![7u8; 300];
+        matches_reference(&run, &run[..250]).unwrap();
+        matches_reference(&run, &b"0123456789abcdef".repeat(9)).unwrap();
+
+        // Twelve blocks open with the same window and go on differently:
+        // the longest match for block 2 or 6 is among the first eight
+        // candidates only, and block 10's lies past them.
+        let block = |i: u8| -> Vec<u8> {
+            let mut b = b"SAME WINDOW HERE".to_vec();
+            b.extend((0..16).map(|j| i.wrapping_mul(31).wrapping_add(j * 7)));
+            b
+        };
+        let base: Vec<u8> = (0..12).flat_map(block).collect();
+        for i in [2, 6, 10] {
+            matches_reference(&base, &[block(i), block(i)].concat()).unwrap();
+        }
+    }
+
+    proptest! {
+        /// Near-duplicate manifests: the same counter lines with a few
+        /// values changed and a line inserted.
+        #[test]
+        fn near_duplicate_manifests_match_the_reference(
+            lines in 0usize..120,
+            values in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..40),
+            edits in proptest::collection::vec((0usize..40, proptest::prelude::any::<u64>()), 0..6),
+            insert_at in 0usize..4000,
+        ) {
+            let base = manifest_text(lines, &values);
+            let mut edited = values.clone();
+            for &(at, value) in &edits {
+                let at = at % edited.len();
+                edited[at] = value;
+            }
+            let mut data = manifest_text(lines, &edited);
+            let at = insert_at % (data.len() + 1);
+            data.splice(at..at, b"    \"inserted\": 1,\n".iter().copied());
+            matches_reference(&base, &data)?;
+        }
+
+        /// Random bytes, including inputs shorter than a window.
+        #[test]
+        fn random_bytes_match_the_reference(
+            base in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..400),
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..400),
+            short in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..WINDOW),
+        ) {
+            matches_reference(&base, &data)?;
+            matches_reference(&base, &short)?;
+            matches_reference(&short, &data)?;
+            // A prefix of the base, then random bytes: one long true match.
+            let cut = data.len().min(base.len());
+            let mut spliced = base[..base.len() - cut / 2].to_vec();
+            spliced.extend_from_slice(&data[..cut / 2]);
+            matches_reference(&base, &spliced)?;
+        }
+
+        /// A short pattern repeated well past [`MAX_CANDIDATES`] copies
+        /// in both base and data, with point edits in the data.
+        #[test]
+        fn repetitive_bytes_match_the_reference(
+            pattern in proptest::collection::vec(0u8..4, 1..24),
+            copies in 40usize..120,
+            edits in proptest::collection::vec((0usize..4000, proptest::prelude::any::<u8>()), 0..8),
+        ) {
+            let base = pattern.repeat(copies);
+            let mut data = pattern.repeat(copies + 3);
+            for &(at, byte) in &edits {
+                let at = at % data.len();
+                data[at] = byte;
+            }
+            matches_reference(&base, &data)?;
         }
     }
 }

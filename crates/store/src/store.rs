@@ -498,8 +498,9 @@ impl Store {
         Ok(outcome.expect("outcome set above"))
     }
 
-    /// Ranks the candidates and returns the best one that passes the
-    /// chain-depth and decode-budget gates.
+    /// Ranks the candidates and returns the first one that passes the
+    /// chain-depth and decode-budget gates. The gates walk a candidate's
+    /// chain, so they run in rank order and stop at the first pass.
     ///
     /// Rank order: most shared super-features, then the smaller key —
     /// both pure functions of the live key set, so replay reproduces the
@@ -517,19 +518,20 @@ impl Store {
         let max_depth = u32::from(self.config.max_chain_depth).min(MAX_CHAIN_STEPS);
         let budget =
             u64::from(self.config.decode_budget_factor).saturating_mul(data_len.max(1) as u64);
-        inner
+        let mut ranked: Vec<(u128, usize)> = inner
             .candidates
             .of(sketch)
             .into_iter()
             .filter(|&(k, _)| k != key)
+            .collect();
+        ranked.sort_unstable_by_key(|&(k, shared)| (std::cmp::Reverse(shared), k));
+        ranked
+            .into_iter()
             // Depth gate: chaining on this base stays within max_depth.
             .filter(|&(k, _)| inner.chain_depth(k) < max_depth)
             // Decode-cost gate: materializing the base's whole chain
             // plus the new artifact fits the read budget.
-            .filter(|&(k, _)| {
-                inner.chain_total_logical(k).saturating_add(data_len as u64) <= budget
-            })
-            .max_by_key(|&(k, shared)| (shared, std::cmp::Reverse(k)))
+            .find(|&(k, _)| inner.chain_total_logical(k).saturating_add(data_len as u64) <= budget)
             .map(|(k, _)| k)
     }
 
@@ -1174,6 +1176,101 @@ mod tests {
         assert_eq!(index.of(&[10, 11, 12]), expected);
         // Repeated values in the probe count once.
         assert_eq!(index.of(&[10, 10, 10]), [(1, 1), (2, 1)].into());
+    }
+
+    /// The base choice before the gates ran lazily, kept as the spec:
+    /// gate every candidate, then take the maximum of (shared, smaller
+    /// key).
+    fn reference_best_base(
+        store: &Store,
+        inner: &Inner,
+        key: u128,
+        sketch: &[u64; SUPER_FEATURES],
+        data_len: usize,
+    ) -> Option<u128> {
+        if store.config.max_chain_depth == 0 {
+            return None;
+        }
+        let max_depth = u32::from(store.config.max_chain_depth).min(MAX_CHAIN_STEPS);
+        let budget =
+            u64::from(store.config.decode_budget_factor).saturating_mul(data_len.max(1) as u64);
+        inner
+            .candidates
+            .of(sketch)
+            .into_iter()
+            .filter(|&(k, _)| k != key)
+            .filter(|&(k, _)| inner.chain_depth(k) < max_depth)
+            .filter(|&(k, _)| {
+                inner.chain_total_logical(k).saturating_add(data_len as u64) <= budget
+            })
+            .max_by_key(|&(k, shared)| (shared, std::cmp::Reverse(k)))
+            .map(|(k, _)| k)
+    }
+
+    /// Candidates that tie on shared super-features, where the top-ranked
+    /// ones fail the depth or the decode-budget gate: the pick is the
+    /// first passing one in rank order, as the eager `max_by_key` chose.
+    #[test]
+    fn best_base_skips_gated_candidates_in_rank_order() {
+        let dir = std::env::temp_dir().join(format!("ppet-store-best-base-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StoreConfig::default()
+            .with_chain_depth(2)
+            .with_decode_budget_factor(4);
+        let store = Store::open(&dir, config).unwrap();
+        let mut inner = store.inner.lock().unwrap();
+        let add = |inner: &mut Inner, key, base, len, sketch: [u64; SUPER_FEATURES]| {
+            inner.index.insert(
+                key,
+                Entry {
+                    loc: Location {
+                        segment: 0,
+                        offset: 0,
+                        payload_len: 0,
+                    },
+                    base,
+                    logical_len: len,
+                    pinned: false,
+                    tick: 0,
+                },
+            );
+            inner.candidates.insert(key, &sketch);
+        };
+        let probe: [u64; SUPER_FEATURES] = std::array::from_fn(|i| 1000 + i as u64);
+        let sharing = |n: usize| -> [u64; SUPER_FEATURES] {
+            std::array::from_fn(|i| if i < n { probe[i] } else { 9000 + i as u64 })
+        };
+        // A chain 1 ← 2 ← 3: key 3 sits at depth 2, the gate's limit.
+        add(&mut inner, 1, None, 100, sharing(1));
+        add(&mut inner, 2, Some(1), 100, sharing(1));
+        add(&mut inner, 3, Some(2), 100, sharing(3));
+        // Key 4 shares as much as 3 but its chain is too long to decode
+        // within 4 × 100 bytes once the new artifact is added.
+        add(&mut inner, 10, None, 250, sharing(1));
+        add(&mut inner, 4, Some(10), 100, sharing(3));
+        // Keys 5 and 6 tie below them; 5 is the smaller key and passes.
+        add(&mut inner, 6, None, 100, sharing(2));
+        add(&mut inner, 5, None, 100, sharing(2));
+        add(&mut inner, 7, None, 100, sharing(1));
+
+        let pick = |inner: &Inner, key, len| {
+            let lazy = store.best_base(inner, key, &probe, len);
+            assert_eq!(lazy, reference_best_base(&store, inner, key, &probe, len));
+            lazy
+        };
+        assert_eq!(pick(&inner, 99, 100), Some(5));
+        // A roomier budget lets key 4 through: it ranks first once 3 is
+        // gated.
+        assert_eq!(pick(&inner, 99, 200), Some(4));
+        // The new key never bases on itself.
+        assert_eq!(pick(&inner, 5, 100), Some(6));
+        // Once raw, key 3 passes both gates and wins its tie with 4 on
+        // the smaller key.
+        inner.index.get_mut(&3).unwrap().base = None;
+        assert_eq!(pick(&inner, 99, 100), Some(3));
+        drop(inner);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

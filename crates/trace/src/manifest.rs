@@ -209,65 +209,46 @@ impl RunManifest {
 
     /// Parses a manifest back from [`RunManifest::to_json`] output (or
     /// any JSON document with the same shape). Checks the schema tag.
+    /// The strings of the parsed document move into the manifest.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let schema = doc
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or("missing `schema`")?;
+        let mut doc = match json::parse(text).map_err(|e| e.to_string())? {
+            Value::Obj(entries) => entries,
+            _ => Vec::new(),
+        };
+        let schema = take_str(&mut doc, "schema").ok_or("missing `schema`")?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema `{schema}` (want `{SCHEMA}`)"));
         }
-        let circuit = doc
-            .get("circuit")
-            .and_then(Value::as_str)
-            .ok_or("missing `circuit`")?
-            .to_owned();
-        let seed = doc
-            .get("seed")
-            .and_then(Value::as_u64)
+        let circuit = take_str(&mut doc, "circuit").ok_or("missing `circuit`")?;
+        let seed = take(&mut doc, "seed")
+            .and_then(|v| v.as_u64())
             .ok_or("missing `seed`")?;
-        let engine = doc
-            .get("engine")
+        let engine = take(&mut doc, "engine")
             .map(|v| {
                 v.as_u64()
                     .and_then(|n| u32::try_from(n).ok())
                     .ok_or("`engine` is not a u32")
             })
             .transpose()?;
-        let config = doc
-            .get("config")
-            .and_then(Value::as_obj)
-            .ok_or("missing `config`")?
-            .iter()
-            .map(|(k, v)| {
-                v.as_str()
-                    .map(|s| (k.clone(), s.to_owned()))
-                    .ok_or_else(|| format!("config `{k}` is not a string"))
-            })
-            .collect::<Result<_, _>>()?;
-        let result = parse_string_section(&doc, "result")?;
-        let audit = parse_string_section(&doc, "audit")?;
-        let phases = doc
-            .get("phases")
-            .and_then(Value::as_arr)
-            .ok_or("missing `phases`")?
-            .iter()
-            .map(parse_phase)
-            .collect::<Result<_, _>>()?;
-        let totals = doc
-            .get("totals")
-            .and_then(Value::as_obj)
-            .ok_or("missing `totals`")?
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("total `{k}` is not a u64"))
-            })
-            .collect::<Result<_, _>>()?;
+        let config = string_entries(
+            take_obj(&mut doc, "config").ok_or("missing `config`")?,
+            "config",
+        )?;
+        let result = parse_string_section(&mut doc, "result")?;
+        let audit = parse_string_section(&mut doc, "audit")?;
+        let phases = match take(&mut doc, "phases") {
+            Some(Value::Arr(phases)) => phases,
+            _ => return Err("missing `phases`".to_owned()),
+        }
+        .into_iter()
+        .map(parse_phase)
+        .collect::<Result<_, _>>()?;
+        let totals = counter_entries(
+            take_obj(&mut doc, "totals").ok_or("missing `totals`")?,
+            "total",
+        )?;
         Ok(RunManifest {
-            schema: schema.to_owned(),
+            schema,
             circuit,
             seed,
             engine,
@@ -286,22 +267,72 @@ impl RunManifest {
     }
 }
 
-/// Parses an optional `{"key": "value", ...}` section; a missing section
-/// is an empty list.
-fn parse_string_section(doc: &Value, name: &str) -> Result<Vec<(String, String)>, String> {
-    let Some(section) = doc.get(name) else {
-        return Ok(Vec::new());
-    };
-    section
-        .as_obj()
-        .ok_or_else(|| format!("`{name}` is not an object"))?
-        .iter()
-        .map(|(k, v)| {
-            v.as_str()
-                .map(|s| (k.clone(), s.to_owned()))
-                .ok_or_else(|| format!("{name} `{k}` is not a string"))
+/// Moves the first value under `key` out of an object's entries, leaving
+/// `null` in its place.
+fn take(entries: &mut [(String, Value)], key: &str) -> Option<Value> {
+    entries
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| std::mem::replace(v, Value::Null))
+}
+
+/// [`take`], if the value is a string.
+fn take_str(entries: &mut [(String, Value)], key: &str) -> Option<String> {
+    match take(entries, key)? {
+        Value::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// [`take`], if the value is an object.
+fn take_obj(entries: &mut [(String, Value)], key: &str) -> Option<Vec<(String, Value)>> {
+    match take(entries, key)? {
+        Value::Obj(obj) => Some(obj),
+        _ => None,
+    }
+}
+
+/// An object's entries as key/string pairs; a non-string value fails
+/// naming `what` and its key.
+fn string_entries(
+    entries: Vec<(String, Value)>,
+    what: &str,
+) -> Result<Vec<(String, String)>, String> {
+    entries
+        .into_iter()
+        .map(|(k, v)| match v {
+            Value::Str(s) => Ok((k, s)),
+            _ => Err(format!("{what} `{k}` is not a string")),
         })
         .collect()
+}
+
+/// An object's entries as key/count pairs; a value that is not a u64
+/// fails naming `what` and its key.
+fn counter_entries(
+    entries: Vec<(String, Value)>,
+    what: &str,
+) -> Result<Vec<(String, u64)>, String> {
+    entries
+        .into_iter()
+        .map(|(k, v)| match v {
+            Value::Int(n) => Ok((k, n)),
+            _ => Err(format!("{what} `{k}` is not a u64")),
+        })
+        .collect()
+}
+
+/// Parses an optional `{"key": "value", ...}` section; a missing section
+/// is an empty list.
+fn parse_string_section(
+    doc: &mut [(String, Value)],
+    name: &str,
+) -> Result<Vec<(String, String)>, String> {
+    match take(doc, name) {
+        None => Ok(Vec::new()),
+        Some(Value::Obj(section)) => string_entries(section, name),
+        Some(_) => Err(format!("`{name}` is not an object")),
+    }
 }
 
 fn field(out: &mut String, depth: usize, key: &str, rendered: &str, comma: bool) {
@@ -353,27 +384,19 @@ fn write_counters(out: &mut String, depth: usize, counters: &[(String, u64)]) {
     }
 }
 
-fn parse_phase(value: &Value) -> Result<PhaseManifest, String> {
-    let name = value
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or("phase missing `name`")?
-        .to_owned();
-    let wall_ns = value
-        .get("wall_ns")
-        .and_then(Value::as_u64)
+fn parse_phase(value: Value) -> Result<PhaseManifest, String> {
+    let mut phase = match value {
+        Value::Obj(entries) => entries,
+        _ => Vec::new(),
+    };
+    let name = take_str(&mut phase, "name").ok_or("phase missing `name`")?;
+    let wall_ns = take(&mut phase, "wall_ns")
+        .and_then(|v| v.as_u64())
         .ok_or("phase missing `wall_ns`")?;
-    let counters = value
-        .get("counters")
-        .and_then(Value::as_obj)
-        .ok_or("phase missing `counters`")?
-        .iter()
-        .map(|(k, v)| {
-            v.as_u64()
-                .map(|n| (k.clone(), n))
-                .ok_or_else(|| format!("counter `{k}` is not a u64"))
-        })
-        .collect::<Result<_, _>>()?;
+    let counters = counter_entries(
+        take_obj(&mut phase, "counters").ok_or("phase missing `counters`")?,
+        "counter",
+    )?;
     Ok(PhaseManifest {
         name,
         wall_ns,
@@ -479,6 +502,94 @@ mod tests {
         assert_eq!(back.result_value("nets_cut"), Some("7"));
         assert_eq!(back.audit_value("pass"), Some("true"));
         assert_eq!(back.audit_value("missing"), None);
+    }
+
+    /// The recorded golden manifests, by file name.
+    fn golden_corpus() -> Vec<(String, String)> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../recorded/golden");
+        let mut corpus: Vec<_> = std::fs::read_dir(&dir)
+            .expect("recorded/golden exists")
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .map(|path| {
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read_to_string(&path).unwrap())
+            })
+            .collect();
+        corpus.sort();
+        assert!(!corpus.is_empty(), "no golden manifests");
+        corpus
+    }
+
+    #[test]
+    fn golden_manifests_round_trip_byte_identically() {
+        for (name, text) in golden_corpus() {
+            let parsed = RunManifest::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(parsed.to_json(), text, "{name}");
+            assert!(
+                !parsed.result.is_empty() && !parsed.audit.is_empty(),
+                "{name}"
+            );
+        }
+    }
+
+    /// Each malformed field fails with its own message.
+    #[test]
+    fn malformed_fields_name_themselves() {
+        let mut m = sample();
+        m.push_result("nets_cut", 7);
+        m.push_audit("pass", true);
+        let text = m.to_json();
+        let broken = |from: &str, to: &str| {
+            assert!(text.contains(from), "{from}");
+            RunManifest::from_json(&text.replacen(from, to, 1)).unwrap_err()
+        };
+        assert_eq!(broken("\"config\": {", "\"konfig\": {"), "missing `config`");
+        assert_eq!(
+            broken("\"nets_cut\": \"7\"", "\"nets_cut\": 7"),
+            "result `nets_cut` is not a string"
+        );
+        assert_eq!(
+            broken(
+                "\"audit\": {\n    \"pass\": \"true\"\n  }",
+                "\"audit\": [1]"
+            ),
+            "`audit` is not an object"
+        );
+        assert_eq!(
+            broken(
+                "\"partition.nets_cut\": 7\n  }",
+                "\"partition.nets_cut\": -7\n  }"
+            ),
+            "total `partition.nets_cut` is not a u64"
+        );
+        assert_eq!(
+            broken("\"circuit\": \"s27\"", "\"circuit\": 27"),
+            "missing `circuit`"
+        );
+        assert_eq!(
+            broken("\"cbit_length\": \"4\"", "\"cbit_length\": 4"),
+            "config `cbit_length` is not a string"
+        );
+        assert_eq!(
+            broken("\"flow.heap_pops\": 999", "\"flow.heap_pops\": \"999\""),
+            "counter `flow.heap_pops` is not a u64"
+        );
+        assert_eq!(
+            broken("\"name\": \"make_group\"", "\"label\": \"make_group\""),
+            "phase missing `name`"
+        );
+        assert_eq!(
+            broken("\"schema\": \"ppet-trace/v1\"", "\"schema\": \"other/v9\""),
+            "unsupported schema `other/v9` (want `ppet-trace/v1`)"
+        );
+        assert_eq!(
+            RunManifest::from_json("[1, 2]").unwrap_err(),
+            "missing `schema`"
+        );
+        assert!(RunManifest::from_json("{")
+            .unwrap_err()
+            .starts_with("json parse error at byte 1"));
     }
 
     #[test]

@@ -15,6 +15,15 @@
 #     histogram and live bytes reproduce exactly (and its own delta
 #     ratio also clears 0.1).
 #
+# Both benches must also reproduce their recordings byte for byte:
+# every field of recorded/BENCH_store.json and recorded/BENCH_dedup.json
+# except the timing ones (`*_ns*`, and store_bench's `cold_over_warm`,
+# a ratio of two timings) must equal a fresh run. dedup_bench's
+# `log_fnv` digests every byte its stores wrote, including a
+# manifest-shaped corpus whose windows recur more often than the encoder
+# tries per hash, so an encoder or base-choice change that moves a
+# stored byte fails here.
+#
 # Run from the repository root. Shared by scripts/ci.sh and the workflow.
 set -eu
 
@@ -43,5 +52,19 @@ echo "dedup_check: manifest delta_ratio $ratio < 0.1 ($deltas deltas) OK"
 
 echo "dedup_check: 1000-variant family + determinism gate"
 target/release/dedup_bench "$out/dedup.json" --gate >/dev/null
+
+# The deterministic lines of a bench result: all but the timing fields.
+deterministic() {
+    grep -v -e '_ns' -e '"cold_over_warm"' "$1"
+}
+for bench in store dedup; do
+    deterministic "recorded/BENCH_$bench.json" >"$out/recorded"
+    deterministic "$out/$bench.json" >"$out/fresh"
+    if ! (cd "$out" && diff -u recorded fresh); then
+        echo "dedup_check: ${bench}_bench moved a deterministic field of recorded/BENCH_$bench.json" >&2
+        exit 1
+    fi
+    echo "dedup_check: ${bench}_bench matches recorded/BENCH_$bench.json (timings masked) OK"
+done
 
 echo "dedup_check: all green"

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # The recorded tables and figures: every recorded/*.txt is the verbatim
-# stdout of one ppet-bench binary, and this script is the one way to make
-# them.
+# stdout of one ppet-bench binary, recorded/BENCH_sched.json is the file
+# `sched_bench` writes, and this script is the one way to make them.
 #
 #   scripts/recordings.sh           build the bench binaries and regenerate
 #                                   every recording in place (~16 min on a
@@ -12,12 +12,13 @@
 #                                   dir and diff it against the recordings
 #                                   (the CI gate, about a minute)
 #
-# --check compares table1, table9, fig4, ablation and table12_small whole,
-# and table10, table11 and fig1_pipes on the circuits of at most 3,000
-# cells against the recording's rows for those circuits. The CPU(s)
-# column of Tables 10 and 11 is wall time, so both sides mask it. Any
-# other difference means a recording is stale or the program changed its
-# answers. Run from the repository root. Fully offline.
+# --check compares table1, table9, fig4, ablation, table12_small and
+# BENCH_sched.json whole, and table10, table11 and fig1_pipes on the
+# circuits of at most 3,000 cells against the recording's rows for those
+# circuits. The CPU(s) column of Tables 10 and 11 and the `sched_ns` and
+# `pareto_ns` fields of BENCH_sched.json are wall time, so both sides mask
+# them. Any other difference means a recording is stale or the program
+# changed its answers. Run from the repository root. Fully offline.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,26 +30,41 @@ CHECK_CELLS=3000
 # a full recording.
 unset PPET_MAX_CELLS
 
-# One recording per line: its name under recorded/, then the command.
+# One recording per line: its file under recorded/, then the command.
 recordings() {
     cat <<'EOF'
-table1 table1
-table9 table9
-table10 table10
-table11 table11
-table12_small table12 --max-cells 6000
-ablation ablation
-fig1_pipes fig1_pipes
-fig4 fig4
+table1.txt table1
+table9.txt table9
+table10.txt table10
+table11.txt table11
+table12_small.txt table12 --max-cells 6000
+ablation.txt ablation
+fig1_pipes.txt fig1_pipes
+fig4.txt fig4
+BENCH_sched.json sched_bench
 EOF
 }
 
+# record OUT BIN [ARGS...]: runs BIN and writes its recording to OUT. A
+# .txt recording is the binary's stdout; a .json one is the file the
+# binary writes to the path it is given.
+record() {
+    out=$1
+    bin=$2
+    shift 2
+    case "$out" in
+    *.json) "$BIN/$bin" "$@" "$out" </dev/null >/dev/null ;;
+    *) "$BIN/$bin" "$@" </dev/null >"$out" ;;
+    esac
+}
+
 # Replaces the CPU(s) column of Tables 10 and 11 (the last field of each
-# circuit row, with its padding) with a dash; other recordings pass
-# through.
+# circuit row, with its padding) and the timing fields of
+# BENCH_sched.json with a dash; other recordings pass through.
 mask() {
     case "$1" in
-    table10 | table11) sed -E '/^s[0-9]/ s/ +[0-9.]+$/ -/' ;;
+    table10.txt | table11.txt) sed -E '/^s[0-9]/ s/ +[0-9.]+$/ -/' ;;
+    BENCH_sched.json) sed -E 's/"(sched|pareto)_ns": [0-9]+/"\1_ns": -/g' ;;
     *) cat ;;
     esac
 }
@@ -81,32 +97,32 @@ if [ -z "$mode" ]; then
         echo "==> $name"
         # Into the temp dir first, so a failed run leaves the recording.
         # shellcheck disable=SC2086 # $args is a word list
-        "$BIN/$bin" $args </dev/null >"$tmp/$name.txt"
-        mv "$tmp/$name.txt" "recorded/$name.txt"
+        record "$tmp/$name" "$bin" $args
+        mv "$tmp/$name" "recorded/$name"
     done <"$tmp/list"
-    echo "recordings: regenerated recorded/*.txt; review and commit the diff"
+    echo "recordings: regenerated every recording; review and commit the diff"
 else
     failed=0
     while read -r name bin args; do
         case "$name" in
-        table10 | table11 | fig1_pipes)
-            "$BIN/$bin" --max-cells "$CHECK_CELLS" </dev/null >"$tmp/$name.txt"
-            rows_of "recorded/$name.txt" "$tmp/$name.txt" >"$tmp/expected"
+        table10.txt | table11.txt | fig1_pipes.txt)
+            record "$tmp/$name" "$bin" --max-cells "$CHECK_CELLS"
+            rows_of "recorded/$name" "$tmp/$name" >"$tmp/expected"
             what="rows of circuits up to $CHECK_CELLS cells"
             ;;
         *)
             # shellcheck disable=SC2086 # $args is a word list
-            "$BIN/$bin" $args </dev/null >"$tmp/$name.txt"
-            cp "recorded/$name.txt" "$tmp/expected"
+            record "$tmp/$name" "$bin" $args
+            cp "recorded/$name" "$tmp/expected"
             what="whole file"
             ;;
         esac
         mask "$name" <"$tmp/expected" >"$tmp/recorded"
-        mask "$name" <"$tmp/$name.txt" >"$tmp/fresh"
+        mask "$name" <"$tmp/$name" >"$tmp/fresh"
         if (cd "$tmp" && diff -u recorded fresh >diff); then
-            echo "ok: recorded/$name.txt ($what)"
+            echo "ok: recorded/$name ($what)"
         else
-            echo "recordings: recorded/$name.txt differs from a fresh run ($what):" >&2
+            echo "recordings: recorded/$name differs from a fresh run ($what):" >&2
             cat "$tmp/diff" >&2
             failed=1
         fi
