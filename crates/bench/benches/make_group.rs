@@ -17,7 +17,7 @@ fn bench(c: &mut Criterion) {
         let circuit = ppet_bench::build_circuit(record);
         let graph = CircuitGraph::from_circuit(&circuit);
         let scc = Scc::of(&graph);
-        let profile = saturate_network(&graph, &FlowParams::quick(), 1);
+        let profile = saturate_network(&graph, &scc, &FlowParams::quick(), 1);
         let params = MakeGroupParams::new(16);
         group.bench_with_input(BenchmarkId::from_parameter(name), &graph, |b, g| {
             b.iter(|| make_group(black_box(g), &scc, &profile, &params));

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ppet_flow::{saturate_network, FlowParams};
-use ppet_graph::CircuitGraph;
+use ppet_graph::{scc::Scc, CircuitGraph};
 use ppet_netlist::data::table9;
 
 fn bench(c: &mut Criterion) {
@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
         let graph = CircuitGraph::from_circuit(&circuit);
         let params = FlowParams::quick();
         group.bench_with_input(BenchmarkId::from_parameter(name), &graph, |b, g| {
-            b.iter(|| saturate_network(black_box(g), &params, 1));
+            b.iter(|| saturate_network(black_box(g), &Scc::of(g), &params, 1));
         });
     }
     group.finish();

@@ -175,7 +175,7 @@ fn partitioner_comparison() {
         let circuit = build_circuit(record);
         let graph = CircuitGraph::from_circuit(&circuit);
         let scc = Scc::of(&graph);
-        let profile = saturate_network(&graph, &FlowParams::paper(), 1996);
+        let profile = saturate_network(&graph, &scc, &FlowParams::paper(), 1996);
         let grouped = make_group(&graph, &scc, &profile, &MakeGroupParams::new(LK));
         let flow_result = assign_cbit(&graph, grouped.clustering, LK);
 
@@ -211,7 +211,7 @@ fn refinement() {
         let circuit = build_circuit(record);
         let graph = CircuitGraph::from_circuit(&circuit);
         let scc = Scc::of(&graph);
-        let profile = saturate_network(&graph, &FlowParams::paper(), 1996);
+        let profile = saturate_network(&graph, &scc, &FlowParams::paper(), 1996);
         let grouped = make_group(&graph, &scc, &profile, &MakeGroupParams::new(LK));
         let assigned = assign_cbit(&graph, grouped.clustering, LK);
         let before = assigned.cut_nets.len();
@@ -239,7 +239,7 @@ fn min_area_retiming() {
         let circuit = build_circuit(record);
         let graph = CircuitGraph::from_circuit(&circuit);
         let scc = Scc::of(&graph);
-        let profile = saturate_network(&graph, &FlowParams::paper(), 1996);
+        let profile = saturate_network(&graph, &scc, &FlowParams::paper(), 1996);
         let grouped = make_group(&graph, &scc, &profile, &MakeGroupParams::new(LK));
         let assigned = assign_cbit(&graph, grouped.clustering, LK);
         let rg = RetimeGraph::from_graph(&graph);

@@ -24,7 +24,7 @@
 
 use std::collections::BTreeSet;
 
-use ppet_bench::gate::{self, median_ns, Timing};
+use ppet_bench::gate::{self, time_pairs, Timing};
 use ppet_core::{resolve_builtin, Merced, MercedConfig};
 use ppet_graph::retime::{CutRealization, CutRealizer, RetimeGraph};
 use ppet_graph::{CircuitGraph, NetId};
@@ -154,34 +154,35 @@ fn measure() -> Vec<Timing> {
                 "{name}: realizer diverged from the reference"
             );
 
-            let optimized_ns = median_ns(|| {
-                for _ in 0..BATCH {
-                    let _ = CutRealizer::new(&rg).realize(&cuts);
-                }
-            }) / BATCH;
-            let reference_ns = median_ns(|| {
-                for _ in 0..BATCH {
-                    let _ = realize_reference(&rg, &cuts);
-                }
-            }) / BATCH;
-            eprintln!(
-                "{name}: reference {:.2} ms, optimized {:.2} ms ({:.2}x), \
-                 {} cuts, {} iterations",
-                reference_ns as f64 / 1e6,
-                optimized_ns as f64 / 1e6,
-                reference_ns as f64 / optimized_ns.max(1) as f64,
-                cuts.len(),
-                fast.iterations,
-            );
-            Timing {
-                circuit: name,
-                facts: vec![
+            let mut timing = time_pairs(
+                name,
+                vec![
                     ("cuts", cuts.len() as u64),
                     ("iterations", fast.iterations as u64),
                 ],
-                reference_ns,
-                optimized_ns,
-            }
+                || {
+                    for _ in 0..BATCH {
+                        let _ = CutRealizer::new(&rg).realize(&cuts);
+                    }
+                },
+                || {
+                    for _ in 0..BATCH {
+                        let _ = realize_reference(&rg, &cuts);
+                    }
+                },
+            );
+            timing.optimized_ns /= BATCH;
+            timing.reference_ns /= BATCH;
+            eprintln!(
+                "{name}: reference {:.2} ms, optimized {:.2} ms ({:.2}x per pair), \
+                 {} cuts, {} iterations",
+                timing.reference_ns as f64 / 1e6,
+                timing.optimized_ns as f64 / 1e6,
+                timing.pair_ratio,
+                cuts.len(),
+                fast.iterations,
+            );
+            timing
         })
         .collect()
 }

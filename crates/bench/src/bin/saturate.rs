@@ -16,13 +16,16 @@
 //!                              than TOLERANCE× slower than the floor
 //! ```
 //!
+//! The two engines are timed in interleaved pairs, and `--gate` prints
+//! the median per-pair `reference / optimized` ratio beside each verdict.
+//!
 //! The floor JSON is `recorded/BENCH_saturate.json` (schema
 //! `ppet-bench-saturate/v1`).
 
 use ppet_bench::build_circuit;
-use ppet_bench::gate::{self, median_ns, Timing};
+use ppet_bench::gate::{self, time_pairs, Timing};
 use ppet_flow::{saturate_network, saturate_network_reference};
-use ppet_graph::CircuitGraph;
+use ppet_graph::{scc::Scc, CircuitGraph};
 use ppet_netlist::data::table9;
 
 /// Circuits the gate runs on (see DESIGN §13): one mid-size
@@ -37,39 +40,39 @@ fn measure() -> Vec<Timing> {
             let record = table9::find(name).expect("suite circuit");
             let circuit = build_circuit(record);
             let graph = CircuitGraph::from_circuit(&circuit);
+            let scc = Scc::of(&graph);
             let flow = ppet_bench::harness_flow(graph.num_nodes());
 
             // Correctness before speed: the rewrite must be result-identical
             // to the reference on the exact workload being timed.
-            let fast = saturate_network(&graph, &flow, SEED);
+            let fast = saturate_network(&graph, &scc, &flow, SEED);
             let slow = saturate_network_reference(&graph, &flow, SEED);
             assert!(
                 fast.result_eq(&slow),
                 "{name}: optimized saturation diverged from the reference"
             );
 
-            let optimized_ns = median_ns(|| {
-                let _ = saturate_network(&graph, &flow, SEED);
-            });
-            let reference_ns = median_ns(|| {
-                let _ = saturate_network_reference(&graph, &flow, SEED);
-            });
-            eprintln!(
-                "{name}: reference {:.2} ms, optimized {:.2} ms ({:.2}x), {} trees",
-                reference_ns as f64 / 1e6,
-                optimized_ns as f64 / 1e6,
-                reference_ns as f64 / optimized_ns.max(1) as f64,
-                fast.num_trees(),
-            );
-            Timing {
-                circuit: name,
-                facts: vec![
+            let timing = time_pairs(
+                name,
+                vec![
                     ("cells", circuit.num_cells() as u64),
                     ("trees", fast.num_trees() as u64),
                 ],
-                reference_ns,
-                optimized_ns,
-            }
+                || {
+                    let _ = saturate_network(&graph, &scc, &flow, SEED);
+                },
+                || {
+                    let _ = saturate_network_reference(&graph, &flow, SEED);
+                },
+            );
+            eprintln!(
+                "{name}: reference {:.2} ms, optimized {:.2} ms ({:.2}x per pair), {} trees",
+                timing.reference_ns as f64 / 1e6,
+                timing.optimized_ns as f64 / 1e6,
+                timing.pair_ratio,
+                fast.num_trees(),
+            );
+            timing
         })
         .collect()
 }

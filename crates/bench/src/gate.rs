@@ -3,10 +3,17 @@
 //! `scripts/perf_gate.sh`.
 //!
 //! A kernel times an optimized engine and the retained reference it must
-//! match on a few fixed circuits, one [`Timing`] each. Its floor file
-//! (schema `ppet-bench-<kernel>/v1`) records both medians and their ratio;
-//! `--gate` compares a fresh optimized median against the recorded
-//! `optimized_ns` only — the reference column is documentation.
+//! match on a few fixed circuits, one [`Timing`] each. The two engines
+//! run in interleaved pairs (optimized, reference, optimized, …; see
+//! [`time_pairs`]), so a drift in machine speed lands on both alike.
+//! Its floor file (schema `ppet-bench-<kernel>/v1`) records both medians
+//! and their ratio; `--gate` compares a fresh optimized median against
+//! the recorded `optimized_ns` only, and prints the median per-pair
+//! `reference / optimized` ratio beside each verdict as information —
+//! the reference column is documentation. The deterministic work a
+//! kernel does is pinned exactly elsewhere (the golden corpus records the
+//! `flow.*` counters of s510 and s641), so a timing gate never has to
+//! catch an algorithmic regression alone.
 //! `--bless` records, per circuit, the median over [`BLESS_RUNS`] whole
 //! runs, so one fast run on a noisy machine cannot set a floor that the
 //! next gate run fails.
@@ -15,7 +22,7 @@ use std::time::Instant;
 
 use ppet_trace::json;
 
-/// Timed repetitions per engine; the median is reported.
+/// Timed pairs (one repetition of each engine); medians are reported.
 pub const REPS: usize = 5;
 
 /// Whole runs `--bless` takes the per-circuit median over.
@@ -37,19 +44,44 @@ pub struct Timing {
     pub reference_ns: u64,
     /// Median wall time of the production engine, ns.
     pub optimized_ns: u64,
+    /// Median over the timed pairs of `reference / optimized`.
+    pub pair_ratio: f64,
 }
 
-/// Runs `f` [`REPS`] times and returns the median wall time in ns.
-pub fn median_ns(mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u64> = (0..REPS)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
+/// Times `optimized` and `reference` in [`REPS`] pairs, alternating
+/// (optimized, reference, optimized, reference, …), and returns
+/// `circuit`'s row: each engine's median wall time and the median
+/// per-pair ratio.
+pub fn time_pairs(
+    circuit: &'static str,
+    facts: Vec<(&'static str, u64)>,
+    mut optimized: impl FnMut(),
+    mut reference: impl FnMut(),
+) -> Timing {
+    let time = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    };
+    let pairs: Vec<(u64, u64)> = (0..REPS)
+        .map(|_| (time(&mut optimized), time(&mut reference)))
         .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    let median_of = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    let mut ratios: Vec<f64> = pairs
+        .iter()
+        .map(|&(o, r)| r as f64 / o.max(1) as f64)
+        .collect();
+    ratios.sort_unstable_by(f64::total_cmp);
+    Timing {
+        circuit,
+        facts,
+        optimized_ns: median_of(pairs.iter().map(|p| p.0).collect()),
+        reference_ns: median_of(pairs.iter().map(|p| p.1).collect()),
+        pair_ratio: ratios[ratios.len() / 2],
+    }
 }
 
 /// Per circuit, the median of each column over `runs`. The runs must
@@ -70,10 +102,15 @@ fn median_rows(runs: &[Vec<Timing>]) -> Vec<Timing> {
     first
         .iter()
         .enumerate()
-        .map(|(i, row)| Timing {
-            reference_ns: median(runs.iter().map(|r| r[i].reference_ns).collect()),
-            optimized_ns: median(runs.iter().map(|r| r[i].optimized_ns).collect()),
-            ..row.clone()
+        .map(|(i, row)| {
+            let mut ratios: Vec<f64> = runs.iter().map(|r| r[i].pair_ratio).collect();
+            ratios.sort_unstable_by(f64::total_cmp);
+            Timing {
+                reference_ns: median(runs.iter().map(|r| r[i].reference_ns).collect()),
+                optimized_ns: median(runs.iter().map(|r| r[i].optimized_ns).collect()),
+                pair_ratio: ratios[ratios.len() / 2],
+                ..row.clone()
+            }
         })
         .collect()
 }
@@ -138,7 +175,9 @@ fn read_floor(kernel: &str, path: &str) -> Vec<(String, u64)> {
 }
 
 /// Fails (exit 1) if any fresh optimized median exceeds [`TOLERANCE`]×
-/// its recorded floor, or a circuit has no floor.
+/// its recorded floor, or a circuit has no floor. Each verdict also
+/// prints the median per-pair `reference / optimized` ratio, which does
+/// not decide it.
 fn gate(kernel: &str, path: &str, rows: &[Timing]) {
     let floor = read_floor(kernel, path);
     let mut failed = false;
@@ -152,15 +191,16 @@ fn gate(kernel: &str, path: &str, rows: &[Timing]) {
             continue;
         };
         let limit = (*floor_ns as f64 * TOLERANCE) as u64;
+        let ratio = format!("reference/optimized {:.2}x per pair", row.pair_ratio);
         if row.optimized_ns > limit {
             eprintln!(
-                "GATE {}: FAIL — median {} ns exceeds {:.1}x floor {} ns (limit {} ns)",
+                "GATE {}: FAIL — median {} ns exceeds {:.1}x floor {} ns (limit {} ns); {ratio}",
                 row.circuit, row.optimized_ns, TOLERANCE, floor_ns, limit
             );
             failed = true;
         } else {
             eprintln!(
-                "GATE {}: ok — median {} ns within {:.1}x floor {} ns",
+                "GATE {}: ok — median {} ns within {:.1}x floor {} ns; {ratio}",
                 row.circuit, row.optimized_ns, TOLERANCE, floor_ns
             );
         }
@@ -224,6 +264,7 @@ mod tests {
             facts: vec![("cuts", 72), ("iterations", 17)],
             reference_ns: 300,
             optimized_ns: 100,
+            pair_ratio: 3.0,
         }];
         let text = render("retime", 1996, &rows);
         assert!(text.contains(
@@ -247,6 +288,7 @@ mod tests {
                 facts: vec![("trees", 8)],
                 reference_ns,
                 optimized_ns,
+                pair_ratio: reference_ns as f64 / optimized_ns as f64,
             }]
         };
         // One fast outlier run does not set the floor.
@@ -260,6 +302,8 @@ mod tests {
         let rows = median_rows(&runs);
         assert_eq!(rows.len(), 1);
         assert_eq!((rows[0].reference_ns, rows[0].optimized_ns), (93, 36));
+        // The pair ratio is the median of the runs' own ratios.
+        assert_eq!(rows[0].pair_ratio, 90.0 / 35.0);
         assert_eq!(rows[0].facts, vec![("trees", 8)]);
     }
 }

@@ -247,7 +247,7 @@ impl Merced {
         // STEP 3: Assign_CBIT = saturate + cluster + merge. Saturation is
         // the paper's sequential Table 3 loop.
         let phase = Phase::start(tracer, "saturate_network");
-        let profile = saturate_network(&graph, &self.config.flow, self.config.seed);
+        let profile = saturate_network(&graph, &scc, &self.config.flow, self.config.seed);
         let search = profile.search_stats();
         let flow_saturated = profile.is_saturated();
         let flow_shortfall_nodes = profile.unsaturated_nodes();

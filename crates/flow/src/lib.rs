@@ -33,11 +33,11 @@
 //!
 //! ```
 //! use ppet_flow::{saturate_network, FlowParams};
-//! use ppet_graph::CircuitGraph;
+//! use ppet_graph::{scc::Scc, CircuitGraph};
 //! use ppet_netlist::data;
 //!
 //! let g = CircuitGraph::from_circuit(&data::s27());
-//! let profile = saturate_network(&g, &FlowParams::paper(), 42);
+//! let profile = saturate_network(&g, &Scc::of(&g), &FlowParams::paper(), 42);
 //! // Every net with sinks received a finite, positive distance.
 //! for (net, _) in g.nets() {
 //!     assert!(profile.distance(net) >= 1.0);

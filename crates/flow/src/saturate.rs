@@ -3,17 +3,19 @@
 //! Each tree `T_v` is a [`dijkstra::DijkstraScratch`] run that settles the
 //! graph one strongly connected component at a time, in topological
 //! order: nodes on no cycle settle without a priority queue. One scratch
-//! serves a whole saturation, so the condensation (the paper's STEP 2
-//! components) is computed once per call, never per tree.
+//! serves a whole saturation: it lays the graph out in the condensation
+//! order of the compile's STEP 2 components once per call, never per
+//! tree.
 
-use ppet_graph::{dijkstra, CircuitGraph};
+use ppet_graph::{dijkstra, scc::Scc, CircuitGraph};
 use ppet_netlist::CellId;
 use ppet_prng::{Rng, Xoshiro256PlusPlus};
 
 use crate::params::FlowParams;
 use crate::profile::CongestionProfile;
 
-/// Runs the probabilistic multicommodity-flow saturation on `graph`.
+/// Runs the probabilistic multicommodity-flow saturation on `graph`,
+/// whose SCC decomposition ([`Scc::of`], the paper's STEP 2) is `scc`.
 ///
 /// Follows the paper's Table 3:
 ///
@@ -36,31 +38,39 @@ use crate::profile::CongestionProfile;
 /// condition, where independent uniform draws need 36–45 per node for
 /// `min_visit = 20` (a coupon collector).
 ///
-/// The inner loop runs over the graph's packed [`Csr`](ppet_graph::Csr)
-/// view with the component-ordered Dijkstra
-/// ([`dijkstra::DijkstraScratch::run_fast`]). The whole profile is
-/// bit-identical to [`saturate_network_reference`], which it is tested
-/// against, and so are the work counters but `heap_pops`: the two
-/// engines pop different queues.
+/// The inner loop runs the component-ordered Dijkstra
+/// ([`dijkstra::DijkstraScratch::run_fast`]) over the graph renumbered
+/// in condensation order, so net lengths, flows and hit counts live in
+/// position space until the loop ends and map back to net ids once. The
+/// whole profile is bit-identical to [`saturate_network_reference`],
+/// which it is tested against, and so are the work counters but
+/// `heap_pops`: the two engines pop different queues.
 ///
 /// # Panics
 ///
-/// Panics if `params` fail [`FlowParams::validate`].
+/// Panics if `params` fail [`FlowParams::validate`], or if `scc` is not
+/// a decomposition of `graph`'s nodes.
 ///
 /// # Examples
 ///
 /// ```
 /// use ppet_flow::{saturate_network, FlowParams};
-/// use ppet_graph::CircuitGraph;
+/// use ppet_graph::{scc::Scc, CircuitGraph};
 /// use ppet_netlist::data;
 ///
 /// let g = CircuitGraph::from_circuit(&data::s27());
-/// let a = saturate_network(&g, &FlowParams::quick(), 7);
-/// let b = saturate_network(&g, &FlowParams::quick(), 7);
+/// let scc = Scc::of(&g);
+/// let a = saturate_network(&g, &scc, &FlowParams::quick(), 7);
+/// let b = saturate_network(&g, &scc, &FlowParams::quick(), 7);
 /// assert_eq!(a, b); // deterministic per seed
 /// ```
 #[must_use]
-pub fn saturate_network(graph: &CircuitGraph, params: &FlowParams, seed: u64) -> CongestionProfile {
+pub fn saturate_network(
+    graph: &CircuitGraph,
+    scc: &Scc,
+    params: &FlowParams,
+    seed: u64,
+) -> CongestionProfile {
     if let Some(problem) = params.validate() {
         panic!("invalid flow parameters: {problem}");
     }
@@ -78,12 +88,13 @@ pub fn saturate_network(graph: &CircuitGraph, params: &FlowParams, seed: u64) ->
     }
 
     let quota = params.min_visit;
-    let csr = graph.csr();
+    // `distance`, `flow` and `hits` are indexed by condensation position
+    // (`scratch.position`) until the loop ends.
     let mut distance = vec![1.0f64; n];
     let mut flow = vec![0.0f64; n];
     let mut visits = vec![0u32; n];
     let mut trees = 0usize;
-    let mut scratch = dijkstra::DijkstraScratch::new(graph);
+    let mut scratch = dijkstra::DijkstraScratch::new(graph, scc);
     let mut table = DistTable::new();
     // Per-net tree-membership count: in per-net mode a net's flow is
     // `flow_of[hits[i]]`, read once after the loop.
@@ -92,17 +103,15 @@ pub fn saturate_network(graph: &CircuitGraph, params: &FlowParams, seed: u64) ->
     // paper's loop condition `∃v: visit(v) <= min_visit` exactly.
     for v in sources(n, params, seed) {
         visits[v.index()] += 1;
-        scratch.run_fast(csr, v, &distance);
+        scratch.run_fast(v, &distance);
         trees += 1;
         if params.per_branch {
-            for (net, count) in scratch.tree_net_counts() {
-                let i = net.index();
+            for (i, count) in scratch.tree_net_positions() {
                 flow[i] += params.delta * f64::from(count);
                 distance[i] = params.congestion_distance(flow[i]);
             }
         } else {
-            for (net, _) in scratch.tree_net_counts() {
-                let i = net.index();
+            for (i, _) in scratch.tree_net_positions() {
                 hits[i] += 1;
                 let k = hits[i] as usize;
                 table.ensure(k, params);
@@ -115,6 +124,8 @@ pub fn saturate_network(graph: &CircuitGraph, params: &FlowParams, seed: u64) ->
             *f = table.flow_of[k as usize];
         }
     }
+    let distance = scratch.by_node(&distance);
+    let flow = scratch.by_node(&flow);
     // Per-node visit shortfall: how many visits each node was short of
     // `min_visit + 1` when the loop stopped (non-zero only when the tree
     // budget ran out first).
@@ -189,7 +200,7 @@ impl DistTable {
 }
 
 /// The reference `Saturate_Network` implementation: binary-heap Dijkstra
-/// keyed `(topological index, distance, node)` over the pointer-rich
+/// keyed `(component, distance, node)` over the pointer-rich
 /// adjacency ([`dijkstra::DijkstraScratch::run`]), per-tree sorted net
 /// lists, one `exp` per touched net.
 ///
@@ -223,7 +234,7 @@ pub fn saturate_network_reference(
     let mut flow = vec![0.0f64; n];
     let mut visits = vec![0u32; n];
     let mut trees = 0usize;
-    let mut scratch = dijkstra::DijkstraScratch::new(graph);
+    let mut scratch = dijkstra::DijkstraScratch::new(graph, &Scc::of(graph));
 
     for v in sources(n, params, seed) {
         visits[v.index()] += 1;
@@ -283,7 +294,7 @@ mod tests {
     fn every_node_visited_enough() {
         let g = s27();
         let p = FlowParams::quick();
-        let prof = saturate_network(&g, &p, 1);
+        let prof = saturate_network(&g, &Scc::of(&g), &p, 1);
         for (i, &v) in prof.visits().iter().enumerate() {
             assert_eq!(v, p.min_visit + 1, "node {i}");
         }
@@ -299,7 +310,7 @@ mod tests {
         for cap in [1, n - 1, n, 2 * n + n / 3] {
             let mut p = FlowParams::paper();
             p.max_trees = Some(cap);
-            let prof = saturate_network(&g, &p, 3);
+            let prof = saturate_network(&g, &Scc::of(&g), &p, 3);
             assert_eq!(prof.num_trees() as u64, cap);
             let lo = prof.visits().iter().min().unwrap();
             let hi = prof.visits().iter().max().unwrap();
@@ -315,7 +326,7 @@ mod tests {
     fn distances_consistent_with_flow() {
         let g = s27();
         let p = FlowParams::quick();
-        let prof = saturate_network(&g, &p, 2);
+        let prof = saturate_network(&g, &Scc::of(&g), &p, 2);
         for (net, _) in g.nets() {
             let expected = (p.alpha * prof.flow(net) / p.capacity).exp();
             let got = prof.distance(net);
@@ -338,7 +349,7 @@ mod tests {
             for per_branch in [false, true] {
                 let mut p = FlowParams::quick();
                 p.per_branch = per_branch;
-                let fast = saturate_network(&g, &p, seed);
+                let fast = saturate_network(&g, &Scc::of(&g), &p, seed);
                 let slow = saturate_network_reference(&g, &p, seed);
                 assert!(fast.result_eq(&slow), "seed {seed} per_branch {per_branch}");
                 for (net, _) in g.nets() {
@@ -369,7 +380,7 @@ mod tests {
             for per_branch in [false, true] {
                 let mut p = FlowParams::quick();
                 p.per_branch = per_branch;
-                let fast = saturate_network(&g, &p, 1);
+                let fast = saturate_network(&g, &Scc::of(&g), &p, 1);
                 let slow = saturate_network_reference(&g, &p, 1);
                 assert!(fast.result_eq(&slow), "{name} per_branch {per_branch}");
                 let (f, s) = (fast.search_stats(), slow.search_stats());
@@ -390,7 +401,7 @@ mod tests {
     #[test]
     fn nets_without_sinks_stay_untouched() {
         let g = s27();
-        let prof = saturate_network(&g, &FlowParams::quick(), 3);
+        let prof = saturate_network(&g, &Scc::of(&g), &FlowParams::quick(), 3);
         let g17 = g.find("G17").unwrap(); // primary output, no sinks
         assert_eq!(prof.flow(g17), 0.0);
         assert_eq!(prof.distance(g17), 1.0);
@@ -402,7 +413,7 @@ mod tests {
         // pushes flow onto strongly-connected nets. Compare the mean flow of
         // nets inside the sequential core to the mean over PI nets.
         let g = s27();
-        let prof = saturate_network(&g, &FlowParams::paper(), 4);
+        let prof = saturate_network(&g, &Scc::of(&g), &FlowParams::paper(), 4);
         let scc = Scc::of(&g);
         let mut core = Vec::new();
         let mut pi = Vec::new();
@@ -426,9 +437,9 @@ mod tests {
     fn per_branch_accumulates_at_least_per_net() {
         let g = s27();
         let mut p = FlowParams::quick();
-        let per_net = saturate_network(&g, &p, 5);
+        let per_net = saturate_network(&g, &Scc::of(&g), &p, 5);
         p.per_branch = true;
-        let per_branch = saturate_network(&g, &p, 5);
+        let per_branch = saturate_network(&g, &Scc::of(&g), &p, 5);
         // Same seed => same visit sequence on the first tree; flows cannot
         // be directly compared net-by-net after divergence, but totals can:
         let tot_net: f64 = (0..g.num_nodes())
@@ -445,8 +456,8 @@ mod tests {
         // Not s27: with every node a source equally often, its few trees
         // come out the same in any order.
         let g = table9("s641");
-        let a = saturate_network(&g, &FlowParams::quick(), 1);
-        let b = saturate_network(&g, &FlowParams::quick(), 2);
+        let a = saturate_network(&g, &Scc::of(&g), &FlowParams::quick(), 1);
+        let b = saturate_network(&g, &Scc::of(&g), &FlowParams::quick(), 2);
         assert_ne!(a, b);
     }
 
@@ -456,7 +467,7 @@ mod tests {
         let g = s27();
         let mut p = FlowParams::paper();
         p.alpha = 0.0;
-        let _ = saturate_network(&g, &p, 0);
+        let _ = saturate_network(&g, &Scc::of(&g), &p, 0);
     }
 
     /// The pipeline traces `flow.*` from the finished profile's search
@@ -464,8 +475,8 @@ mod tests {
     #[test]
     fn tracing_does_not_perturb_results() {
         let (g, p) = (s27(), FlowParams::quick());
-        let prof = saturate_network(&g, &p, 9);
-        assert_eq!(prof, saturate_network(&g, &p, 9));
+        let prof = saturate_network(&g, &Scc::of(&g), &p, 9);
+        assert_eq!(prof, saturate_network(&g, &Scc::of(&g), &p, 9));
         let stats = prof.search_stats();
         let sizes = &stats.tree_sizes;
         assert_eq!(sizes.iter().sum::<u64>(), prof.num_trees() as u64);
@@ -480,7 +491,7 @@ mod tests {
     fn empty_graph_is_fine() {
         let c = ppet_netlist::Circuit::new("empty");
         let g = CircuitGraph::from_circuit(&c);
-        let prof = saturate_network(&g, &FlowParams::quick(), 0);
+        let prof = saturate_network(&g, &Scc::of(&g), &FlowParams::quick(), 0);
         assert_eq!(prof.num_trees(), 0);
         assert!(prof.is_saturated());
     }
@@ -506,7 +517,7 @@ mod tests {
         let g = tiny();
         let mut p = FlowParams::quick();
         p.alpha = 1e6;
-        let prof = saturate_network(&g, &p, 1);
+        let prof = saturate_network(&g, &Scc::of(&g), &p, 1);
         assert!(prof.num_trees() > 0);
         for (net, _) in g.nets() {
             let d = prof.distance(net);
@@ -526,7 +537,7 @@ mod tests {
         let g = tiny();
         let mut p = FlowParams::quick();
         p.alpha = 1e6;
-        let fast = saturate_network(&g, &p, 1);
+        let fast = saturate_network(&g, &Scc::of(&g), &p, 1);
         let slow = saturate_network_reference(&g, &p, 1);
         assert!(fast.result_eq(&slow));
     }
@@ -535,7 +546,7 @@ mod tests {
     fn full_run_is_saturated_with_no_shortfall() {
         let g = s27();
         let p = FlowParams::quick();
-        let prof = saturate_network(&g, &p, 6);
+        let prof = saturate_network(&g, &Scc::of(&g), &p, 6);
         assert!(prof.is_saturated());
         assert_eq!(prof.unsaturated_nodes(), 0);
         assert!(prof.shortfall().iter().all(|&s| s == 0));
@@ -548,7 +559,7 @@ mod tests {
         let g = s27();
         let mut p = FlowParams::quick();
         p.max_trees = Some(3); // far below the |V|·min_visit quota
-        let prof = saturate_network(&g, &p, 6);
+        let prof = saturate_network(&g, &Scc::of(&g), &p, 6);
         assert_eq!(prof.num_trees(), 3);
         assert!(!prof.is_saturated());
         assert!(prof.unsaturated_nodes() > 0);

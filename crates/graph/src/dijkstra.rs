@@ -13,21 +13,26 @@
 //! up every fanin outside it is final: a single-node component settles
 //! with no priority queue at all, and only cyclic components need one. A
 //! node's parent is the smallest-id fanin that settled before it and
-//! reaches it at its final distance. Two engines settle in this order:
+//! reaches it at its final distance.
+//!
+//! A [`DijkstraScratch`] renumbers the graph once, into **condensation
+//! positions**: components in topological order, node ids ascending
+//! inside each. Two engines settle in the order above:
 //!
 //! * [`DijkstraScratch::run`] — the **reference**: a `BinaryHeap` keyed
-//!   `(topological index, distance bits, node)` over the pointer-rich
-//!   [`CircuitGraph`] adjacency. Kept as the executable specification the
-//!   property tests compare against.
-//! * [`DijkstraScratch::run_fast`] — the **saturation hot path**, over the
-//!   packed [`Csr`] adjacency. A bitmap over topological indices drives
-//!   the outer loop; a cyclic component drains a `BinaryHeap` of its own,
-//!   keyed by the distance bits above the node id. For non-negative
-//!   doubles the bit pattern orders like the value, so the heap pops in
-//!   the reference's `(distance, node)` order inside the component.
-//!   Distances, parents, settle order, relaxations and tree sizes are
-//!   bit-identical to the reference; only the pop counts differ. See
-//!   `DESIGN.md` §13.
+//!   `(component, distance bits, node)` over the pointer-rich
+//!   [`CircuitGraph`] adjacency, with node-indexed lengths. Kept as the
+//!   executable specification the property tests compare against.
+//! * [`DijkstraScratch::run_fast`] — the **saturation hot path**, entirely
+//!   in position space: its lengths are indexed by position, and it walks
+//!   a sink CSR of positions. A bitmap over positions drives the outer
+//!   loop; a cyclic component drains a `BinaryHeap` of its own, keyed by
+//!   the distance bits above the position. For non-negative doubles the
+//!   bit pattern orders like the value, and inside a component position
+//!   order is id order, so the heap pops in the reference's
+//!   `(distance, node)` order. Distances, parents, settle order,
+//!   relaxations and tree sizes are bit-identical to the reference; only
+//!   the pop counts differ. See `DESIGN.md` §13.
 //!
 //! Both engines keep their per-node search state in one lazily stamped
 //! array ([`DijkstraScratch`]), so a tree never pays to reset the nodes
@@ -35,11 +40,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::Range;
 
 use ppet_netlist::{CellId, NetId};
 
-use crate::csr::Csr;
 use crate::graph::CircuitGraph;
 use crate::scc::Scc;
 
@@ -67,9 +70,9 @@ impl Bitmap {
         self.summary[i >> 12] |= 1u64 << ((i >> 6) & 63);
     }
 
-    /// Removes and returns the smallest set index at or after `from`.
+    /// Removes and returns the smallest set index in `from..end`.
     #[inline(always)]
-    fn take_from(&mut self, from: usize) -> Option<usize> {
+    fn take(&mut self, from: usize, end: usize) -> Option<usize> {
         let mut w = from >> 6;
         let mut bits = *self.words.get(w)? & (!0u64 << (from & 63));
         if bits == 0 {
@@ -83,6 +86,9 @@ impl Bitmap {
             bits = self.words[w];
         }
         let i = (w << 6) + bits.trailing_zeros() as usize;
+        if i >= end {
+            return None;
+        }
         self.words[w] &= !(1u64 << (i & 63));
         if self.words[w] == 0 {
             self.summary[w >> 6] &= !(1u64 << (w & 63));
@@ -107,61 +113,71 @@ impl Bitmap {
     }
 }
 
-/// The graph's SCC condensation in topological order: the order both
-/// engines settle components in. [`Scc::of`] numbers components in
-/// reverse topological order, so component `id` of `C` has topological
-/// index `C − 1 − id`, and every branch leaving a component points to a
-/// higher index.
+/// The graph renumbered in condensation order: the SCC components in
+/// topological order, node ids ascending inside each. [`Scc::of`]
+/// numbers components in reverse topological order, so they are laid
+/// out from the highest component id down, and every branch leaving a
+/// component points to a higher position.
 #[derive(Debug, Clone)]
-struct Condensation {
-    /// Topological index of each node's component.
-    topo: Vec<u32>,
-    /// The members of the component at topological index `t` are
-    /// `members[start[t]..start[t + 1]]`, ascending.
-    start: Vec<u32>,
-    members: Vec<u32>,
+struct Layout {
+    /// Position of each node, indexed by node id.
+    position: Vec<u32>,
+    /// Node id at each position.
+    node: Vec<u32>,
+    /// The sinks of the net at position `p`, as positions:
+    /// `sink_adj[sink_off[p]..sink_off[p + 1]]`, in the graph's pin order.
+    sink_off: Vec<u32>,
+    sink_adj: Vec<u32>,
+    /// Per position, `end << 1 | cyclic` of its component: one past the
+    /// component's last position, and whether it has more than one
+    /// member. A component's `end` orders it as its topological index
+    /// does.
+    component: Vec<u32>,
 }
 
-impl Condensation {
-    fn of(graph: &CircuitGraph) -> Self {
-        let scc = Scc::of(graph);
-        let mut topo = vec![0; graph.num_nodes()];
-        let mut start = Vec::with_capacity(scc.len() + 1);
-        let mut members = Vec::with_capacity(graph.num_nodes());
-        start.push(0);
-        for (t, comp) in scc.components().iter().rev().enumerate() {
-            for &v in comp {
-                topo[v.index()] = t as u32;
-                members.push(v.index() as u32);
+impl Layout {
+    fn of(graph: &CircuitGraph, scc: &Scc) -> Self {
+        let n = graph.num_nodes();
+        assert!(n < 1 << 31, "{n} nodes leave no bit for the cyclic flag");
+        let mut position = vec![0; n];
+        let mut node = Vec::with_capacity(n);
+        let mut component = Vec::with_capacity(n);
+        for members in scc.components().iter().rev() {
+            let end = (node.len() + members.len()) as u32;
+            let cyclic = u32::from(members.len() > 1);
+            for &v in members {
+                position[v.index()] = node.len() as u32;
+                node.push(v.index() as u32);
+                component.push(end << 1 | cyclic);
             }
-            start.push(members.len() as u32);
+        }
+        assert_eq!(node.len(), n, "the SCC decomposition is of another graph");
+        let csr = graph.csr();
+        let mut sink_off = Vec::with_capacity(n + 1);
+        let mut sink_adj = Vec::with_capacity(csr.num_branches());
+        sink_off.push(0);
+        for &v in &node {
+            let sinks = csr.sinks(CellId::from_index(v as usize));
+            sink_adj.extend(sinks.iter().map(|w| position[w.index()]));
+            sink_off.push(sink_adj.len() as u32);
         }
         Self {
-            topo,
-            start,
-            members,
+            position,
+            node,
+            sink_off,
+            sink_adj,
+            component,
         }
-    }
-
-    /// Number of components.
-    fn len(&self) -> usize {
-        self.start.len() - 1
-    }
-
-    /// Positions in `members` of the component at topological index `t`.
-    #[inline(always)]
-    fn range(&self, t: usize) -> Range<usize> {
-        self.start[t] as usize..self.start[t + 1] as usize
     }
 }
 
-/// The component heap's key for `node` at `dist`: the distance bits
-/// above the node id, so it orders as `(distance, node)` does (the bits
-/// of a non-negative double order like its value). One 128-bit compare
-/// is cheaper than a tuple's two.
+/// The component heap's key for position `p` at `dist`: the distance
+/// bits above the position, so it orders as `(distance, node)` does
+/// inside one component (the bits of a non-negative double order like
+/// its value). One 128-bit compare is cheaper than a tuple's two.
 #[inline(always)]
-fn component_key(dist: f64, node: u32) -> Reverse<u128> {
-    Reverse(u128::from(dist.to_bits()) << 32 | u128::from(node))
+fn component_key(dist: f64, p: u32) -> Reverse<u128> {
+    Reverse(u128::from(dist.to_bits()) << 32 | u128::from(p))
 }
 
 /// One node's search state, packed so a relaxation reads and writes a
@@ -174,7 +190,7 @@ fn component_key(dist: f64, node: u32) -> Reverse<u128> {
 #[derive(Debug, Clone, Copy)]
 struct NodeState {
     dist: f64,
-    /// Parent net id, [`NO_PARENT`] for the source.
+    /// Position of the parent net's driver, [`NO_PARENT`] for the source.
     parent: u32,
     mark: u32,
 }
@@ -187,14 +203,51 @@ const UNREACHED: NodeState = NodeState {
     mark: 0,
 };
 
+/// Relaxes the branch from settled position `from` to the node whose
+/// state is `st`, at distance `nd`: the tie rule of both engines.
+/// Returns whether the node's distance improved to a finite value, i.e.
+/// whether it must be queued. `node` maps positions to node ids.
+#[inline(always)]
+fn relax(st: &mut NodeState, epoch: u32, from: u32, nd: f64, node: &[u32]) -> bool {
+    if st.mark < epoch {
+        // First touch this run: the stale slot reads as
+        // (INFINITY, no parent), which any finite `nd` beats.
+        *st = NodeState {
+            dist: nd,
+            parent: from,
+            mark: epoch,
+        };
+        nd < f64::INFINITY
+    } else if nd < st.dist {
+        // Never true for a settled node: its distance is at most
+        // the settling node's, and `nd` adds a non-negative length.
+        st.dist = nd;
+        st.parent = from;
+        true
+    } else {
+        // Equal distance: prefer the smaller parent net id among the
+        // fanins settled so far (`NO_PARENT` loses to all). Ids, not
+        // positions: the fanins may sit in different components.
+        if nd == st.dist
+            && st.mark == epoch
+            && node
+                .get(st.parent as usize)
+                .map_or(true, |&p| node[from as usize] < p)
+        {
+            st.parent = from;
+        }
+        false
+    }
+}
+
 /// Reusable work buffers for repeated shortest-path-tree computations
 /// over one graph.
 ///
 /// `Saturate_Network` runs tens of thousands of Dijkstra trees over the
-/// same graph. The scratch computes the graph's SCC condensation once,
-/// when it is made, and keeps one 16-byte state slot per node
-/// (distance, parent net, epoch mark) alive across runs, invalidating
-/// it lazily: each run advances an epoch, and a slot whose mark predates
+/// same graph. The scratch lays the graph out in condensation positions
+/// once, when it is made, and keeps one 16-byte state slot per position
+/// (distance, parent, epoch mark) alive across runs, invalidating it
+/// lazily: each run advances an epoch, and a slot whose mark predates
 /// it reads as unreached. Nothing is refilled per tree, so a run
 /// touching `k` nodes costs `O(k)`-ish regardless of `|V|`, and the
 /// tree's per-net branch counts are accumulated *while nodes settle* — no
@@ -203,37 +256,41 @@ const UNREACHED: NodeState = NodeState {
 /// # Examples
 ///
 /// ```
-/// use ppet_graph::{dijkstra::DijkstraScratch, CircuitGraph};
+/// use ppet_graph::{dijkstra::DijkstraScratch, scc::Scc, CircuitGraph};
 /// use ppet_netlist::data;
 ///
 /// let g = CircuitGraph::from_circuit(&data::s27());
-/// let unit = vec![1.0; g.num_nodes()];
-/// let mut scratch = DijkstraScratch::new(&g);
-/// scratch.run_fast(g.csr(), g.find("G0").unwrap(), &unit);
+/// let mut scratch = DijkstraScratch::new(&g, &Scc::of(&g));
+/// let unit = vec![1.0; g.num_nodes()]; // the same in any order
+/// scratch.run_fast(g.find("G0").unwrap(), &unit);
 /// let visited = scratch.visited_order().len();
 /// assert!(visited >= 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DijkstraScratch {
+    layout: Layout,
+    /// Search state, indexed by position.
     state: Vec<NodeState>,
     /// Always even; advanced by two per run (see [`NodeState`]).
     epoch: u32,
-    order: Condensation,
-    /// The reference's queue: `(topological index, distance bits, node)`,
+    /// The reference's queue: `(component end, distance bits, node)`,
     /// smallest first.
     heap: BinaryHeap<Reverse<(u32, u64, u32)>>,
-    /// The production engine's components to settle: the topological
-    /// index of every component holding a node reached with a finite
-    /// distance and not yet settled.
+    /// The production engine's positions to settle: every one reached
+    /// with a finite distance, not yet settled and not in a component
+    /// heap.
     pending: Bitmap,
     /// The production engine's queue inside one cyclic component:
     /// [`component_key`]s, smallest first.
     component_heap: BinaryHeap<Reverse<u128>>,
-    visited: Vec<CellId>,
-    /// Branches of each net in the last run's tree; a net's slot is reset
-    /// when its driver settles, which precedes every branch it feeds.
+    /// Positions settled by the last run, in settle order.
+    visited: Vec<u32>,
+    /// Branches of each net in the last run's tree, by the position of
+    /// its driver; a slot is reset when its driver settles, which
+    /// precedes every branch it feeds.
     net_count: Vec<u32>,
-    tree_list: Vec<NetId>,
+    /// Positions of the last run's tree nets, in first-settled order.
+    tree_list: Vec<u32>,
     stats: DijkstraStats,
 }
 
@@ -246,8 +303,9 @@ pub struct DijkstraStats {
     /// Queue pops, including stale entries skipped as already settled.
     /// The reference pops every entry it pushes: one per relaxation plus
     /// each run's source. The production engine pops one bitmap entry
-    /// per component it settles, plus the component-heap entries (seeds
-    /// and relaxations) of the cyclic ones.
+    /// per component it settles (a cyclic component's first reached
+    /// position), plus the component-heap entries (seeds and
+    /// relaxations) of the cyclic ones.
     pub heap_pops: u64,
     /// Successful relaxations (`dist` improvements to a finite distance).
     pub relaxations: u64,
@@ -260,24 +318,56 @@ pub struct DijkstraStats {
 }
 
 impl DijkstraScratch {
-    /// Creates buffers for trees over `graph`, and its condensation
-    /// order (one Tarjan pass). Every run must be over the same graph.
+    /// Creates buffers for trees over `graph`, laid out in the
+    /// condensation order of `scc`, which must be `graph`'s SCC
+    /// decomposition ([`Scc::of`]). Every run must be over the same graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scc` does not cover exactly `graph`'s nodes.
     #[must_use]
-    pub fn new(graph: &CircuitGraph) -> Self {
+    pub fn new(graph: &CircuitGraph, scc: &Scc) -> Self {
         let n = graph.num_nodes();
-        let order = Condensation::of(graph);
         Self {
+            layout: Layout::of(graph, scc),
             state: vec![UNREACHED; n],
             epoch: 0,
-            pending: Bitmap::new(order.len()),
-            order,
             heap: BinaryHeap::new(),
+            pending: Bitmap::new(n),
             component_heap: BinaryHeap::new(),
             visited: Vec::new(),
             net_count: vec![0; n],
             tree_list: Vec::new(),
             stats: DijkstraStats::default(),
         }
+    }
+
+    /// The condensation position of `node`: the index of its slot in
+    /// [`DijkstraScratch::run_fast`]'s lengths.
+    #[must_use]
+    pub fn position(&self, node: CellId) -> usize {
+        self.layout.position[node.index()] as usize
+    }
+
+    /// `by_node` (indexed by node id) reordered by condensation position.
+    #[must_use]
+    pub fn by_position<T: Copy>(&self, by_node: &[T]) -> Vec<T> {
+        self.layout
+            .node
+            .iter()
+            .map(|&v| by_node[v as usize])
+            .collect()
+    }
+
+    /// `by_position` (indexed by condensation position) reordered by node
+    /// id: the inverse of [`DijkstraScratch::by_position`].
+    #[must_use]
+    pub fn by_node<T: Copy>(&self, by_position: &[T]) -> Vec<T> {
+        self.layout
+            .position
+            .iter()
+            .map(|&p| by_position[p as usize])
+            .collect()
     }
 
     /// The work counters accumulated so far.
@@ -291,13 +381,12 @@ impl DijkstraScratch {
         std::mem::take(&mut self.stats)
     }
 
-    fn begin(&mut self, num_nodes: usize, length: &[f64]) {
+    fn begin(&mut self, length: &[f64]) {
         assert_eq!(
-            num_nodes,
+            length.len(),
             self.state.len(),
-            "a scratch runs over the graph it was made for"
+            "one length per net slot required"
         );
-        assert_eq!(length.len(), num_nodes, "one length per net slot required");
         if self.epoch >= u32::MAX - 2 {
             // Epoch wrap-around: the next epoch would collide with marks
             // still in the arrays, so clear them once.
@@ -321,75 +410,45 @@ impl DijkstraScratch {
         self.stats.tree_sizes[bits.min(31)] += 1;
     }
 
-    /// Marks `v` settled: final distance fixed, parent final, tree-net
-    /// branch accounting updated. Returns the length of `v`'s net, checked.
+    /// Marks position `v` settled: final distance fixed, parent final,
+    /// tree-net branch accounting updated. Returns `l`, the length of
+    /// `v`'s net, checked.
     #[inline(always)]
-    fn settle(&mut self, v: usize, length: &[f64]) -> f64 {
+    fn settle(&mut self, v: usize, l: f64) -> f64 {
         let state = &mut self.state[v];
         state.mark = self.epoch + 1;
         let p = state.parent;
-        self.visited.push(CellId::from_index(v));
+        self.visited.push(v as u32);
         self.net_count[v] = 0;
         if p != NO_PARENT {
             let count = &mut self.net_count[p as usize];
             if *count == 0 {
-                self.tree_list.push(CellId::from_index(p as usize));
+                self.tree_list.push(p);
             }
             *count += 1;
         }
         // Checked in every build, not by a `debug_assert!`: a NaN admitted
         // in release corrupts the queue order silently. Once per settled
         // node; lengths of unreached nodes are never read.
-        let l = length[v];
         assert!(
             l >= 0.0,
-            "net length of node {v} must be non-negative and not NaN, got {l}"
+            "net length of node {} must be non-negative and not NaN, got {l}",
+            self.layout.node[v]
         );
         l
     }
 
-    /// Relaxes the branch from settled `node` to `w` at distance `nd`:
-    /// the tie rule of both engines. Returns whether `w`'s distance
-    /// improved to a finite value, i.e. whether `w` must be queued.
-    #[inline(always)]
-    fn relax(&mut self, node: u32, w: usize, nd: f64) -> bool {
-        let epoch = self.epoch;
-        let st = &mut self.state[w];
-        if st.mark < epoch {
-            // First touch this run: the stale slot reads as
-            // (INFINITY, no parent), which any finite `nd` beats.
-            *st = NodeState {
-                dist: nd,
-                parent: node,
-                mark: epoch,
-            };
-            nd < f64::INFINITY
-        } else if nd < st.dist {
-            // Never true for a settled node: its distance is at most
-            // the settling node's, and `nd` adds a non-negative length.
-            st.dist = nd;
-            st.parent = node;
-            true
-        } else {
-            if nd == st.dist && st.mark == epoch && node < st.parent {
-                // Equal distance: prefer the smaller parent net id among
-                // the fanins settled so far (`NO_PARENT` loses to all).
-                st.parent = node;
-            }
-            false
-        }
-    }
-
-    /// Runs the reference binary-heap Dijkstra from `source`; results are
-    /// readable until the next run via [`DijkstraScratch::distance`],
-    /// [`DijkstraScratch::parent`], and [`DijkstraScratch::visited_order`].
+    /// Runs the reference binary-heap Dijkstra from `source`, with
+    /// `length` indexed by node id; results are readable until the next
+    /// run via [`DijkstraScratch::distance`], [`DijkstraScratch::parent`],
+    /// and [`DijkstraScratch::visited_order`].
     ///
-    /// Its heap is keyed `(topological index, distance bits, node)`, so
-    /// it pops in exactly the settle order [`DijkstraScratch::run_fast`]
-    /// produces: the executable specification that engine is
-    /// property-tested against. It pushes once per relaxation and once
-    /// for the source, and pops every push, so its `heap_pops` equals
-    /// `relaxations` plus the number of runs.
+    /// Its heap is keyed `(component, distance bits, node)`, so it pops in
+    /// exactly the settle order [`DijkstraScratch::run_fast`] produces:
+    /// the executable specification that engine is property-tested
+    /// against. It pushes once per relaxation and once for the source,
+    /// and pops every push, so its `heap_pops` equals `relaxations` plus
+    /// the number of runs.
     ///
     /// # Panics
     ///
@@ -398,88 +457,108 @@ impl DijkstraScratch {
     /// search consumes is negative or NaN. Each length is checked once,
     /// when its node settles.
     pub fn run(&mut self, graph: &CircuitGraph, source: CellId, length: &[f64]) {
-        self.begin(graph.num_nodes(), length);
+        assert_eq!(
+            graph.num_nodes(),
+            self.state.len(),
+            "a scratch runs over the graph it was made for"
+        );
+        self.begin(length);
         let epoch = self.epoch;
-        let s = source.index();
+        let s = self.position(source);
         self.state[s] = NodeState {
             dist: 0.0,
             parent: NO_PARENT,
             mark: epoch,
         };
-        self.heap.push(Reverse((self.order.topo[s], 0, s as u32)));
+        self.heap.push(Reverse((
+            self.layout.component[s] >> 1,
+            0,
+            source.index() as u32,
+        )));
         while let Some(Reverse((_, key, node))) = self.heap.pop() {
             self.stats.heap_pops += 1;
-            let v = node as usize;
+            let v = self.layout.position[node as usize] as usize;
             if self.state[v].mark != epoch {
                 continue; // settled
             }
-            let nd = f64::from_bits(key) + self.settle(v, length);
-            for &w in graph.net(CellId::from_index(v)).sinks() {
-                let wi = w.index();
-                if self.relax(node, wi, nd) {
+            let nd = f64::from_bits(key) + self.settle(v, length[node as usize]);
+            for &w in graph.net(CellId::from_index(node as usize)).sinks() {
+                let wp = self.layout.position[w.index()] as usize;
+                if relax(&mut self.state[wp], epoch, v as u32, nd, &self.layout.node) {
                     self.stats.relaxations += 1;
-                    self.heap
-                        .push(Reverse((self.order.topo[wi], nd.to_bits(), wi as u32)));
+                    self.heap.push(Reverse((
+                        self.layout.component[wp] >> 1,
+                        nd.to_bits(),
+                        w.index() as u32,
+                    )));
                 }
             }
         }
         self.end_run();
     }
 
-    /// Runs the component-ordered Dijkstra over the packed [`Csr`]
-    /// adjacency — the `Saturate_Network` hot path.
+    /// Runs the component-ordered Dijkstra from `source` over the
+    /// scratch's position-space adjacency — the `Saturate_Network` hot
+    /// path. `length[p]` is the length of the net at condensation
+    /// position `p` ([`DijkstraScratch::position`],
+    /// [`DijkstraScratch::by_position`]).
     ///
-    /// A bitmap over topological indices holds the components reached
-    /// and not yet settled; the outer loop takes them smallest index
+    /// A bitmap over positions holds the nodes reached at a finite
+    /// distance and not yet settled; the outer loop takes the smallest
     /// first. A single-node component settles at once: every fanin is in
     /// an earlier component, so its tentative distance is final (a
-    /// self-loop can never shorten a settled node). A cyclic component
-    /// runs a heap Dijkstra, seeded with its members reached so far at
-    /// their tentative distances. A relaxation inside the component
-    /// pushes to that heap; one into a later component only sets that
-    /// component's bit. Settle order, distances, parents, relaxations
-    /// and tree sizes are bit-identical to [`DijkstraScratch::run`]. See
-    /// `DESIGN.md` §13.
+    /// self-loop can never shorten a settled node). A cyclic component,
+    /// whichever member it is first reached at, runs a heap Dijkstra
+    /// seeded with its set bits at their tentative distances. A
+    /// relaxation inside the component pushes to that heap; one into a
+    /// later component only sets that position's bit. Settle order,
+    /// distances, parents, relaxations and tree sizes are bit-identical
+    /// to [`DijkstraScratch::run`]. See `DESIGN.md` §13.
     ///
     /// # Panics
     ///
-    /// As [`DijkstraScratch::run`]: a graph other than the scratch's,
-    /// a length-vector size mismatch, or a negative/NaN length consumed
-    /// by the search.
-    pub fn run_fast(&mut self, csr: &Csr, source: CellId, length: &[f64]) {
-        self.begin(csr.num_nodes(), length);
+    /// As [`DijkstraScratch::run`]: a length-vector size mismatch, or a
+    /// negative/NaN length consumed by the search.
+    pub fn run_fast(&mut self, source: CellId, length: &[f64]) {
+        self.begin(length);
         let epoch = self.epoch;
-        let s = source.index();
+        let n = self.state.len();
+        let s = self.position(source);
         self.state[s] = NodeState {
             dist: 0.0,
             parent: NO_PARENT,
             mark: epoch,
         };
-        self.pending.insert(self.order.topo[s] as usize);
+        self.pending.insert(s);
         let mut pops = 0u64;
         let mut relaxations = 0u64;
         let mut next = 0;
-        while let Some(t) = self.pending.take_from(next) {
+        while let Some(p) = self.pending.take(next, n) {
             pops += 1;
-            next = t + 1;
-            let members = self.order.range(t);
-            if members.len() == 1 {
-                let v = self.order.members[members.start] as usize;
-                relaxations += self.settle_and_relax(csr, v, length, t);
+            let component = self.layout.component[p];
+            let end = (component >> 1) as usize;
+            next = end;
+            if component & 1 == 0 {
+                relaxations += self.settle_and_relax(p, end, length);
                 continue;
             }
-            for i in members {
-                let v = self.order.members[i];
-                let st = self.state[v as usize];
-                if st.mark == epoch && st.dist < f64::INFINITY {
-                    self.component_heap.push(component_key(st.dist, v));
+            // Not `end == p + 1`: a cyclic component can be first reached
+            // at its last position. Seed its heap with every member
+            // reached so far: `p` and the set bits after it.
+            let mut q = p;
+            loop {
+                self.component_heap
+                    .push(component_key(self.state[q].dist, q as u32));
+                match self.pending.take(q + 1, end) {
+                    Some(r) => q = r,
+                    None => break,
                 }
             }
             while let Some(Reverse(key)) = self.component_heap.pop() {
                 pops += 1;
-                let v = key as u32 as usize; // the node id, below the distance
+                let v = key as u32 as usize; // the position, below the distance
                 if self.state[v].mark == epoch {
-                    relaxations += self.settle_and_relax(csr, v, length, t);
+                    relaxations += self.settle_and_relax(v, end, length);
                 }
             }
         }
@@ -488,23 +567,30 @@ impl DijkstraScratch {
         self.end_run();
     }
 
-    /// Settles `v`, a node of the component at topological index `t`, and
-    /// relaxes its branches: an improved sink in `t` goes into the
-    /// component heap, one in a later component sets that component's bit.
-    /// Returns the relaxations.
+    /// Settles position `v`, of the component ending at `end`, and
+    /// relaxes its branches: an improved sink before `end` goes into the
+    /// component heap, a later one sets its bit. Returns the relaxations.
     #[inline(always)]
-    fn settle_and_relax(&mut self, csr: &Csr, v: usize, length: &[f64], t: usize) -> u64 {
-        let nd = self.state[v].dist + self.settle(v, length);
+    fn settle_and_relax(&mut self, v: usize, end: usize, length: &[f64]) -> u64 {
+        let nd = self.state[v].dist + self.settle(v, length[v]);
+        let Self {
+            layout,
+            state,
+            epoch,
+            pending,
+            component_heap,
+            ..
+        } = self;
+        let sinks = &layout.sink_adj[layout.sink_off[v] as usize..layout.sink_off[v + 1] as usize];
         let mut relaxations = 0;
-        for &w in csr.sinks(CellId::from_index(v)) {
-            let wi = w.index();
-            if self.relax(v as u32, wi, nd) {
+        for &w in sinks {
+            let wi = w as usize;
+            if relax(&mut state[wi], *epoch, v as u32, nd, &layout.node) {
                 relaxations += 1;
-                let c = self.order.topo[wi] as usize;
-                if c == t {
-                    self.component_heap.push(component_key(nd, wi as u32));
+                if wi < end {
+                    component_heap.push(component_key(nd, w));
                 } else {
-                    self.pending.insert(c);
+                    pending.insert(wi);
                 }
             }
         }
@@ -515,7 +601,7 @@ impl DijkstraScratch {
     /// unreached).
     #[must_use]
     pub fn distance(&self, node: CellId) -> f64 {
-        let st = self.state[node.index()];
+        let st = self.state[self.position(node)];
         if st.mark >= self.epoch {
             st.dist
         } else {
@@ -526,32 +612,41 @@ impl DijkstraScratch {
     /// The tree parent net of `node`, if reached.
     #[must_use]
     pub fn parent(&self, node: CellId) -> Option<NetId> {
-        let st = self.state[node.index()];
+        let st = self.state[self.position(node)];
         (st.mark >= self.epoch && st.parent != NO_PARENT)
-            .then(|| CellId::from_index(st.parent as usize))
+            .then(|| CellId::from_index(self.layout.node[st.parent as usize] as usize))
     }
 
     /// Nodes settled by the last run, in settle order (source first).
     #[must_use]
-    pub fn visited_order(&self) -> &[CellId] {
-        &self.visited
+    pub fn visited_order(&self) -> Vec<CellId> {
+        self.visited
+            .iter()
+            .map(|&p| CellId::from_index(self.layout.node[p as usize] as usize))
+            .collect()
     }
 
-    /// The distinct nets of the last run's tree with their branch counts,
-    /// in first-settled order — the allocation-free view the saturation
-    /// loop folds its flow updates over. The order is deterministic; use
-    /// [`DijkstraScratch::tree_nets`] for the sorted view.
-    pub fn tree_net_counts(&self) -> impl Iterator<Item = (NetId, u32)> + '_ {
+    /// The distinct nets of the last run's tree, each as the condensation
+    /// position of its driver, with their branch counts, in
+    /// first-settled order — the allocation-free view the saturation
+    /// loop folds its position-indexed flow updates over. The order is
+    /// deterministic; use [`DijkstraScratch::tree_net_branch_counts`]
+    /// for the view by net id.
+    pub fn tree_net_positions(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
         self.tree_list
             .iter()
-            .map(move |&n| (n, self.net_count[n.index()]))
+            .map(move |&p| (p as usize, self.net_count[p as usize]))
     }
 
     /// The distinct nets used by the last run's tree (each net once,
     /// ascending id).
     #[must_use]
     pub fn tree_nets(&self) -> Vec<NetId> {
-        let mut nets = self.tree_list.clone();
+        let mut nets: Vec<NetId> = self
+            .tree_list
+            .iter()
+            .map(|&p| CellId::from_index(self.layout.node[p as usize] as usize))
+            .collect();
         nets.sort_unstable();
         nets
     }
@@ -560,9 +655,11 @@ impl DijkstraScratch {
     #[must_use]
     pub fn tree_net_branch_counts(&self) -> Vec<(NetId, usize)> {
         let mut out: Vec<(NetId, usize)> = self
-            .tree_list
-            .iter()
-            .map(|&n| (n, self.net_count[n.index()] as usize))
+            .tree_net_positions()
+            .map(|(p, count)| {
+                let net = CellId::from_index(self.layout.node[p] as usize);
+                (net, count as usize)
+            })
             .collect();
         out.sort_unstable();
         out
@@ -578,10 +675,27 @@ mod tests {
         CircuitGraph::from_circuit(&data::s27())
     }
 
+    fn scratch(g: &CircuitGraph) -> DijkstraScratch {
+        DijkstraScratch::new(g, &Scc::of(g))
+    }
+
+    /// A production-engine run from `source`, with node-indexed lengths.
+    fn run_fast_by_node(scratch: &mut DijkstraScratch, source: CellId, length: &[f64]) {
+        let by_position = scratch.by_position(length);
+        scratch.run_fast(source, &by_position);
+    }
+
     /// A fresh production-engine tree from `source`.
     fn fast_tree(g: &CircuitGraph, source: CellId, length: &[f64]) -> DijkstraScratch {
-        let mut scratch = DijkstraScratch::new(g);
-        scratch.run_fast(g.csr(), source, length);
+        let mut scratch = scratch(g);
+        run_fast_by_node(&mut scratch, source, length);
+        scratch
+    }
+
+    /// A fresh reference tree from `source`.
+    fn reference_tree(g: &CircuitGraph, source: CellId, length: &[f64]) -> DijkstraScratch {
+        let mut scratch = scratch(g);
+        scratch.run(g, source, length);
         scratch
     }
 
@@ -614,6 +728,12 @@ mod tests {
             reference.tree_net_branch_counts(),
             fast.tree_net_branch_counts()
         );
+    }
+
+    /// The size of `v`'s SCC component.
+    fn component_size(g: &CircuitGraph, v: CellId) -> usize {
+        let scc = Scc::of(g);
+        scc.components()[scc.component_of(v).index()].len()
     }
 
     #[test]
@@ -702,14 +822,35 @@ mod tests {
     fn tree_net_counts_agree_with_sorted_views() {
         let g = s27_graph();
         let unit = vec![1.0; g.num_nodes()];
-        let mut scratch = DijkstraScratch::new(&g);
-        scratch.run_fast(g.csr(), g.find("G0").unwrap(), &unit);
+        let scratch = fast_tree(&g, g.find("G0").unwrap(), &unit);
+        let node_of = scratch.by_position(&g.nodes().collect::<Vec<_>>());
         let mut from_iter: Vec<(NetId, usize)> = scratch
-            .tree_net_counts()
-            .map(|(n, c)| (n, c as usize))
+            .tree_net_positions()
+            .map(|(p, c)| (node_of[p], c as usize))
             .collect();
         from_iter.sort_unstable();
         assert_eq!(from_iter, scratch.tree_net_branch_counts());
+        for v in g.nodes() {
+            assert_eq!(node_of[scratch.position(v)], v);
+        }
+    }
+
+    #[test]
+    fn positions_are_the_condensation_order() {
+        // Components in topological order, ids ascending inside each, and
+        // `by_node` undoes `by_position`.
+        let g = s27_graph();
+        let scc = Scc::of(&g);
+        let scratch = DijkstraScratch::new(&g, &scc);
+        let expected: Vec<CellId> = scc.components().iter().rev().flatten().copied().collect();
+        let ids: Vec<CellId> = g.nodes().collect();
+        assert_eq!(scratch.by_position(&ids), expected);
+        assert_eq!(scratch.by_node(&scratch.by_position(&ids)), ids);
+        for b in g.branches() {
+            let (u, w) = (scratch.position(b.src), scratch.position(b.sink));
+            let same = scc.component_of(b.src) == scc.component_of(b.sink);
+            assert!(same || u < w, "branch {} -> {} points back", b.src, b.sink);
+        }
     }
 
     #[test]
@@ -717,23 +858,21 @@ mod tests {
         let g = s27_graph();
         let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 7) as f64 * 0.5).collect();
         for src in g.nodes() {
-            let mut a = DijkstraScratch::new(&g);
-            a.run(&g, src, &lengths);
+            let a = reference_tree(&g, src, &lengths);
             assert_same_run(&g, &a, &fast_tree(&g, src, &lengths));
         }
     }
 
     #[test]
-    fn slot_queue_run_matches_reference_exactly() {
+    fn fast_run_matches_reference_on_distance_ties() {
         let g = s27_graph();
         // A coarse grid with zeros to force distance ties and absorption-
         // style equal keys — the cases a sloppy drain order would break.
         let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 4) as f64 * 0.5).collect();
         for src in g.nodes() {
-            let mut a = DijkstraScratch::new(&g);
-            a.run(&g, src, &lengths);
+            let a = reference_tree(&g, src, &lengths);
             // Bit-identical in every observable, settle order included:
-            // the bitmap takes components in topological order and the
+            // the bitmap takes positions in condensation order and the
             // component heap drains one in the reference's (distance,
             // node) order.
             assert_same_run(&g, &a, &fast_tree(&g, src, &lengths));
@@ -741,7 +880,7 @@ mod tests {
     }
 
     #[test]
-    fn slot_queue_handles_clamped_congestion_range() {
+    fn component_heap_orders_the_clamped_congestion_range() {
         let g = s27_graph();
         // Clamped-congestion-sized lengths span the whole f64 exponent
         // range; the heap's bit-pattern keys must order all of it.
@@ -749,8 +888,7 @@ mod tests {
         let src = g.find("G9").unwrap();
         lengths[src.index()] = 1e300;
         lengths[g.find("G0").unwrap().index()] = 1e-12;
-        let mut a = DijkstraScratch::new(&g);
-        a.run(&g, src, &lengths);
+        let a = reference_tree(&g, src, &lengths);
         assert_same_run(&g, &a, &fast_tree(&g, src, &lengths));
     }
 
@@ -787,16 +925,65 @@ mod tests {
         assert_eq!(fast.distance(w), H);
         assert_eq!(fast.distance(u), H);
         assert_eq!(fast.parent(w), Some(u));
-        let mut reference = DijkstraScratch::new(&g);
-        reference.run(&g, s, &lengths);
-        assert_same_run(&g, &reference, &fast);
+        assert_same_run(&g, &reference_tree(&g, s, &lengths), &fast);
+    }
+
+    #[test]
+    fn a_cycle_first_reached_at_its_last_position_runs_its_heap() {
+        // The source s feeds one member of the cycle a → b → c → a, whose
+        // positions ascend a, b, c; the tail t hangs off a. Entered at c,
+        // its last position, the cycle must still go through the
+        // component heap: settled alone, c would leave a and b behind the
+        // bitmap cursor. Entered at b (mid-range) likewise.
+        use ppet_netlist::{CellKind, Circuit};
+        for entry in [2, 1] {
+            let mut c = Circuit::new("entry");
+            let gate = |i: usize| {
+                if i == entry {
+                    CellKind::Or
+                } else {
+                    CellKind::Buf
+                }
+            };
+            let cells = [
+                ("a", gate(0)),
+                ("b", gate(1)),
+                ("c", gate(2)),
+                ("s", CellKind::Input),
+                ("t", CellKind::Buf),
+            ]
+            .map(|(name, kind)| c.add_cell_deferred(name, kind).unwrap());
+            let [a, b, cc, s, t] = cells;
+            let cycle = [a, b, cc];
+            for (i, &v) in cycle.iter().enumerate() {
+                let mut fanin = vec![cycle[(i + 2) % 3]];
+                if i == entry {
+                    fanin.push(s);
+                }
+                c.set_fanin(v, fanin).unwrap();
+            }
+            c.set_fanin(t, vec![a]).unwrap();
+            c.mark_output(t).unwrap();
+            let g = CircuitGraph::from_circuit(&c);
+            let fast = fast_tree(&g, s, &vec![1.0; g.num_nodes()]);
+            assert_eq!(component_size(&g, cycle[entry]), 3);
+            assert_eq!(fast.position(cycle[entry]), fast.position(a) + entry);
+            let order = fast.visited_order();
+            assert_eq!(order.len(), 5, "entry {entry}: settled {order:?}");
+            assert_eq!(order[1], cycle[entry]);
+            assert_eq!(fast.distance(t), 5.0 - entry as f64);
+            assert_same_run(&g, &reference_tree(&g, s, &vec![1.0; g.num_nodes()]), &fast);
+            // One pop for s, one for the cycle's bit, and one heap pop per
+            // member (the seed and two relaxations), one for t.
+            assert_eq!(fast.stats().heap_pops, 6, "entry {entry}");
+        }
     }
 
     #[test]
     fn stats_accumulate_and_reset() {
         let g = s27_graph();
         let unit = vec![1.0; g.num_nodes()];
-        let mut scratch = DijkstraScratch::new(&g);
+        let mut scratch = scratch(&g);
         scratch.run(&g, g.find("G0").unwrap(), &unit);
         let one = scratch.stats();
         assert!(one.heap_pops >= one.settled);
@@ -827,17 +1014,16 @@ mod tests {
         // engines share the state array, so alternate them.
         let g = s27_graph();
         let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 4) as f64 * 0.5).collect();
-        let mut scratch = DijkstraScratch::new(&g);
+        let mut scratch = scratch(&g);
         scratch.epoch = u32::MAX - 7;
         for (i, src) in g.nodes().chain(g.nodes()).enumerate() {
-            let mut fresh = DijkstraScratch::new(&g);
-            if i % 2 == 0 {
-                scratch.run_fast(g.csr(), src, &lengths);
-                fresh.run_fast(g.csr(), src, &lengths);
+            let fresh = if i % 2 == 0 {
+                run_fast_by_node(&mut scratch, src, &lengths);
+                fast_tree(&g, src, &lengths)
             } else {
                 scratch.run(&g, src, &lengths);
-                fresh.run(&g, src, &lengths);
-            }
+                reference_tree(&g, src, &lengths)
+            };
             assert_eq!(scratch.visited_order(), fresh.visited_order(), "run {i}");
             for v in g.nodes() {
                 assert_eq!(
@@ -860,8 +1046,9 @@ mod tests {
     /// `FlowParams::paper()` (capacity 1, Δ = 0.01, α = 4, min_visit = 20
     /// rounds of shuffled sources, per-net accounting, exponent clamped
     /// at 700), with `scratch` as the engine. Returns the final net
-    /// lengths, the most pushes one run made (its relaxations plus the
-    /// source), and which exponents the settled distances had.
+    /// lengths by position, the most pushes one run made (its
+    /// relaxations plus the source), and which exponents the settled
+    /// distances had.
     fn saturate_paper(
         scratch: &mut DijkstraScratch,
         g: &CircuitGraph,
@@ -883,15 +1070,14 @@ mod tests {
             order.clone()
         }) {
             let before = scratch.stats().relaxations;
-            scratch.run_fast(g.csr(), v, &length);
+            scratch.run_fast(v, &length);
             max_pushes = max_pushes.max(scratch.stats().relaxations - before + 1);
-            for &u in scratch.visited_order() {
+            for u in scratch.visited_order() {
                 touched[(scratch.distance(u).to_bits() >> 52) as usize] = true;
             }
-            for (net, _) in scratch.tree_net_counts() {
-                let i = net.index();
-                flow[i] += DELTA;
-                length[i] = (ALPHA * flow[i]).min(MAX_EXPONENT).exp();
+            for (p, _) in scratch.tree_net_positions() {
+                flow[p] += DELTA;
+                length[p] = (ALPHA * flow[p]).min(MAX_EXPONENT).exp();
             }
         }
         (length, max_pushes, touched)
@@ -907,9 +1093,9 @@ mod tests {
     }
 
     #[test]
-    fn slot_queue_memory_is_bounded_by_tree_size_not_key_range() {
+    fn component_heap_memory_is_bounded_by_tree_size_not_key_range() {
         let g = table9_graph("s1423");
-        let mut scratch = DijkstraScratch::new(&g);
+        let mut scratch = scratch(&g);
         let (length, max_pushes, touched) = saturate_paper(&mut scratch, &g);
         let retained_bytes = |scratch: &DijkstraScratch| {
             scratch.component_heap.capacity() * std::mem::size_of::<Reverse<u128>>()
@@ -931,8 +1117,8 @@ mod tests {
             let scaled: Vec<f64> = length.iter().map(|&l| l * 0.5f64.powi(100 * k)).collect();
             let before = scratch.take_stats();
             for src in g.nodes() {
-                scratch.run_fast(g.csr(), src, &scaled);
-                for &u in scratch.visited_order() {
+                scratch.run_fast(src, &scaled);
+                for u in scratch.visited_order() {
                     seen[(scratch.distance(u).to_bits() >> 52) as usize] = true;
                 }
             }
@@ -962,7 +1148,7 @@ mod tests {
         // A NaN length panics `run_fast` mid-search: once on a node of a
         // cyclic component, with several entries still in the component
         // heap, and once on a single-node component; both times with later
-        // components' bits still set. The next run must sweep them (the
+        // positions' bits still set. The next run must sweep them (the
         // paths a completed run never takes) and find the same tree as a
         // fresh scratch.
         let g = table9_graph("s510");
@@ -971,13 +1157,12 @@ mod tests {
         let good = fast_tree(&g, src, &lengths);
         // The middle settle of the largest cyclic component, and the
         // middle settle among single-node components.
-        let order = &good.order;
-        let size = |v: &CellId| order.range(order.topo[v.index()] as usize).len();
+        let size = |v: &CellId| component_size(&g, *v);
         let largest = good.visited_order().iter().map(size).max().unwrap();
         assert!(largest > 1, "the tree reaches no cycle");
         let (cyclic, acyclic): (Vec<CellId>, Vec<CellId>) = good
             .visited_order()
-            .iter()
+            .into_iter()
             .filter(|v| [1, largest].contains(&size(v)))
             .partition(|v| size(v) > 1);
         for (poison, on_cycle) in [
@@ -986,14 +1171,14 @@ mod tests {
         ] {
             let mut poisoned = lengths.clone();
             poisoned[poison.index()] = f64::NAN;
-            let mut scratch = DijkstraScratch::new(&g);
+            let mut scratch = scratch(&g);
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                scratch.run_fast(g.csr(), src, &poisoned);
+                run_fast_by_node(&mut scratch, src, &poisoned);
             }));
             assert!(panicked.is_err(), "the NaN length was never consumed");
             assert!(
                 !scratch.pending.is_empty(),
-                "no component bit set at the panic on {poison}"
+                "no position bit set at the panic on {poison}"
             );
             if on_cycle {
                 let queued = scratch.component_heap.len();
@@ -1001,7 +1186,7 @@ mod tests {
             }
 
             for source in [src, g.nodes().nth(7).unwrap()] {
-                scratch.run_fast(g.csr(), source, &lengths);
+                run_fast_by_node(&mut scratch, source, &lengths);
                 let fresh = fast_tree(&g, source, &lengths);
                 assert_eq!(scratch.visited_order(), fresh.visited_order());
                 assert_eq!(scratch.take_stats(), fresh.stats());
@@ -1029,8 +1214,7 @@ mod tests {
     /// run from `G0`.
     fn s27_cyclic_node(g: &CircuitGraph) -> CellId {
         let v = g.find("G11").unwrap();
-        let order = Condensation::of(g);
-        assert!(order.range(order.topo[v.index()] as usize).len() > 1);
+        assert!(component_size(g, v) > 1);
         let unit = vec![1.0; g.num_nodes()];
         assert!(fast_tree(g, g.find("G0").unwrap(), &unit).distance(v) > 0.0);
         v
@@ -1042,8 +1226,7 @@ mod tests {
         let g = s27_graph();
         let mut lengths = vec![1.0; g.num_nodes()];
         lengths[s27_cyclic_node(&g).index()] = f64::NAN;
-        let mut scratch = DijkstraScratch::new(&g);
-        scratch.run(&g, g.find("G0").unwrap(), &lengths);
+        let _ = reference_tree(&g, g.find("G0").unwrap(), &lengths);
     }
 
     #[test]
@@ -1062,8 +1245,7 @@ mod tests {
         let src = g.find("G0").unwrap();
         let mut lengths = vec![1.0; g.num_nodes()];
         lengths[src.index()] = -1.0; // the source always settles first
-        let mut scratch = DijkstraScratch::new(&g);
-        scratch.run(&g, src, &lengths);
+        let _ = reference_tree(&g, src, &lengths);
     }
 
     #[test]
@@ -1073,19 +1255,17 @@ mod tests {
         let src = g.find("G0").unwrap();
         let mut lengths = vec![1.0; g.num_nodes()];
         lengths[src.index()] = f64::NAN;
-        let mut scratch = DijkstraScratch::new(&g);
-        scratch.run(&g, src, &lengths);
+        let _ = reference_tree(&g, src, &lengths);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
-    fn slot_queue_rejects_negative_lengths() {
+    fn fractional_negative_length_rejected_by_fast_run() {
         let g = s27_graph();
         let src = g.find("G0").unwrap();
         let mut lengths = vec![1.0; g.num_nodes()];
         lengths[src.index()] = -0.5; // the source always settles first
-        let mut scratch = DijkstraScratch::new(&g);
-        scratch.run_fast(g.csr(), src, &lengths);
+        let _ = fast_tree(&g, src, &lengths);
     }
 
     #[test]

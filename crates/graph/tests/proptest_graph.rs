@@ -79,7 +79,10 @@ fn arb_permuted_graph() -> impl Strategy<Value = CircuitGraph> {
 
 /// Graphs the synthesizer does not build: a chain of blocks, each node
 /// reading from its own block (cycles of any size) or an earlier one,
-/// with self-loops and permuted ids.
+/// with self-loops and permuted ids. A three-node cycle with the three
+/// largest ids hangs off a random earlier node, entered only at its
+/// middle or its last member in id order — so a cyclic component is
+/// first reached past its first condensation position.
 fn arb_cyclic_graph() -> impl Strategy<Value = CircuitGraph> {
     (2usize..48, any::<u64>()).prop_map(|(n, seed)| {
         let mut rng = Xoshiro256PlusPlus::seed_from(seed);
@@ -99,7 +102,7 @@ fn arb_cyclic_graph() -> impl Strategy<Value = CircuitGraph> {
                 block_end[i + 1]
             };
         }
-        let fanins: Vec<Vec<usize>> = (0..n)
+        let mut fanins: Vec<Vec<usize>> = (0..n)
             .map(|i| {
                 if i == 0 {
                     return Vec::new();
@@ -113,7 +116,16 @@ fn arb_cyclic_graph() -> impl Strategy<Value = CircuitGraph> {
                     .collect()
             })
             .collect();
-        let id = permutation(n, &mut rng);
+        let entry = 1 + rng.gen_index(2);
+        for i in 0..3 {
+            let mut fanin = vec![n + (i + 2) % 3];
+            if i == entry {
+                fanin.push(rng.gen_index(n));
+            }
+            fanins.push(fanin);
+        }
+        let mut id = permutation(n, &mut rng);
+        id.extend(n..n + 3);
         CircuitGraph::from_circuit(&circuit_from(&fanins, &id))
     })
 }
@@ -130,11 +142,13 @@ fn tie_lengths(n: usize, huge: bool, rng: &mut impl Rng) -> Vec<f64> {
 /// Runs both engines from every source of `g` and requires them to agree
 /// bit for bit on everything but the pop counts.
 fn engines_agree(g: &CircuitGraph, lengths: &[f64]) -> Result<(), TestCaseError> {
-    let mut reference = DijkstraScratch::new(g);
-    let mut fast = DijkstraScratch::new(g);
+    let scc = Scc::of(g);
+    let mut reference = DijkstraScratch::new(g, &scc);
+    let mut fast = DijkstraScratch::new(g, &scc);
+    let by_position = fast.by_position(lengths);
     for src in g.nodes() {
         reference.run(g, src, lengths);
-        fast.run_fast(g.csr(), src, lengths);
+        fast.run_fast(src, &by_position);
         prop_assert_eq!(
             reference.visited_order(),
             fast.visited_order(),
@@ -179,11 +193,11 @@ fn engines_agree(g: &CircuitGraph, lengths: &[f64]) -> Result<(), TestCaseError>
 /// Every parent is a fanin reaching its node at exactly its distance, and
 /// every parent chain ends at the source.
 fn tree_is_valid(g: &CircuitGraph, src: CellId, lengths: &[f64]) -> Result<(), TestCaseError> {
-    let mut spt = DijkstraScratch::new(g);
-    spt.run_fast(g.csr(), src, lengths);
+    let mut spt = DijkstraScratch::new(g, &Scc::of(g));
+    spt.run_fast(src, &spt.by_position(lengths));
     prop_assert_eq!(spt.distance(src), 0.0);
     prop_assert_eq!(spt.parent(src), None);
-    for &v in spt.visited_order() {
+    for v in spt.visited_order() {
         let mut hops = 0;
         let mut x = v;
         while let Some(p) = spt.parent(x) {
@@ -249,8 +263,8 @@ proptest! {
         let lengths: Vec<f64> = (0..g.num_nodes()).map(|_| 0.25 + rng.gen_f64() * 4.0).collect();
         let nodes: Vec<_> = g.nodes().collect();
         let src = nodes[rng.gen_index(nodes.len())];
-        let mut spt = DijkstraScratch::new(&g);
-        spt.run_fast(g.csr(), src, &lengths);
+        let mut spt = DijkstraScratch::new(&g, &Scc::of(&g));
+        spt.run_fast(src, &spt.by_position(&lengths));
 
         let mut dist = vec![f64::INFINITY; g.num_nodes()];
         dist[src.index()] = 0.0;
@@ -279,7 +293,7 @@ proptest! {
     /// lengths that force distance ties, either on a coarse grid with
     /// zeros or mixing unit and huge lengths so that `d + len == d`.
     #[test]
-    fn slot_queue_dijkstra_matches_binary_reference(
+    fn fast_dijkstra_matches_binary_reference(
         g in arb_graph(),
         permuted in arb_permuted_graph(),
         cyclic in arb_cyclic_graph(),

@@ -278,7 +278,7 @@ mod tests {
     fn grouped(lk: usize) -> (CircuitGraph, Clustering) {
         let g = CircuitGraph::from_circuit(&data::s27());
         let scc = Scc::of(&g);
-        let profile = saturate_network(&g, &FlowParams::paper(), 1996);
+        let profile = saturate_network(&g, &scc, &FlowParams::paper(), 1996);
         let r = make_group(&g, &scc, &profile, &MakeGroupParams::new(lk));
         (g, r.clustering)
     }
@@ -379,7 +379,7 @@ mod tests {
             .build();
             let g = CircuitGraph::from_circuit(&circuit);
             let scc = Scc::of(&g);
-            let profile = saturate_network(&g, &FlowParams::quick(), seed);
+            let profile = saturate_network(&g, &scc, &FlowParams::quick(), seed);
             for lk in [4usize, 8] {
                 let grouped = make_group(&g, &scc, &profile, &MakeGroupParams::new(lk));
                 let fast = assign_cbit(&g, grouped.clustering.clone(), lk);

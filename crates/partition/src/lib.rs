@@ -34,7 +34,7 @@
 //!
 //! let g = CircuitGraph::from_circuit(&data::s27());
 //! let scc = Scc::of(&g);
-//! let profile = saturate_network(&g, &FlowParams::paper(), 1996);
+//! let profile = saturate_network(&g, &scc, &FlowParams::paper(), 1996);
 //! let grouped = make_group(&g, &scc, &profile, &MakeGroupParams::new(3));
 //! let assigned = assign_cbit(&g, grouped.clustering.clone(), 3);
 //! assert!(assigned.partitions.iter().all(|p| p.input_nets.len() <= 3));

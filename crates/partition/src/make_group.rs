@@ -101,7 +101,7 @@ enum NetState {
 ///
 /// let g = CircuitGraph::from_circuit(&data::s27());
 /// let scc = Scc::of(&g);
-/// let profile = saturate_network(&g, &FlowParams::paper(), 3);
+/// let profile = saturate_network(&g, &scc, &FlowParams::paper(), 3);
 /// let result = make_group(&g, &scc, &profile, &MakeGroupParams::new(3));
 /// assert!(result.oversized.is_empty());
 /// ```
@@ -353,7 +353,7 @@ mod tests {
     fn setup() -> (CircuitGraph, Scc, CongestionProfile) {
         let g = CircuitGraph::from_circuit(&data::s27());
         let scc = Scc::of(&g);
-        let profile = saturate_network(&g, &FlowParams::paper(), 1996);
+        let profile = saturate_network(&g, &scc, &FlowParams::paper(), 1996);
         (g, scc, profile)
     }
 

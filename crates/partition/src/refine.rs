@@ -46,7 +46,7 @@ pub struct RefineResult {
 ///
 /// let g = CircuitGraph::from_circuit(&data::s27());
 /// let scc = Scc::of(&g);
-/// let profile = saturate_network(&g, &FlowParams::quick(), 1);
+/// let profile = saturate_network(&g, &scc, &FlowParams::quick(), 1);
 /// let grouped = make_group(&g, &scc, &profile, &MakeGroupParams::new(4));
 /// let assigned = assign_cbit(&g, grouped.clustering, 4);
 /// let before = assigned.cut_nets.len();
@@ -155,7 +155,7 @@ mod tests {
     fn partitioned(circuit: &ppet_netlist::Circuit, lk: usize) -> (CircuitGraph, Clustering) {
         let g = CircuitGraph::from_circuit(circuit);
         let scc = Scc::of(&g);
-        let profile = saturate_network(&g, &FlowParams::quick(), 1996);
+        let profile = saturate_network(&g, &scc, &FlowParams::quick(), 1996);
         let grouped = make_group(&g, &scc, &profile, &MakeGroupParams::new(lk));
         let assigned = assign_cbit(&g, grouped.clustering, lk);
         (g, assigned.clustering)

@@ -245,6 +245,9 @@ struct Entry {
     logical_len: u32,
     pinned: bool,
     tick: u64,
+    /// Delta hops to the raw ancestor ([`Inner::chain_depth`]), set by
+    /// [`Inner::insert_entry`].
+    depth: u32,
 }
 
 #[derive(Debug)]
@@ -256,6 +259,10 @@ struct Inner {
     candidates: SketchIndex,
     /// Live delta count per base key.
     refs: HashMap<u128, u32>,
+    /// Live entries per chain depth: `depths[d]` entries sit `d` hops
+    /// from their raw ancestor. Never ends in a zero, so its length less
+    /// one is the deepest live chain.
+    depths: Vec<u64>,
     live_bytes: u64,
     file_bytes: u64,
     delta_stored: u64,
@@ -311,6 +318,7 @@ impl Store {
             index: HashMap::new(),
             candidates: SketchIndex::default(),
             refs: HashMap::new(),
+            depths: Vec::new(),
             live_bytes: 0,
             file_bytes: 0,
             delta_stored: 0,
@@ -359,6 +367,9 @@ impl Store {
                 }
             }
         }
+        // Replay set each depth from its base's depth at the time, and a
+        // later record may have re-stored that base raw.
+        inner.recompute_depths();
 
         let store = Self {
             inner: Mutex::new(inner),
@@ -448,7 +459,7 @@ impl Store {
                     inner.delta_stored += loc.frame_len();
                     inner.delta_logical += data.len() as u64;
                     *inner.refs.entry(base_key).or_insert(0) += 1;
-                    inner.index.insert(
+                    inner.insert_entry(
                         key,
                         Entry {
                             loc,
@@ -456,6 +467,7 @@ impl Store {
                             logical_len: data.len() as u32,
                             pinned: pin,
                             tick,
+                            depth: 0,
                         },
                     );
                     outcome = Some(PutOutcome::InsertedDelta {
@@ -472,7 +484,7 @@ impl Store {
             };
             let loc = inner.append(&record)?;
             inner.live_bytes += loc.frame_len();
-            inner.index.insert(
+            inner.insert_entry(
                 key,
                 Entry {
                     loc,
@@ -480,6 +492,7 @@ impl Store {
                     logical_len: data.len() as u32,
                     pinned: pin,
                     tick,
+                    depth: 0,
                 },
             );
             outcome = Some(PutOutcome::InsertedRaw {
@@ -744,7 +757,7 @@ impl Store {
             file_bytes: inner.file_bytes,
             budget: self.config.budget,
             sf_table: inner.candidates.by_feature.len(),
-            chain_depths: inner.chain_depth_histogram(),
+            chain_depths: inner.depths.clone(),
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
@@ -834,6 +847,9 @@ impl Store {
             // only the storage form moved.
         }
         inner.refs.remove(&base);
+        // The rewritten dependents are raw now, and what chains on them
+        // is that much shallower.
+        inner.recompute_depths();
         Ok(())
     }
 
@@ -850,13 +866,8 @@ impl Store {
     fn publish_gauges(&self, inner: &Inner) {
         self.delta_ratio
             .set(ratio(inner.delta_stored, inner.delta_logical));
-        let max_depth = inner
-            .index
-            .keys()
-            .map(|&k| inner.chain_depth(k))
-            .max()
-            .unwrap_or(0);
-        self.chain_depth_gauge.set(f64::from(max_depth));
+        let max_depth = inner.depths.len().saturating_sub(1);
+        self.chain_depth_gauge.set(max_depth as f64);
         self.live_bytes_gauge.set(inner.live_bytes as f64);
         self.entries_gauge.set(inner.index.len() as f64);
     }
@@ -936,9 +947,50 @@ impl Inner {
     }
 
     /// Delta hops between `key` and its raw ancestor (0 for raw entries
-    /// and for untracked keys). Walks the live index; cycles are cut at
-    /// [`MAX_CHAIN_STEPS`].
+    /// and for untracked keys), as [`Inner::walk_depth`] counts them:
+    /// kept per entry, so no chain is walked.
     fn chain_depth(&self, key: u128) -> u32 {
+        self.index.get(&key).map_or(0, |e| e.depth)
+    }
+
+    /// Inserts a live entry, setting its depth one past its base's (or
+    /// 0 when raw) and counting it in the depth histogram.
+    fn insert_entry(&mut self, key: u128, mut entry: Entry) {
+        entry.depth = entry
+            .base
+            .map_or(0, |base| (self.chain_depth(base) + 1).min(MAX_CHAIN_STEPS));
+        self.count_depth(entry.depth);
+        self.index.insert(key, entry);
+    }
+
+    fn count_depth(&mut self, depth: u32) {
+        let d = depth as usize;
+        if self.depths.len() <= d {
+            self.depths.resize(d + 1, 0);
+        }
+        self.depths[d] += 1;
+    }
+
+    /// Sets every entry's depth from a walk of its chain and rebuilds the
+    /// histogram: for the rare changes that move a live base (replay,
+    /// rewrite-on-evict).
+    fn recompute_depths(&mut self) {
+        let walked: Vec<(u128, u32)> = self
+            .index
+            .keys()
+            .map(|&k| (k, self.walk_depth(k)))
+            .collect();
+        self.depths.clear();
+        for (key, depth) in walked {
+            self.index.get_mut(&key).expect("live key").depth = depth;
+            self.count_depth(depth);
+        }
+    }
+
+    /// Delta hops between `key` and its raw ancestor, counted by walking
+    /// the live index: a missing base ends the walk, and cycles are cut
+    /// at [`MAX_CHAIN_STEPS`].
+    fn walk_depth(&self, key: u128) -> u32 {
         let mut depth = 0u32;
         let mut cursor = self.index.get(&key);
         while let Some(entry) = cursor {
@@ -970,20 +1022,6 @@ impl Inner {
             }
         }
         total
-    }
-
-    /// Live-entry counts per chain depth; `histogram[d]` = entries at
-    /// depth `d`. Empty for an empty store.
-    fn chain_depth_histogram(&self) -> Vec<u64> {
-        let mut histogram = Vec::new();
-        for &key in self.index.keys() {
-            let depth = self.chain_depth(key) as usize;
-            if histogram.len() <= depth {
-                histogram.resize(depth + 1, 0);
-            }
-            histogram[depth] += 1;
-        }
-        histogram
     }
 
     /// Removes `key` and every (transitive) dependent delta from the
@@ -1024,7 +1062,7 @@ impl Inner {
                 let pinned = self.index.get(&key).is_some_and(|e| e.pinned);
                 self.displace(key);
                 self.live_bytes += loc.frame_len();
-                self.index.insert(
+                self.insert_entry(
                     key,
                     Entry {
                         loc,
@@ -1032,6 +1070,7 @@ impl Inner {
                         logical_len: data.len() as u32,
                         pinned,
                         tick,
+                        depth: 0,
                     },
                 );
             }
@@ -1047,7 +1086,7 @@ impl Inner {
                 self.delta_stored += loc.frame_len();
                 self.delta_logical += u64::from(logical_len);
                 *self.refs.entry(base).or_insert(0) += 1;
-                self.index.insert(
+                self.insert_entry(
                     key,
                     Entry {
                         loc,
@@ -1055,6 +1094,7 @@ impl Inner {
                         logical_len,
                         pinned,
                         tick,
+                        depth: 0,
                     },
                 );
             }
@@ -1085,6 +1125,10 @@ impl Inner {
         let Some(entry) = self.index.remove(&key) else {
             return false;
         };
+        self.depths[entry.depth as usize] -= 1;
+        while self.depths.last() == Some(&0) {
+            self.depths.pop();
+        }
         self.live_bytes = self.live_bytes.saturating_sub(entry.loc.frame_len());
         if let Some(base) = entry.base {
             self.delta_stored = self.delta_stored.saturating_sub(entry.loc.frame_len());
@@ -1220,7 +1264,7 @@ mod tests {
         let store = Store::open(&dir, config).unwrap();
         let mut inner = store.inner.lock().unwrap();
         let add = |inner: &mut Inner, key, base, len, sketch: [u64; SUPER_FEATURES]| {
-            inner.index.insert(
+            inner.insert_entry(
                 key,
                 Entry {
                     loc: Location {
@@ -1232,6 +1276,7 @@ mod tests {
                     logical_len: len,
                     pinned: false,
                     tick: 0,
+                    depth: 0,
                 },
             );
             inner.candidates.insert(key, &sketch);
@@ -1267,8 +1312,120 @@ mod tests {
         // Once raw, key 3 passes both gates and wins its tie with 4 on
         // the smaller key.
         inner.index.get_mut(&3).unwrap().base = None;
+        inner.recompute_depths();
         assert_eq!(pick(&inner, 99, 100), Some(3));
         drop(inner);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `words` pseudo-random 8-byte words from `seed`.
+    fn noise(seed: u64, words: usize) -> Vec<u8> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..words)
+            .flat_map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                state.to_le_bytes()
+            })
+            .collect()
+    }
+
+    /// Asserts that every entry's kept depth, the depth histogram and the
+    /// published maximum agree with a walk of every chain, and returns
+    /// that maximum.
+    fn assert_depths_walked(store: &Store, metrics: &Metrics) -> u32 {
+        let inner = store.inner.lock().unwrap();
+        let mut histogram: Vec<u64> = Vec::new();
+        for (&key, entry) in &inner.index {
+            let walked = inner.walk_depth(key) as usize;
+            assert_eq!(entry.depth as usize, walked, "key {key}");
+            if histogram.len() <= walked {
+                histogram.resize(walked + 1, 0);
+            }
+            histogram[walked] += 1;
+        }
+        assert_eq!(inner.depths, histogram);
+        let max = inner.index.keys().map(|&k| inner.walk_depth(k)).max();
+        let gauge = metrics.gauge("store.chain_depth").get();
+        assert_eq!(gauge, f64::from(max.unwrap_or(0)));
+        max.unwrap_or(0)
+    }
+
+    /// Chains of near-duplicates, put, evicted under a budget (which
+    /// rewrites referenced bases' dependents raw), reopened, quarantined
+    /// and compacted: the depths kept since insertion always equal a
+    /// full walk, and so does the published maximum.
+    #[test]
+    fn kept_chain_depths_match_a_full_walk() {
+        let dir = std::env::temp_dir().join(format!("ppet-store-depths-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Four families of four generations: each splices 1 KiB of fresh
+        // bytes into its parent and appends a short tail.
+        let mut artifacts = Vec::new();
+        for family in 0..4u64 {
+            let mut v = noise(family, 2048);
+            for generation in 0..4u64 {
+                if generation > 0 {
+                    let at = 1024 * (2 + 3 * generation as usize);
+                    v.splice(at..at + 1024, noise(100 * family + generation, 128));
+                    v.extend_from_slice(format!("generation {generation}").as_bytes());
+                }
+                artifacts.push((u128::from(16 * family + generation), v.clone()));
+            }
+        }
+        let config = StoreConfig::default().with_chain_depth(3);
+        let metrics = Metrics::new();
+        let store = Store::open_with_metrics(&dir, config.clone(), &metrics).unwrap();
+        let mut deepest = 0;
+        for (key, data) in &artifacts {
+            store.put(*key, data).unwrap();
+            deepest = deepest.max(assert_depths_walked(&store, &metrics));
+        }
+        assert!(deepest >= 2, "no chain formed: deepest {deepest}");
+        // Family 1 forms the chain 16 ← 17 ← 18 ← 19. Pin all but its
+        // root, and reopen under a budget that holds the chain once 17 is
+        // raw and 16 gone, but not before: everything else is evicted,
+        // then 17 is rewritten raw so 16 can go, and 18 and 19 each sit
+        // one hop nearer a raw ancestor.
+        let frame = |key| store.inner.lock().unwrap().index[&key].loc.frame_len();
+        assert_eq!(store.inner.lock().unwrap().walk_depth(19), 3);
+        let budget = frame(16) + frame(18) + frame(19) + frame(17) / 2;
+        for key in 17..=19 {
+            store.pin(key).unwrap();
+        }
+        store.flush().unwrap();
+        drop(store);
+        let metrics = Metrics::new();
+        let tight = config.clone().with_budget(budget);
+        let store = Store::open_with_metrics(&dir, tight, &metrics).unwrap();
+        assert_depths_walked(&store, &metrics);
+        assert_eq!(store.keys(), [17, 18, 19]);
+        assert_eq!(store.stats().chain_depths, [1, 1, 1]);
+        for (key, data) in artifacts.iter().rev() {
+            store.put(*key ^ 0x1000, data).unwrap();
+            assert_depths_walked(&store, &metrics);
+        }
+        store.flush().unwrap();
+        drop(store);
+
+        // Without a budget: the replay meets each rewritten base after
+        // the deltas chained on it; puts chain again; quarantining a base
+        // drops its dependents; compaction keeps every depth.
+        let metrics = Metrics::new();
+        let store = Store::open_with_metrics(&dir, config, &metrics).unwrap();
+        assert_depths_walked(&store, &metrics);
+        store.gc().unwrap();
+        assert_depths_walked(&store, &metrics);
+        for (key, data) in &artifacts {
+            store.put(*key ^ 0x2000, data).unwrap();
+        }
+        assert!(assert_depths_walked(&store, &metrics) >= 2);
+        store.quarantine(0x2000);
+        assert_depths_walked(&store, &metrics);
+        store.gc().unwrap();
+        assert_depths_walked(&store, &metrics);
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // --- Figure 5: Saturate_Network ------------------------------------
-    let profile = saturate_network(&graph, &FlowParams::paper(), 1996);
+    let profile = saturate_network(&graph, &scc, &FlowParams::paper(), 1996);
     println!("\n== Figure 5: congestion after Saturate_Network ==");
     println!("  ({} shortest-path trees injected)", profile.num_trees());
     let mut ranked: Vec<_> = graph.nets().map(|(net, _)| net).collect();

@@ -17,7 +17,9 @@
 # ppet-bench-saturate/v1, s1423 and s510) and recorded/BENCH_retime.json
 # (schema ppet-bench-retime/v1, the golden-config cut sets of s641 and
 # s713). Only the `optimized_ns` column gates; the reference column
-# documents what the production engine is measured against. Before any
+# documents what the production engine is measured against. The two
+# engines are timed in interleaved pairs, and each verdict also prints
+# the median per-pair reference/optimized ratio. Before any
 # timing each kernel asserts its engine is result-identical to the
 # retained reference, so a "fast but wrong" engine can never pass. Run
 # from the repository root. Fully offline.

@@ -15,7 +15,7 @@ fn partition_members(
 ) -> Vec<Vec<ppet::netlist::CellId>> {
     let graph = CircuitGraph::from_circuit(circuit);
     let scc = Scc::of(&graph);
-    let profile = saturate_network(&graph, &FlowParams::quick(), 1996);
+    let profile = saturate_network(&graph, &scc, &FlowParams::quick(), 1996);
     let grouped = make_group(&graph, &scc, &profile, &MakeGroupParams::new(lk));
     let assigned = assign_cbit(&graph, grouped.clustering, lk);
     assigned.partitions.into_iter().map(|p| p.members).collect()

@@ -5,7 +5,7 @@
 use ppet::core::{compile_batch, Merced, MercedConfig, PpetReport};
 use ppet::exec::Pool;
 use ppet::flow::{saturate_network, FlowParams};
-use ppet::graph::CircuitGraph;
+use ppet::graph::{scc::Scc, CircuitGraph};
 use ppet::netlist::data::table9;
 use ppet::netlist::synth::{calibrated_spec, iscas89_like};
 use ppet::netlist::{Circuit, Synthesizer};
@@ -23,8 +23,8 @@ fn generator_is_reproducible() {
 fn saturation_is_reproducible() {
     let c = iscas89_like("s510").unwrap();
     let g = CircuitGraph::from_circuit(&c);
-    let a = saturate_network(&g, &FlowParams::paper(), 77);
-    let b = saturate_network(&g, &FlowParams::paper(), 77);
+    let a = saturate_network(&g, &Scc::of(&g), &FlowParams::paper(), 77);
+    let b = saturate_network(&g, &Scc::of(&g), &FlowParams::paper(), 77);
     assert_eq!(a, b);
 }
 
@@ -134,7 +134,7 @@ fn batch_compiling_table9_at_max_parallelism_is_deterministic() {
 fn different_seeds_give_different_flows() {
     let c = iscas89_like("s510").unwrap();
     let g = CircuitGraph::from_circuit(&c);
-    let a = saturate_network(&g, &FlowParams::quick(), 1);
-    let b = saturate_network(&g, &FlowParams::quick(), 2);
+    let a = saturate_network(&g, &Scc::of(&g), &FlowParams::quick(), 1);
+    let b = saturate_network(&g, &Scc::of(&g), &FlowParams::quick(), 2);
     assert_ne!(a, b);
 }

@@ -37,7 +37,7 @@ proptest! {
         let circuit = Synthesizer::new(spec).build();
         let graph = CircuitGraph::from_circuit(&circuit);
         let scc = Scc::of(&graph);
-        let profile = saturate_network(&graph, &FlowParams::quick(), 99);
+        let profile = saturate_network(&graph, &scc, &FlowParams::quick(), 99);
         let result = make_group(&graph, &scc, &profile, &MakeGroupParams::new(lk));
 
         // Cover every node exactly once.
@@ -58,7 +58,7 @@ proptest! {
         let circuit = Synthesizer::new(spec).build();
         let graph = CircuitGraph::from_circuit(&circuit);
         let scc = Scc::of(&graph);
-        let profile = saturate_network(&graph, &FlowParams::quick(), 7);
+        let profile = saturate_network(&graph, &scc, &FlowParams::quick(), 7);
         let grouped = make_group(&graph, &scc, &profile, &MakeGroupParams::new(lk));
         prop_assume!(grouped.oversized.is_empty());
         let before = grouped.cut_nets.len();
@@ -83,7 +83,7 @@ proptest! {
         let circuit = Synthesizer::new(spec).build();
         let graph = CircuitGraph::from_circuit(&circuit);
         let scc = Scc::of(&graph);
-        let profile = saturate_network(&graph, &FlowParams::quick(), 3);
+        let profile = saturate_network(&graph, &scc, &FlowParams::quick(), 3);
         let result = make_group(&graph, &scc, &profile, &MakeGroupParams::new(6).with_beta(1));
         // Per cyclic SCC: cut nets inside it never exceed f(SCC) (Eq. (6)
         // with beta = 1).

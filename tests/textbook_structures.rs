@@ -68,7 +68,7 @@ fn johnson_budget_beta_one_limits_ring_cuts() {
     let c = johnson_counter(n);
     let g = CircuitGraph::from_circuit(&c);
     let scc = Scc::of(&g);
-    let profile = saturate_network(&g, &FlowParams::quick(), 3);
+    let profile = saturate_network(&g, &scc, &FlowParams::quick(), 3);
     // With l_k = 2 the partitioner wants many cuts; β = 1 caps ring cuts
     // at f(SCC) = n.
     let r = make_group(&g, &scc, &profile, &MakeGroupParams::new(2).with_beta(1));
